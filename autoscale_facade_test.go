@@ -1,9 +1,8 @@
-//lint:file-ignore SA1019 This file deliberately exercises the deprecated registry facades to keep their compatibility contract tested until removal.
 package fastsketches_test
 
-// Registry autoscaling facade tests: Autoscale/AutoscaleAll attach one
-// started controller per registered sketch, the controllers actually walk
-// S through the registry's sketches when driven by a ManualClock, and
+// Registry autoscaling facade tests: ReplaceAutoscale attaches one started
+// controller per sketch registered under the name, the controllers actually
+// walk S through the registry's sketches when driven by a manual clock, and
 // Close stops them. All timing is manual-clock driven — no sleeps.
 
 import (
@@ -12,11 +11,12 @@ import (
 
 	"fastsketches"
 	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 )
 
 // testPolicy returns an aggressive manual-clock policy: one qualifying
 // sample resizes, no cooldown.
-func testPolicy(mc *autoscale.ManualClock) autoscale.Policy {
+func testPolicy(mc *clock.Manual) autoscale.Policy {
 	return autoscale.Policy{
 		MinShards: 1, MaxShards: 8,
 		HighWater: 1000, LowWater: 100,
@@ -30,7 +30,7 @@ func testPolicy(mc *autoscale.ManualClock) autoscale.Policy {
 // advanceTicks drives every controller through n full sampling periods,
 // synchronising on the manual clock's armed-timer count so no tick is lost
 // between a controller's wakeup and its re-arm.
-func advanceTicks(t *testing.T, mc *autoscale.ManualClock, ctls []*autoscale.Controller, n int) {
+func advanceTicks(t *testing.T, mc *clock.Manual, ctls []*autoscale.Controller, n int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	base := make([]int64, len(ctls))
@@ -62,31 +62,43 @@ func TestRegistryAutoscaleAttachesPerSketch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	reg.Theta("tenant-a")
-	reg.HLL("tenant-a")
-	reg.CountMin("tenant-b")
+	mustOpen(t, reg.OpenTheta, "tenant-a")
+	mustOpen(t, reg.OpenHLL, "tenant-a")
+	mustOpen(t, reg.OpenCountMin, "tenant-b")
 
-	mc := autoscale.NewManualClock(time.Unix(1_000_000, 0))
-	ctls, err := reg.Autoscale("tenant-a", testPolicy(mc))
+	mc := clock.NewManual(time.Unix(1_000_000, 0))
+	ctls, err := reg.ReplaceAutoscale("tenant-a", testPolicy(mc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ctls) != 2 { // theta + hll under tenant-a; tenant-b not matched
-		t.Fatalf("Autoscale(tenant-a) attached %d controllers, want 2", len(ctls))
+		t.Fatalf("ReplaceAutoscale(tenant-a) attached %d controllers, want 2", len(ctls))
 	}
-	all, err := reg.AutoscaleAll(testPolicy(mc))
+	if _, ok := reg.AutoscaleStats("countmin", "tenant-b"); ok {
+		t.Error("tenant-b gained a controller it was never given")
+	}
+	if _, err := reg.ReplaceAutoscale("nobody", testPolicy(mc)); err == nil {
+		t.Error("ReplaceAutoscale of an unregistered name must error")
+	}
+	if _, err := reg.ReplaceAutoscale("tenant-a", autoscale.Policy{}); err == nil {
+		t.Error("invalid policy must error")
+	}
+	// The rejected policy swapped nothing: tenant-a's controllers are still
+	// the ones attached above, one per sketch.
+	if n := reg.StopAutoscale("tenant-a"); n != 2 {
+		t.Errorf("StopAutoscale(tenant-a) stopped %d controllers, want 2", n)
+	}
+}
+
+// mustOpen opens name through one of the registry's Open* constructors with
+// the zero Spec.
+func mustOpen[H any](t *testing.T, open func(string, fastsketches.Spec) (H, error), name string) H {
+	t.Helper()
+	h, err := open(name, fastsketches.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 3 {
-		t.Fatalf("AutoscaleAll attached %d controllers, want 3", len(all))
-	}
-	if _, err := reg.Autoscale("nobody", testPolicy(mc)); err == nil {
-		t.Error("Autoscale of an unregistered name must error")
-	}
-	if _, err := reg.AutoscaleAll(autoscale.Policy{}); err == nil {
-		t.Error("invalid policy must error")
-	}
+	return h
 }
 
 func TestRegistryAutoscaleWalksShardsUnderLoad(t *testing.T) {
@@ -97,10 +109,10 @@ func TestRegistryAutoscaleWalksShardsUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	sk := reg.CountMin("api.calls")
+	sk := mustOpen(t, reg.OpenCountMin, "api.calls")
 
-	mc := autoscale.NewManualClock(time.Unix(1_000_000, 0))
-	ctls, err := reg.Autoscale("api.calls", testPolicy(mc))
+	mc := clock.NewManual(time.Unix(1_000_000, 0))
+	ctls, err := reg.ReplaceAutoscale("api.calls", testPolicy(mc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +151,9 @@ func TestRegistryCloseStopsControllers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg.Theta("t")
-	mc := autoscale.NewManualClock(time.Unix(1_000_000, 0))
-	ctls, err := reg.Autoscale("t", testPolicy(mc))
+	mustOpen(t, reg.OpenTheta, "t")
+	mc := clock.NewManual(time.Unix(1_000_000, 0))
+	ctls, err := reg.ReplaceAutoscale("t", testPolicy(mc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +167,8 @@ func TestRegistryCloseStopsControllers(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Autoscale after Close must panic like every registry accessor")
+			t.Error("ReplaceAutoscale after Close must panic like every registry accessor")
 		}
 	}()
-	reg.Autoscale("t", testPolicy(mc))
+	reg.ReplaceAutoscale("t", testPolicy(mc))
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 	"fastsketches/internal/shard"
 	"fastsketches/internal/snapshot"
 	"fastsketches/internal/wire"
@@ -35,38 +36,11 @@ import (
 // accumulator, the same exact-once plane a Resize drains retired epochs
 // into.
 
-// checkpointable is the slice of a family wrapper the checkpoint encoder
-// drives; all four satisfy it.
-type checkpointable interface {
-	Shards() int
-	AppendSnapshot([]byte) []byte
-	ViewSettings() (shard.ViewConfig, bool)
-	WindowSettings() (shard.WindowConfig, bool)
-	// AppendWindowedSnapshot appends the base blob (everything outside the
-	// closed ring slots) and returns the slot and decay-plane blobs captured
-	// under the same rotation-consistent hold; with no window enabled it
-	// degrades to the plain cumulative AppendSnapshot with an empty tail.
-	AppendWindowedSnapshot([]byte) ([]byte, [][]byte, []byte)
-}
-
-// restorable is the slice of a family wrapper the restore path drives.
-type restorable interface {
-	checkpointable
-	Resize(int) error
-	ImportSnapshot([]byte) error
-	EnableView(shard.ViewConfig) error
-	DisableView() bool
-	DisableWindow() bool
-	RestoreWindow(shard.WindowConfig, [][]byte, []byte) error
-}
-
 // checkpointEntry is one sketch's collected checkpoint inputs, gathered
 // under the registry lock and encoded outside it. The slice holding these is
 // reused across checkpoints.
 type checkpointEntry struct {
-	fam       snapshot.Family
-	name      string
-	sk        checkpointable
+	e         *entry
 	hasPolicy bool
 	policy    autoscale.Policy
 }
@@ -92,26 +66,12 @@ func (r *Registry) AppendCheckpoint(dst []byte) []byte {
 func (r *Registry) appendCheckpointLocked(dst []byte) []byte {
 	entries := r.ckptEntries[:0]
 	r.mu.RLock()
-	for n, sk := range r.thetas {
-		entries = append(entries, checkpointEntry{fam: snapshot.FamilyTheta, name: n, sk: sk})
-	}
-	for n, sk := range r.hlls {
-		entries = append(entries, checkpointEntry{fam: snapshot.FamilyHLL, name: n, sk: sk})
-	}
-	for n, sk := range r.quants {
-		entries = append(entries, checkpointEntry{fam: snapshot.FamilyQuantiles, name: n, sk: sk})
-	}
-	for n, sk := range r.cms {
-		entries = append(entries, checkpointEntry{fam: snapshot.FamilyCountMin, name: n, sk: sk})
-	}
-	for i := range entries {
-		for _, rc := range r.controllers {
-			if any(rc.target) == any(entries[i].sk) {
-				entries[i].hasPolicy = true
-				entries[i].policy = rc.ctl.Policy()
-				break
-			}
+	for _, e := range r.sketches {
+		ce := checkpointEntry{e: e}
+		if e.ctl != nil {
+			ce.hasPolicy, ce.policy = true, e.ctl.Policy()
 		}
+		entries = append(entries, ce)
 	}
 	r.mu.RUnlock()
 	r.ckptEntries = entries
@@ -120,34 +80,36 @@ func (r *Registry) appendCheckpointLocked(dst []byte) []byte {
 	// randomised, and a stable layout makes checkpoints diffable and keeps
 	// the fuzzers' corpus meaningful.
 	slices.SortFunc(entries, func(a, b checkpointEntry) int {
-		if a.fam != b.fam {
-			return int(a.fam) - int(b.fam)
+		if a.e.key.fam != b.e.key.fam {
+			return int(a.e.key.fam) - int(b.e.key.fam)
 		}
-		return strings.Compare(a.name, b.name)
+		return strings.Compare(a.e.key.name, b.e.key.name)
 	})
 
 	dst = snapshot.AppendHeader(dst, len(entries))
 	for i := range entries {
-		e := &entries[i]
-		r.ckptNameBuf = append(r.ckptNameBuf[:0], e.name...)
+		ce := &entries[i]
+		sk := ce.e.sk
+		r.ckptNameBuf = append(r.ckptNameBuf[:0], ce.e.key.name...)
 		rec := snapshot.Record{
-			Family: e.fam,
+			Family: ce.e.key.fam,
 			Name:   r.ckptNameBuf,
-			Shards: uint32(e.sk.Shards()),
+			Shards: uint32(sk.Shards()),
 		}
-		if vc, ok := e.sk.ViewSettings(); ok {
+		if vc, ok := sk.ViewSettings(); ok {
 			rec.HasView = true
 			rec.ViewRefreshNs = int64(vc.RefreshEvery)
 			rec.ViewMaxAgeNs = int64(vc.MaxAge)
 		}
-		if e.hasPolicy {
+		if ce.hasPolicy {
 			rec.HasPolicy = true
-			rec.MinShards = uint32(e.policy.MinShards)
-			rec.MaxShards = uint32(e.policy.MaxShards)
-			rec.HighWater = e.policy.HighWater
-			rec.LowWater = e.policy.LowWater
+			rec.MinShards = uint32(ce.policy.MinShards)
+			rec.MaxShards = uint32(ce.policy.MaxShards)
+			rec.HighWater = ce.policy.HighWater
+			rec.LowWater = ce.policy.LowWater
 		}
-		if wc, ok := e.sk.WindowSettings(); ok {
+		var m snapshot.Marks
+		if wc, ok := sk.WindowSettings(); ok {
 			// Windowed sketches serialise slot-by-slot: the base blob holds
 			// everything outside the closed ring (live shards, carry, legacy,
 			// in the cumulative plane), the tail each closed interval plus
@@ -157,19 +119,16 @@ func (r *Registry) appendCheckpointLocked(dst []byte) []byte {
 			rec.WindowIntervalNs = int64(wc.Interval)
 			rec.WindowSlots = uint32(wc.Slots)
 			rec.WindowDecay = wc.Decay
-			var m snapshot.Marks
 			dst, m = snapshot.BeginRecord(dst, &rec)
 			var slots [][]byte
 			var decayed []byte
-			dst, slots, decayed = e.sk.AppendWindowedSnapshot(dst)
+			dst, slots, decayed = sk.AppendWindowedSnapshot(dst)
 			dst = snapshot.EndBlob(dst, &m)
 			dst = snapshot.AppendWindowTail(dst, slots, decayed)
-			dst = snapshot.EndRecord(dst, m)
-			continue
+		} else {
+			dst, m = snapshot.BeginRecord(dst, &rec)
+			dst = sk.AppendSnapshot(dst)
 		}
-		var m snapshot.Marks
-		dst, m = snapshot.BeginRecord(dst, &rec)
-		dst = e.sk.AppendSnapshot(dst)
 		dst = snapshot.EndRecord(dst, m)
 	}
 	return dst
@@ -233,30 +192,15 @@ func (r *Registry) Restore(rd io.Reader) error {
 	return nil
 }
 
-// restoreRecord applies one parsed checkpoint record.
+// restoreRecord applies one parsed checkpoint record (its family already
+// validated by the codec). The shard count is checked before the sketch is
+// created, so a rejected record leaves nothing registered.
 func (r *Registry) restoreRecord(rec *snapshot.Record) error {
-	name := string(rec.Name)
-	var sk restorable
-	var tgt autoscale.Target
-	switch rec.Family {
-	case snapshot.FamilyTheta:
-		s := r.getTheta(name)
-		sk, tgt = s, s
-	case snapshot.FamilyHLL:
-		s := r.getHLL(name)
-		sk, tgt = s, s
-	case snapshot.FamilyQuantiles:
-		s := r.getQuantiles(name)
-		sk, tgt = s, s
-	case snapshot.FamilyCountMin:
-		s := r.getCountMin(name)
-		sk, tgt = s, s
-	default:
-		return fmt.Errorf("%w: family %d", snapshot.ErrBadRecord, rec.Family)
-	}
 	if rec.Shards < 1 || rec.Shards > wire.MaxShards {
 		return fmt.Errorf("%w: shard count %d outside [1,%d]", snapshot.ErrBadRecord, rec.Shards, wire.MaxShards)
 	}
+	e := r.getOrCreate(rec.Family, string(rec.Name))
+	sk := e.sk
 	if err := sk.Resize(int(rec.Shards)); err != nil {
 		return err
 	}
@@ -291,7 +235,7 @@ func (r *Registry) restoreRecord(rec *snapshot.Record) error {
 		// The four recorded knobs travel; the remaining policy fields take
 		// the package's production defaults, exactly as on the OpAutoscale
 		// wire path.
-		if err := r.attachController(tgt, autoscale.Policy{
+		if err := r.attachController(e, autoscale.Policy{
 			MinShards: int(rec.MinShards),
 			MaxShards: int(rec.MaxShards),
 			HighWater: rec.HighWater,
@@ -300,45 +244,6 @@ func (r *Registry) restoreRecord(rec *snapshot.Record) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// attachController replaces the autoscale controller(s) of one specific
-// sketch: any controller already driving tgt is detached and stopped, and a
-// fresh started one under p takes over — so a Restore into a registry with
-// live controllers swaps rather than stacks them, and stops what it
-// replaces (no goroutine leak). On a policy validation error the previous
-// controllers stay attached.
-func (r *Registry) attachController(tgt autoscale.Target, p autoscale.Policy) error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return fmt.Errorf("fastsketches: attach controller after Close")
-	}
-	var detached []registryController
-	kept := r.controllers[:0]
-	for _, rc := range r.controllers {
-		if any(rc.target) == any(tgt) {
-			detached = append(detached, rc)
-		} else {
-			kept = append(kept, rc)
-		}
-	}
-	ctl, err := autoscale.New(tgt, p)
-	if err != nil {
-		r.controllers = append(kept, detached...)
-		r.mu.Unlock()
-		return err
-	}
-	if r.memPressure != nil {
-		ctl.SetMemoryPressure(r.memPressure)
-	}
-	r.controllers = append(kept, registryController{ctl, tgt})
-	r.mu.Unlock()
-	for _, rc := range detached {
-		rc.ctl.Stop()
-	}
-	ctl.Start()
 	return nil
 }
 
@@ -395,7 +300,7 @@ func (r *Registry) RestoreFile(path string) error {
 
 // Checkpointer periodically writes the registry's checkpoint to a file —
 // the durability loop sketchd runs. Pacing goes through an injectable Clock
-// (autoscale.ManualClock satisfies it) so tests drive checkpoints
+// (clock.Manual is the deterministic one) so tests drive checkpoints
 // deterministically; the zero Clock is the system clock.
 type Checkpointer struct {
 	reg   *Registry
@@ -409,32 +314,25 @@ type Checkpointer struct {
 }
 
 // NewCheckpointer returns an unstarted periodic checkpointer writing to path
-// every `every` on clock (nil = system clock). onErr, if non-nil, receives
+// every `every` on clk (nil = system clock). onErr, if non-nil, receives
 // each failed checkpoint's error (the loop keeps running — a transient
 // full-disk must not kill durability forever).
-func NewCheckpointer(reg *Registry, path string, every time.Duration, clock Clock, onErr func(error)) (*Checkpointer, error) {
+func NewCheckpointer(reg *Registry, path string, every time.Duration, clk Clock, onErr func(error)) (*Checkpointer, error) {
 	if every <= 0 {
 		return nil, fmt.Errorf("%w: checkpoint interval must be > 0", ErrConfig)
 	}
 	if path == "" {
 		return nil, fmt.Errorf("%w: empty checkpoint path", ErrConfig)
 	}
-	if clock == nil {
-		clock = systemClock{}
+	if clk == nil {
+		clk = clock.System{}
 	}
 	return &Checkpointer{
-		reg: reg, path: path, every: every, clock: clock, onErr: onErr,
+		reg: reg, path: path, every: every, clock: clk, onErr: onErr,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}, nil
 }
-
-// systemClock is the production Clock of the root package (shard keeps its
-// own unexported one).
-type systemClock struct{}
-
-func (systemClock) Now() time.Time                         { return time.Now() }
-func (systemClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // Start launches the checkpoint loop. Call once.
 func (c *Checkpointer) Start() {

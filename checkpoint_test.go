@@ -8,14 +8,17 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"fastsketches"
 	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 	"fastsketches/internal/snapshot"
 	"fastsketches/internal/theta"
+	"fastsketches/internal/wire"
 )
 
 // Typed-handle open helpers: every sketch in this file is reached through
@@ -264,12 +267,26 @@ func TestRestoreRejectsCorruptInput(t *testing.T) {
 	// A structurally valid container with a corrupt family blob fails with
 	// the family's typed error, wrapped with record context.
 	rec := snapshot.Record{
-		Family: snapshot.FamilyTheta, Name: []byte("bad"), Shards: 2,
+		Family: wire.FamilyTheta, Name: []byte("bad"), Shards: 2,
 		Blob: []byte{1, 2, 3},
 	}
 	ckpt := snapshot.AppendRecord(snapshot.AppendHeader(nil, 1), &rec)
 	if err := reg.Restore(bytes.NewReader(ckpt)); !errors.Is(err, theta.ErrCorrupt) {
 		t.Errorf("corrupt blob restore error = %v, want theta.ErrCorrupt", err)
+	}
+
+	// A record rejected for its shard count is rejected before its sketch is
+	// created: no empty tenant is left behind.
+	before := reg.Names()
+	for _, shards := range []uint32{0, wire.MaxShards + 1} {
+		rec := snapshot.Record{Family: wire.FamilyHLL, Name: []byte("ghost"), Shards: shards}
+		ckpt := snapshot.AppendRecord(snapshot.AppendHeader(nil, 1), &rec)
+		if err := reg.Restore(bytes.NewReader(ckpt)); !errors.Is(err, snapshot.ErrBadRecord) {
+			t.Errorf("shard count %d restore error = %v, want snapshot.ErrBadRecord", shards, err)
+		}
+		if after := reg.Names(); !slices.Equal(after, before) {
+			t.Errorf("rejected record (shards=%d) changed Names: %v → %v", shards, before, after)
+		}
 	}
 }
 
@@ -403,7 +420,7 @@ func TestRestoreReplacesControllers(t *testing.T) {
 func TestCheckpointerManualClock(t *testing.T) {
 	reg := populated(t, 300)
 	path := filepath.Join(t.TempDir(), "tick.ckpt")
-	mc := autoscale.NewManualClock(time.Unix(1_000_000, 0))
+	mc := clock.NewManual(time.Unix(1_000_000, 0))
 	ck, err := fastsketches.NewCheckpointer(reg, path, time.Minute, mc,
 		func(err error) { t.Errorf("checkpoint error: %v", err) })
 	if err != nil {

@@ -143,9 +143,13 @@ func TestBatchRetainsItemsAcrossTransportFailure(t *testing.T) {
 	}
 
 	// Sever the pooled connection before Flush: the frame can never reach
-	// the server, so the failed Flush must retain all n items.
+	// the server, so the failed Flush must retain all n items. The blackhole
+	// keeps the transport down if the client notices the dead connection
+	// first and redials before Flush runs.
+	p.blackhole.Store(true)
 	p.killAll()
 	ferr := b.Flush()
+	p.blackhole.Store(false)
 	if ferr == nil {
 		// The kill can race the OS buffers such that the write "succeeds"
 		// into a dead socket and the failure surfaces on the response read;

@@ -68,6 +68,7 @@ import (
 	"fastsketches/internal/adversary"
 	"fastsketches/internal/autoscale"
 	"fastsketches/internal/benchfmt"
+	"fastsketches/internal/clock"
 	"fastsketches/internal/harness"
 	"fastsketches/internal/mergedbench"
 	"fastsketches/internal/ops"
@@ -1236,7 +1237,7 @@ func viewScenario(sc scale) {
 		}
 		// Writers are quiescent from here, so the live fold and the view
 		// measure the same stable state.
-		clk := autoscale.NewManualClock(time.Unix(1<<20, 0))
+		clk := clock.NewManual(time.Unix(1<<20, 0))
 		if err := sk.EnableView(shard.ViewConfig{
 			RefreshEvery: time.Hour, MaxAge: -1, Clock: clk,
 		}); err != nil {
@@ -1337,7 +1338,7 @@ func windowScenario(sc scale) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		clk := autoscale.NewManualClock(time.Unix(1<<20, 0))
+		clk := clock.NewManual(time.Unix(1<<20, 0))
 		if err := sk.EnableWindow(shard.WindowConfig{
 			Interval: time.Hour, Slots: slots, Decay: 0.5, Clock: clk,
 		}); err != nil {
@@ -1565,7 +1566,7 @@ func opsScenario(sc scale) {
 		os.Exit(1)
 	}
 
-	mc := autoscale.NewManualClock(time.Unix(1<<20, 0))
+	mc := clock.NewManual(time.Unix(1<<20, 0))
 	mgr, err := ops.NewManager(reg, ops.Config{IdleTTL: time.Hour, MemBudget: 1 << 40, Clock: mc})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

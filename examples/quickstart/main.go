@@ -5,7 +5,7 @@
 // Where to go next: examples/sharded runs many named sketches behind the
 // sharded Registry (including the zero-allocation QueryInto query plane
 // for readers that own their merge accumulator), and examples/resharding
-// shows Registry.ResizeTheta live-resizing a sketch's shard group — the
+// shows Handle.Resize live-resizing a sketch's shard group — the
 // throughput/staleness dial — under full write load.
 package main
 

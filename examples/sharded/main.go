@@ -16,9 +16,9 @@
 //   - readers that want to avoid even the pooled accumulator can own one:
 //     NewAccumulator + QueryInto give a zero-allocation merged query per
 //     reader goroutine (see the monitor below);
-//   - the shard count is live-tunable: Registry.ResizeTheta (and the other
-//     family facades) reshards a named sketch under full write fire — see
-//     examples/resharding for that walkthrough.
+//   - the shard count is live-tunable: Handle.Resize reshards a named
+//     sketch under full write fire — see examples/resharding for that
+//     walkthrough.
 //
 // The walkthrough simulates a tiny analytics service: per-tenant unique
 // visitors (Θ), request latency quantiles, and per-endpoint hit counts,

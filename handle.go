@@ -10,6 +10,7 @@ import (
 	"fastsketches/internal/quantiles"
 	"fastsketches/internal/shard"
 	"fastsketches/internal/theta"
+	"fastsketches/internal/wire"
 )
 
 // AutoscalePolicy parameterises an autoscaling controller — see
@@ -111,10 +112,9 @@ type Sketch[T any, A any] interface {
 // retained *shard.Theta. Reopening the name yields a fresh sketch and
 // fresh handles.
 type Handle[T any, A any, S Sketch[T, A]] struct {
-	r      *Registry
-	family string
-	name   string
-	sk     S
+	r  *Registry
+	e  *entry
+	sk S
 }
 
 // Per-family Handle instantiations — what the Open* constructors return.
@@ -134,61 +134,50 @@ type (
 // Spec declares nothing). Open is idempotent: reopening a live name returns
 // a handle on the same sketch, re-applying only what the spec declares.
 func (r *Registry) OpenTheta(name string, spec Spec) (*ThetaHandle, error) {
-	sk := r.getTheta(name)
-	if err := r.applySpec("theta", name, sk, spec); err != nil {
-		return nil, err
-	}
-	return &ThetaHandle{r: r, family: "theta", name: name, sk: sk}, nil
+	return open[uint64, *theta.Union, *shard.Theta](r, wire.FamilyTheta, name, spec)
 }
 
 // OpenHLL is OpenTheta for the named HLL sketch.
 func (r *Registry) OpenHLL(name string, spec Spec) (*HLLHandle, error) {
-	sk := r.getHLL(name)
-	if err := r.applySpec("hll", name, sk, spec); err != nil {
-		return nil, err
-	}
-	return &HLLHandle{r: r, family: "hll", name: name, sk: sk}, nil
+	return open[uint64, *hll.Sketch, *shard.HLL](r, wire.FamilyHLL, name, spec)
 }
 
 // OpenQuantiles is OpenTheta for the named quantiles sketch.
 func (r *Registry) OpenQuantiles(name string, spec Spec) (*QuantilesHandle, error) {
-	sk := r.getQuantiles(name)
-	if err := r.applySpec("quantiles", name, sk, spec); err != nil {
-		return nil, err
-	}
-	return &QuantilesHandle{r: r, family: "quantiles", name: name, sk: sk}, nil
+	return open[float64, *quantiles.Accumulator, *shard.Quantiles](r, wire.FamilyQuantiles, name, spec)
 }
 
 // OpenCountMin is OpenTheta for the named Count-Min sketch.
 func (r *Registry) OpenCountMin(name string, spec Spec) (*CountMinHandle, error) {
-	sk := r.getCountMin(name)
-	if err := r.applySpec("countmin", name, sk, spec); err != nil {
+	return open[uint64, *countmin.Sketch, *shard.CountMin](r, wire.FamilyCountMin, name, spec)
+}
+
+// open is the one body behind the Open* constructors: get-or-create the
+// entry from the family table, apply the spec, and wrap the sketch back in
+// its concrete type S — the only place the entry's interface is narrowed,
+// so everything a Handle forwards stays statically dispatched.
+func open[T any, A any, S interface {
+	Sketch[T, A]
+	sketch
+}](r *Registry, fam wire.Family, name string, spec Spec) (*Handle[T, A, S], error) {
+	e := r.getOrCreate(fam, name)
+	if err := r.applySpec(e, spec); err != nil {
 		return nil, err
 	}
-	return &CountMinHandle{r: r, family: "countmin", name: name, sk: sk}, nil
+	return &Handle[T, A, S]{r: r, e: e, sk: e.sk.(S)}, nil
 }
 
-// specTarget is the family-agnostic slice of a sharded sketch applySpec
-// drives: the autoscale resize target plus the view and window switches.
-type specTarget interface {
-	autoscale.Target
-	EnableView(ViewConfig) error
-	DisableView() bool
-	EnableWindow(WindowConfig) error
-	DisableWindow() bool
-	WindowSettings() (WindowConfig, bool)
-}
-
-// applySpec applies one Spec to one sketch. Resize and view re-arming run
-// outside the registry lock (both serialise on the sketch's own resize
+// applySpec applies one Spec to one sketch. Resize and view/window re-arming
+// run outside the registry lock (they serialise on the sketch's own resize
 // lock); only the lifecycle record takes r.mu, briefly.
-func (r *Registry) applySpec(family, name string, sk specTarget, spec Spec) error {
+func (r *Registry) applySpec(e *entry, spec Spec) error {
 	if spec.Shards < 0 {
 		return fmt.Errorf("%w: negative Spec.Shards", ErrConfig)
 	}
 	if spec.IdleTTL < 0 {
 		return fmt.Errorf("%w: negative Spec.IdleTTL", ErrConfig)
 	}
+	sk := e.sk
 	if spec.Shards > 0 && sk.Shards() != spec.Shards {
 		if err := sk.Resize(spec.Shards); err != nil {
 			return err
@@ -201,29 +190,22 @@ func (r *Registry) applySpec(family, name string, sk specTarget, spec Spec) erro
 		}
 	}
 	if spec.Window != nil {
-		want, err := spec.Window.Normalise()
-		if err != nil {
+		if err := replaceWindow(sk, *spec.Window); err != nil {
 			return err
-		}
-		// Equal declaration → no-op, so routinely reopening a windowed
-		// sketch never discards its ring of closed intervals; only a changed
-		// config re-arms (collapse into the cumulative plane, fresh ring).
-		if cur, ok := sk.WindowSettings(); !ok || !cur.Same(want) {
-			sk.DisableWindow()
-			if err := sk.EnableWindow(*spec.Window); err != nil {
-				return err
-			}
 		}
 	}
 	if spec.Autoscale != nil {
-		if err := r.attachController(sk, *spec.Autoscale); err != nil {
+		if err := r.attachController(e, *spec.Autoscale); err != nil {
 			return err
 		}
 	}
 	if spec.IdleTTL != 0 || spec.Pinned {
 		r.mu.Lock()
-		if !r.closed {
-			r.lifecycles[family+"/"+name] = lifecycleSpec{spec.IdleTTL, spec.Pinned}
+		// Only while e is still the registered sketch: if a Drop landed since
+		// getOrCreate, the declaration dies with the dropped sketch instead of
+		// leaking onto whatever is opened under the name next.
+		if r.sketches[e.key] == e {
+			e.lc = lifecycleSpec{spec.IdleTTL, spec.Pinned}
 		}
 		r.mu.Unlock()
 	}
@@ -233,10 +215,10 @@ func (r *Registry) applySpec(family, name string, sk specTarget, spec Spec) erro
 // Family returns the handle's family string ("theta", "hll", "quantiles",
 // "countmin") — the discriminator Registry.Info/Drop and the wire protocol
 // use.
-func (h *Handle[T, A, S]) Family() string { return h.family }
+func (h *Handle[T, A, S]) Family() string { return h.e.key.fam.String() }
 
 // Name returns the sketch's registered name.
-func (h *Handle[T, A, S]) Name() string { return h.name }
+func (h *Handle[T, A, S]) Name() string { return h.e.key.name }
 
 // Sketch returns the concrete sharded sketch for family-specific calls —
 // Theta/HLL Estimate, Quantiles Quantile/Rank/N, CountMin per-key Estimate,
@@ -347,59 +329,33 @@ func (h *Handle[T, A, S]) WindowMergeInto(acc A) bool { return h.sk.WindowMergeI
 func (h *Handle[T, A, S]) RotateNow() bool { return h.sk.RotateNow() }
 
 // Autoscale attaches an autoscaling controller under p with replace
-// semantics — any controller already driving this sketch is stopped and
+// semantics — a controller already driving this sketch is stopped and
 // swapped, never stacked (the idempotent per-sketch form of
 // Registry.ReplaceAutoscale).
 func (h *Handle[T, A, S]) Autoscale(p AutoscalePolicy) error {
-	return h.r.attachController(h.sk, p)
+	return h.r.attachController(h.e, p)
 }
 
-// StopAutoscale stops and detaches every controller driving this sketch,
-// reporting how many were stopped.
+// StopAutoscale stops and detaches the controller driving this sketch,
+// reporting how many (0 or 1) were stopped.
 func (h *Handle[T, A, S]) StopAutoscale() int {
-	return h.r.stopControllersFor(h.sk)
+	return h.r.detachController(h.e)
 }
 
 // Info returns the sketch's live metadata (geometry, staleness bounds,
 // pressure counters, resident size, lifecycle), or ok=false after Drop.
 func (h *Handle[T, A, S]) Info() (SketchInfo, bool) {
-	return h.r.Info(h.family, h.name)
+	return h.r.Info(h.Family(), h.Name())
 }
 
 // AutoscaleStats returns the live counters of the controller driving this
 // sketch, or ok=false when none is attached.
 func (h *Handle[T, A, S]) AutoscaleStats() (autoscale.Stats, bool) {
-	return h.r.AutoscaleStats(h.family, h.name)
+	return h.r.AutoscaleStats(h.Family(), h.Name())
 }
 
 // Drop closes and removes the sketch from the registry, reporting whether
 // it still existed — see Registry.Drop for the retained-handle contract.
 func (h *Handle[T, A, S]) Drop() bool {
-	return h.r.Drop(h.family, h.name)
-}
-
-// stopControllersFor stops and detaches every controller whose target is
-// the given sketch, returning how many were stopped — Handle.StopAutoscale
-// without the name-spanning cross-family semantics of StopAutoscale.
-func (r *Registry) stopControllersFor(tgt any) int {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		panic("fastsketches: Registry used after Close")
-	}
-	var stop []*autoscale.Controller
-	kept := r.controllers[:0]
-	for _, rc := range r.controllers {
-		if any(rc.target) == tgt {
-			stop = append(stop, rc.ctl)
-		} else {
-			kept = append(kept, rc)
-		}
-	}
-	r.controllers = kept
-	r.mu.Unlock()
-	for _, ctl := range stop {
-		ctl.Stop()
-	}
-	return len(stop)
+	return h.r.Drop(h.Family(), h.Name())
 }

@@ -1,11 +1,8 @@
-//lint:file-ignore SA1019 This file deliberately exercises the deprecated
-// registry facades to pin their equivalence with the Open/Spec API.
-
 package fastsketches_test
 
 // Typed-handle API tests: Open* idempotence, the declarative Spec semantics
-// (Shards resize, View re-arm, Autoscale replace, lifecycle recording),
-// validation, and the deprecated facade ↔ handle equivalence contract.
+// (Shards resize, View re-arm, Autoscale replace, lifecycle recording) and
+// validation.
 
 import (
 	"errors"
@@ -14,7 +11,7 @@ import (
 	"time"
 
 	"fastsketches"
-	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 )
 
 func openRegistry(t *testing.T, cfg fastsketches.RegistryConfig) *fastsketches.Registry {
@@ -134,7 +131,7 @@ func TestSpecViewRearm(t *testing.T) {
 // one controller per sketch, swapped not stacked.
 func TestSpecAutoscaleReplace(t *testing.T) {
 	reg := openRegistry(t, fastsketches.RegistryConfig{Shards: 1, Writers: 1})
-	mc := autoscale.NewManualClock(time.Unix(0, 0))
+	mc := clock.NewManual(time.Unix(0, 0))
 	pol := func(max int) *fastsketches.AutoscalePolicy {
 		return &fastsketches.AutoscalePolicy{HighWater: 1e9, MaxShards: max, SampleEvery: time.Hour, Clock: mc}
 	}
@@ -190,48 +187,6 @@ func TestSpecLifecycleRecorded(t *testing.T) {
 	}
 	if inf, _ = h2.Info(); inf.IdleTTL != 0 || inf.Pinned {
 		t.Errorf("lifecycle leaked across Drop: %+v", inf)
-	}
-}
-
-// TestDeprecatedFacadeEquivalence: the deprecated per-family accessors and
-// the Open/Spec constructors resolve to the same underlying sketch, so the
-// two API generations interoperate during the migration window.
-func TestDeprecatedFacadeEquivalence(t *testing.T) {
-	reg := openRegistry(t, fastsketches.RegistryConfig{Shards: 2, Writers: 1})
-	th, err := reg.OpenTheta("eq", fastsketches.Spec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.Theta("eq") != th.Sketch() {
-		t.Error("Theta facade and OpenTheta disagree")
-	}
-	hl, err := reg.OpenHLL("eq", fastsketches.Spec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.HLL("eq") != hl.Sketch() {
-		t.Error("HLL facade and OpenHLL disagree")
-	}
-	qu, err := reg.OpenQuantiles("eq", fastsketches.Spec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.Quantiles("eq") != qu.Sketch() {
-		t.Error("Quantiles facade and OpenQuantiles disagree")
-	}
-	cm, err := reg.OpenCountMin("eq", fastsketches.Spec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.CountMin("eq") != cm.Sketch() {
-		t.Error("CountMin facade and OpenCountMin disagree")
-	}
-	// The deprecated resize facade steers the same sketch the handle sees.
-	if err := reg.ResizeTheta("eq", 3); err != nil {
-		t.Fatal(err)
-	}
-	if th.Shards() != 3 {
-		t.Errorf("facade resize invisible through handle: S=%d", th.Shards())
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 	"fastsketches/internal/core"
 	"fastsketches/internal/shard"
 )
@@ -446,7 +447,7 @@ func StressAutoscaleUnderFire(cfg AutoscaleStressConfig) (StressReport, error) {
 	// envelope the queriers enforce. HighWater is tiny relative to the real
 	// deltas a 1ms manual-time sample sees, so any observed ingest is
 	// up-pressure; LowWater keeps the mandatory hysteresis gap.
-	mc := autoscale.NewManualClock(time.Unix(1<<20, 0))
+	mc := clock.NewManual(time.Unix(1<<20, 0))
 	var capViolations atomic.Int64
 	ctl, err := autoscale.New(
 		capCheckTarget{CountMin: sk, budget: int(transitional), violations: &capViolations},
@@ -870,7 +871,7 @@ func StressWindowRotateUnderFire(cfg WindowStressConfig) (StressReport, error) {
 	// Manual clock never advanced: the background rotator never fires, so
 	// every rotation below is the conductor's doing and the expelled-slot
 	// floor is always published before the expulsion it covers.
-	clk := autoscale.NewManualClock(time.Unix(1<<20, 0))
+	clk := clock.NewManual(time.Unix(1<<20, 0))
 	if err := sk.EnableWindow(shard.WindowConfig{
 		Interval: time.Hour, Slots: cfg.Slots, Decay: cfg.Decay, Clock: clk,
 	}); err != nil {
@@ -1081,7 +1082,7 @@ func StressViewUnderFire(cfg ViewStressConfig) (StressReport, error) {
 	// MaxAge −1 never expires the view, so every query below is genuinely
 	// served from the published buffer and every publication is the
 	// conductor's doing.
-	clk := autoscale.NewManualClock(time.Unix(1<<20, 0))
+	clk := clock.NewManual(time.Unix(1<<20, 0))
 	if err := sk.EnableView(shard.ViewConfig{
 		RefreshEvery: time.Hour, MaxAge: -1, Clock: clk,
 	}); err != nil {

@@ -57,7 +57,7 @@
 // at any instant of a controlled sketch's life.
 //
 // All timing flows through an injectable Clock, so tests and stress
-// drivers replace real time with a ManualClock and drive Tick directly —
+// drivers replace real time with a clock.Manual and drive Tick directly —
 // no sleeps, no timer-dependent flakiness.
 package autoscale
 
@@ -66,6 +66,7 @@ import (
 	"sync"
 	"time"
 
+	"fastsketches/internal/clock"
 	"fastsketches/internal/core"
 )
 
@@ -139,8 +140,8 @@ type Policy struct {
 	// backlog: when both planes are behind, ingest wins and the controller
 	// holds. 0 disables the signal.
 	ViewLagHighWater time.Duration
-	// Clock supplies all controller timing. Default SystemClock.
-	Clock Clock
+	// Clock supplies all controller timing. Default clock.System.
+	Clock clock.Clock
 }
 
 func (p *Policy) normalise() error {
@@ -206,7 +207,7 @@ func (p *Policy) normalise() error {
 		return fmt.Errorf("autoscale: negative ViewLagHighWater")
 	}
 	if p.Clock == nil {
-		p.Clock = SystemClock{}
+		p.Clock = clock.System{}
 	}
 	return nil
 }
@@ -296,7 +297,7 @@ type Stats struct {
 // pace it externally (tests, stress drivers, benchmark conductors).
 type Controller struct {
 	t     Target
-	clock Clock
+	clock clock.Clock
 
 	mu           sync.Mutex
 	p            Policy // normalised

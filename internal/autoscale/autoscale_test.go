@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 	"fastsketches/internal/core"
 )
 
@@ -46,13 +47,13 @@ const tickEvery = 100 * time.Millisecond
 // current shards, over one SampleEvery) and take one tick.
 type harness struct {
 	tg  *fakeTarget
-	mc  *autoscale.ManualClock
+	mc  *clock.Manual
 	ctl *autoscale.Controller
 }
 
 func newHarness(t *testing.T, tg *fakeTarget, p autoscale.Policy) *harness {
 	t.Helper()
-	mc := autoscale.NewManualClock(time.Unix(1_000_000, 0))
+	mc := clock.NewManual(time.Unix(1_000_000, 0))
 	p.Clock = mc
 	if p.SampleEvery == 0 {
 		p.SampleEvery = tickEvery
@@ -407,7 +408,7 @@ func TestRunStopWithManualClock(t *testing.T) {
 	// The background loop paced by a ManualClock: every Advance(SampleEvery)
 	// yields exactly one tick, and Stop is clean and idempotent.
 	tg := &fakeTarget{shards: 4, r: 8}
-	mc := autoscale.NewManualClock(time.Unix(1_000_000, 0))
+	mc := clock.NewManual(time.Unix(1_000_000, 0))
 	p := policy()
 	p.Clock = mc
 	p.SampleEvery = tickEvery

@@ -1,15 +1,18 @@
-package autoscale
+// Package clock is the one injectable time source of the module: autoscale
+// controllers, view refreshers, window rotators, the checkpointer and the
+// ops sweeper all read the current instant and wait for their next tick
+// through a Clock, so every time-dependent decision can be driven by a
+// Manual clock in tests and stress runs, with no sleeps and no wall-clock
+// flakiness. Production code defaults to System.
+package clock
 
 import (
 	"sync"
 	"time"
 )
 
-// Clock abstracts the controller's only two uses of time — reading the
-// current instant and waiting for the next sampling tick — so every
-// time-dependent decision (rates, cooldowns, tick pacing) can be driven by
-// a ManualClock in tests and stress runs, with no sleeps and no wall-clock
-// flakiness. Production controllers default to SystemClock.
+// Clock abstracts the two uses of time: reading the current instant and
+// waiting for the next tick.
 type Clock interface {
 	Now() time.Time
 	// After behaves like time.After: a channel that delivers one value once
@@ -17,19 +20,19 @@ type Clock interface {
 	After(d time.Duration) <-chan time.Time
 }
 
-// SystemClock is the production Clock: real time.
-type SystemClock struct{}
+// System is the production Clock: real time.
+type System struct{}
 
 // Now returns the current wall-clock time.
-func (SystemClock) Now() time.Time { return time.Now() }
+func (System) Now() time.Time { return time.Now() }
 
 // After defers to time.After.
-func (SystemClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (System) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// ManualClock is a deterministic Clock for tests and stress drivers: time
-// stands still until Advance moves it, firing any timers that come due.
-// Safe for concurrent use.
-type ManualClock struct {
+// Manual is a deterministic Clock for tests and stress drivers: time stands
+// still until Advance moves it, firing any timers that come due. Safe for
+// concurrent use.
+type Manual struct {
 	mu     sync.Mutex
 	now    time.Time
 	timers []manualTimer
@@ -40,13 +43,13 @@ type manualTimer struct {
 	ch chan time.Time
 }
 
-// NewManualClock returns a ManualClock frozen at start.
-func NewManualClock(start time.Time) *ManualClock {
-	return &ManualClock{now: start}
+// NewManual returns a Manual clock frozen at start.
+func NewManual(start time.Time) *Manual {
+	return &Manual{now: start}
 }
 
 // Now returns the clock's current instant.
-func (m *ManualClock) Now() time.Time {
+func (m *Manual) Now() time.Time {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.now
@@ -54,7 +57,7 @@ func (m *ManualClock) Now() time.Time {
 
 // After registers a one-shot timer due at Now()+d. Non-positive durations
 // fire immediately.
-func (m *ManualClock) After(d time.Duration) <-chan time.Time {
+func (m *Manual) After(d time.Duration) <-chan time.Time {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ch := make(chan time.Time, 1)
@@ -68,7 +71,7 @@ func (m *ManualClock) After(d time.Duration) <-chan time.Time {
 
 // Advance moves the clock forward by d and fires every timer that has come
 // due, in registration order.
-func (m *ManualClock) Advance(d time.Duration) {
+func (m *Manual) Advance(d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.now = m.now.Add(d)
@@ -85,8 +88,8 @@ func (m *ManualClock) Advance(d time.Duration) {
 
 // Waiters returns the number of armed timers — how many goroutines are
 // blocked in After. Tests synchronise on this before Advancing, so a tick
-// can never be lost between a controller's wakeup and its re-arm.
-func (m *ManualClock) Waiters() int {
+// can never be lost between a wakeup and its re-arm.
+func (m *Manual) Waiters() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.timers)

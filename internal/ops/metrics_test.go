@@ -17,6 +17,7 @@ import (
 
 	"fastsketches"
 	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 	"fastsketches/internal/ops"
 )
 
@@ -168,7 +169,7 @@ func checkHistogram(t *testing.T, e *exposition, metric string) {
 // and validates the whole exposition.
 func TestMetricsExposition(t *testing.T) {
 	reg := newRegistry(t, fastsketches.RegistryConfig{Shards: 2, Writers: 1, BufferSize: 1})
-	mc := autoscale.NewManualClock(time.Unix(0, 0))
+	mc := clock.NewManual(time.Unix(0, 0))
 	m, err := ops.NewManager(reg, ops.Config{IdleTTL: time.Hour, Clock: mc})
 	if err != nil {
 		t.Fatal(err)

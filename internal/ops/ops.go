@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"fastsketches"
+	"fastsketches/internal/clock"
 )
 
 // Config parameterises a Manager. The zero value disables both eviction
@@ -111,12 +112,6 @@ type tenantState struct {
 	lastActive   time.Time
 }
 
-// sysClock is the default real-time Clock.
-type sysClock struct{}
-
-func (sysClock) Now() time.Time                         { return time.Now() }
-func (sysClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
 // Manager runs the lifecycle loop: Start launches a background sweeper (or
 // call Sweep directly to pace it externally — tests do), Stop halts it.
 // One Manager per registry.
@@ -163,7 +158,7 @@ func NewManager(reg *fastsketches.Registry, cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("ops: ShrinkToShards must be ≥ 1")
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = sysClock{}
+		cfg.Clock = clock.System{}
 	}
 	m := &Manager{
 		reg:   reg,

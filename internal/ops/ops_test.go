@@ -15,6 +15,7 @@ import (
 
 	"fastsketches"
 	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 	"fastsketches/internal/ops"
 )
 
@@ -45,7 +46,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // survives any idleness.
 func TestIdleEviction(t *testing.T) {
 	reg := newRegistry(t, fastsketches.RegistryConfig{Shards: 1, Writers: 1, BufferSize: 1})
-	mc := autoscale.NewManualClock(time.Unix(0, 0))
+	mc := clock.NewManual(time.Unix(0, 0))
 	m, err := ops.NewManager(reg, ops.Config{IdleTTL: time.Minute, Clock: mc})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func TestIdleEviction(t *testing.T) {
 // already compact. Pinned tenants are never reclaimed.
 func TestBudgetShrinkThenShed(t *testing.T) {
 	reg := newRegistry(t, fastsketches.RegistryConfig{Shards: 4, Writers: 1, BufferSize: 1})
-	mc := autoscale.NewManualClock(time.Unix(0, 0))
+	mc := clock.NewManual(time.Unix(0, 0))
 	m, err := ops.NewManager(reg, ops.Config{MemBudget: 1, Clock: mc})
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +192,7 @@ func TestBudgetShrinkThenShed(t *testing.T) {
 // over-budget sweep vetoes controller scale-ups (Stats.HeldMemory).
 func TestBudgetVetoesAutoscale(t *testing.T) {
 	reg := newRegistry(t, fastsketches.RegistryConfig{Shards: 1, Writers: 1, BufferSize: 1})
-	mc := autoscale.NewManualClock(time.Unix(0, 0))
+	mc := clock.NewManual(time.Unix(0, 0))
 	m, err := ops.NewManager(reg, ops.Config{MemBudget: 1, Clock: mc})
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +250,7 @@ func TestBudgetVetoesAutoscale(t *testing.T) {
 // lose the race with an eviction but must not race or wedge.
 func TestEvictVsQueryVsResize(t *testing.T) {
 	reg := newRegistry(t, fastsketches.RegistryConfig{Shards: 2, Writers: 2, BufferSize: 1})
-	mc := autoscale.NewManualClock(time.Unix(0, 0))
+	mc := clock.NewManual(time.Unix(0, 0))
 	m, err := ops.NewManager(reg, ops.Config{IdleTTL: time.Millisecond, Clock: mc})
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +327,7 @@ func TestEvictVsQueryVsResize(t *testing.T) {
 // into a fresh registry — whichever sketches it caught.
 func TestBudgetShedVsCheckpoint(t *testing.T) {
 	reg := newRegistry(t, fastsketches.RegistryConfig{Shards: 2, Writers: 1, BufferSize: 1})
-	mc := autoscale.NewManualClock(time.Unix(0, 0))
+	mc := clock.NewManual(time.Unix(0, 0))
 	m, err := ops.NewManager(reg, ops.Config{MemBudget: 1, Clock: mc})
 	if err != nil {
 		t.Fatal(err)
@@ -405,7 +406,7 @@ func TestManagerConfigValidation(t *testing.T) {
 // Stop is idempotent.
 func TestManagerStartStop(t *testing.T) {
 	reg := newRegistry(t, fastsketches.RegistryConfig{Shards: 1, Writers: 1})
-	mc := autoscale.NewManualClock(time.Unix(0, 0))
+	mc := clock.NewManual(time.Unix(0, 0))
 	m, err := ops.NewManager(reg, ops.Config{SweepEvery: time.Second, Clock: mc})
 	if err != nil {
 		t.Fatal(err)

@@ -46,17 +46,8 @@ func (s *Server) SetIngestObserver(obs func(n, d int64)) {
 // them on a closed sketch's Update. Returns false for an unknown family or
 // an unregistered sketch.
 func (s *Server) DropSketch(family, name string) bool {
-	var fam wire.Family
-	switch family {
-	case "theta":
-		fam = wire.FamilyTheta
-	case "hll":
-		fam = wire.FamilyHLL
-	case "quantiles":
-		fam = wire.FamilyQuantiles
-	case "countmin":
-		fam = wire.FamilyCountMin
-	default:
+	fam, err := wire.ParseFamily(family)
+	if err != nil {
 		return false
 	}
 	return s.drop(fam, []byte(name))

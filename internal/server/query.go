@@ -2,13 +2,13 @@ package server
 
 import (
 	"fmt"
-	"math"
 
 	"fastsketches/internal/autoscale"
 	"fastsketches/internal/wire"
 )
 
-// query serves one OpQuery through the zero-alloc QueryInto plane: the
+// query serves one OpQuery through the zero-alloc QueryInto plane — one
+// sketch-cache hit, then the family's query function (see families.go): the
 // connection's per-family accumulator is reset and every shard snapshot
 // (plus any legacy resharding state) folded into it, then the scalar is
 // read off. The served result is exactly what an in-process caller of
@@ -23,119 +23,28 @@ import (
 // window is a typed error, not a silent fall-through to the cumulative
 // stream.
 func (cs *connState) query(req *wire.Request, out []byte) []byte {
-	switch req.Family {
-	case wire.FamilyTheta:
-		switch req.Query {
-		case wire.QueryEstimate:
-			sk := cs.theta(req.Name)
-			if cs.accTheta == nil {
-				cs.accTheta = sk.NewAccumulator()
-			}
-			sk.QueryInto(cs.accTheta)
-			return wire.AppendOKU64(out, req.ID, math.Float64bits(cs.accTheta.Estimate()))
-		case wire.QueryWindowEstimate:
-			sk := cs.theta(req.Name)
-			if cs.accTheta == nil {
-				cs.accTheta = sk.NewAccumulator()
-			}
-			if !sk.WindowQueryInto(cs.accTheta) {
-				return appendNoWindow(out, req)
-			}
-			return wire.AppendOKU64(out, req.ID, math.Float64bits(cs.accTheta.Estimate()))
-		}
-
-	case wire.FamilyHLL:
-		switch req.Query {
-		case wire.QueryEstimate:
-			sk := cs.hll(req.Name)
-			if cs.accHLL == nil {
-				cs.accHLL = sk.NewAccumulator()
-			}
-			sk.QueryInto(cs.accHLL)
-			return wire.AppendOKU64(out, req.ID, math.Float64bits(cs.accHLL.Estimate()))
-		case wire.QueryWindowEstimate:
-			sk := cs.hll(req.Name)
-			if cs.accHLL == nil {
-				cs.accHLL = sk.NewAccumulator()
-			}
-			if !sk.WindowQueryInto(cs.accHLL) {
-				return appendNoWindow(out, req)
-			}
-			return wire.AppendOKU64(out, req.ID, math.Float64bits(cs.accHLL.Estimate()))
-		}
-
-	case wire.FamilyQuantiles:
-		switch req.Query {
-		case wire.QueryQuantile, wire.QueryRank, wire.QueryN,
-			wire.QueryWindowQuantile, wire.QueryWindowN:
-			sk := cs.quantiles(req.Name)
-			if cs.accQuant == nil {
-				cs.accQuant = sk.NewAccumulator()
-			}
-			switch req.Query {
-			case wire.QueryWindowQuantile, wire.QueryWindowN:
-				if !sk.WindowQueryInto(cs.accQuant) {
-					return appendNoWindow(out, req)
-				}
-			default:
-				sk.QueryInto(cs.accQuant)
-			}
-			switch req.Query {
-			case wire.QueryQuantile, wire.QueryWindowQuantile:
-				v := cs.accQuant.Quantile(math.Float64frombits(req.Arg))
-				return wire.AppendOKU64(out, req.ID, math.Float64bits(v))
-			case wire.QueryRank:
-				r := cs.accQuant.Rank(math.Float64frombits(req.Arg))
-				return wire.AppendOKU64(out, req.ID, math.Float64bits(r))
-			default:
-				return wire.AppendOKU64(out, req.ID, cs.accQuant.N())
-			}
-		}
-
-	case wire.FamilyCountMin:
-		switch req.Query {
-		case wire.QueryCount:
-			// Per-key frequency reads the owning shard directly — no
-			// accumulator, single-shard staleness bound r.
-			return wire.AppendOKU64(out, req.ID, cs.countmin(req.Name).Estimate(req.Arg))
-		case wire.QueryN:
-			sk := cs.countmin(req.Name)
-			if cs.accCM == nil {
-				cs.accCM = sk.NewAccumulator()
-			}
-			sk.QueryInto(cs.accCM)
-			return wire.AppendOKU64(out, req.ID, cs.accCM.N())
-		case wire.QueryWindowCount, wire.QueryWindowN:
-			sk := cs.countmin(req.Name)
-			if cs.accCM == nil {
-				cs.accCM = sk.NewAccumulator()
-			}
-			if !sk.WindowQueryInto(cs.accCM) {
-				return appendNoWindow(out, req)
-			}
-			if req.Query == wire.QueryWindowCount {
-				return wire.AppendOKU64(out, req.ID, cs.accCM.Estimate(req.Arg))
-			}
-			return wire.AppendOKU64(out, req.ID, cs.accCM.N())
-		case wire.QueryDecayedCount:
-			sk := cs.countmin(req.Name)
-			if cs.accCM == nil {
-				cs.accCM = sk.NewAccumulator()
-			}
-			if !sk.DecayedQueryInto(cs.accCM) {
-				return wire.AppendError(out, req.ID,
-					fmt.Sprintf("no decayed window declared on %s/%s", req.Family, req.Name))
-			}
-			return wire.AppendOKU64(out, req.ID, cs.accCM.Estimate(req.Arg))
-		}
+	f := &families[req.Family]
+	if !f.answers(req.Query) {
+		// Refused before the sketch is resolved: a query the family cannot
+		// answer must not create an empty tenant as a side effect.
+		return wire.AppendError(out, req.ID,
+			fmt.Sprintf("query kind %d unsupported for family %s", req.Query, req.Family))
 	}
-	return wire.AppendError(out, req.ID,
-		fmt.Sprintf("query kind %d unsupported for family %s", req.Query, req.Family))
-}
-
-func appendNoWindow(out []byte, req *wire.Request) []byte {
-	return wire.AppendError(out, req.ID,
-		fmt.Sprintf("no window declared on %s/%s", req.Family, req.Name))
+	sk, err := cs.sketch(req.Family, req.Name)
+	if err != nil {
+		return wire.AppendError(out, req.ID, err.Error())
+	}
+	q := cs.queriers[req.Family]
+	if q == nil {
+		q = f.querier()
+		cs.queriers[req.Family] = q
+	}
+	v, missing := q(sk, req.Query, req.Arg)
+	if missing != "" {
+		return wire.AppendError(out, req.ID,
+			fmt.Sprintf("no %s declared on %s/%s", missing, req.Family, req.Name))
+	}
+	return wire.AppendOKU64(out, req.ID, v)
 }
 
 // autoscalePolicy maps the wire knobs onto an autoscale.Policy; sampling

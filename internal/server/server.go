@@ -35,7 +35,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -46,11 +45,6 @@ import (
 	"time"
 
 	"fastsketches"
-	"fastsketches/internal/countmin"
-	"fastsketches/internal/hll"
-	"fastsketches/internal/quantiles"
-	"fastsketches/internal/shard"
-	"fastsketches/internal/theta"
 	"fastsketches/internal/wire"
 )
 
@@ -239,35 +233,12 @@ func (s *Server) laneSetFor(fam wire.Family, name []byte) (*laneSet, error) {
 	if s.shuttingDown {
 		return nil, errShuttingDown
 	}
-	var apply func(lane int, items []byte)
-	switch fam {
-	case wire.FamilyTheta:
-		h, err := s.reg.OpenTheta(key.name, fastsketches.Spec{})
-		if err != nil {
-			return nil, err
-		}
-		apply = applyWords(s.writers, h.UpdateBatch)
-	case wire.FamilyHLL:
-		h, err := s.reg.OpenHLL(key.name, fastsketches.Spec{})
-		if err != nil {
-			return nil, err
-		}
-		apply = applyWords(s.writers, h.UpdateBatch)
-	case wire.FamilyQuantiles:
-		h, err := s.reg.OpenQuantiles(key.name, fastsketches.Spec{})
-		if err != nil {
-			return nil, err
-		}
-		apply = applyFloats(s.writers, h.UpdateBatch)
-	case wire.FamilyCountMin:
-		h, err := s.reg.OpenCountMin(key.name, fastsketches.Spec{})
-		if err != nil {
-			return nil, err
-		}
-		apply = applyWords(s.writers, h.UpdateBatch)
-	default:
-		return nil, wire.ErrBadFamily
+	f := &families[fam]
+	sk, err := f.open(s.reg, key.name)
+	if err != nil {
+		return nil, err
 	}
+	apply := f.applier(sk, s.writers)
 	if obs := s.ingestObs; obs != nil {
 		inner := apply
 		apply = func(lane int, items []byte) {
@@ -279,62 +250,6 @@ func (s *Server) laneSetFor(fam wire.Family, name []byte) (*laneSet, error) {
 	ls := newLaneSet(s.writers, apply)
 	s.lanes[key] = ls
 	return ls, nil
-}
-
-// applyBlock is the per-lane decode granularity of the batched apply path:
-// wire items are decoded into a fixed per-lane scratch in blocks this large,
-// each handed to the family's UpdateBatch, so per-item work in the lane
-// worker is one LittleEndian load and one scratch store — all sketch-side
-// coordination is amortised per block.
-const applyBlock = 512
-
-// applyWords builds a laneSet apply that decodes packed little-endian
-// uint64 items into per-lane scratch blocks and feeds them to a family's
-// batched update. One scratch block per lane, allocated once here: each lane
-// is driven by its single worker goroutine, so the blocks are never shared
-// and the steady-state path allocates nothing.
-func applyWords(writers int, update func(lane int, keys []uint64)) func(lane int, items []byte) {
-	scratch := make([][]uint64, writers)
-	for l := range scratch {
-		scratch[l] = make([]uint64, applyBlock)
-	}
-	return func(lane int, items []byte) {
-		block := scratch[lane]
-		for len(items) >= wire.ItemSize {
-			n := len(items) / wire.ItemSize
-			if n > applyBlock {
-				n = applyBlock
-			}
-			for i := 0; i < n; i++ {
-				block[i] = binary.LittleEndian.Uint64(items[i*wire.ItemSize:])
-			}
-			update(lane, block[:n])
-			items = items[n*wire.ItemSize:]
-		}
-	}
-}
-
-// applyFloats is applyWords for the quantiles family, whose wire items are
-// float64 bit patterns.
-func applyFloats(writers int, update func(lane int, vs []float64)) func(lane int, items []byte) {
-	scratch := make([][]float64, writers)
-	for l := range scratch {
-		scratch[l] = make([]float64, applyBlock)
-	}
-	return func(lane int, items []byte) {
-		block := scratch[lane]
-		for len(items) >= wire.ItemSize {
-			n := len(items) / wire.ItemSize
-			if n > applyBlock {
-				n = applyBlock
-			}
-			for i := 0; i < n; i++ {
-				block[i] = math.Float64frombits(binary.LittleEndian.Uint64(items[i*wire.ItemSize:]))
-			}
-			update(lane, block[:n])
-			items = items[n*wire.ItemSize:]
-		}
-	}
 }
 
 // drop retires the named sketch: the lane workers drain and exit first
@@ -447,28 +362,19 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 }
 
-// connState is one connection's reusable serving state: cached sketch
-// handles (keyed by name, so the per-request lookup is an allocation-free
-// map hit) and one reusable query accumulator per family. Accumulator
-// dimensions depend only on the registry's family parameters — never on the
-// sketch name or its shard count — so a single accumulator per family
-// serves every sketch this connection queries, across any number of
-// resizes, and the served query path inherits the library's zero-alloc
+// connState is one connection's reusable serving state: cached sketches and
+// lane sets (both keyed by family and name, so the per-request lookup is an
+// allocation-free map hit) and one lazily built query function per family,
+// each owning the connection's reusable accumulator for that family (see
+// family.querier) — the served query path inherits the library's zero-alloc
 // QueryInto contract.
 type connState struct {
 	s   *Server
 	gen uint64
 
-	thetas map[string]*shard.Theta
-	hlls   map[string]*shard.HLL
-	quants map[string]*shard.Quantiles
-	cms    map[string]*shard.CountMin
-	lanes  map[laneKey]*laneSet
-
-	accTheta *theta.Union
-	accHLL   *hll.Sketch
-	accQuant *quantiles.Accumulator
-	accCM    *countmin.Sketch
+	sketches map[laneKey]sketch
+	lanes    map[laneKey]*laneSet
+	queriers [len(families)]queryFunc
 
 	// bs is the connection's reusable batch-completion countdown, re-armed
 	// per OpBatch so the served ingest path allocates nothing per batch.
@@ -481,59 +387,31 @@ type connState struct {
 
 func newConnState(s *Server) *connState {
 	return &connState{
-		s:      s,
-		gen:    s.gen.Load(),
-		thetas: make(map[string]*shard.Theta),
-		hlls:   make(map[string]*shard.HLL),
-		quants: make(map[string]*shard.Quantiles),
-		cms:    make(map[string]*shard.CountMin),
-		lanes:  make(map[laneKey]*laneSet),
-		bs:     newBatchState(),
+		s:        s,
+		gen:      s.gen.Load(),
+		sketches: make(map[laneKey]sketch),
+		lanes:    make(map[laneKey]*laneSet),
+		bs:       newBatchState(),
 	}
 }
 
 func (cs *connState) resetCaches() {
-	clear(cs.thetas)
-	clear(cs.hlls)
-	clear(cs.quants)
-	clear(cs.cms)
+	clear(cs.sketches)
 	clear(cs.lanes)
 }
 
-func (cs *connState) theta(name []byte) *shard.Theta {
-	if sk, ok := cs.thetas[string(name)]; ok {
-		return sk
+// sketch resolves (family, name) to the cached sketch, creating it in the
+// registry on first use — same get-or-create semantics as the ingest path.
+func (cs *connState) sketch(fam wire.Family, name []byte) (sketch, error) {
+	if sk, ok := cs.sketches[laneKey{fam, string(name)}]; ok {
+		return sk, nil
 	}
-	h, _ := cs.s.reg.OpenTheta(string(name), fastsketches.Spec{})
-	cs.thetas[string(name)] = h.Sketch()
-	return h.Sketch()
-}
-
-func (cs *connState) hll(name []byte) *shard.HLL {
-	if sk, ok := cs.hlls[string(name)]; ok {
-		return sk
+	sk, err := families[fam].open(cs.s.reg, string(name))
+	if err != nil {
+		return nil, err
 	}
-	h, _ := cs.s.reg.OpenHLL(string(name), fastsketches.Spec{})
-	cs.hlls[string(name)] = h.Sketch()
-	return h.Sketch()
-}
-
-func (cs *connState) quantiles(name []byte) *shard.Quantiles {
-	if sk, ok := cs.quants[string(name)]; ok {
-		return sk
-	}
-	h, _ := cs.s.reg.OpenQuantiles(string(name), fastsketches.Spec{})
-	cs.quants[string(name)] = h.Sketch()
-	return h.Sketch()
-}
-
-func (cs *connState) countmin(name []byte) *shard.CountMin {
-	if sk, ok := cs.cms[string(name)]; ok {
-		return sk
-	}
-	h, _ := cs.s.reg.OpenCountMin(string(name), fastsketches.Spec{})
-	cs.cms[string(name)] = h.Sketch()
-	return h.Sketch()
+	cs.sketches[laneKey{fam, string(name)}] = sk
+	return sk, nil
 }
 
 func (cs *connState) laneSet(fam wire.Family, name []byte) (*laneSet, error) {
@@ -582,15 +460,8 @@ func (cs *connState) serve(req *wire.Request, out []byte) []byte {
 		return cs.query(req, out)
 
 	case wire.OpCreate:
-		switch req.Family {
-		case wire.FamilyTheta:
-			cs.theta(req.Name)
-		case wire.FamilyHLL:
-			cs.hll(req.Name)
-		case wire.FamilyQuantiles:
-			cs.quantiles(req.Name)
-		case wire.FamilyCountMin:
-			cs.countmin(req.Name)
+		if _, err := cs.sketch(req.Family, req.Name); err != nil {
+			return wire.AppendError(out, req.ID, err.Error())
 		}
 		return wire.AppendOK(out, req.ID)
 
@@ -599,16 +470,9 @@ func (cs *connState) serve(req *wire.Request, out []byte) []byte {
 			return wire.AppendError(out, req.ID,
 				fmt.Sprintf("resize to %d shards outside [1,%d]", req.Arg, wire.MaxShards))
 		}
-		var err error
-		switch req.Family {
-		case wire.FamilyTheta:
-			err = cs.theta(req.Name).Resize(int(req.Arg))
-		case wire.FamilyHLL:
-			err = cs.hll(req.Name).Resize(int(req.Arg))
-		case wire.FamilyQuantiles:
-			err = cs.quantiles(req.Name).Resize(int(req.Arg))
-		case wire.FamilyCountMin:
-			err = cs.countmin(req.Name).Resize(int(req.Arg))
+		sk, err := cs.sketch(req.Family, req.Name)
+		if err == nil {
+			err = sk.Resize(int(req.Arg))
 		}
 		if err != nil {
 			return wire.AppendError(out, req.ID, err.Error())

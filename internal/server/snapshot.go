@@ -37,30 +37,6 @@ func (s *Server) checkpointFn() func() error {
 	return s.ckpt
 }
 
-// snapSketch is the family-independent slice of a sharded sketch the
-// snapshot ops need; all four shard wrappers satisfy it.
-type snapSketch interface {
-	Shards() int
-	AppendSnapshot(dst []byte) []byte
-	ImportSnapshot(blob []byte) error
-}
-
-// sketch resolves (family, name) to the cached handle, creating the sketch
-// on first use — same getOrCreate semantics as the ingest and query paths.
-func (cs *connState) sketch(fam wire.Family, name []byte) (snapSketch, error) {
-	switch fam {
-	case wire.FamilyTheta:
-		return cs.theta(name), nil
-	case wire.FamilyHLL:
-		return cs.hll(name), nil
-	case wire.FamilyQuantiles:
-		return cs.quantiles(name), nil
-	case wire.FamilyCountMin:
-		return cs.countmin(name), nil
-	}
-	return nil, wire.ErrBadFamily
-}
-
 // snapshot serves OpSnapshot: export the named sketch's merged state
 // (legacy ∪ draining ∪ current, all but ≤ S·r acked updates) as a portable
 // snapshot record in the OK body. Unlike ingest/query, OpSnapshot does not
@@ -89,26 +65,10 @@ func (cs *connState) snapshot(req *wire.Request, out []byte) []byte {
 	return wire.AppendOKBytes(out, req.ID, cs.snapBuf)
 }
 
-// restore serves OpRestore: parse the portable record in the request blob
-// and fold it into the named local sketch (created if absent). Only the
-// sketch body is folded — shard count, view and autoscale settings travel
-// in checkpoint files, not over the merge wire, so a restore never resizes
-// or reconfigures the receiving sketch.
+// restore serves OpRestore: fold the portable record in the request blob
+// into the named local sketch (see importPortable).
 func (cs *connState) restore(req *wire.Request, out []byte) []byte {
-	rec, err := snapshot.ParsePortable(req.Blob)
-	if err != nil {
-		return wire.AppendError(out, req.ID, err.Error())
-	}
-	if rec.Family != req.Family {
-		return wire.AppendError(out, req.ID,
-			fmt.Sprintf("snapshot family %s does not match request family %s",
-				rec.Family, req.Family))
-	}
-	sk, err := cs.sketch(req.Family, req.Name)
-	if err != nil {
-		return wire.AppendError(out, req.ID, err.Error())
-	}
-	if err := sk.ImportSnapshot(rec.Blob); err != nil {
+	if err := cs.importPortable(req, req.Blob); err != nil {
 		return wire.AppendError(out, req.ID, err.Error())
 	}
 	return wire.AppendOK(out, req.ID)
@@ -120,29 +80,35 @@ func (cs *connState) restore(req *wire.Request, out []byte) []byte {
 // OpSnapshot handler rejects absent sketches).
 func (cs *connState) mergeRemote(req *wire.Request, out []byte) []byte {
 	blob, err := fetchSnapshot(string(req.Addr), req.Family, req.Name)
+	if err == nil {
+		err = cs.importPortable(req, blob)
+	}
 	if err != nil {
-		return wire.AppendError(out, req.ID,
-			fmt.Sprintf("merge from %s: %v", req.Addr, err))
-	}
-	rec, err := snapshot.ParsePortable(blob)
-	if err != nil {
-		return wire.AppendError(out, req.ID,
-			fmt.Sprintf("merge from %s: %v", req.Addr, err))
-	}
-	if rec.Family != req.Family {
-		return wire.AppendError(out, req.ID,
-			fmt.Sprintf("merge from %s: snapshot family %s does not match request family %s",
-				req.Addr, rec.Family, req.Family))
-	}
-	sk, err := cs.sketch(req.Family, req.Name)
-	if err != nil {
-		return wire.AppendError(out, req.ID, err.Error())
-	}
-	if err := sk.ImportSnapshot(rec.Blob); err != nil {
 		return wire.AppendError(out, req.ID,
 			fmt.Sprintf("merge from %s: %v", req.Addr, err))
 	}
 	return wire.AppendOK(out, req.ID)
+}
+
+// importPortable parses a portable snapshot record and folds it into the
+// local sketch the request names (created if absent). Only the sketch body
+// is folded — shard count, view and autoscale settings travel in checkpoint
+// files, not over the merge wire, so an import never resizes or reconfigures
+// the receiving sketch.
+func (cs *connState) importPortable(req *wire.Request, blob []byte) error {
+	rec, err := snapshot.ParsePortable(blob)
+	if err != nil {
+		return err
+	}
+	if rec.Family != req.Family {
+		return fmt.Errorf("snapshot family %s does not match request family %s",
+			rec.Family, req.Family)
+	}
+	sk, err := cs.sketch(req.Family, req.Name)
+	if err != nil {
+		return err
+	}
+	return sk.ImportSnapshot(rec.Blob)
 }
 
 // fetchSnapshot dials a peer daemon with raw wire frames and returns the

@@ -21,15 +21,22 @@ import (
 // steady state and safe to call concurrently from many goroutines folding
 // into distinct dst accumulators, because the published legacy accumulator
 // is immutable and shared by all queriers.
+//
 // SizeBytes estimates the accumulator's resident heap footprint in bytes —
 // the unit the sharded layer multiplies out into a per-sketch resident-size
 // estimate for memory-budget accounting. It must be cheap (no walking of
 // per-entry state) and safe to call concurrently with reads of an immutable
 // published accumulator.
+//
+// ExportTo appends the accumulated state's snapshot body to dst, and
+// ImportFrom folds such a body into the receiver, leaving it unchanged on a
+// (typed) error — the codec of the checkpoint plane (see snapshot.go).
 type Accumulator[A any] interface {
 	Reset()
 	FoldInto(dst A)
 	SizeBytes() int
+	ExportTo(dst []byte) []byte
+	ImportFrom(blob []byte) error
 }
 
 // Mergeable is the uniform contract a family's concurrent composable

@@ -1,13 +1,6 @@
 package shard
 
-import (
-	"fmt"
-
-	"fastsketches/internal/countmin"
-	"fastsketches/internal/hll"
-	"fastsketches/internal/quantiles"
-	"fastsketches/internal/theta"
-)
+import "fmt"
 
 // Snapshot export/import for sharded sketches — the shard layer of the
 // registry checkpoint plane. Export folds the sketch's entire published
@@ -22,42 +15,6 @@ import (
 // materialized view: a checkpoint's fold floor must be the S·r relaxation
 // bound, independent of any view's refresh lag.
 
-// ImportLegacy folds externally sourced state into the sketch's legacy
-// accumulator. fill receives a private accumulator already holding the
-// current legacy state (if any) and folds the imported state into it; if
-// fill returns an error the sketch is unchanged. On success the new legacy
-// is published atomically: concurrent queries see the imported state either
-// entirely or not at all, and ingestion is never paused. Serialised with
-// Resize/Close; importing after Close is an error.
-func (s *Sharded[T, A, C]) ImportLegacy(fill func(A) error) error {
-	s.resizeMu.Lock()
-	defer s.resizeMu.Unlock()
-	if s.closed {
-		return fmt.Errorf("shard: ImportLegacy after Close")
-	}
-	cur := s.st.Load()
-	// The new legacy must be a fresh, never-pooled accumulator: once
-	// published it is shared read-only by every query (same rule as Resize).
-	legacy := s.mkAcc()
-	if cur.hasLegacy {
-		cur.legacy.FoldInto(legacy)
-	}
-	if err := fill(legacy); err != nil {
-		return err
-	}
-	next := &epochState[T, A, C]{
-		comps: cur.comps, g: cur.g, old: cur.old,
-		legacy: legacy, hasLegacy: true,
-		basePressure: cur.basePressure, win: cur.win,
-	}
-	s.st.Store(next)
-	// A materialized view, if enabled, picks the import up on its next
-	// refresh; fold it in eagerly so view-served queries don't lag the
-	// import by a refresh interval.
-	s.RefreshViewNow()
-	return nil
-}
-
 // ViewSettings returns the ViewConfig a currently enabled view was built
 // with, and whether one is enabled — the introspection hook checkpointing
 // needs to record view settings for restore.
@@ -69,14 +26,12 @@ func (s *Sharded[T, A, C]) ViewSettings() (ViewConfig, bool) {
 	return vr.cfg, true
 }
 
-// appendSnapshot is the shared export path: fold the entire published state
-// into a pooled accumulator, append its export body to dst, release the
+// AppendSnapshot appends the sketch's merged snapshot body (the family
+// accumulator's ExportTo layout) to dst: fold the entire published state
+// into a pooled accumulator, append its export body, release the
 // accumulator. Steady-state zero-alloc once dst has grown to the working
 // size.
-func appendSnapshot[T any, A interface {
-	Accumulator[A]
-	ExportTo([]byte) []byte
-}, C Mergeable[T, A]](s *Sharded[T, A, C], dst []byte) []byte {
+func (s *Sharded[T, A, C]) AppendSnapshot(dst []byte) []byte {
 	acc := s.acquire()
 	mergeEpoch(s.st.Load(), acc)
 	dst = acc.ExportTo(dst)
@@ -84,44 +39,36 @@ func appendSnapshot[T any, A interface {
 	return dst
 }
 
-// AppendSnapshot appends the sketch's merged snapshot body (theta.Union
-// ExportTo layout) to dst.
-func (t *Theta) AppendSnapshot(dst []byte) []byte { return appendSnapshot(t.Sharded, dst) }
-
 // ImportSnapshot folds a snapshot body produced by AppendSnapshot into the
-// sketch's legacy state. Typed errors (theta.ErrCorrupt,
-// theta.ErrSnapshotMismatch) on invalid input; the sketch is unchanged on
-// error.
-func (t *Theta) ImportSnapshot(blob []byte) error {
-	return t.ImportLegacy(func(u *theta.Union) error { return u.ImportFrom(blob) })
-}
-
-// AppendSnapshot appends the sketch's merged snapshot body (hll.Sketch
-// ExportTo layout) to dst.
-func (h *HLL) AppendSnapshot(dst []byte) []byte { return appendSnapshot(h.Sharded, dst) }
-
-// ImportSnapshot folds a snapshot body produced by AppendSnapshot into the
-// sketch's legacy state.
-func (h *HLL) ImportSnapshot(blob []byte) error {
-	return h.ImportLegacy(func(sk *hll.Sketch) error { return sk.ImportFrom(blob) })
-}
-
-// AppendSnapshot appends the sketch's merged snapshot body
-// (quantiles.Accumulator ExportTo layout) to dst.
-func (q *Quantiles) AppendSnapshot(dst []byte) []byte { return appendSnapshot(q.Sharded, dst) }
-
-// ImportSnapshot folds a snapshot body produced by AppendSnapshot into the
-// sketch's legacy state.
-func (q *Quantiles) ImportSnapshot(blob []byte) error {
-	return q.ImportLegacy(func(a *quantiles.Accumulator) error { return a.ImportFrom(blob) })
-}
-
-// AppendSnapshot appends the sketch's merged snapshot body (countmin.Sketch
-// ExportTo layout) to dst.
-func (c *CountMin) AppendSnapshot(dst []byte) []byte { return appendSnapshot(c.Sharded, dst) }
-
-// ImportSnapshot folds a snapshot body produced by AppendSnapshot into the
-// sketch's legacy state.
-func (c *CountMin) ImportSnapshot(blob []byte) error {
-	return c.ImportLegacy(func(sk *countmin.Sketch) error { return sk.ImportFrom(blob) })
+// sketch's legacy accumulator: a private accumulator holding the current
+// legacy state (if any) imports the body on top. Invalid input fails with
+// the family's typed errors (ErrCorrupt, ErrSnapshotMismatch) and leaves the
+// sketch unchanged. On success the new legacy is published atomically:
+// concurrent queries see the imported state either entirely or not at all,
+// and ingestion is never paused. Serialised with Resize/Close; importing
+// after Close is an error.
+func (s *Sharded[T, A, C]) ImportSnapshot(blob []byte) error {
+	s.resizeMu.Lock()
+	defer s.resizeMu.Unlock()
+	if s.closed {
+		return fmt.Errorf("shard: ImportSnapshot after Close")
+	}
+	cur := s.st.Load()
+	// The new legacy must be a fresh, never-pooled accumulator: once
+	// published it is shared read-only by every query (same rule as Resize).
+	legacy := s.mkAcc()
+	if cur.hasLegacy {
+		cur.legacy.FoldInto(legacy)
+	}
+	if err := legacy.ImportFrom(blob); err != nil {
+		return err
+	}
+	next := *cur
+	next.legacy, next.hasLegacy = legacy, true
+	s.st.Store(&next)
+	// A materialized view, if enabled, picks the import up on its next
+	// refresh; fold it in eagerly so view-served queries don't lag the
+	// import by a refresh interval.
+	s.RefreshViewNow()
+	return nil
 }

@@ -6,25 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fastsketches/internal/clock"
 )
-
-// Clock abstracts the view refresher's two uses of time — stamping a
-// published view and pacing refresh ticks — mirroring the autoscale
-// controller's Clock so tests and stress drivers can pace refreshes
-// deterministically (autoscale.ManualClock satisfies this interface
-// structurally). Production views default to the system clock.
-type Clock interface {
-	Now() time.Time
-	// After behaves like time.After: a channel that delivers one value once
-	// d has elapsed on this clock.
-	After(d time.Duration) <-chan time.Time
-}
-
-// systemClock is the production Clock: real time.
-type systemClock struct{}
-
-func (systemClock) Now() time.Time                         { return time.Now() }
-func (systemClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // ViewConfig configures a materialized merged view: a background refresher
 // periodically folds the sketch's entire published state (legacy ∪ draining
@@ -47,7 +31,7 @@ type ViewConfig struct {
 	MaxAge time.Duration
 	// Clock drives refresh pacing and view timestamps. Defaults to the
 	// system clock.
-	Clock Clock
+	Clock clock.Clock
 }
 
 func (c *ViewConfig) normalise() {
@@ -58,7 +42,7 @@ func (c *ViewConfig) normalise() {
 		c.MaxAge = 4 * c.RefreshEvery
 	}
 	if c.Clock == nil {
-		c.Clock = systemClock{}
+		c.Clock = clock.System{}
 	}
 }
 
@@ -76,7 +60,7 @@ type viewBuf[A any] struct {
 	// race-free: both transitions synchronise through the view pointer and
 	// the refs counter.
 	expiresAt int64
-	clock     Clock
+	clock     clock.Clock
 }
 
 // viewRuntime is the per-sketch refresher state while a view is enabled.

@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 	"fastsketches/internal/shard"
 )
 
@@ -35,7 +35,7 @@ func TestViewServesPublishedStateUntilRefreshed(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		sk.Update(0, uint64(i%8))
 	}
-	clk := autoscale.NewManualClock(time.Unix(1<<20, 0))
+	clk := clock.NewManual(time.Unix(1<<20, 0))
 	if err := sk.EnableView(shard.ViewConfig{
 		RefreshEvery: time.Hour, MaxAge: -1, Clock: clk,
 	}); err != nil {
@@ -85,7 +85,7 @@ func TestViewExpiresToLiveFold(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		sk.Update(0, uint64(i%8))
 	}
-	clk := autoscale.NewManualClock(time.Unix(1<<20, 0))
+	clk := clock.NewManual(time.Unix(1<<20, 0))
 	// RefreshEvery an hour so the background tick never fires during the
 	// test; MaxAge a minute so advancing the clock expires the view.
 	if err := sk.EnableView(shard.ViewConfig{
@@ -123,7 +123,7 @@ func TestViewExpiresToLiveFold(t *testing.T) {
 func TestViewAcrossResize(t *testing.T) {
 	sk := eagerCM(t, 2)
 	defer sk.Close()
-	clk := autoscale.NewManualClock(time.Unix(1<<20, 0))
+	clk := clock.NewManual(time.Unix(1<<20, 0))
 	if err := sk.EnableView(shard.ViewConfig{
 		RefreshEvery: time.Hour, MaxAge: -1, Clock: clk,
 	}); err != nil {
@@ -164,7 +164,7 @@ func TestViewAcrossResize(t *testing.T) {
 
 func TestViewLifecycleErrors(t *testing.T) {
 	sk := eagerCM(t, 2)
-	clk := autoscale.NewManualClock(time.Unix(1<<20, 0))
+	clk := clock.NewManual(time.Unix(1<<20, 0))
 	cfg := shard.ViewConfig{RefreshEvery: time.Hour, MaxAge: -1, Clock: clk}
 	if err := sk.EnableView(cfg); err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestViewQueryPathZeroAlloc(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		sk.Update(0, uint64(i))
 	}
-	clk := autoscale.NewManualClock(time.Unix(1<<20, 0))
+	clk := clock.NewManual(time.Unix(1<<20, 0))
 	if err := sk.EnableView(shard.ViewConfig{
 		RefreshEvery: time.Hour, MaxAge: -1, Clock: clk,
 	}); err != nil {

@@ -416,16 +416,6 @@ func (s *Sharded[T, A, C]) WindowStats() (WindowInfo, bool) {
 	}, true
 }
 
-// WindowDecaySupported reports whether a window with Decay > 0 may be
-// declared on this sketch: the family's accumulator must have linearly
-// scalable counters (Count-Min). Admin planes that span families use it to
-// apply one declared window with decay restricted to the families that can
-// honour it.
-func (s *Sharded[T, A, C]) WindowDecaySupported() bool {
-	_, ok := any(s.mkAcc()).(window.Scalable)
-	return ok
-}
-
 // WindowEstimate answers the windowed distinct-count query: the union of
 // the closed-slot suffix-merge and the live shard snapshots, through a
 // pooled reused accumulator (no steady-state allocation). ok is false when
@@ -502,17 +492,14 @@ func (c *CountMin) DecayedCount(key uint64) (est uint64, ok bool) {
 	return est, ok
 }
 
-// appendWindowedSnapshot is the checkpoint export path of a windowed
+// AppendWindowedSnapshot is the checkpoint export path of a windowed
 // sketch, all under one resizeMu hold so the split is rotation-consistent:
 // the base blob appended to dst covers everything outside the closed ring
 // slots (legacy ∪ carry ∪ live shards — restored into legacy), while each
 // closed slot and the decay plane are exported as separate blobs for
 // slot-by-slot restoration. When no window is enabled it degrades to the
 // plain cumulative export with an empty tail.
-func appendWindowedSnapshot[T any, A interface {
-	Accumulator[A]
-	ExportTo([]byte) []byte
-}, C Mergeable[T, A]](s *Sharded[T, A, C], dst []byte) (out []byte, slots [][]byte, decayed []byte) {
+func (s *Sharded[T, A, C]) AppendWindowedSnapshot(dst []byte) (out []byte, slots [][]byte, decayed []byte) {
 	s.resizeMu.Lock()
 	defer s.resizeMu.Unlock()
 	st := s.st.Load()
@@ -547,17 +534,14 @@ func appendWindowedSnapshot[T any, A interface {
 	return out, slots, decayed
 }
 
-// restoreWindow rebuilds a window from checkpointed state: the closed slots
+// RestoreWindow rebuilds a window from checkpointed state: the closed slots
 // (oldest first) are imported into fresh ring accumulators, the
 // suffix-merge is refreshed, the decay plane imported if present, and the
 // rotator started with a fresh live interval. The base blob must already
 // have been imported (ImportSnapshot → legacy) — restored closed slots are
 // counted by windowed queries only, never double-counted by cumulative
 // ones. Errors if a window is already enabled or the slots exceed the ring.
-func restoreWindow[T any, A interface {
-	Accumulator[A]
-	ImportFrom([]byte) error
-}, C Mergeable[T, A]](s *Sharded[T, A, C], cfg WindowConfig, slotBlobs [][]byte, decayedBlob []byte) error {
+func (s *Sharded[T, A, C]) RestoreWindow(cfg WindowConfig, slotBlobs [][]byte, decayedBlob []byte) error {
 	cfg, err := cfg.Normalise()
 	if err != nil {
 		return err
@@ -592,21 +576,16 @@ func restoreWindow[T any, A interface {
 		}
 		hasDecayed = true
 	}
-	st := s.st.Load()
-	next := &epochState[T, A, C]{
-		comps: st.comps, g: st.g, old: st.old,
-		legacy: st.legacy, hasLegacy: st.hasLegacy,
-		basePressure: st.basePressure,
-		win: &epochWindow[A]{
-			cfg:        cfg,
-			merged:     merged,
-			hasMerged:  true,
-			decayed:    decayed,
-			hasDecayed: hasDecayed,
-			liveStart:  cfg.Clock.Now().UnixNano(),
-		},
+	next := *s.st.Load()
+	next.win = &epochWindow[A]{
+		cfg:        cfg,
+		merged:     merged,
+		hasMerged:  true,
+		decayed:    decayed,
+		hasDecayed: hasDecayed,
+		liveStart:  cfg.Clock.Now().UnixNano(),
 	}
-	s.st.Store(next)
+	s.st.Store(&next)
 	wr := &windowRuntime[A]{
 		cfg:  cfg,
 		ring: ring,
@@ -616,48 +595,4 @@ func restoreWindow[T any, A interface {
 	s.wr.Store(wr)
 	go s.rotateLoop(wr)
 	return nil
-}
-
-// AppendWindowedSnapshot exports the sketch's state split for slot-by-slot
-// window checkpointing; see appendWindowedSnapshot.
-func (t *Theta) AppendWindowedSnapshot(dst []byte) ([]byte, [][]byte, []byte) {
-	return appendWindowedSnapshot(t.Sharded, dst)
-}
-
-// RestoreWindow rebuilds a checkpointed window; see restoreWindow.
-func (t *Theta) RestoreWindow(cfg WindowConfig, slots [][]byte, decayed []byte) error {
-	return restoreWindow(t.Sharded, cfg, slots, decayed)
-}
-
-// AppendWindowedSnapshot exports the sketch's state split for slot-by-slot
-// window checkpointing; see appendWindowedSnapshot.
-func (h *HLL) AppendWindowedSnapshot(dst []byte) ([]byte, [][]byte, []byte) {
-	return appendWindowedSnapshot(h.Sharded, dst)
-}
-
-// RestoreWindow rebuilds a checkpointed window; see restoreWindow.
-func (h *HLL) RestoreWindow(cfg WindowConfig, slots [][]byte, decayed []byte) error {
-	return restoreWindow(h.Sharded, cfg, slots, decayed)
-}
-
-// AppendWindowedSnapshot exports the sketch's state split for slot-by-slot
-// window checkpointing; see appendWindowedSnapshot.
-func (q *Quantiles) AppendWindowedSnapshot(dst []byte) ([]byte, [][]byte, []byte) {
-	return appendWindowedSnapshot(q.Sharded, dst)
-}
-
-// RestoreWindow rebuilds a checkpointed window; see restoreWindow.
-func (q *Quantiles) RestoreWindow(cfg WindowConfig, slots [][]byte, decayed []byte) error {
-	return restoreWindow(q.Sharded, cfg, slots, decayed)
-}
-
-// AppendWindowedSnapshot exports the sketch's state split for slot-by-slot
-// window checkpointing; see appendWindowedSnapshot.
-func (c *CountMin) AppendWindowedSnapshot(dst []byte) ([]byte, [][]byte, []byte) {
-	return appendWindowedSnapshot(c.Sharded, dst)
-}
-
-// RestoreWindow rebuilds a checkpointed window; see restoreWindow.
-func (c *CountMin) RestoreWindow(cfg WindowConfig, slots [][]byte, decayed []byte) error {
-	return restoreWindow(c.Sharded, cfg, slots, decayed)
 }

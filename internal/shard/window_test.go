@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 	"fastsketches/internal/shard"
 )
 
@@ -17,7 +17,7 @@ func manualWindow(slots int) shard.WindowConfig {
 	return shard.WindowConfig{
 		Interval: time.Hour, // never fires; rotations driven by RotateNow
 		Slots:    slots,
-		Clock:    autoscale.NewManualClock(time.Unix(1<<20, 0)),
+		Clock:    clock.NewManual(time.Unix(1<<20, 0)),
 	}
 }
 
@@ -379,7 +379,7 @@ func TestWindowLifecycleErrors(t *testing.T) {
 func TestWindowBackgroundRotation(t *testing.T) {
 	sk := windowCM(t, 2)
 	defer sk.Close()
-	clk := autoscale.NewManualClock(time.Unix(1<<20, 0))
+	clk := clock.NewManual(time.Unix(1<<20, 0))
 	if err := sk.EnableWindow(shard.WindowConfig{
 		Interval: time.Second, Slots: 2, Clock: clk,
 	}); err != nil {
@@ -414,7 +414,7 @@ func TestWindowBackgroundRotation(t *testing.T) {
 func TestWindowStatsAges(t *testing.T) {
 	sk := windowCM(t, 2)
 	defer sk.Close()
-	clk := autoscale.NewManualClock(time.Unix(1<<20, 0))
+	clk := clock.NewManual(time.Unix(1<<20, 0))
 	if err := sk.EnableWindow(shard.WindowConfig{
 		Interval: time.Minute, Slots: 2, Clock: clk,
 	}); err != nil {

@@ -71,19 +71,6 @@ import (
 	"fastsketches/internal/wire"
 )
 
-// Family identifies a sketch family in a record; the values are the wire
-// protocol's (the two formats must agree on family numbering so OpSnapshot
-// bodies restore without translation).
-type Family = wire.Family
-
-// The sketch families, re-exported for callers that only import snapshot.
-const (
-	FamilyTheta     = wire.FamilyTheta
-	FamilyHLL       = wire.FamilyHLL
-	FamilyQuantiles = wire.FamilyQuantiles
-	FamilyCountMin  = wire.FamilyCountMin
-)
-
 const (
 	// Magic opens every checkpoint container ("FSNP" little-endian).
 	Magic uint32 = 0x504e5346
@@ -130,7 +117,7 @@ var (
 // parse buffer on the decode side; on the encode side they are read but
 // never retained.
 type Record struct {
-	Family Family
+	Family wire.Family
 	Name   []byte
 	// Shards is the shard count S the sketch was serving with when the
 	// checkpoint was taken; Restore resizes the fresh sketch to it.
@@ -314,8 +301,8 @@ func ParseRecord(data []byte) (Record, []byte, error) {
 	if len(body) < 2 {
 		return rec, nil, fmt.Errorf("%w: short record body", ErrTruncated)
 	}
-	rec.Family = Family(body[0])
-	if rec.Family < FamilyTheta || rec.Family > FamilyCountMin {
+	rec.Family = wire.Family(body[0])
+	if !rec.Family.Valid() {
 		return rec, nil, fmt.Errorf("%w: unknown family %d", ErrBadRecord, body[0])
 	}
 	nameLen := int(body[1])

@@ -12,11 +12,12 @@ import (
 	"fastsketches/internal/murmur"
 	"fastsketches/internal/quantiles"
 	"fastsketches/internal/theta"
+	"fastsketches/internal/wire"
 )
 
 func fullRecord() Record {
 	return Record{
-		Family:        FamilyCountMin,
+		Family:        wire.FamilyCountMin,
 		Name:          []byte("metrics/api.requests"),
 		Shards:        12,
 		HasView:       true,
@@ -93,7 +94,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 
 	// Optional blocks absent: flags stay zero and the blocks are skipped.
-	bare := Record{Family: FamilyTheta, Name: []byte("x"), Shards: 1, Blob: nil}
+	bare := Record{Family: wire.FamilyTheta, Name: []byte("x"), Shards: 1, Blob: nil}
 	got, _, err = ParseRecord(AppendRecord(nil, &bare))
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +228,7 @@ func TestWindowedRecordErrors(t *testing.T) {
 
 func TestRecordErrors(t *testing.T) {
 	valid := AppendRecord(nil, &Record{
-		Family: FamilyHLL, Name: []byte("n"), Shards: 2, Blob: []byte{9},
+		Family: wire.FamilyHLL, Name: []byte("n"), Shards: 2, Blob: []byte{9},
 	})
 	mut := func(f func([]byte)) []byte {
 		b := append([]byte(nil), valid...)
@@ -258,7 +259,7 @@ func TestRecordErrors(t *testing.T) {
 
 	// Truncated optional blocks.
 	viewRec := AppendRecord(nil, &Record{
-		Family: FamilyTheta, Name: []byte("v"), Shards: 1, HasView: true,
+		Family: wire.FamilyTheta, Name: []byte("v"), Shards: 1, HasView: true,
 	})
 	cut := viewRec[:len(viewRec)-6] // into the view block
 	binary.LittleEndian.PutUint32(cut, uint32(len(cut)-4))

@@ -31,25 +31,9 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"fastsketches/internal/clock"
 )
-
-// Clock abstracts the rotator's two uses of time — stamping interval starts
-// and pacing rotation ticks — mirroring the shard view refresher's and the
-// autoscale controller's Clock so tests and stress drivers can rotate
-// deterministically (autoscale.ManualClock satisfies this interface
-// structurally). Production windows default to the system clock.
-type Clock interface {
-	Now() time.Time
-	// After behaves like time.After: a channel that delivers one value once
-	// d has elapsed on this clock.
-	After(d time.Duration) <-chan time.Time
-}
-
-// systemClock is the production Clock: real time.
-type systemClock struct{}
-
-func (systemClock) Now() time.Time                         { return time.Now() }
-func (systemClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // Window shape defaults and bounds.
 const (
@@ -84,7 +68,7 @@ type Config struct {
 	Decay float64
 	// Clock drives rotation pacing and interval timestamps. Defaults to the
 	// system clock; inject a manual clock for deterministic tests.
-	Clock Clock
+	Clock clock.Clock
 }
 
 // Normalise fills defaults and validates the configuration.
@@ -102,7 +86,7 @@ func (c Config) Normalise() (Config, error) {
 		return c, fmt.Errorf("%w: %v", ErrBadDecay, c.Decay)
 	}
 	if c.Clock == nil {
-		c.Clock = systemClock{}
+		c.Clock = clock.System{}
 	}
 	return c, nil
 }

@@ -130,7 +130,8 @@ const (
 )
 
 // Family identifies a sketch family on the wire. The string forms (used by
-// the registry's enumeration hooks) are produced by Family.String.
+// the registry's string-family admin API and "family/name" listings) are
+// produced by Family.String and parsed back by ParseFamily.
 type Family uint8
 
 // The sketch families.
@@ -142,19 +143,34 @@ const (
 	familyMax
 )
 
+// familyNames is the one place family ids meet their registry-facing names.
+var familyNames = [familyMax]string{
+	FamilyTheta:     "theta",
+	FamilyHLL:       "hll",
+	FamilyQuantiles: "quantiles",
+	FamilyCountMin:  "countmin",
+}
+
+// Valid reports whether f is a defined family id.
+func (f Family) Valid() bool { return f >= 1 && f < familyMax }
+
 // String returns the registry-facing family name.
 func (f Family) String() string {
-	switch f {
-	case FamilyTheta:
-		return "theta"
-	case FamilyHLL:
-		return "hll"
-	case FamilyQuantiles:
-		return "quantiles"
-	case FamilyCountMin:
-		return "countmin"
+	if f.Valid() {
+		return familyNames[f]
 	}
 	return fmt.Sprintf("family(%d)", uint8(f))
+}
+
+// ParseFamily is the inverse of Family.String; an unknown name fails with
+// ErrBadFamily.
+func ParseFamily(name string) (Family, error) {
+	for f := Family(1); f < familyMax; f++ {
+		if familyNames[f] == name {
+			return f, nil
+		}
+	}
+	return 0, fmt.Errorf("%w %q", ErrBadFamily, name)
 }
 
 // Query identifies a merged-query kind within OpQuery.
@@ -746,7 +762,7 @@ func (c *cursor) name() []byte {
 
 func (c *cursor) family() Family {
 	f := Family(c.u8())
-	if c.err == nil && (f < FamilyTheta || f >= familyMax) {
+	if c.err == nil && !f.Valid() {
 		c.err = ErrBadFamily
 	}
 	return f

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"strings"
@@ -436,5 +437,20 @@ func TestInfoViewFieldsRoundTrip(t *testing.T) {
 	_, _, body, _ = ParseResponse(frame(t, AppendOKInfo(nil, 26, inf)))
 	if got, err := ParseInfo(body); err != nil || got != inf {
 		t.Fatalf("view-less info = %+v (err %v), want %+v", got, err, inf)
+	}
+}
+
+// TestFamilyNamesRoundTrip: every family's registry-facing name parses back
+// to the family, and a name no family has is rejected.
+func TestFamilyNamesRoundTrip(t *testing.T) {
+	for f := Family(1); f < familyMax; f++ {
+		if got, err := ParseFamily(f.String()); err != nil || got != f {
+			t.Errorf("ParseFamily(%q) = %v, %v; want %v", f.String(), got, err, f)
+		}
+	}
+	for _, name := range []string{"", "Theta", "kll", familyMax.String(), Family(0).String()} {
+		if f, err := ParseFamily(name); !errors.Is(err, ErrBadFamily) {
+			t.Errorf("ParseFamily(%q) = %v, %v; want ErrBadFamily", name, f, err)
+		}
 	}
 }

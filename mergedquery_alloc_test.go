@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"fastsketches"
-	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 	"fastsketches/internal/mergedbench"
 )
 
@@ -70,7 +70,7 @@ func TestMergedQueryZeroAllocThroughView(t *testing.T) {
 		qu.Update(0, float64(i%4096))
 		cm.Update(0, uint64(i%512))
 	}
-	clk := autoscale.NewManualClock(time.Unix(1<<20, 0))
+	clk := clock.NewManual(time.Unix(1<<20, 0))
 	if n, err := reg.ReplaceView("viewed", fastsketches.ViewConfig{
 		RefreshEvery: time.Hour, MaxAge: -1, Clock: clk,
 	}); err != nil || n != 4 {

@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 	"fastsketches/internal/core"
 	"fastsketches/internal/shard"
+	"fastsketches/internal/wire"
 )
 
 // PressureSample is the wait-free cumulative ingest-pressure counter pair
@@ -189,25 +191,15 @@ func (c *RegistryConfig) defaultWindow(decayable bool) (shard.WindowConfig, bool
 // register array, a quantiles.Accumulator, a Count-Min counter grid), so
 // Estimate/Quantile/Rank/N reset a pooled accumulator and fold the S shard
 // snapshots into it instead of allocating per query. Callers that prefer to
-// own the accumulator — e.g. one per reader goroutine — use the per-family
-// QueryInto methods (or NewAccumulator/QueryInto on the sketch itself).
+// own the accumulator — e.g. one per reader goroutine — use the handle's
+// NewAccumulator/QueryInto.
 type Registry struct {
 	cfg    RegistryConfig
 	mu     sync.RWMutex
 	closed bool
-	thetas map[string]*shard.Theta
-	hlls   map[string]*shard.HLL
-	quants map[string]*shard.Quantiles
-	cms    map[string]*shard.CountMin
-	// controllers are the autoscaling loops attached via Autoscale /
-	// AutoscaleAll, each remembered with its resize target so Drop can stop
-	// the loops of a dropped sketch; Close stops them before stopping any
-	// propagator, so a controller can never resize a closing sketch.
-	controllers []registryController
-	// lifecycles records the per-sketch lifecycle declared through
-	// Open*/Spec (idle TTL, pinning), keyed "family/name" — read by the ops
-	// layer's eviction and budget sweeps via Infos.
-	lifecycles map[string]lifecycleSpec
+	// sketches is the one sketch table: every registered sketch of every
+	// family, keyed by (family, name).
+	sketches map[sketchKey]*entry
 	// memPressure is the memory-budget signal installed by
 	// SetAutoscaleMemoryPressure, propagated to every attached controller.
 	memPressure func() bool
@@ -222,11 +214,81 @@ type Registry struct {
 	ckptBuf     []byte
 }
 
-// registryController pairs an attached controller with the sketch it
-// drives.
-type registryController struct {
-	ctl    *autoscale.Controller
-	target autoscale.Target
+// sketchKey identifies one registered sketch.
+type sketchKey struct {
+	fam  wire.Family
+	name string
+}
+
+// sketch is the family-agnostic surface of a sharded sketch that the
+// registry's admin, enumeration and checkpoint paths drive; all four family
+// wrappers of the shard package satisfy it through the embedded generic
+// Sharded layer. Ingest and queries never go through it — a Handle keeps the
+// concrete type, so those stay statically dispatched.
+type sketch interface {
+	autoscale.Target
+	Relaxation() int
+	Eager() bool
+	SizeBytes() int64
+	Close()
+	EnableView(ViewConfig) error
+	DisableView() bool
+	ViewLag() time.Duration
+	ViewSettings() (ViewConfig, bool)
+	EnableWindow(WindowConfig) error
+	DisableWindow() bool
+	WindowSettings() (WindowConfig, bool)
+	WindowStats() (WindowInfo, bool)
+	AppendSnapshot([]byte) []byte
+	// AppendWindowedSnapshot appends the base blob (everything outside the
+	// closed ring slots) and returns the slot and decay-plane blobs captured
+	// under the same rotation-consistent hold.
+	AppendWindowedSnapshot([]byte) ([]byte, [][]byte, []byte)
+	ImportSnapshot([]byte) error
+	RestoreWindow(WindowConfig, [][]byte, []byte) error
+}
+
+// entry is one registered sketch: the sketch itself plus the per-sketch
+// state the registry owns. lc and ctl are guarded by Registry.mu.
+type entry struct {
+	key sketchKey
+	sk  sketch
+	// lc is the lifecycle declared through Open*/Spec (idle TTL, pinning),
+	// read by the ops layer's eviction and budget sweeps via Infos.
+	lc lifecycleSpec
+	// ctl is the sketch's autoscale controller, nil when none is attached.
+	// Every attach path replaces it, so a sketch never has two; Drop and
+	// Close stop it before the sketch's propagators, so a controller can
+	// never resize a closing sketch.
+	ctl *autoscale.Controller
+}
+
+// family is one row of the registry's family table: everything the
+// family-agnostic paths need to know about a family. The typed surface — the
+// Open* constructors and Handle aliases in handle.go — is the only other
+// place a family is named.
+type family struct {
+	// decayable reports whether the family's accumulator has linearly
+	// scalable counters, i.e. whether a window may carry a decay plane.
+	decayable bool
+	// new builds a fresh sketch from the (pre-validated) registry config.
+	new func(c *RegistryConfig) (sketch, error)
+}
+
+// families is the family table, indexed by wire.Family (index 0 is unused).
+var families = [...]family{
+	wire.FamilyTheta: {new: func(c *RegistryConfig) (sketch, error) {
+		return shard.NewTheta(c.ThetaLgK, c.shardConfig())
+	}},
+	wire.FamilyHLL: {new: func(c *RegistryConfig) (sketch, error) {
+		return shard.NewHLL(c.HLLPrecision, c.shardConfig())
+	}},
+	wire.FamilyQuantiles: {new: func(c *RegistryConfig) (sketch, error) {
+		return shard.NewQuantiles(c.QuantilesK, c.shardConfig())
+	}},
+	wire.FamilyCountMin: {decayable: true, new: func(c *RegistryConfig) (sketch, error) {
+		return shard.NewCountMin(c.CountMinEpsilon, c.CountMinDelta, c.shardConfig())
+	}},
 }
 
 // NewRegistry validates the configuration and returns an empty registry.
@@ -234,132 +296,111 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if err := cfg.normalise(); err != nil {
 		return nil, err
 	}
-	return &Registry{
-		cfg:        cfg,
-		thetas:     make(map[string]*shard.Theta),
-		hlls:       make(map[string]*shard.HLL),
-		quants:     make(map[string]*shard.Quantiles),
-		cms:        make(map[string]*shard.CountMin),
-		lifecycles: make(map[string]lifecycleSpec),
-	}, nil
+	return &Registry{cfg: cfg, sketches: make(map[sketchKey]*entry)}, nil
 }
 
-// getOrCreate returns m[name], creating it with mk on first use. The read
-// path is a shared-lock map hit; creation takes the exclusive lock.
-func getOrCreate[T any](r *Registry, m map[string]T, name string, mk func() T) T {
-	r.mu.RLock()
-	sk, ok := m[name]
-	closed := r.closed
-	r.mu.RUnlock()
-	if closed {
-		// A sketch handle obtained before Close stays queryable, but the
-		// registry itself must not hand out sketches whose propagators are
-		// stopped: an Update on one would block forever.
-		panic("fastsketches: Registry used after Close")
-	}
-	if ok {
-		return sk
-	}
+// lockOpen takes r.mu exclusively, and rlockOpen shared, for a caller that
+// must not run on a closed registry: both panic (with the lock released) once
+// Close has run. A sketch handle obtained before Close stays queryable, but
+// the registry itself must not hand out or reconfigure sketches whose
+// propagators are stopped: an Update on one would block forever.
+func (r *Registry) lockOpen() {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.closed {
+		r.mu.Unlock()
 		panic("fastsketches: Registry used after Close")
 	}
-	if sk, ok = m[name]; !ok {
-		sk = mk()
-		m[name] = sk
-	}
-	return sk
 }
 
-// getTheta returns the named sharded distinct-count sketch, creating it on
-// first use — the internal accessor behind OpenTheta and the deprecated
-// Theta facade. Configuration errors are impossible here: the registry
+func (r *Registry) rlockOpen() {
+	r.mu.RLock()
+	if r.closed {
+		r.mu.RUnlock()
+		panic("fastsketches: Registry used after Close")
+	}
+}
+
+// getOrCreate returns the entry registered under (fam, name), creating the
+// sketch from its family row on first use — the accessor behind Open* and
+// Restore. The read path is a shared-lock map hit; creation takes the
+// exclusive lock. Configuration errors are impossible here: the registry
 // config was validated by NewRegistry.
-func (r *Registry) getTheta(name string) *shard.Theta {
-	return getOrCreate(r, r.thetas, name, func() *shard.Theta {
-		sk, err := shard.NewTheta(r.cfg.ThetaLgK, r.cfg.shardConfig())
-		if err != nil {
+func (r *Registry) getOrCreate(fam wire.Family, name string) *entry {
+	key := sketchKey{fam, name}
+	r.rlockOpen()
+	e := r.sketches[key]
+	r.mu.RUnlock()
+	if e != nil {
+		return e
+	}
+	r.lockOpen()
+	defer r.mu.Unlock()
+	if e = r.sketches[key]; e != nil {
+		return e
+	}
+	f := &families[fam]
+	sk, err := f.new(&r.cfg)
+	if err != nil {
+		panic(err) // unreachable: config pre-validated
+	}
+	if wc, ok := r.cfg.defaultWindow(f.decayable); ok {
+		if err := sk.EnableWindow(wc); err != nil {
 			panic(err) // unreachable: config pre-validated
 		}
-		if wc, ok := r.cfg.defaultWindow(false); ok {
-			if err := sk.EnableWindow(wc); err != nil {
-				panic(err) // unreachable: config pre-validated
-			}
-		}
-		return sk
-	})
+	}
+	e = &entry{key: key, sk: sk}
+	r.sketches[key] = e
+	return e
 }
 
-// getHLL returns the named sharded HLL sketch, creating it on first use.
-func (r *Registry) getHLL(name string) *shard.HLL {
-	return getOrCreate(r, r.hlls, name, func() *shard.HLL {
-		sk, err := shard.NewHLL(r.cfg.HLLPrecision, r.cfg.shardConfig())
-		if err != nil {
-			panic(err)
-		}
-		if wc, ok := r.cfg.defaultWindow(false); ok {
-			if err := sk.EnableWindow(wc); err != nil {
-				panic(err)
-			}
-		}
-		return sk
-	})
+// lookup returns the entry of the named sketch of the given family (one of
+// "theta", "hll", "quantiles", "countmin") without creating it. The caller
+// must hold r.mu (any mode).
+func (r *Registry) lookup(family, name string) *entry {
+	fam, err := wire.ParseFamily(family)
+	if err != nil {
+		return nil
+	}
+	return r.sketches[sketchKey{fam, name}]
 }
 
-// getQuantiles returns the named sharded quantiles sketch, creating it on
-// first use.
-func (r *Registry) getQuantiles(name string) *shard.Quantiles {
-	return getOrCreate(r, r.quants, name, func() *shard.Quantiles {
-		sk, err := shard.NewQuantiles(r.cfg.QuantilesK, r.cfg.shardConfig())
-		if err != nil {
-			panic(err)
+// namedLocked collects every entry registered under name across all
+// families — the targets of the name-spanning admin calls (the wire protocol
+// addresses views, windows and autoscaling by name only, with no family
+// discriminator). Caller holds r.mu.
+func (r *Registry) namedLocked(name string) []*entry {
+	var es []*entry
+	for fam := range families {
+		if e := r.sketches[sketchKey{wire.Family(fam), name}]; e != nil {
+			es = append(es, e)
 		}
-		if wc, ok := r.cfg.defaultWindow(false); ok {
-			if err := sk.EnableWindow(wc); err != nil {
-				panic(err)
-			}
-		}
-		return sk
-	})
+	}
+	return es
 }
 
-// getCountMin returns the named sharded frequency sketch, creating it on
-// first use.
-func (r *Registry) getCountMin(name string) *shard.CountMin {
-	return getOrCreate(r, r.cms, name, func() *shard.CountMin {
-		sk, err := shard.NewCountMin(r.cfg.CountMinEpsilon, r.cfg.CountMinDelta, r.cfg.shardConfig())
-		if err != nil {
-			panic(err)
-		}
-		if wc, ok := r.cfg.defaultWindow(true); ok {
-			if err := sk.EnableWindow(wc); err != nil {
-				panic(err)
-			}
-		}
-		return sk
-	})
+// named is namedLocked under a brief lock, for the admin calls that act on
+// the sketches outside it.
+func (r *Registry) named(name string) []*entry {
+	r.rlockOpen()
+	defer r.mu.RUnlock()
+	return r.namedLocked(name)
 }
 
 // ResizeSketch live-reshards the named sketch of the given family (one of
 // "theta", "hll", "quantiles", "countmin") without creating it on a miss —
 // the by-family admin resize serving and ops layers use. It returns
 // ErrConfig when no such sketch is registered; otherwise it carries exactly
-// the Resize semantics documented on ResizeTheta.
+// the Resize semantics documented on Handle.Resize.
 func (r *Registry) ResizeSketch(family, name string, shards int) error {
-	r.mu.RLock()
-	sk, ok := r.lookup(family, name)
-	closed := r.closed
+	r.rlockOpen()
+	e := r.lookup(family, name)
 	r.mu.RUnlock()
-	if closed {
-		panic("fastsketches: Registry used after Close")
-	}
-	if !ok {
+	if e == nil {
 		return fmt.Errorf("%w: no %s sketch %q to resize", ErrConfig, family, name)
 	}
 	// Resize outside r.mu: the drain can take a writer-grace period, and
 	// holding the registry lock across it would stall Open/Drop/Infos.
-	return sk.(interface{ Resize(int) error }).Resize(shards)
+	return e.sk.Resize(shards)
 }
 
 // ViewConfig configures a materialized merged view — see shard.ViewConfig:
@@ -377,29 +418,9 @@ type WindowConfig = shard.WindowConfig
 // — see shard.WindowInfo.
 type WindowInfo = shard.WindowInfo
 
-// Clock is the injectable time source shared by view refreshers (and,
-// structurally, autoscale controllers).
-type Clock = shard.Clock
-
-// viewSketch is the slice of the Sharded layer the view facades drive; all
-// four family wrappers satisfy it.
-type viewSketch interface {
-	EnableView(shard.ViewConfig) error
-	DisableView() bool
-	ViewEnabled() bool
-}
-
-// viewTargetsLocked collects every sketch registered under name across all
-// families. Caller holds r.mu.
-func (r *Registry) viewTargetsLocked(name string) []viewSketch {
-	var targets []viewSketch
-	for _, fam := range []string{"theta", "hll", "quantiles", "countmin"} {
-		if sk, ok := r.lookup(fam, name); ok {
-			targets = append(targets, sk.(viewSketch))
-		}
-	}
-	return targets
-}
+// Clock is the injectable time source shared by view refreshers, window
+// rotators, autoscale controllers, the Checkpointer and the ops sweeper.
+type Clock = clock.Clock
 
 // ReplaceView materializes the merged state of every sketch currently
 // registered under name, across all four families: a background refresher
@@ -419,21 +440,15 @@ func (r *Registry) viewTargetsLocked(name string) []viewSketch {
 // disabled automatically when their sketch is dropped or the registry
 // closes; like every registry accessor, ReplaceView panics after Close.
 func (r *Registry) ReplaceView(name string, cfg ViewConfig) (int, error) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		panic("fastsketches: Registry used after Close")
-	}
-	targets := r.viewTargetsLocked(name)
-	r.mu.Unlock()
+	targets := r.named(name)
 	if len(targets) == 0 {
 		return 0, fmt.Errorf("%w: no registered sketches to view", ErrConfig)
 	}
 	// Enabling outside r.mu: EnableView serialises on each sketch's resize
 	// lock, which an in-flight autoscale Resize may hold for a drain.
-	for _, sk := range targets {
-		sk.DisableView()
-		if err := sk.EnableView(cfg); err != nil {
+	for _, e := range targets {
+		e.sk.DisableView()
+		if err := e.sk.EnableView(cfg); err != nil {
 			return 0, err
 		}
 	}
@@ -443,46 +458,15 @@ func (r *Registry) ReplaceView(name string, cfg ViewConfig) (int, error) {
 // StopView stops the view refresher of every sketch registered under
 // name, across all families, and reports how many views were disabled.
 // Subsequent merged queries fold live shard snapshots again (bound back to
-// S·r). It mirrors StopAutoscale, completing the non-deprecated
-// name-spanning admin surface (the wire protocol addresses views by name
-// only, with no family discriminator).
+// S·r). It mirrors StopAutoscale.
 func (r *Registry) StopView(name string) int {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		panic("fastsketches: Registry used after Close")
-	}
-	targets := r.viewTargetsLocked(name)
-	r.mu.Unlock()
 	n := 0
-	for _, sk := range targets {
-		if sk.DisableView() {
+	for _, e := range r.named(name) {
+		if e.sk.DisableView() {
 			n++
 		}
 	}
 	return n
-}
-
-// windowSketch is the slice of the Sharded layer the window facades drive;
-// all four family wrappers satisfy it.
-type windowSketch interface {
-	EnableWindow(shard.WindowConfig) error
-	DisableWindow() bool
-	WindowEnabled() bool
-	WindowSettings() (shard.WindowConfig, bool)
-	WindowDecaySupported() bool
-}
-
-// windowTargetsLocked collects every sketch registered under name across all
-// families. Caller holds r.mu.
-func (r *Registry) windowTargetsLocked(name string) []windowSketch {
-	var targets []windowSketch
-	for _, fam := range []string{"theta", "hll", "quantiles", "countmin"} {
-		if sk, ok := r.lookup(fam, name); ok {
-			targets = append(targets, sk.(windowSketch))
-		}
-	}
-	return targets
 }
 
 // ReplaceWindow declares a sliding window on every sketch currently
@@ -501,59 +485,56 @@ func (r *Registry) windowTargetsLocked(name string) []windowSketch {
 // the window was applied to. Windows stop automatically when their sketch
 // is dropped or the registry closes.
 func (r *Registry) ReplaceWindow(name string, cfg WindowConfig) (int, error) {
-	want, err := cfg.Normalise()
-	if err != nil {
+	if _, err := cfg.Normalise(); err != nil {
 		return 0, err
 	}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		panic("fastsketches: Registry used after Close")
-	}
-	targets := r.windowTargetsLocked(name)
-	r.mu.Unlock()
+	targets := r.named(name)
 	if len(targets) == 0 {
 		return 0, fmt.Errorf("%w: no registered sketches to window", ErrConfig)
 	}
-	// Enabling outside r.mu: EnableWindow serialises on each sketch's resize
-	// lock, which an in-flight autoscale Resize may hold for a drain.
-	for _, sk := range targets {
+	for _, e := range targets {
 		// Decay needs linearly scalable counters; for families without them
 		// the same window is applied sans decay, mirroring
-		// RegistryConfig.WindowDecay. The Same comparison uses the stripped
-		// config too, so repeated calls stay idempotent per family.
-		cfgSk, wantSk := cfg, want
-		if want.Decay > 0 && !sk.WindowDecaySupported() {
-			cfgSk.Decay, wantSk.Decay = 0, 0
+		// RegistryConfig.WindowDecay — and compared sans decay, so repeated
+		// calls stay idempotent per family.
+		cfgSk := cfg
+		if !families[e.key.fam].decayable {
+			cfgSk.Decay = 0
 		}
-		if cur, ok := sk.WindowSettings(); ok && cur.Same(wantSk) {
-			continue // equal config: keep the ring
-		}
-		sk.DisableWindow()
-		if err := sk.EnableWindow(cfgSk); err != nil {
+		if err := replaceWindow(e.sk, cfgSk); err != nil {
 			return 0, err
 		}
 	}
 	return len(targets), nil
 }
 
+// replaceWindow declares cfg on one sketch with replace semantics: an equal
+// declaration is a no-op, so routinely re-declaring a window never discards
+// its ring of closed intervals; only a changed config re-arms (collapse into
+// the cumulative plane, fresh ring). It runs outside r.mu: EnableWindow
+// serialises on the sketch's resize lock, which an in-flight autoscale
+// Resize may hold for a drain.
+func replaceWindow(sk sketch, cfg WindowConfig) error {
+	want, err := cfg.Normalise()
+	if err != nil {
+		return err
+	}
+	if cur, ok := sk.WindowSettings(); ok && cur.Same(want) {
+		return nil
+	}
+	sk.DisableWindow()
+	return sk.EnableWindow(cfg)
+}
+
 // StopWindow disables the sliding window of every sketch registered under
 // name, across all families, and reports how many windows were stopped.
 // Each window's closed slots are collapsed into the sketch's cumulative
 // plane first, so no counted update is lost; subsequent queries serve the
-// cumulative stream only. It mirrors StopView, completing the name-spanning
-// admin surface the wire protocol drives.
+// cumulative stream only. It mirrors StopView.
 func (r *Registry) StopWindow(name string) int {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		panic("fastsketches: Registry used after Close")
-	}
-	targets := r.windowTargetsLocked(name)
-	r.mu.Unlock()
 	n := 0
-	for _, sk := range targets {
-		if sk.DisableWindow() {
+	for _, e := range r.named(name) {
+		if e.sk.DisableWindow() {
 			n++
 		}
 	}
@@ -570,9 +551,11 @@ func (r *Registry) StopWindow(name string) int {
 func (r *Registry) SetAutoscaleMemoryPressure(f func() bool) {
 	r.mu.Lock()
 	r.memPressure = f
-	ctls := make([]*autoscale.Controller, 0, len(r.controllers))
-	for _, rc := range r.controllers {
-		ctls = append(ctls, rc.ctl)
+	var ctls []*autoscale.Controller
+	for _, e := range r.sketches {
+		if e.ctl != nil {
+			ctls = append(ctls, e.ctl)
+		}
 	}
 	r.mu.Unlock()
 	for _, ctl := range ctls {
@@ -582,21 +565,12 @@ func (r *Registry) SetAutoscaleMemoryPressure(f func() bool) {
 
 // AutoscaleStats returns a live counter snapshot of the autoscale
 // controller attached to the named sketch of the given family, reporting
-// ok=false when the sketch has no controller (or does not exist). When
-// several controllers drive one sketch (stacked via the deprecated
-// Autoscale), the first attached wins — the idempotent attach paths
-// (ReplaceAutoscale, Spec.Autoscale) guarantee at most one.
+// ok=false when the sketch has no controller (or does not exist).
 func (r *Registry) AutoscaleStats(family, name string) (autoscale.Stats, bool) {
 	r.mu.RLock()
-	sk, ok := r.lookup(family, name)
 	var ctl *autoscale.Controller
-	if ok {
-		for _, rc := range r.controllers {
-			if any(rc.target) == any(sk) {
-				ctl = rc.ctl
-				break
-			}
-		}
+	if e := r.lookup(family, name); e != nil {
+		ctl = e.ctl
 	}
 	r.mu.RUnlock()
 	if ctl == nil {
@@ -605,133 +579,114 @@ func (r *Registry) AutoscaleStats(family, name string) (autoscale.Stats, bool) {
 	return ctl.Stats(), true
 }
 
-// detachControllersLocked removes from r.controllers every entry whose
-// target is registered under name (any family) and returns the detached
-// controllers. Caller holds r.mu; the caller owns stopping them.
-func (r *Registry) detachControllersLocked(name string) []registryController {
-	targets := make(map[any]bool, 4)
-	for _, fam := range []string{"theta", "hll", "quantiles", "countmin"} {
-		if sk, ok := r.lookup(fam, name); ok {
-			targets[any(sk)] = true
-		}
-	}
-	var detached []registryController
-	kept := r.controllers[:0]
-	for _, rc := range r.controllers {
-		if targets[any(rc.target)] {
-			detached = append(detached, rc)
-		} else {
-			kept = append(kept, rc)
-		}
-	}
-	r.controllers = kept
-	return detached
-}
-
-// StopAutoscale stops and detaches every autoscaling controller attached
-// to sketches currently registered under name, across all families, and
-// reports how many were stopped.
+// StopAutoscale stops and detaches the autoscaling controller of every
+// sketch currently registered under name, across all families, and reports
+// how many were stopped.
 func (r *Registry) StopAutoscale(name string) int {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		panic("fastsketches: Registry used after Close")
+	r.lockOpen()
+	var stop []*autoscale.Controller
+	for _, e := range r.namedLocked(name) {
+		if e.ctl != nil {
+			stop = append(stop, e.ctl)
+			e.ctl = nil
+		}
 	}
-	stop := r.detachControllersLocked(name)
 	r.mu.Unlock()
-	for _, rc := range stop {
-		rc.ctl.Stop()
+	for _, ctl := range stop {
+		ctl.Stop()
 	}
 	return len(stop)
 }
 
 // ReplaceAutoscale atomically swaps the autoscaling of name: under one
-// registry lock acquisition it detaches every controller attached to the
-// named sketches and attaches (and starts) fresh ones under the new
-// policy, so concurrent or retried calls can never leave two retained
-// controllers driving one sketch — the idempotent attach remote admin
-// planes need. The detached controllers are stopped after the swap; their
-// loops may overlap the new ones for that stop latency (harmless under the
-// policies' cooldowns), but exactly one controller per sketch remains. On
-// a policy validation error the previous controllers stay attached.
+// registry lock acquisition it builds a fresh controller under the new
+// policy for every sketch registered under the name and swaps it in for the
+// one attached before (if any), so concurrent or retried calls can never
+// leave two controllers driving one sketch — the idempotent attach remote
+// admin planes need. The replaced controllers are stopped after the swap;
+// their loops may overlap the new ones for that stop latency (harmless
+// under the policies' cooldowns). On a policy validation error nothing is
+// swapped: the previous controllers stay attached.
 func (r *Registry) ReplaceAutoscale(name string, p autoscale.Policy) ([]*autoscale.Controller, error) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		panic("fastsketches: Registry used after Close")
-	}
-	detached := r.detachControllersLocked(name)
-	ctls, err := r.autoscaleLocked(p, func(n string) bool { return n == name })
-	if err != nil {
-		// Nothing was stopped yet: restore the detached controllers.
-		r.controllers = append(r.controllers, detached...)
-		r.mu.Unlock()
-		return nil, err
-	}
-	r.mu.Unlock()
-	for _, rc := range detached {
-		rc.ctl.Stop()
-	}
-	return ctls, nil
-}
-
-// autoscale collects the matching sketches as resize targets, builds one
-// started controller per target, and records them for Close.
-func (r *Registry) autoscale(p autoscale.Policy, match func(name string) bool) ([]*autoscale.Controller, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		panic("fastsketches: Registry used after Close")
-	}
-	return r.autoscaleLocked(p, match)
-}
-
-// autoscaleLocked is autoscale's body; the caller holds r.mu.
-func (r *Registry) autoscaleLocked(p autoscale.Policy, match func(name string) bool) ([]*autoscale.Controller, error) {
-	var targets []autoscale.Target
-	for n, sk := range r.thetas {
-		if match(n) {
-			targets = append(targets, sk)
-		}
-	}
-	for n, sk := range r.hlls {
-		if match(n) {
-			targets = append(targets, sk)
-		}
-	}
-	for n, sk := range r.quants {
-		if match(n) {
-			targets = append(targets, sk)
-		}
-	}
-	for n, sk := range r.cms {
-		if match(n) {
-			targets = append(targets, sk)
-		}
-	}
+	r.lockOpen()
+	targets := r.namedLocked(name)
 	if len(targets) == 0 {
+		r.mu.Unlock()
 		return nil, fmt.Errorf("%w: no registered sketches to autoscale", ErrConfig)
 	}
-	ctls := make([]*autoscale.Controller, 0, len(targets))
-	for _, tgt := range targets {
-		ctl, err := autoscale.New(tgt, p)
+	// Build every controller before swapping any, so a bad policy attaches
+	// nothing rather than half a fleet.
+	ctls := make([]*autoscale.Controller, len(targets))
+	for i, e := range targets {
+		ctl, err := autoscale.New(e.sk, p)
 		if err != nil {
+			r.mu.Unlock()
 			return nil, err
 		}
-		if r.memPressure != nil {
-			ctl.SetMemoryPressure(r.memPressure)
-		}
-		ctls = append(ctls, ctl)
-		r.controllers = append(r.controllers, registryController{ctl, tgt})
+		ctls[i] = ctl
 	}
-	// Start only after every policy validated, so a bad policy attaches
-	// nothing rather than half a fleet. (A partial validation failure above
-	// leaves the recorded-but-never-started entries harmless: Stop on a
-	// never-started controller is a no-op.)
-	for _, ctl := range ctls {
-		ctl.Start()
+	replaced := make([]*autoscale.Controller, len(targets))
+	for i, e := range targets {
+		replaced[i] = r.swapControllerLocked(e, ctls[i])
+	}
+	r.mu.Unlock()
+	for _, ctl := range replaced {
+		if ctl != nil {
+			ctl.Stop()
+		}
 	}
 	return ctls, nil
+}
+
+// swapControllerLocked makes ctl the (started) controller of e and returns
+// the one it replaced, nil if none; the caller stops that one outside r.mu.
+// Caller holds r.mu.
+func (r *Registry) swapControllerLocked(e *entry, ctl *autoscale.Controller) (replaced *autoscale.Controller) {
+	if r.memPressure != nil {
+		ctl.SetMemoryPressure(r.memPressure)
+	}
+	replaced, e.ctl = e.ctl, ctl
+	ctl.Start()
+	return replaced
+}
+
+// attachController replaces the autoscale controller of one specific
+// sketch: a fresh started one under p takes over, and the controller it
+// replaces (if any) is stopped — so Spec.Autoscale, Handle.Autoscale and a
+// Restore into a registry with live controllers swap rather than stack (no
+// goroutine leak). On a policy validation error the previous controller
+// stays attached. A sketch that was dropped meanwhile is refused: nothing
+// would ever stop its controller.
+func (r *Registry) attachController(e *entry, p autoscale.Policy) error {
+	ctl, err := autoscale.New(e.sk, p)
+	if err != nil {
+		return err
+	}
+	r.mu.Lock()
+	if r.closed || r.sketches[e.key] != e {
+		r.mu.Unlock()
+		return fmt.Errorf("%w: autoscale on a dropped or closed sketch %s/%s", ErrConfig, e.key.fam, e.key.name)
+	}
+	replaced := r.swapControllerLocked(e, ctl)
+	r.mu.Unlock()
+	if replaced != nil {
+		replaced.Stop()
+	}
+	return nil
+}
+
+// detachController stops and detaches the controller driving e, reporting
+// how many (0 or 1) were stopped — Handle.StopAutoscale.
+func (r *Registry) detachController(e *entry) int {
+	r.lockOpen()
+	ctl := e.ctl
+	e.ctl = nil
+	r.mu.Unlock()
+	if ctl == nil {
+		return 0
+	}
+	ctl.Stop()
+	return 1
 }
 
 // Config returns a copy of the registry's normalised configuration — the
@@ -794,52 +749,39 @@ type lifecycleSpec struct {
 	pinned  bool
 }
 
-// shardedIntrospect is the slice of the generic Sharded layer the metadata
-// hooks read; all four family wrappers satisfy it.
-type shardedIntrospect interface {
-	Shards() int
-	Relaxation() int
-	ShardRelaxation() int
-	Eager() bool
-	ViewEnabled() bool
-	ViewLag() time.Duration
-	WindowStats() (shard.WindowInfo, bool)
-	Pressure() core.PressureSample
-	SizeBytes() int64
-}
-
-// infoEntry is the under-lock snapshot Infos takes: the identity, the
-// sketch pointer, and the lifecycle record. Everything else — every
-// per-sketch introspection call and the final sort — happens outside the
-// registry lock, so a slow enumeration (a /metrics scrape walking thousands
-// of sketches) can never stall Open/Drop.
+// infoEntry is the under-lock snapshot Info and Infos take: the entry and a
+// copy of its lifecycle record. Everything else — every per-sketch
+// introspection call and the final sort — happens outside the registry
+// lock, so a slow enumeration (a /metrics scrape walking thousands of
+// sketches) can never stall Open/Drop.
 type infoEntry struct {
-	family, name string
-	sk           shardedIntrospect
-	lc           lifecycleSpec
+	e  *entry
+	lc lifecycleSpec
 }
 
-func (r *Registry) info(e infoEntry) SketchInfo {
-	pr := e.sk.Pressure()
+func (r *Registry) info(ie infoEntry) SketchInfo {
+	sk := ie.e.sk
+	pr := sk.Pressure()
+	_, viewEnabled := sk.ViewSettings()
 	si := SketchInfo{
-		Family: e.family, Name: e.name,
-		Shards: e.sk.Shards(), Writers: r.cfg.Writers,
-		Relaxation:      e.sk.Relaxation(),
-		ShardRelaxation: e.sk.ShardRelaxation(),
-		Eager:           e.sk.Eager(),
-		ViewEnabled:     e.sk.ViewEnabled(),
-		ViewLag:         e.sk.ViewLag(),
+		Family: ie.e.key.fam.String(), Name: ie.e.key.name,
+		Shards: sk.Shards(), Writers: r.cfg.Writers,
+		Relaxation:      sk.Relaxation(),
+		ShardRelaxation: sk.ShardRelaxation(),
+		Eager:           sk.Eager(),
+		ViewEnabled:     viewEnabled,
+		ViewLag:         sk.ViewLag(),
 		Ingested:        pr.Ingested,
 		Merged:          pr.Merged,
 		Backlog:         pr.Backlog(),
-		SizeBytes:       e.sk.SizeBytes(),
-		IdleTTL:         e.lc.idleTTL,
-		Pinned:          e.lc.pinned,
+		SizeBytes:       sk.SizeBytes(),
+		IdleTTL:         ie.lc.idleTTL,
+		Pinned:          ie.lc.pinned,
 	}
 	// WindowStats is wait-free (one epoch load plus a clock read), keeping
 	// the rule that info() never takes a lock or folds sketch state — a
 	// metrics scrape walking thousands of sketches must not stall rotations.
-	if wi, ok := e.sk.WindowStats(); ok {
+	if wi, ok := sk.WindowStats(); ok {
 		si.WindowEnabled = true
 		si.WindowInterval = wi.Interval
 		si.WindowSlots = wi.Slots
@@ -851,60 +793,18 @@ func (r *Registry) info(e infoEntry) SketchInfo {
 	return si
 }
 
-// lookup returns the named sketch of the given family without creating it.
-// The caller must hold r.mu (any mode).
-func (r *Registry) lookup(family, name string) (shardedIntrospect, bool) {
-	switch family {
-	case "theta":
-		sk, ok := r.thetas[name]
-		return sk, ok
-	case "hll":
-		sk, ok := r.hlls[name]
-		return sk, ok
-	case "quantiles":
-		sk, ok := r.quants[name]
-		return sk, ok
-	case "countmin":
-		sk, ok := r.cms[name]
-		return sk, ok
-	}
-	return nil, false
-}
-
 // Info returns the named sketch's metadata without creating it. Family is
 // one of "theta", "hll", "quantiles", "countmin" (the prefixes Names uses).
 func (r *Registry) Info(family, name string) (SketchInfo, bool) {
 	r.mu.RLock()
-	sk, ok := r.lookup(family, name)
-	lc := r.lifecycles[family+"/"+name]
-	r.mu.RUnlock()
-	if !ok {
+	e := r.lookup(family, name)
+	if e == nil {
+		r.mu.RUnlock()
 		return SketchInfo{}, false
 	}
-	return r.info(infoEntry{family, name, sk, lc}), true
-}
-
-// snapshotLocked appends one infoEntry per sketch of family fam to dst.
-// Caller holds r.mu (any mode).
-func snapshotLocked[S shardedIntrospect](r *Registry, dst []infoEntry, fam string, m map[string]S) []infoEntry {
-	for n, sk := range m {
-		dst = append(dst, infoEntry{fam, n, sk, r.lifecycles[fam+"/"+n]})
-	}
-	return dst
-}
-
-// snapshot collects the identity/pointer pairs of every registered sketch
-// under one brief RLock — the only part of an enumeration that needs the
-// registry lock at all.
-func (r *Registry) snapshot() []infoEntry {
-	r.mu.RLock()
-	entries := make([]infoEntry, 0, len(r.thetas)+len(r.hlls)+len(r.quants)+len(r.cms))
-	entries = snapshotLocked(r, entries, "theta", r.thetas)
-	entries = snapshotLocked(r, entries, "hll", r.hlls)
-	entries = snapshotLocked(r, entries, "quantiles", r.quants)
-	entries = snapshotLocked(r, entries, "countmin", r.cms)
+	ie := infoEntry{e, e.lc}
 	r.mu.RUnlock()
-	return entries
+	return r.info(ie), true
 }
 
 // Infos returns every registered sketch's metadata, sorted by family then
@@ -916,10 +816,15 @@ func (r *Registry) snapshot() []infoEntry {
 // concurrently may still appear in the result — its counters summarise its
 // final drained state, the same staleness any enumeration has.
 func (r *Registry) Infos() []SketchInfo {
-	entries := r.snapshot()
+	r.mu.RLock()
+	entries := make([]infoEntry, 0, len(r.sketches))
+	for _, e := range r.sketches {
+		entries = append(entries, infoEntry{e, e.lc})
+	}
+	r.mu.RUnlock()
 	out := make([]SketchInfo, len(entries))
-	for i, e := range entries {
-		out[i] = r.info(e)
+	for i, ie := range entries {
+		out[i] = r.info(ie)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Family != out[j].Family {
@@ -932,52 +837,29 @@ func (r *Registry) Infos() []SketchInfo {
 
 // Drop closes and removes the named sketch of the given family, reporting
 // whether it existed: its propagators stop (after an exact drain of every
-// buffer), any autoscaling controllers attached to it are stopped first,
-// and the name becomes free — the next accessor call under it creates a
-// fresh, empty sketch. Handles retained by callers stay queryable (merged
-// queries are wait-free and summarise the final drained state) but must not
-// be updated: an Update on a dropped sketch blocks forever, the same
-// contract as Close. Like every registry accessor it panics after Close.
+// buffer), an autoscaling controller attached to it is stopped first, and
+// the name becomes free — the next accessor call under it creates a fresh,
+// empty sketch. Handles retained by callers stay queryable (merged queries
+// are wait-free and summarise the final drained state) but must not be
+// updated: an Update on a dropped sketch blocks forever, the same contract
+// as Close. Like every registry accessor it panics after Close.
 func (r *Registry) Drop(family, name string) bool {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		panic("fastsketches: Registry used after Close")
-	}
-	sk, ok := r.lookup(family, name)
-	if !ok {
+	r.lockOpen()
+	e := r.lookup(family, name)
+	if e == nil {
 		r.mu.Unlock()
 		return false
 	}
-	switch family {
-	case "theta":
-		delete(r.thetas, name)
-	case "hll":
-		delete(r.hlls, name)
-	case "quantiles":
-		delete(r.quants, name)
-	case "countmin":
-		delete(r.cms, name)
-	}
-	delete(r.lifecycles, family+"/"+name)
-	// Stop this sketch's controllers before its propagators: a live
-	// controller mid-Tick could otherwise ask a closing sketch to resize.
-	var stop []*autoscale.Controller
-	kept := r.controllers[:0]
-	for _, rc := range r.controllers {
-		if any(rc.target) == any(sk) {
-			stop = append(stop, rc.ctl)
-		} else {
-			kept = append(kept, rc)
-		}
-	}
-	r.controllers = kept
+	delete(r.sketches, e.key)
+	ctl := e.ctl
+	e.ctl = nil
 	r.mu.Unlock()
-	for _, ctl := range stop {
+	// Stop the sketch's controller before its propagators: a live
+	// controller mid-Tick could otherwise ask a closing sketch to resize.
+	if ctl != nil {
 		ctl.Stop()
 	}
-	type closer interface{ Close() }
-	sk.(closer).Close()
+	e.sk.Close()
 	return true
 }
 
@@ -986,23 +868,14 @@ func (r *Registry) Drop(family, name string) bool {
 // concatenations and the sort happen outside it.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
-	keys := make([][2]string, 0, len(r.thetas)+len(r.hlls)+len(r.quants)+len(r.cms))
-	for n := range r.thetas {
-		keys = append(keys, [2]string{"theta", n})
-	}
-	for n := range r.hlls {
-		keys = append(keys, [2]string{"hll", n})
-	}
-	for n := range r.quants {
-		keys = append(keys, [2]string{"quantiles", n})
-	}
-	for n := range r.cms {
-		keys = append(keys, [2]string{"countmin", n})
+	keys := make([]sketchKey, 0, len(r.sketches))
+	for k := range r.sketches {
+		keys = append(keys, k)
 	}
 	r.mu.RUnlock()
 	out := make([]string, len(keys))
 	for i, k := range keys {
-		out[i] = k[0] + "/" + k[1]
+		out[i] = k.fam.String() + "/" + k.name
 	}
 	sort.Strings(out)
 	return out
@@ -1020,19 +893,12 @@ func (r *Registry) Close() {
 	r.closed = true
 	// Controllers first: a stopped controller issues no further resizes, so
 	// no propagator can be asked to drain mid-shutdown.
-	for _, rc := range r.controllers {
-		rc.ctl.Stop()
+	for _, e := range r.sketches {
+		if e.ctl != nil {
+			e.ctl.Stop()
+		}
 	}
-	for _, sk := range r.thetas {
-		sk.Close()
-	}
-	for _, sk := range r.hlls {
-		sk.Close()
-	}
-	for _, sk := range r.quants {
-		sk.Close()
-	}
-	for _, sk := range r.cms {
-		sk.Close()
+	for _, e := range r.sketches {
+		e.sk.Close()
 	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"fastsketches"
 	"fastsketches/internal/autoscale"
+	"fastsketches/internal/clock"
 )
 
 func TestRegistryViewFacades(t *testing.T) {
@@ -38,7 +39,7 @@ func TestRegistryViewFacades(t *testing.T) {
 		cm.Update(0, uint64(i%10))
 	}
 
-	clk := autoscale.NewManualClock(time.Unix(1<<20, 0))
+	clk := clock.NewManual(time.Unix(1<<20, 0))
 	n, err := reg.ReplaceView("metrics", fastsketches.ViewConfig{
 		RefreshEvery: time.Hour, MaxAge: -1, Clock: clk,
 	})

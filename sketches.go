@@ -72,8 +72,7 @@
 // reusable merge accumulators, and query methods reset one and fold the
 // shard snapshots into it rather than allocating per query. Callers that
 // prefer to own the accumulator (one per reader goroutine, say) build one
-// with the sketch's NewAccumulator and query through QueryInto or the
-// registry's per-family QueryInto facades.
+// with the handle's NewAccumulator and query through its QueryInto.
 //
 // # Live resharding
 //
