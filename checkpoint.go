@@ -207,15 +207,6 @@ func (r *Registry) restoreRecord(rec *snapshot.Record) error {
 	if err := sk.ImportSnapshot(rec.Blob); err != nil {
 		return err
 	}
-	if rec.HasView {
-		sk.DisableView()
-		if err := sk.EnableView(shard.ViewConfig{
-			RefreshEvery: time.Duration(rec.ViewRefreshNs),
-			MaxAge:       time.Duration(rec.ViewMaxAgeNs),
-		}); err != nil {
-			return err
-		}
-	}
 	if rec.HasWindow {
 		// Disable-then-restore: restoring over a live window folds the old
 		// window's closed slots into the cumulative legacy (DisableWindow's
@@ -228,6 +219,17 @@ func (r *Registry) restoreRecord(rec *snapshot.Record) error {
 			Slots:    int(rec.WindowSlots),
 			Decay:    rec.WindowDecay,
 		}, rec.WindowSlotBlobs, rec.WindowDecayedBlob); err != nil {
+			return err
+		}
+	}
+	if rec.HasView {
+		// After the window: EnableView publishes its first view synchronously,
+		// and that fold must already see the restored ring.
+		sk.DisableView()
+		if err := sk.EnableView(shard.ViewConfig{
+			RefreshEvery: time.Duration(rec.ViewRefreshNs),
+			MaxAge:       time.Duration(rec.ViewMaxAgeNs),
+		}); err != nil {
 			return err
 		}
 	}

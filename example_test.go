@@ -70,17 +70,3 @@ func ExampleNewConcurrentCountMin() {
 		cm.EstimateString("GET /index"), cm.EstimateString("GET /health"))
 	// Output: index=300 health=100
 }
-
-// Reservoir sampling estimates mean statistics of a stream.
-func ExampleNewConcurrentReservoir() {
-	r, err := fastsketches.NewConcurrentReservoir(fastsketches.ReservoirConfig{K: 256})
-	if err != nil {
-		panic(err)
-	}
-	for i := 0; i < 100000; i++ {
-		r.Update(0, 7.0) // constant stream → exact mean
-	}
-	r.Close()
-	fmt.Printf("mean=%.1f\n", r.Mean())
-	// Output: mean=7.0
-}

@@ -91,8 +91,9 @@ var matrixDrivers = map[wire.Family]func(r *Registry, name string) (matrixDriver
 
 // TestFamilyMatrixLifecycle walks every row of the family table through the
 // registry's whole lifecycle with identical assertions: open → UpdateBatch →
-// Resize → view on/off → window + RotateNow → Checkpoint → Restore into a
-// fresh registry → Info/Names → Drop.
+// Resize → view on/off → window + RotateNow → view over the window →
+// Checkpoint → Restore into a fresh registry → Info/Names → Close →
+// Checkpoint → Restore → Drop.
 func TestFamilyMatrixLifecycle(t *testing.T) {
 	// The table has a row for every family the wire (and the checkpoint
 	// codec) lets through, and no more.
@@ -175,49 +176,77 @@ func TestFamilyMatrixLifecycle(t *testing.T) {
 			}
 			near("total after rotation", d.total(), 1500)
 
+			// A view over the windowed sketch, parked on the same manual clock,
+			// so the checkpoint record carries both.
+			if err := d.EnableView(ViewConfig{RefreshEvery: time.Hour, MaxAge: -1, Clock: wcfg.Clock}); err != nil {
+				t.Fatal(err)
+			}
+			near("total through the view over the window", d.total(), 1500)
+
+			// restored checkpoints from and restores into a fresh registry.
+			restored := func(from *Registry) (*Registry, matrixDriver) {
+				t.Helper()
+				var ckpt bytes.Buffer
+				if err := from.Checkpoint(&ckpt); err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := NewRegistry(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(fresh.Close)
+				if err := fresh.Restore(&ckpt); err != nil {
+					t.Fatal(err)
+				}
+				rd, err := open(fresh, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fresh, rd
+			}
+
 			// Checkpoint, restore into a fresh registry: same identity,
-			// geometry, window shape and state.
-			var ckpt bytes.Buffer
-			if err := reg.Checkpoint(&ckpt); err != nil {
-				t.Fatal(err)
-			}
-			fresh, err := NewRegistry(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fresh.Close()
-			if err := fresh.Restore(&ckpt); err != nil {
-				t.Fatal(err)
-			}
+			// geometry, view, window shape and state. The restored view never
+			// refreshes here (1h, never expires), so its first publication
+			// must already hold the ring for the cumulative total to be whole.
+			fresh, rd := restored(reg)
 			if got, want := fresh.Names(), reg.Names(); !slices.Equal(got, want) || len(got) != 1 {
 				t.Errorf("restored Names = %v, source has %v", got, want)
 			}
 			inf, ok := fresh.Info(fam.String(), name)
-			if !ok || inf.Shards != 3 || !inf.WindowEnabled || inf.WindowSlots != 2 || inf.WindowInterval != time.Hour {
-				t.Errorf("restored Info = %+v (ok=%v), want S=3 with a 2×1h window", inf, ok)
+			if !ok || inf.Shards != 3 || !inf.ViewEnabled || !inf.WindowEnabled || inf.WindowSlots != 2 || inf.WindowInterval != time.Hour {
+				t.Errorf("restored Info = %+v (ok=%v), want S=3 with a view and a 2×1h window", inf, ok)
 			}
-			rd, err := open(fresh, name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			near("restored total", rd.total(), 1500)
-			if got, ok := rd.window(); !ok {
+			wantTotal := rd.total()
+			near("restored total", wantTotal, 1500)
+			wantWindow, ok := rd.window()
+			if !ok {
 				t.Error("restored sketch lost its window")
-			} else {
-				near("restored window", got, 500)
+			}
+			near("restored window", wantWindow, 500)
+
+			// A checkpoint taken after Close (sketchd's graceful shutdown)
+			// carries the same ring as the one taken before it.
+			reg.Close()
+			_, cd := restored(reg)
+			if got := cd.total(); got != wantTotal {
+				t.Errorf("total restored from a post-Close checkpoint = %.0f, pre-Close checkpoint gave %.0f", got, wantTotal)
+			}
+			if got, _ := cd.window(); got != wantWindow {
+				t.Errorf("window restored from a post-Close checkpoint = %.0f, pre-Close checkpoint gave %.0f", got, wantWindow)
 			}
 
 			// Drop: gone from Info and Names, and a second Drop finds nothing.
-			if !d.Drop() {
+			if !rd.Drop() {
 				t.Error("Drop found nothing")
 			}
-			if _, ok := d.Info(); ok {
+			if _, ok := rd.Info(); ok {
 				t.Error("Info still answers after Drop")
 			}
-			if names := reg.Names(); len(names) != 0 {
+			if names := fresh.Names(); len(names) != 0 {
 				t.Errorf("Names after Drop = %v", names)
 			}
-			if reg.Drop(fam.String(), name) {
+			if fresh.Drop(fam.String(), name) {
 				t.Error("second Drop found the sketch again")
 			}
 		})

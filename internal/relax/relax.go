@@ -16,12 +16,15 @@
 // the updates invoked before its response containing all but ≤ r of the
 // updates that completed before its invocation, i.e.
 //
-//	completedBefore(q) − r  ≤  v  ≤  startedBefore(q).
+//	completedBefore(q.invoke) − r  ≤  v  ≤  startedBefore(q.response).
 //
-// The package records real histories with monotonic per-event timestamps
-// and checks this window for every query, providing the empirical
-// counterpart of the paper's Theorem 1 on actual executions (the
-// exhaustive-schedule counterpart lives in internal/core's model tests).
+// The package records real histories with monotonic per-event timestamps —
+// a query is an interval like an update: stamped before the read and again
+// after it, so updates that complete while the querier is preempted between
+// the two are not charged to it — and checks this window for every query,
+// providing the empirical counterpart of the paper's Theorem 1 on actual
+// executions (the exhaustive-schedule counterpart lives in internal/core's
+// model tests).
 package relax
 
 import (
@@ -39,10 +42,11 @@ const (
 	UpdateInvoke EventKind = iota
 	// UpdateResponse marks its completion.
 	UpdateResponse
-	// QueryPoint marks a query (invoke and response collapse: the queries
-	// of the concurrent sketch are a single atomic load, so the interval
-	// is one point in the recorder's clock).
-	QueryPoint
+	// QueryInvoke marks the start of a query, stamped before the sketch is
+	// read.
+	QueryInvoke
+	// QueryResponse marks its completion and carries the value it returned.
+	QueryResponse
 )
 
 // Event is one history entry.
@@ -52,9 +56,10 @@ type Event struct {
 	// totally orders events (the recorder's linearisation of the
 	// instrumentation points).
 	Seq uint64
-	// Writer identifies the lane for update events.
+	// Writer identifies the lane for update events and the querier for
+	// query events; each issues one operation at a time.
 	Writer int
-	// Value is the query result for QueryPoint events.
+	// Value is the query result for QueryResponse events.
 	Value float64
 }
 
@@ -93,9 +98,16 @@ func (r *Recorder) UpdateReturned(writer int) {
 	r.record(Event{Kind: UpdateResponse, Writer: writer})
 }
 
-// QueryObserved records a query and the value it returned.
-func (r *Recorder) QueryObserved(value float64) {
-	r.record(Event{Kind: QueryPoint, Value: value})
+// QueryInvoked records the invocation of a query; call it before reading
+// the sketch.
+func (r *Recorder) QueryInvoked(querier int) {
+	r.record(Event{Kind: QueryInvoke, Writer: querier})
+}
+
+// QueryReturned records the completion of the querier's outstanding query
+// and the value it returned.
+func (r *Recorder) QueryReturned(querier int, value float64) {
+	r.record(Event{Kind: QueryResponse, Writer: querier, Value: value})
 }
 
 // History returns the recorded events in sequence order.
@@ -117,8 +129,30 @@ type Violation struct {
 }
 
 func (v Violation) Error() string {
-	return fmt.Sprintf("relax: query@%d returned %v outside [completed−r, started] = [%d−%d, %d]",
+	return fmt.Sprintf("relax: query@%d returned %v outside [completedBefore(invoke)−r, startedBefore(response)] = [%d−%d, %d]",
 		v.QuerySeq, v.Value, v.CompletedBefore, v.R, v.StartedBefore)
+}
+
+// eachQuery walks a history in sequence order and calls fn for every
+// completed query with the two counts its window is made of: the updates
+// completed before its invocation and the updates started before its
+// response. It returns the number of updates invoked.
+func eachQuery(history []Event, fn func(q Event, completedBefore, startedBefore int)) (started int) {
+	completed := 0
+	atInvoke := map[int]int{} // querier → completedBefore(its open query's invoke)
+	for _, e := range history {
+		switch e.Kind {
+		case UpdateInvoke:
+			started++
+		case UpdateResponse:
+			completed++
+		case QueryInvoke:
+			atInvoke[e.Writer] = completed
+		case QueryResponse:
+			fn(e, atInvoke[e.Writer], started)
+		}
+	}
+	return started
 }
 
 // CheckDistinctExact verifies a recorded history of a distinct-counting
@@ -126,27 +160,17 @@ func (v Violation) Error() string {
 // against the r-relaxation window. It returns every violating query.
 func CheckDistinctExact(history []Event, r int) []Violation {
 	var violations []Violation
-	started, completed := 0, 0
-	for _, e := range history {
-		switch e.Kind {
-		case UpdateInvoke:
-			started++
-		case UpdateResponse:
-			completed++
-		case QueryPoint:
-			lo := float64(completed - r)
-			hi := float64(started)
-			if e.Value < lo || e.Value > hi {
-				violations = append(violations, Violation{
-					QuerySeq:        e.Seq,
-					Value:           e.Value,
-					CompletedBefore: completed,
-					StartedBefore:   started,
-					R:               r,
-				})
-			}
+	eachQuery(history, func(q Event, completed, started int) {
+		if q.Value < float64(completed-r) || q.Value > float64(started) {
+			violations = append(violations, Violation{
+				QuerySeq:        q.Seq,
+				Value:           q.Value,
+				CompletedBefore: completed,
+				StartedBefore:   started,
+				R:               r,
+			})
 		}
-	}
+	})
 	return violations
 }
 
@@ -154,28 +178,20 @@ func CheckDistinctExact(history []Event, r int) []Violation {
 type Stats struct {
 	Updates int
 	Queries int
-	// MaxDeficit is the largest (completedBefore − value) over all queries:
-	// how close the execution came to the relaxation bound.
+	// MaxDeficit is the largest (completedBefore(invoke) − value) over all
+	// queries: how close the execution came to the relaxation bound.
 	MaxDeficit float64
 }
 
 // Summarise computes history statistics.
 func Summarise(history []Event) Stats {
 	var st Stats
-	completed := 0
-	for _, e := range history {
-		switch e.Kind {
-		case UpdateInvoke:
-			st.Updates++
-		case UpdateResponse:
-			completed++
-		case QueryPoint:
-			st.Queries++
-			if d := float64(completed) - e.Value; d > st.MaxDeficit {
-				st.MaxDeficit = d
-			}
+	st.Updates = eachQuery(history, func(q Event, completed, _ int) {
+		st.Queries++
+		if d := float64(completed) - q.Value; d > st.MaxDeficit {
+			st.MaxDeficit = d
 		}
-	}
+	})
 	return st
 }
 

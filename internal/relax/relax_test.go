@@ -111,7 +111,8 @@ func TestCheckDistinctExactWindow(t *testing.T) {
 		rec.UpdateInvoked(0)
 		rec.UpdateReturned(0)
 	}
-	rec.QueryObserved(2)
+	rec.QueryInvoked(0)
+	rec.QueryReturned(0, 2)
 	h := rec.History()
 	if v := CheckDistinctExact(h, 2); len(v) != 1 {
 		t.Fatalf("expected 1 violation with r=2, got %v", v)
@@ -131,7 +132,8 @@ func TestQueryExceedingStartedIsViolation(t *testing.T) {
 	rec := NewRecorder()
 	rec.UpdateInvoked(0)
 	rec.UpdateReturned(0)
-	rec.QueryObserved(5) // only 1 update ever started
+	rec.QueryInvoked(0)
+	rec.QueryReturned(0, 5) // only 1 update ever started
 	if v := CheckDistinctExact(rec.History(), 100); len(v) != 1 {
 		t.Fatal("query above started-count must violate regardless of r")
 	}
@@ -159,7 +161,8 @@ func TestRealExecutionHistories(t *testing.T) {
 				return
 			default:
 			}
-			rec.QueryObserved(comp.Estimate())
+			rec.QueryInvoked(0)
+			rec.QueryReturned(0, comp.Estimate())
 			runtime.Gosched() // let writers run on small machines
 		}
 	}()
@@ -182,11 +185,7 @@ func TestRealExecutionHistories(t *testing.T) {
 
 	h := rec.History()
 	r := fw.Relaxation()
-	// Instrumentation skew: an update may be recorded as completed slightly
-	// before/after its effect is visible; the recorder's clock is not the
-	// linearisation order. Allow one extra batch of slack per writer.
-	slack := writers * b
-	if viol := CheckDistinctExact(h, r+slack); len(viol) > 0 {
+	if viol := CheckDistinctExact(h, r); len(viol) > 0 {
 		t.Fatalf("%d queries violated the r=%d window (first: %v)", len(viol), r, viol[0])
 	}
 	st := Summarise(h)

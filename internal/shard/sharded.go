@@ -154,8 +154,8 @@ type Sharded[T any, A Accumulator[A], C Mergeable[T, A]] struct {
 	vr atomic.Pointer[viewRuntime[A]]
 	// wr is the rotator runtime while a sliding window is enabled; nil
 	// otherwise. Mutated only under resizeMu (EnableWindow/DisableWindow/
-	// Close); its ring is mutated only under resizeMu too (see window.go).
-	wr atomic.Pointer[windowRuntime[A]]
+	// Close). The ring it rotates lives on the epoch's window plane.
+	wr atomic.Pointer[windowRuntime]
 
 	// resizeMu serialises Resize, Close, rotation and view/window
 	// enable/disable; none is on a hot path.

@@ -20,7 +20,7 @@ import (
 //
 // All window mutation — rotation, enable/disable, checkpoint export,
 // restore — is serialised by resizeMu; readers only ever touch the
-// immutable epochWindow published on the epoch pointer.
+// immutable planes of the epochWindow published on the epoch pointer.
 
 // WindowConfig declares a sliding window on a sharded sketch; see
 // window.Config for field semantics.
@@ -32,7 +32,7 @@ type WindowConfig = window.Config
 // rotation (it belongs to the open interval, not to legacy); decayed is the
 // exponential-decay plane when cfg.Decay ∈ (0,1). Like legacy, each plane
 // is shared read-only by every querier once published.
-type epochWindow[A any] struct {
+type epochWindow[A window.Acc[A]] struct {
 	cfg window.Config
 
 	merged     A
@@ -47,14 +47,17 @@ type epochWindow[A any] struct {
 	liveStart int64
 	// rotations counts completed rotations since the window was enabled.
 	rotations uint64
+
+	// ring holds the closed slots. Unlike the planes above it is mutable:
+	// touched only under resizeMu (rotation, checkpoint export), never by
+	// queries — they read the suffix-merge instead. It lives here, not on
+	// the rotator runtime, so it survives Close for a final checkpoint.
+	ring *window.Ring[A]
 }
 
-// windowRuntime is the rotator state while a window is enabled. The ring is
-// mutated only under resizeMu (rotation, checkpoint export), never read by
-// queries — they read the suffix-merge on the epoch instead.
-type windowRuntime[A window.Acc[A]] struct {
-	cfg  window.Config
-	ring *window.Ring[A]
+// windowRuntime is the rotator goroutine's handle while a window is enabled.
+type windowRuntime struct {
+	cfg window.Config
 
 	stop chan struct{}
 	done chan struct{}
@@ -98,12 +101,12 @@ func (s *Sharded[T, A, C]) EnableWindow(cfg WindowConfig) error {
 		win: &epochWindow[A]{
 			cfg:       cfg,
 			liveStart: cfg.Clock.Now().UnixNano(),
+			ring:      window.NewRing[A](cfg.Slots),
 		},
 	}
 	s.st.Store(next)
-	wr := &windowRuntime[A]{
+	wr := &windowRuntime{
 		cfg:  cfg,
-		ring: window.NewRing[A](cfg.Slots),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -113,7 +116,7 @@ func (s *Sharded[T, A, C]) EnableWindow(cfg WindowConfig) error {
 }
 
 // rotateLoop paces rotations on the window clock until stopped.
-func (s *Sharded[T, A, C]) rotateLoop(wr *windowRuntime[A]) {
+func (s *Sharded[T, A, C]) rotateLoop(wr *windowRuntime) {
 	defer close(wr.done)
 	for {
 		select {
@@ -166,7 +169,7 @@ func (s *Sharded[T, A, C]) DisableWindow() bool {
 // stopWindow tears down a detached rotator runtime. Must be called without
 // resizeMu held: the loop's in-flight tick acquires resizeMu in RotateNow
 // (and no-ops once the runtime is detached).
-func (s *Sharded[T, A, C]) stopWindow(wr *windowRuntime[A]) {
+func (s *Sharded[T, A, C]) stopWindow(wr *windowRuntime) {
 	close(wr.stop)
 	<-wr.done
 }
@@ -178,11 +181,10 @@ func (s *Sharded[T, A, C]) stopWindow(wr *windowRuntime[A]) {
 func (s *Sharded[T, A, C]) RotateNow() bool {
 	s.resizeMu.Lock()
 	defer s.resizeMu.Unlock()
-	wr := s.wr.Load()
-	if wr == nil || s.closed {
+	if s.wr.Load() == nil || s.closed {
 		return false
 	}
-	s.rotateLocked(wr)
+	s.rotateLocked()
 	return true
 }
 
@@ -205,7 +207,7 @@ func (s *Sharded[T, A, C]) RotateNow() bool {
 //  5. Publish the retired epoch carrying the new window plane — one atomic
 //     store moves the interval from live snapshots into the suffix-merge,
 //     so no query ever double-counts or misses it.
-func (s *Sharded[T, A, C]) rotateLocked(wr *windowRuntime[A]) {
+func (s *Sharded[T, A, C]) rotateLocked() {
 	st := s.st.Load()
 	w := st.win
 	if w == nil {
@@ -224,7 +226,7 @@ func (s *Sharded[T, A, C]) rotateLocked(wr *windowRuntime[A]) {
 	legacy, hasLegacy := st.legacy, st.hasLegacy
 	var slot A
 	haveSlot := false
-	if oldest, ok := wr.ring.PopIfFull(); ok {
+	if oldest, ok := w.ring.PopIfFull(); ok {
 		nl := s.mkAcc()
 		if hasLegacy {
 			legacy.FoldInto(nl)
@@ -243,19 +245,19 @@ func (s *Sharded[T, A, C]) rotateLocked(wr *windowRuntime[A]) {
 	for _, c := range st.comps {
 		c.SnapshotMergeInto(slot)
 	}
-	wr.ring.Push(slot)
+	w.ring.Push(slot)
 
 	merged := s.mkAcc()
-	wr.ring.FoldAll(merged)
+	w.ring.FoldAll(merged)
 	var decayed A
 	hasDecayed := false
-	if wr.cfg.Decay > 0 {
+	if w.cfg.Decay > 0 {
 		decayed = s.mkAcc()
 		if w.hasDecayed {
 			w.decayed.FoldInto(decayed)
 		}
 		if sc, ok := any(decayed).(window.Scalable); ok {
-			sc.ScaleBy(wr.cfg.Decay)
+			sc.ScaleBy(w.cfg.Decay)
 		}
 		slot.FoldInto(decayed)
 		hasDecayed = true
@@ -271,8 +273,9 @@ func (s *Sharded[T, A, C]) rotateLocked(wr *windowRuntime[A]) {
 			hasMerged:  true,
 			decayed:    decayed,
 			hasDecayed: hasDecayed,
-			liveStart:  wr.cfg.Clock.Now().UnixNano(),
+			liveStart:  w.cfg.Clock.Now().UnixNano(),
 			rotations:  w.rotations + 1,
+			ring:       w.ring,
 		},
 	}
 	s.st.Store(retired)
@@ -497,14 +500,15 @@ func (c *CountMin) DecayedCount(key uint64) (est uint64, ok bool) {
 // the base blob appended to dst covers everything outside the closed ring
 // slots (legacy ∪ carry ∪ live shards — restored into legacy), while each
 // closed slot and the decay plane are exported as separate blobs for
-// slot-by-slot restoration. When no window is enabled it degrades to the
-// plain cumulative export with an empty tail.
+// slot-by-slot restoration. Close stops the rotator but keeps the window
+// plane and its ring, so an export after Close carries the same slots as
+// one just before it. When no window is enabled it degrades to the plain
+// cumulative export with an empty tail.
 func (s *Sharded[T, A, C]) AppendWindowedSnapshot(dst []byte) (out []byte, slots [][]byte, decayed []byte) {
 	s.resizeMu.Lock()
 	defer s.resizeMu.Unlock()
 	st := s.st.Load()
 	w := st.win
-	wr := s.wr.Load()
 	acc := s.acquire()
 	if st.hasLegacy {
 		st.legacy.FoldInto(acc)
@@ -522,10 +526,10 @@ func (s *Sharded[T, A, C]) AppendWindowedSnapshot(dst []byte) (out []byte, slots
 	}
 	out = acc.ExportTo(dst)
 	s.release(acc)
-	if w == nil || wr == nil {
+	if w == nil {
 		return out, nil, nil
 	}
-	for _, sl := range wr.ring.Slots() {
+	for _, sl := range w.ring.Slots() {
 		slots = append(slots, sl.ExportTo(nil))
 	}
 	if w.hasDecayed {
@@ -538,9 +542,10 @@ func (s *Sharded[T, A, C]) AppendWindowedSnapshot(dst []byte) (out []byte, slots
 // (oldest first) are imported into fresh ring accumulators, the
 // suffix-merge is refreshed, the decay plane imported if present, and the
 // rotator started with a fresh live interval. The base blob must already
-// have been imported (ImportSnapshot → legacy) — restored closed slots are
-// counted by windowed queries only, never double-counted by cumulative
-// ones. Errors if a window is already enabled or the slots exceed the ring.
+// have been imported (ImportSnapshot → legacy): it excludes the closed
+// slots, so cumulative queries, which fold the suffix-merge beside legacy
+// (mergeEpoch), count each restored slot exactly once. Errors if a window is
+// already enabled or the slots exceed the ring.
 func (s *Sharded[T, A, C]) RestoreWindow(cfg WindowConfig, slotBlobs [][]byte, decayedBlob []byte) error {
 	cfg, err := cfg.Normalise()
 	if err != nil {
@@ -584,11 +589,11 @@ func (s *Sharded[T, A, C]) RestoreWindow(cfg WindowConfig, slotBlobs [][]byte, d
 		decayed:    decayed,
 		hasDecayed: hasDecayed,
 		liveStart:  cfg.Clock.Now().UnixNano(),
+		ring:       ring,
 	}
 	s.st.Store(&next)
-	wr := &windowRuntime[A]{
+	wr := &windowRuntime{
 		cfg:  cfg,
-		ring: ring,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}

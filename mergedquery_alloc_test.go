@@ -4,10 +4,10 @@ package fastsketches_test
 
 // TestMergedQueryZeroAlloc turns the PR's headline claim into an enforced
 // contract: steady-state merged queries through the pooled registry path
-// (and the caller-owned QueryInto path) must not allocate. CI's bench-smoke
-// job runs this test without the race detector; it is excluded under -race
-// because the race-mode sync.Pool intentionally drops puts at random, so
-// pool misses (and their allocations) are expected there.
+// (and the caller-owned QueryInto path) must not allocate. CI's test job
+// runs the ZeroAlloc tests in a step without the race detector; they are
+// excluded under -race because the race-mode sync.Pool intentionally drops
+// puts at random, so pool misses (and their allocations) are expected there.
 
 import (
 	"testing"
@@ -15,17 +15,12 @@ import (
 
 	"fastsketches"
 	"fastsketches/internal/clock"
-	"fastsketches/internal/mergedbench"
 )
 
 func TestMergedQueryZeroAlloc(t *testing.T) {
 	// 4 shards so the quantiles fold exercises the ping-ponged scratch
 	// buffers, not just the first-summary copy.
-	suite, err := mergedbench.NewSuite(4, 1<<12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertZeroAllocQueries(t, suite)
+	assertZeroAllocQueries(t, nil, false)
 }
 
 // TestMergedQueryZeroAllocAfterResize extends the contract across live
@@ -38,11 +33,7 @@ func TestMergedQueryZeroAlloc(t *testing.T) {
 // legacy accumulator is folded via the allocation-free FoldInto hooks, not
 // through escaping copies.
 func TestMergedQueryZeroAllocAfterResize(t *testing.T) {
-	suite, err := mergedbench.NewSuiteResized(4, 1<<12, []int{8, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertZeroAllocQueries(t, suite)
+	assertZeroAllocQueries(t, []int{8, 2}, false)
 }
 
 // TestMergedQueryZeroAllocThroughView extends the contract to the
@@ -55,6 +46,18 @@ func TestMergedQueryZeroAllocAfterResize(t *testing.T) {
 // acquire/release handshake, FoldInto from the view accumulator, pooled
 // accumulator reuse.
 func TestMergedQueryZeroAllocThroughView(t *testing.T) {
+	assertZeroAllocQueries(t, nil, true)
+}
+
+// assertZeroAllocQueries loads one sketch per family (S=4) with a fixed
+// stream, resizing every family to schedule[p] at the p-th of
+// len(schedule)+1 equal stream phases, then either publishes a view over
+// the live sketches or closes the registry (closed sketches stay queryable
+// and give deterministic per-query work), and requires every merged-query
+// path to run allocation-free.
+func assertZeroAllocQueries(t *testing.T, schedule []int, view bool) {
+	t.Helper()
+	const uniques = 1 << 12
 	reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{
 		Shards: 4, MaxError: 1, QuantilesK: 128, CountMinEpsilon: 0.01,
 	})
@@ -62,25 +65,39 @@ func TestMergedQueryZeroAllocThroughView(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	th, hl := openTheta(t, reg, "viewed").Sketch(), openHLL(t, reg, "viewed").Sketch()
-	qu, cm := openQuantiles(t, reg, "viewed").Sketch(), openCountMin(t, reg, "viewed").Sketch()
-	for i := 0; i < 1<<12; i++ {
+	th, hl := openTheta(t, reg, "bench").Sketch(), openHLL(t, reg, "bench").Sketch()
+	qu, cm := openQuantiles(t, reg, "bench").Sketch(), openCountMin(t, reg, "bench").Sketch()
+	for i, phase := 0, 0; i < uniques; i++ {
+		if phase < len(schedule) && i == (phase+1)*uniques/(len(schedule)+1) {
+			for _, fam := range []string{"theta", "hll", "quantiles", "countmin"} {
+				if err := reg.ResizeSketch(fam, "bench", schedule[phase]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			phase++
+		}
 		th.Update(0, uint64(i))
 		hl.Update(0, uint64(i))
 		qu.Update(0, float64(i%4096))
 		cm.Update(0, uint64(i%512))
 	}
-	clk := clock.NewManual(time.Unix(1<<20, 0))
-	if n, err := reg.ReplaceView("viewed", fastsketches.ViewConfig{
-		RefreshEvery: time.Hour, MaxAge: -1, Clock: clk,
-	}); err != nil || n != 4 {
-		t.Fatalf("ReplaceView = %d, %v; want all 4 families covered", n, err)
+	if view {
+		clk := clock.NewManual(time.Unix(1<<20, 0))
+		if n, err := reg.ReplaceView("bench", fastsketches.ViewConfig{
+			RefreshEvery: time.Hour, MaxAge: -1, Clock: clk,
+		}); err != nil || n != 4 {
+			t.Fatalf("ReplaceView = %d, %v; want all 4 families covered", n, err)
+		}
+	} else {
+		reg.Close()
 	}
 
 	var sinkF float64
 	var sinkU uint64
 	thAcc, hlAcc := th.NewAccumulator(), hl.NewAccumulator()
 	qAcc, cmAcc := qu.NewAccumulator(), cm.NewAccumulator()
+	// AllocsPerRun's warm-up call primes each sketch's accumulator pool and
+	// grows the reused buffers to steady state before counting.
 	paths := map[string]func(){
 		"theta/pooled":        func() { sinkF = th.Estimate() },
 		"theta/queryinto":     func() { th.QueryInto(thAcc); sinkF = thAcc.Estimate() },
@@ -89,33 +106,6 @@ func TestMergedQueryZeroAllocThroughView(t *testing.T) {
 		"quantiles/pooled":    func() { sinkF = qu.Quantile(0.99) },
 		"quantiles/queryinto": func() { qu.QueryInto(qAcc); sinkF = qAcc.Quantile(0.99) },
 		"countmin/queryinto":  func() { cm.QueryInto(cmAcc); sinkU = cmAcc.Estimate(7) },
-	}
-	for name, fn := range paths {
-		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
-			t.Errorf("%s through view: %v allocs/op steady-state, want 0", name, allocs)
-		}
-	}
-	_, _ = sinkF, sinkU
-}
-
-func assertZeroAllocQueries(t *testing.T, suite *mergedbench.Suite) {
-	t.Helper()
-	var sinkF float64
-	var sinkU uint64
-	thAcc := suite.Theta.NewAccumulator()
-	hllAcc := suite.HLL.NewAccumulator()
-	qAcc := suite.Quantiles.NewAccumulator()
-	cmAcc := suite.CountMin.NewAccumulator()
-	// AllocsPerRun's warm-up call primes each sketch's accumulator pool and
-	// grows the reused buffers to steady state before counting.
-	paths := map[string]func(){
-		"theta/pooled":        func() { sinkF = suite.Theta.Estimate() },
-		"theta/queryinto":     func() { suite.Theta.QueryInto(thAcc); sinkF = thAcc.Estimate() },
-		"hll/pooled":          func() { sinkF = suite.HLL.Estimate() },
-		"hll/queryinto":       func() { suite.HLL.QueryInto(hllAcc); sinkF = hllAcc.Estimate() },
-		"quantiles/pooled":    func() { sinkF = suite.Quantiles.Quantile(0.99) },
-		"quantiles/queryinto": func() { suite.Quantiles.QueryInto(qAcc); sinkF = qAcc.Quantile(0.99) },
-		"countmin/queryinto":  func() { suite.CountMin.QueryInto(cmAcc); sinkU = cmAcc.Estimate(7) },
 	}
 	for name, fn := range paths {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {

@@ -5,16 +5,13 @@
 // time while being built, with a provable bound on the error the concurrency
 // introduces.
 //
-// Five sketch families are provided, each in a sequential and a concurrent
+// Four sketch families are provided, each in a sequential and a concurrent
 // form:
 //
 //   - Θ (theta) sketches for distinct counting (KMV and QuickSelect
 //     variants, unions, intersections, differences, Jaccard similarity);
-//   - Quantiles sketches (mergeable summaries; a KLL variant lives in
-//     internal/kll) for rank/quantile queries;
+//   - Quantiles sketches (mergeable summaries) for rank/quantile queries;
 //   - HLL sketches for memory-lean distinct counting;
-//   - reservoir samples for mean statistics (Section 5.1's second
-//     pre-filtering example);
 //   - Count-Min sketches for per-key frequency estimates.
 //
 // The concurrent types follow the paper's OptParSketch algorithm: each
