@@ -1,9 +1,10 @@
 package fastsketches_test
 
-// Registry autoscaling facade tests: ReplaceAutoscale attaches one started
-// controller per sketch registered under the name, the controllers actually
-// walk S through the registry's sketches when driven by a manual clock, and
-// Close stops them. All timing is manual-clock driven — no sleeps.
+// Registry autoscaling facade tests: Registry.Apply with a Spec.Autoscale
+// attaches one started controller per sketch registered under the name, the
+// controllers actually walk S through the registry's sketches when driven by
+// a manual clock, and Close stops them. All timing is manual-clock driven —
+// no sleeps.
 
 import (
 	"testing"
@@ -16,8 +17,8 @@ import (
 
 // testPolicy returns an aggressive manual-clock policy: one qualifying
 // sample resizes, no cooldown.
-func testPolicy(mc *clock.Manual) autoscale.Policy {
-	return autoscale.Policy{
+func testPolicy(mc *clock.Manual) *autoscale.Policy {
+	return &autoscale.Policy{
 		MinShards: 1, MaxShards: 8,
 		HighWater: 1000, LowWater: 100,
 		SustainedUp: 1, SustainedDown: 1,
@@ -27,15 +28,24 @@ func testPolicy(mc *clock.Manual) autoscale.Policy {
 	}
 }
 
+// controllerStats reads the live counters of the controller driving
+// family/name.
+func controllerStats(reg *fastsketches.Registry, family, name string) func() autoscale.Stats {
+	return func() autoscale.Stats {
+		st, _ := reg.AutoscaleStats(family, name)
+		return st
+	}
+}
+
 // advanceTicks drives every controller through n full sampling periods,
 // synchronising on the manual clock's armed-timer count so no tick is lost
 // between a controller's wakeup and its re-arm.
-func advanceTicks(t *testing.T, mc *clock.Manual, ctls []*autoscale.Controller, n int) {
+func advanceTicks(t *testing.T, mc *clock.Manual, ctls []func() autoscale.Stats, n int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	base := make([]int64, len(ctls))
-	for i, ctl := range ctls {
-		base[i] = ctl.Stats().Samples
+	for i, stats := range ctls {
+		base[i] = stats().Samples
 	}
 	for tick := 1; tick <= n; tick++ {
 		for mc.Waiters() < len(ctls) {
@@ -45,8 +55,8 @@ func advanceTicks(t *testing.T, mc *clock.Manual, ctls []*autoscale.Controller, 
 			time.Sleep(50 * time.Microsecond)
 		}
 		mc.Advance(10 * time.Millisecond)
-		for i, ctl := range ctls {
-			for ctl.Stats().Samples < base[i]+int64(tick) {
+		for i, stats := range ctls {
+			for stats().Samples < base[i]+int64(tick) {
 				if time.Now().After(deadline) {
 					t.Fatal("controller never ticked")
 				}
@@ -67,26 +77,38 @@ func TestRegistryAutoscaleAttachesPerSketch(t *testing.T) {
 	mustOpen(t, reg.OpenCountMin, "tenant-b")
 
 	mc := clock.NewManual(time.Unix(1_000_000, 0))
-	ctls, err := reg.ReplaceAutoscale("tenant-a", testPolicy(mc))
-	if err != nil {
+	if err := reg.Apply("", "tenant-a", fastsketches.Spec{Autoscale: testPolicy(mc)}); err != nil {
 		t.Fatal(err)
 	}
-	if len(ctls) != 2 { // theta + hll under tenant-a; tenant-b not matched
-		t.Fatalf("ReplaceAutoscale(tenant-a) attached %d controllers, want 2", len(ctls))
+	// theta + hll under tenant-a; tenant-b not matched.
+	for _, fam := range []string{"theta", "hll"} {
+		if _, ok := reg.AutoscaleStats(fam, "tenant-a"); !ok {
+			t.Errorf("%s/tenant-a has no controller", fam)
+		}
 	}
 	if _, ok := reg.AutoscaleStats("countmin", "tenant-b"); ok {
 		t.Error("tenant-b gained a controller it was never given")
 	}
-	if _, err := reg.ReplaceAutoscale("nobody", testPolicy(mc)); err == nil {
-		t.Error("ReplaceAutoscale of an unregistered name must error")
+	if err := reg.Apply("", "nobody", fastsketches.Spec{Autoscale: testPolicy(mc)}); err == nil {
+		t.Error("Apply to an unregistered name must error")
 	}
-	if _, err := reg.ReplaceAutoscale("tenant-a", autoscale.Policy{}); err == nil {
+	if err := reg.Apply("", "tenant-a", fastsketches.Spec{Autoscale: &autoscale.Policy{}}); err == nil {
 		t.Error("invalid policy must error")
 	}
 	// The rejected policy swapped nothing: tenant-a's controllers are still
 	// the ones attached above, one per sketch.
-	if n := reg.StopAutoscale("tenant-a"); n != 2 {
-		t.Errorf("StopAutoscale(tenant-a) stopped %d controllers, want 2", n)
+	for _, fam := range []string{"theta", "hll"} {
+		if inf, _ := reg.Info(fam, "tenant-a"); inf.Spec.Autoscale == nil || inf.Spec.Autoscale.HighWater != 1000 {
+			t.Errorf("%s/tenant-a policy after a rejected Apply = %+v", fam, inf.Spec.Autoscale)
+		}
+	}
+	if err := reg.Apply("", "tenant-a", fastsketches.Spec{AutoscaleOff: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, fam := range []string{"theta", "hll"} {
+		if _, ok := reg.AutoscaleStats(fam, "tenant-a"); ok {
+			t.Errorf("%s/tenant-a kept its controller after Spec.AutoscaleOff", fam)
+		}
 	}
 }
 
@@ -112,10 +134,10 @@ func TestRegistryAutoscaleWalksShardsUnderLoad(t *testing.T) {
 	sk := mustOpen(t, reg.OpenCountMin, "api.calls")
 
 	mc := clock.NewManual(time.Unix(1_000_000, 0))
-	ctls, err := reg.ReplaceAutoscale("api.calls", testPolicy(mc))
-	if err != nil {
+	if err := reg.Apply("countmin", "api.calls", fastsketches.Spec{Autoscale: testPolicy(mc)}); err != nil {
 		t.Fatal(err)
 	}
+	ctls := []func() autoscale.Stats{controllerStats(reg, "countmin", "api.calls")}
 	advanceTicks(t, mc, ctls, 1) // warmup baseline
 
 	// Burst: ingest between every tick; 4000 items per 10ms of manual time
@@ -136,11 +158,11 @@ func TestRegistryAutoscaleWalksShardsUnderLoad(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for sk.Shards() > 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("controller never scaled back down; shards %d, stats %+v", sk.Shards(), ctls[0].Stats())
+			t.Fatalf("controller never scaled back down; shards %d, stats %+v", sk.Shards(), ctls[0]())
 		}
 		advanceTicks(t, mc, ctls, 1)
 	}
-	st := ctls[0].Stats()
+	st := ctls[0]()
 	if st.ScaleUps == 0 || st.ScaleDowns == 0 {
 		t.Errorf("stats = %+v, want both ups and downs recorded", st)
 	}
@@ -153,22 +175,22 @@ func TestRegistryCloseStopsControllers(t *testing.T) {
 	}
 	mustOpen(t, reg.OpenTheta, "t")
 	mc := clock.NewManual(time.Unix(1_000_000, 0))
-	ctls, err := reg.ReplaceAutoscale("t", testPolicy(mc))
-	if err != nil {
+	if err := reg.Apply("", "t", fastsketches.Spec{Autoscale: testPolicy(mc)}); err != nil {
 		t.Fatal(err)
 	}
+	stats := controllerStats(reg, "theta", "t")
 	reg.Close()
-	samples := ctls[0].Stats().Samples
+	samples := stats().Samples
 	// The loop is stopped: advancing the clock can no longer produce ticks.
 	mc.Advance(time.Second)
 	mc.Advance(time.Second)
-	if got := ctls[0].Stats().Samples; got != samples {
+	if got := stats().Samples; got != samples {
 		t.Errorf("controller ticked after registry Close: %d → %d samples", samples, got)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("ReplaceAutoscale after Close must panic like every registry accessor")
+			t.Error("Apply after Close must panic like every registry accessor")
 		}
 	}()
-	reg.ReplaceAutoscale("t", testPolicy(mc))
+	reg.Apply("", "t", fastsketches.Spec{Autoscale: testPolicy(mc)})
 }

@@ -9,19 +9,15 @@ import (
 	"strings"
 	"time"
 
-	"fastsketches/internal/autoscale"
 	"fastsketches/internal/clock"
-	"fastsketches/internal/shard"
 	"fastsketches/internal/snapshot"
-	"fastsketches/internal/wire"
 )
 
 // Registry-wide checkpoint/restore: every registered sketch's merged state —
 // legacy ∪ draining epoch ∪ current shards, the exact fold merged queries
 // use — is exported into one versioned snapshot container
-// (internal/snapshot), together with the serving configuration worth
-// restoring: the shard count S, view settings, and the attached autoscale
-// policy's wire-travelling knobs.
+// (internal/snapshot), together with the Spec in force, every field of it,
+// so a restore configures the sketch exactly as it ran.
 //
 // # Crash-recovery bound
 //
@@ -35,15 +31,6 @@ import (
 // twice — the checkpoint folds into the restored sketch's legacy
 // accumulator, the same exact-once plane a Resize drains retired epochs
 // into.
-
-// checkpointEntry is one sketch's collected checkpoint inputs, gathered
-// under the registry lock and encoded outside it. The slice holding these is
-// reused across checkpoints.
-type checkpointEntry struct {
-	e         *entry
-	hasPolicy bool
-	policy    autoscale.Policy
-}
 
 // AppendCheckpoint appends the registry's full checkpoint container to dst
 // and returns the extended slice. The encode is wait-free toward writers and
@@ -67,11 +54,7 @@ func (r *Registry) appendCheckpointLocked(dst []byte) []byte {
 	entries := r.ckptEntries[:0]
 	r.mu.RLock()
 	for _, e := range r.sketches {
-		ce := checkpointEntry{e: e}
-		if e.ctl != nil {
-			ce.hasPolicy, ce.policy = true, e.ctl.Policy()
-		}
-		entries = append(entries, ce)
+		entries = append(entries, infoEntry{e, e.lc, e.ctl})
 	}
 	r.mu.RUnlock()
 	r.ckptEntries = entries
@@ -79,7 +62,7 @@ func (r *Registry) appendCheckpointLocked(dst []byte) []byte {
 	// Deterministic record order (family, then name): map iteration is
 	// randomised, and a stable layout makes checkpoints diffable and keeps
 	// the fuzzers' corpus meaningful.
-	slices.SortFunc(entries, func(a, b checkpointEntry) int {
+	slices.SortFunc(entries, func(a, b infoEntry) int {
 		if a.e.key.fam != b.e.key.fam {
 			return int(a.e.key.fam) - int(b.e.key.fam)
 		}
@@ -88,45 +71,25 @@ func (r *Registry) appendCheckpointLocked(dst []byte) []byte {
 
 	dst = snapshot.AppendHeader(dst, len(entries))
 	for i := range entries {
-		ce := &entries[i]
-		sk := ce.e.sk
-		r.ckptNameBuf = append(r.ckptNameBuf[:0], ce.e.key.name...)
-		rec := snapshot.Record{
-			Family: ce.e.key.fam,
-			Name:   r.ckptNameBuf,
-			Shards: uint32(sk.Shards()),
-		}
-		if vc, ok := sk.ViewSettings(); ok {
-			rec.HasView = true
-			rec.ViewRefreshNs = int64(vc.RefreshEvery)
-			rec.ViewMaxAgeNs = int64(vc.MaxAge)
-		}
-		if ce.hasPolicy {
-			rec.HasPolicy = true
-			rec.MinShards = uint32(ce.policy.MinShards)
-			rec.MaxShards = uint32(ce.policy.MaxShards)
-			rec.HighWater = ce.policy.HighWater
-			rec.LowWater = ce.policy.LowWater
-		}
+		ie := &entries[i]
+		sk := ie.e.sk
+		r.ckptNameBuf = append(r.ckptNameBuf[:0], ie.e.key.name...)
+		var pl planes
+		rec := snapshot.Record{Family: ie.e.key.fam, Name: r.ckptNameBuf, Spec: ie.spec(&pl)}
 		var m snapshot.Marks
-		if wc, ok := sk.WindowSettings(); ok {
+		dst, m = snapshot.BeginRecord(dst, &rec)
+		if rec.Spec.Window != nil {
 			// Windowed sketches serialise slot-by-slot: the base blob holds
 			// everything outside the closed ring (live shards, carry, legacy,
 			// in the cumulative plane), the tail each closed interval plus
 			// the decay plane, so a restore rebuilds the ring — and hence
 			// windowed queries — not just the cumulative total.
-			rec.HasWindow = true
-			rec.WindowIntervalNs = int64(wc.Interval)
-			rec.WindowSlots = uint32(wc.Slots)
-			rec.WindowDecay = wc.Decay
-			dst, m = snapshot.BeginRecord(dst, &rec)
 			var slots [][]byte
 			var decayed []byte
 			dst, slots, decayed = sk.AppendWindowedSnapshot(dst)
 			dst = snapshot.EndBlob(dst, &m)
 			dst = snapshot.AppendWindowTail(dst, slots, decayed)
 		} else {
-			dst, m = snapshot.BeginRecord(dst, &rec)
 			dst = sk.AppendSnapshot(dst)
 		}
 		dst = snapshot.EndRecord(dst, m)
@@ -149,13 +112,16 @@ func (r *Registry) Checkpoint(w io.Writer) error {
 
 // Restore reads one checkpoint container from rd and folds every record into
 // this registry: each record's sketch is created under its recorded name (if
-// absent), resized to its recorded shard count, its snapshot folded into the
-// sketch's legacy state (exact, no staleness contribution), and its recorded
-// view settings and autoscale policy re-attached. Restoring into a non-empty
-// registry merges: existing state is kept and the snapshot folds in on top —
-// which is also what makes Restore idempotent-unsafe (restoring the same
-// additive-family snapshot twice doubles Count-Min weights); restore into a
-// fresh registry for crash recovery.
+// absent) and configured with its recorded Spec exactly as Open* would, its
+// window ring rebuilt from the recorded slots, and its snapshot folded into
+// the sketch's legacy state (exact, no staleness contribution). A record's
+// Spec passes the same validation as any other, before its sketch is
+// created, so a rejected record leaves nothing registered. Version-1
+// containers restore too, with the settings they recorded. Restoring into a
+// non-empty registry merges: existing state is kept and the snapshot folds
+// in on top — which is also what makes Restore idempotent-unsafe (restoring
+// the same additive-family snapshot twice doubles Count-Min weights);
+// restore into a fresh registry for crash recovery.
 //
 // Writers and queriers of already-registered sketches stay active
 // throughout. Malformed input fails with the snapshot codec's typed errors,
@@ -172,13 +138,13 @@ func (r *Registry) Restore(rd io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("fastsketches: checkpoint read: %w", err)
 	}
-	count, rest, err := snapshot.ParseHeader(data)
+	count, version, rest, err := snapshot.ParseHeader(data)
 	if err != nil {
 		return err
 	}
 	for i := 0; i < count; i++ {
 		var rec snapshot.Record
-		rec, rest, err = snapshot.ParseRecord(rest)
+		rec, rest, err = snapshot.ParseRecord(rest, version)
 		if err != nil {
 			return fmt.Errorf("record %d: %w", i, err)
 		}
@@ -193,60 +159,18 @@ func (r *Registry) Restore(rd io.Reader) error {
 }
 
 // restoreRecord applies one parsed checkpoint record (its family already
-// validated by the codec). The shard count is checked before the sketch is
-// created, so a rejected record leaves nothing registered.
+// validated by the codec): the base blob folds into legacy, then apply
+// configures the sketch with the record's Spec and rebuilds its window from
+// the record's slots.
 func (r *Registry) restoreRecord(rec *snapshot.Record) error {
-	if rec.Shards < 1 || rec.Shards > wire.MaxShards {
-		return fmt.Errorf("%w: shard count %d outside [1,%d]", snapshot.ErrBadRecord, rec.Shards, wire.MaxShards)
+	if err := rec.Spec.Validate(rec.Family); err != nil {
+		return err
 	}
 	e := r.getOrCreate(rec.Family, string(rec.Name))
-	sk := e.sk
-	if err := sk.Resize(int(rec.Shards)); err != nil {
+	if err := e.sk.ImportSnapshot(rec.Blob); err != nil {
 		return err
 	}
-	if err := sk.ImportSnapshot(rec.Blob); err != nil {
-		return err
-	}
-	if rec.HasWindow {
-		// Disable-then-restore: restoring over a live window folds the old
-		// window's closed slots into the cumulative legacy (DisableWindow's
-		// collapse) and rebuilds the ring from the record, so the cumulative
-		// total never loses counts and the windowed view matches the
-		// checkpoint.
-		sk.DisableWindow()
-		if err := sk.RestoreWindow(shard.WindowConfig{
-			Interval: time.Duration(rec.WindowIntervalNs),
-			Slots:    int(rec.WindowSlots),
-			Decay:    rec.WindowDecay,
-		}, rec.WindowSlotBlobs, rec.WindowDecayedBlob); err != nil {
-			return err
-		}
-	}
-	if rec.HasView {
-		// After the window: EnableView publishes its first view synchronously,
-		// and that fold must already see the restored ring.
-		sk.DisableView()
-		if err := sk.EnableView(shard.ViewConfig{
-			RefreshEvery: time.Duration(rec.ViewRefreshNs),
-			MaxAge:       time.Duration(rec.ViewMaxAgeNs),
-		}); err != nil {
-			return err
-		}
-	}
-	if rec.HasPolicy {
-		// The four recorded knobs travel; the remaining policy fields take
-		// the package's production defaults, exactly as on the OpAutoscale
-		// wire path.
-		if err := r.attachController(e, autoscale.Policy{
-			MinShards: int(rec.MinShards),
-			MaxShards: int(rec.MaxShards),
-			HighWater: rec.HighWater,
-			LowWater:  rec.LowWater,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.apply(e, rec.Spec, rec)
 }
 
 // CheckpointFile writes the registry's checkpoint atomically to path: the

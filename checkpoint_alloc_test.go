@@ -14,6 +14,7 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"time"
 
 	"fastsketches"
 )
@@ -44,6 +45,16 @@ func TestCheckpointZeroAllocSteadyState(t *testing.T) {
 	if err := errors.Join(
 		th.Resize(3), h.Resize(3), q.Resize(3), cm.Resize(3),
 	); err != nil {
+		t.Fatal(err)
+	}
+	// Every record carries its whole Spec: give one a view, an autoscale
+	// policy and a lifecycle, so the Spec encode is on the measured path.
+	// The hour-long timers keep the refresher and controller idle.
+	if err := cm.Apply(fastsketches.Spec{
+		View:      &fastsketches.ViewConfig{RefreshEvery: time.Hour, MaxAge: -1},
+		Autoscale: &fastsketches.AutoscalePolicy{HighWater: 1e12, SampleEvery: time.Hour},
+		IdleTTL:   time.Hour, Pinned: true,
+	}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -94,15 +94,18 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	defer src.Close()
 
 	// Serving configuration rides the checkpoint: a view on the HLL and an
-	// autoscale policy on the Count-Min.
-	if _, err := src.ReplaceView("ck.hll", fastsketches.ViewConfig{
+	// autoscale policy — every knob, not just the bounds and water marks —
+	// on the Count-Min.
+	if err := src.Apply("hll", "ck.hll", fastsketches.Spec{View: &fastsketches.ViewConfig{
 		RefreshEvery: 40 * time.Millisecond, MaxAge: -1,
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.ReplaceAutoscale("ck.cm", autoscale.Policy{
+	policy := autoscale.Policy{
 		MinShards: 1, MaxShards: 16, HighWater: 5e5, LowWater: 1e4,
-	}); err != nil {
+		SampleEvery: time.Hour, SustainedUp: 5, Cooldown: 2 * time.Hour, StepFactor: 4,
+	}
+	if err := src.Apply("countmin", "ck.cm", fastsketches.Spec{Autoscale: &policy}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -134,8 +137,8 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("restored registry missing %s/%s", want.fam, want.name)
 		}
-		if inf.Shards != want.shards {
-			t.Errorf("%s/%s: restored shards %d, want %d", want.fam, want.name, inf.Shards, want.shards)
+		if inf.Spec.Shards != want.shards {
+			t.Errorf("%s/%s: restored shards %d, want %d", want.fam, want.name, inf.Spec.Shards, want.shards)
 		}
 	}
 
@@ -176,12 +179,13 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		}
 	}
 
-	// View settings and autoscale policy re-attached.
-	if inf, _ := dst.Info("hll", "ck.hll"); !inf.ViewEnabled {
+	// View settings and the whole autoscale policy re-attached.
+	if inf, _ := dst.Info("hll", "ck.hll"); inf.Spec.View == nil {
 		t.Error("restored hll sketch lost its materialized view")
 	}
-	if stopped := dst.StopAutoscale("ck.cm"); stopped != 1 {
-		t.Errorf("restored registry has %d controllers under ck.cm, want 1", stopped)
+	want, _ := policy.Normalise()
+	if inf, _ := dst.Info("countmin", "ck.cm"); inf.Spec.Autoscale == nil || *inf.Spec.Autoscale != want {
+		t.Errorf("restored policy %+v, want %+v", inf.Spec.Autoscale, want)
 	}
 }
 
@@ -267,7 +271,7 @@ func TestRestoreRejectsCorruptInput(t *testing.T) {
 	// A structurally valid container with a corrupt family blob fails with
 	// the family's typed error, wrapped with record context.
 	rec := snapshot.Record{
-		Family: wire.FamilyTheta, Name: []byte("bad"), Shards: 2,
+		Family: wire.FamilyTheta, Name: []byte("bad"), Spec: wire.Spec{Shards: 2},
 		Blob: []byte{1, 2, 3},
 	}
 	ckpt := snapshot.AppendRecord(snapshot.AppendHeader(nil, 1), &rec)
@@ -278,11 +282,11 @@ func TestRestoreRejectsCorruptInput(t *testing.T) {
 	// A record rejected for its shard count is rejected before its sketch is
 	// created: no empty tenant is left behind.
 	before := reg.Names()
-	for _, shards := range []uint32{0, wire.MaxShards + 1} {
-		rec := snapshot.Record{Family: wire.FamilyHLL, Name: []byte("ghost"), Shards: shards}
+	for _, shards := range []int{-1, wire.MaxShards + 1} {
+		rec := snapshot.Record{Family: wire.FamilyHLL, Name: []byte("ghost"), Spec: wire.Spec{Shards: shards}}
 		ckpt := snapshot.AppendRecord(snapshot.AppendHeader(nil, 1), &rec)
-		if err := reg.Restore(bytes.NewReader(ckpt)); !errors.Is(err, snapshot.ErrBadRecord) {
-			t.Errorf("shard count %d restore error = %v, want snapshot.ErrBadRecord", shards, err)
+		if err := reg.Restore(bytes.NewReader(ckpt)); !errors.Is(err, fastsketches.ErrConfig) {
+			t.Errorf("shard count %d restore error = %v, want ErrConfig", shards, err)
 		}
 		if after := reg.Names(); !slices.Equal(after, before) {
 			t.Errorf("rejected record (shards=%d) changed Names: %v → %v", shards, before, after)
@@ -322,13 +326,13 @@ func TestCheckpointUnderFire(t *testing.T) {
 				t.Errorf("resize under checkpoint fire: %v", err)
 				return
 			}
-			if _, err := reg.ReplaceView("fire.cm", fastsketches.ViewConfig{
+			if err := cm.Apply(fastsketches.Spec{View: &fastsketches.ViewConfig{
 				RefreshEvery: time.Millisecond,
-			}); err != nil {
+			}}); err != nil {
 				t.Errorf("enable view under checkpoint fire: %v", err)
 				return
 			}
-			reg.StopView("fire.cm")
+			cm.Apply(fastsketches.Spec{ViewOff: true})
 		}
 		reg.Drop("theta", "fire.drop")
 	}()
@@ -376,13 +380,13 @@ func TestCheckpointUnderFire(t *testing.T) {
 
 // TestRestoreReplacesControllers pins the no-leak contract: repeated
 // restores with a recorded autoscale policy swap the controller rather than
-// stacking one per restore, and closing the registry returns the process to
-// its goroutine baseline.
+// stacking one per restore — a stacked one would outlive Close — and
+// closing the registry returns the process to its goroutine baseline.
 func TestRestoreReplacesControllers(t *testing.T) {
 	src := populated(t, 500)
-	if _, err := src.ReplaceAutoscale("ck.cm", autoscale.Policy{
+	if err := src.Apply("countmin", "ck.cm", fastsketches.Spec{Autoscale: &autoscale.Policy{
 		MinShards: 1, MaxShards: 8, HighWater: 1e6,
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	ckpt := src.AppendCheckpoint(nil)
@@ -398,8 +402,8 @@ func TestRestoreReplacesControllers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if stopped := dst.StopAutoscale("ck.cm"); stopped != 1 {
-		t.Errorf("5 restores left %d controllers attached, want 1", stopped)
+	if _, ok := dst.AutoscaleStats("countmin", "ck.cm"); !ok {
+		t.Error("restores attached no controller")
 	}
 	dst.Close()
 
@@ -505,6 +509,18 @@ func FuzzCheckpointRestore(f *testing.F) {
 	seedReg.Close()
 	f.Add([]byte{})
 	f.Add(snapshot.AppendHeader(nil, 3))
+	// The version-1 fixture, and the same sketches re-checkpointed as
+	// version 2 with every plane in their Specs.
+	f.Add(v1Checkpoint)
+	v2Reg, err := fastsketches.NewRegistry(v1Config)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := v2Reg.Restore(bytes.NewReader(v1Checkpoint)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2Reg.AppendCheckpoint(nil))
+	v2Reg.Close()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{Shards: 1, Writers: 1})

@@ -52,21 +52,36 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fastsketches/internal/autoscale"
+	"fastsketches/internal/shard"
 	"fastsketches/internal/wire"
 )
 
 // Family selects a sketch family; values alias the wire protocol's.
 type Family = wire.Family
 
-// The sketch families.
+// The sketch families. AllFamilies addresses every family registered under
+// a name, for Apply.
 const (
-	Theta     = wire.FamilyTheta
-	HLL       = wire.FamilyHLL
-	Quantiles = wire.FamilyQuantiles
-	CountMin  = wire.FamilyCountMin
+	Theta       = wire.FamilyTheta
+	HLL         = wire.FamilyHLL
+	Quantiles   = wire.FamilyQuantiles
+	CountMin    = wire.FamilyCountMin
+	AllFamilies = Family(0)
 )
 
-// Info is the served sketch metadata returned by Client.Info.
+// Spec declares a served sketch's configuration — the library's Spec, the
+// one form a sketch's configuration takes everywhere (see wire.Spec) — with
+// the configs its planes point to.
+type (
+	Spec            = wire.Spec
+	ViewConfig      = shard.ViewConfig
+	WindowConfig    = shard.WindowConfig
+	AutoscalePolicy = autoscale.Policy
+)
+
+// Info is the served sketch metadata returned by Client.Info: the Spec in
+// force and the live stats.
 type Info = wire.Info
 
 // OpsStats is the daemon's lifecycle sweeper / memory-budget counters
@@ -240,86 +255,35 @@ func (c *Client) Ping() error {
 	return c.doEmpty(&reqSpec{op: wire.OpPing})
 }
 
-// Create ensures the named sketch exists (sketches are also created
-// implicitly by the first batch or query that touches them).
-func (c *Client) Create(fam Family, name string) error {
-	return c.doEmpty(&reqSpec{op: wire.OpCreate, fam: fam, name: name})
+// Apply applies spec to the named sketch of family fam, creating it if
+// absent, exactly as the library's Open* does — or, with AllFamilies, to
+// every sketch already registered under name, dropping a window Decay from
+// the families that cannot decay. The server validates spec; a rejected
+// one is a *Error carrying the library's ErrConfig message and changes
+// nothing. Nil planes are left as they are, so Apply is the remote form of
+// every admin change: resize, view, window, autoscale, pinning.
+func (c *Client) Apply(fam Family, name string, spec Spec) error {
+	return c.doEmpty(&reqSpec{op: wire.OpApply, fam: fam, name: name, spec: &spec})
 }
 
-// Resize live-reshards the named sketch to the given shard count: the
-// remote counterpart of Registry.Resize*, walking the throughput/staleness
-// trade-off without restarting writers or queriers.
+// Create ensures the named sketch exists: Apply of the empty Spec.
+func (c *Client) Create(fam Family, name string) error { return c.Apply(fam, name, Spec{}) }
+
+// Resize live-reshards the named sketch: Apply of Spec{Shards: shards}.
 func (c *Client) Resize(fam Family, name string, shards int) error {
-	if shards < 1 || shards > wire.MaxShards {
-		return fmt.Errorf("client: resize to %d shards outside [1,%d]", shards, wire.MaxShards)
-	}
-	return c.doEmpty(&reqSpec{op: wire.OpResize, fam: fam, name: name, arg: uint64(shards)})
+	return c.Apply(fam, name, Spec{Shards: shards})
 }
 
-// Autoscale attaches an autoscaling controller (production defaults for
-// cadence/streaks/cooldown) to every existing sketch registered under
-// name: the shard count then follows ingest pressure between minShards and
-// maxShards under the high/low per-shard rate water marks. Attach has
-// replace semantics — controllers previously attached under the name are
-// stopped first, so retrying or re-issuing the call is safe.
-func (c *Client) Autoscale(name string, minShards, maxShards int, high, low float64) error {
-	if minShards < 0 || maxShards < 0 || minShards > wire.MaxShards || maxShards > wire.MaxShards {
-		return fmt.Errorf("client: autoscale shard bounds outside [0,%d]", wire.MaxShards)
-	}
-	return c.doEmpty(&reqSpec{op: wire.OpAutoscale, name: name,
-		minS: uint32(minShards), maxS: uint32(maxShards), high: high, low: low})
-}
-
-// EnableView materializes the merged view of every sketch registered under
-// name, across all families: the server re-folds each sketch's shards every
-// refreshEvery and publishes the result atomically, after which served
-// aggregate queries read the single published view — O(1) in the shard
-// count — under a staleness bound of S·r plus one refresh interval. maxAge
-// caps how stale a served view may be before queries transparently fall
-// back to the live fold; zero derives it from refreshEvery, negative means
-// never expire. Idempotent: re-issuing re-arms the views under the new
-// intervals. Count-Min per-key counts keep reading their owning shard
-// directly and are unaffected.
+// EnableView materializes the view of every sketch under name: Apply of a
+// Spec.View (maxAge 0 derives from refreshEvery, negative never expires).
 func (c *Client) EnableView(name string, refreshEvery, maxAge time.Duration) error {
-	return c.doEmpty(&reqSpec{op: wire.OpEnableView, name: name,
-		arg: uint64(refreshEvery.Nanoseconds()), arg2: uint64(maxAge.Nanoseconds())})
+	return c.Apply(AllFamilies, name, Spec{View: &ViewConfig{RefreshEvery: refreshEvery, MaxAge: maxAge}})
 }
 
-// DisableView stops the materialized views of every sketch registered under
-// name; served aggregate queries fold live shard snapshots again (bound
-// back to S·r).
-func (c *Client) DisableView(name string) error {
-	return c.doEmpty(&reqSpec{op: wire.OpDisableView, name: name})
-}
-
-// EnableWindow declares a sliding window on every sketch registered under
-// name, across all families: the server keeps the last slots closed
-// intervals of length interval plus the live one, and the Window* queries
-// answer over exactly that span while cumulative queries keep serving the
-// whole stream. A windowed answer reflects all but at most S·r of the
-// window's acked updates, with the window boundary placed by the last
-// rotation — at most one interval (plus rotation lag) old. slots 0 takes
-// the server default; decay in (0,1) additionally maintains the Count-Min
-// exponentially time-decayed plane (families without linearly scalable
-// counters get the same window sans decay). Idempotent with replace
-// semantics: an equal declaration keeps the ring, a different one collapses
-// the old window into the cumulative state (no counts lost) and re-arms.
+// EnableWindow declares a sliding window on every sketch under name: Apply
+// of a Spec.Window.
 func (c *Client) EnableWindow(name string, interval time.Duration, slots int, decay float64) error {
-	if interval <= 0 {
-		return fmt.Errorf("client: window interval %v must be positive", interval)
-	}
-	if slots < 0 {
-		return fmt.Errorf("client: window slots %d must be non-negative", slots)
-	}
-	return c.doEmpty(&reqSpec{op: wire.OpEnableWindow, name: name,
-		arg: uint64(interval.Nanoseconds()), slots: uint32(slots), arg2: math.Float64bits(decay)})
-}
-
-// DisableWindow collapses the windows of every sketch registered under name
-// back into their cumulative state — no counted update is lost; subsequent
-// Window* queries on the name fail until a window is declared again.
-func (c *Client) DisableWindow(name string) error {
-	return c.doEmpty(&reqSpec{op: wire.OpDisableWindow, name: name})
+	return c.Apply(AllFamilies, name, Spec{Window: &WindowConfig{Interval: interval, Slots: slots, Decay: decay}})
 }
 
 // Drop closes and removes the named sketch server-side; the name becomes
@@ -339,9 +303,9 @@ func (c *Client) Names() ([]string, error) {
 	return names, perr
 }
 
-// Info returns the named sketch's metadata: shard/lane geometry and the
-// live staleness bounds (Relaxation = S·r for merged queries,
-// ShardRelaxation = r for per-key reads).
+// Info returns the named sketch's metadata: the Spec in force and the live
+// staleness bounds (Relaxation = S·r for merged queries, ShardRelaxation =
+// r for per-key reads). The Spec's planes come back without a Clock.
 func (c *Client) Info(fam Family, name string) (Info, error) {
 	ca, err := c.do(&reqSpec{op: wire.OpInfo, fam: fam, name: name})
 	if err != nil {
@@ -463,8 +427,8 @@ func (c *Client) Snapshot(fam Family, name string) ([]byte, error) {
 
 // Restore folds a snapshot blob (from Snapshot, here or on another daemon)
 // into the named sketch, creating it if absent. Only sketch contents are
-// folded — the receiving sketch keeps its own shard count, view and
-// autoscale configuration. The blob's recorded family must match fam.
+// folded — the receiving sketch keeps its own Spec. The blob's recorded
+// family must match fam.
 func (c *Client) Restore(fam Family, name string, snap []byte) error {
 	if len(snap) > wire.MaxBlob {
 		return fmt.Errorf("client: snapshot blob %d bytes exceeds wire limit %d", len(snap), wire.MaxBlob)
@@ -514,18 +478,15 @@ func (c *Client) OpsStats() (OpsStats, error) {
 // encodes it under the per-connection buffer lock — keeping every call
 // site's hot path free of closures and per-request buffers.
 type reqSpec struct {
-	op         wire.Op
-	fam        Family
-	q          wire.Query
-	name       string
-	arg        uint64
-	arg2       uint64
-	slots      uint32
-	minS, maxS uint32
-	high, low  float64
-	items      []uint64
-	blob       []byte
-	addr       string
+	op    wire.Op
+	fam   Family
+	q     wire.Query
+	name  string
+	arg   uint64
+	spec  *Spec
+	items []uint64
+	blob  []byte
+	addr  string
 }
 
 // conn is one pooled connection: writes serialised under wmu into a
@@ -678,24 +639,12 @@ func (cn *conn) roundTrip(sp *reqSpec) (*call, error) {
 		b = wire.AppendPing(b, id)
 	case wire.OpNames:
 		b = wire.AppendNamesReq(b, id)
-	case wire.OpCreate:
-		b = wire.AppendCreate(b, id, sp.fam, sp.name)
+	case wire.OpApply:
+		b = wire.AppendApply(b, id, sp.fam, sp.name, sp.spec)
 	case wire.OpDrop:
 		b = wire.AppendDrop(b, id, sp.fam, sp.name)
 	case wire.OpInfo:
 		b = wire.AppendInfo(b, id, sp.fam, sp.name)
-	case wire.OpResize:
-		b = wire.AppendResize(b, id, sp.fam, sp.name, int(sp.arg))
-	case wire.OpAutoscale:
-		b = wire.AppendAutoscale(b, id, sp.name, int(sp.minS), int(sp.maxS), sp.high, sp.low)
-	case wire.OpEnableView:
-		b = wire.AppendEnableView(b, id, sp.name, sp.arg, sp.arg2)
-	case wire.OpDisableView:
-		b = wire.AppendDisableView(b, id, sp.name)
-	case wire.OpEnableWindow:
-		b = wire.AppendEnableWindow(b, id, sp.name, sp.arg, sp.slots, math.Float64frombits(sp.arg2))
-	case wire.OpDisableWindow:
-		b = wire.AppendDisableWindow(b, id, sp.name)
 	case wire.OpBatch:
 		b = wire.AppendBatch(b, id, sp.fam, sp.name, sp.items)
 	case wire.OpQuery:

@@ -3,6 +3,7 @@ package client_test
 import (
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -121,10 +122,12 @@ func TestClientBasics(t *testing.T) {
 	if err := cl.Resize(client.Theta, "users", 4); err != nil {
 		t.Fatal(err)
 	}
-	if inf, err := cl.Info(client.Theta, "users"); err != nil || inf.Shards != 4 {
+	if inf, err := cl.Info(client.Theta, "users"); err != nil || inf.Spec.Shards != 4 {
 		t.Fatalf("Info after resize = %+v (err %v)", inf, err)
 	}
-	if err := cl.Autoscale("users", 2, 8, 1e9, 1e3); err != nil {
+	if err := cl.Apply(client.AllFamilies, "users", client.Spec{Autoscale: &client.AutoscalePolicy{
+		MinShards: 2, MaxShards: 8, HighWater: 1e9, LowWater: 1e3,
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.Drop(client.CountMin, "api"); err != nil {
@@ -301,9 +304,11 @@ func TestClientReconnects(t *testing.T) {
 	}
 }
 
-// TestClientResizeBounds pins the shard-count validation on both sides of
-// the wire: out-of-range values are rejected client-side (no round trip,
-// connection intact) and would be rejected by the server regardless.
+// TestClientResizeBounds pins the shard-count validation: out-of-range
+// values travel faithfully (a negative count does not wrap to a huge one),
+// the server's Spec validation rejects them as a typed *Error carrying
+// ErrConfig's message, and the connection stays intact. Resize to 0 is the
+// Spec's "leave S as it is".
 func TestClientResizeBounds(t *testing.T) {
 	addr, _ := startServer(t, fastsketches.RegistryConfig{})
 	cl, err := client.Dial(addr, client.Options{Conns: 1})
@@ -311,17 +316,23 @@ func TestClientResizeBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Resize(client.Theta, "x", 0); err == nil {
-		t.Fatal("resize to 0 accepted")
+	rejected := func(what string, err error) {
+		t.Helper()
+		var se *client.Error
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, fastsketches.ErrConfig.Error()) {
+			t.Fatalf("%s: %v, want a server-side ErrConfig", what, err)
+		}
 	}
-	if err := cl.Resize(client.Theta, "x", -1); err == nil {
-		t.Fatal("negative resize accepted (would wrap to a huge uint32)")
+	rejected("negative resize", cl.Resize(client.Theta, "x", -1))
+	rejected("absurd shard count", cl.Resize(client.Theta, "x", 1<<20))
+	rejected("absurd autoscale bound", cl.Apply(client.Theta, "x", client.Spec{
+		Autoscale: &client.AutoscalePolicy{MinShards: 1, MaxShards: 1 << 20, HighWater: 1e6},
+	}))
+	if names, err := cl.Names(); err != nil || len(names) != 0 {
+		t.Fatalf("rejected Specs created %v (err %v)", names, err)
 	}
-	if err := cl.Resize(client.Theta, "x", 1<<20); err == nil {
-		t.Fatal("absurd shard count accepted")
-	}
-	if err := cl.Autoscale("x", 1, 1<<20, 1e6, 1e3); err == nil {
-		t.Fatal("absurd autoscale bound accepted")
+	if err := cl.Resize(client.Theta, "x", 0); err != nil {
+		t.Fatal(err)
 	}
 	if err := cl.Ping(); err != nil {
 		t.Fatal(err)

@@ -4,8 +4,9 @@ package client_test
 // binary: /metrics scraped mid-ingest (all series live, pressure counters
 // monotonic, ingest histograms populated), idle-TTL eviction firing on the
 // lane-quiescing server drop path, memory-budget shrink/shed firing under
-// tenant pressure, the OpsStats admin op reporting it all over the wire, and
-// a recreated tenant absorbing writes after its eviction.
+// tenant pressure, the OpsStats admin op reporting it all over the wire, a
+// recreated tenant absorbing writes after its eviction, and a tenant pinned
+// over the wire outliving the idle TTL that evicts its unpinned sibling.
 
 import (
 	"bufio"
@@ -271,5 +272,39 @@ func TestE2EOps(t *testing.T) {
 	// must never exceed what was sent after the last recreation.
 	if n > reborn {
 		t.Errorf("post-eviction N = %d, want ≤ %d (stale pre-eviction state leaked)", n, reborn)
+	}
+
+	// ---- Phase E: pinning over the wire. Two HLL tenants go quiet together
+	// under the same 600ms TTL; the one pinned through Apply must outlive
+	// the sweep that drops its unpinned sibling.
+	if err := cl.Apply(client.HLL, "ops.pinned", client.Spec{Pinned: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Create(client.HLL, "ops.sibling"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ops.pinned", "ops.sibling"} {
+		b := cl.NewBatch(client.HLL, name)
+		for i := 0; i < 100; i++ {
+			if err := b.Add(uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		if _, err := cl.Info(client.HLL, "ops.sibling"); err != nil {
+			break // dropped by the sweeper
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the unpinned sibling was never evicted")
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if inf, err := cl.Info(client.HLL, "ops.pinned"); err != nil || !inf.Spec.Pinned {
+		t.Fatalf("pinned tenant after its sibling's eviction: %+v (err %v), want alive and pinned", inf.Spec, err)
 	}
 }

@@ -130,6 +130,21 @@ func TestE2ERestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The Spec rides the checkpoint too: pin the HLL tenant over the wire,
+	// and give a third tenant an idle-TTL override and a full autoscale
+	// policy that never fires (an hour between samples).
+	if err := cl.Apply(client.HLL, "r.hll", client.Spec{Pinned: true}); err != nil {
+		t.Fatal(err)
+	}
+	policy := client.AutoscalePolicy{
+		MinShards: 2, MaxShards: 64, HighWater: 1e9, LowWater: 1e6, BacklogHighWater: 1 << 20,
+		SampleEvery: time.Hour, SustainedUp: 4, SustainedDown: 9, Cooldown: 2 * time.Hour,
+		StepFactor: 4, MaxTransitionalRelaxation: 1 << 24, ViewLagHighWater: time.Minute,
+	}
+	cfgSpec := client.Spec{IdleTTL: 42 * time.Minute, Autoscale: &policy}
+	if err := cl.Apply(client.Theta, "r.cfg", cfgSpec); err != nil {
+		t.Fatal(err)
+	}
 	if err := cl.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +214,19 @@ func TestE2ERestart(t *testing.T) {
 	}
 	if hllAfter != hllBefore {
 		t.Errorf("restored HLL estimate %v != pre-crash %v", hllAfter, hllBefore)
+	}
+
+	// Every declared setting came back in the Spec in force.
+	if inf, err := cl2.Info(client.HLL, "r.hll"); err != nil || !inf.Spec.Pinned {
+		t.Errorf("restored r.hll Spec %+v (err %v), want pinned", inf.Spec, err)
+	}
+	inf, err := cl2.Info(client.Theta, "r.cfg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := inf.Spec; got.IdleTTL != cfgSpec.IdleTTL || got.Autoscale == nil || *got.Autoscale != policy {
+		t.Errorf("restored r.cfg Spec %+v (policy %+v), want IdleTTL %v and policy %+v",
+			got, got.Autoscale, cfgSpec.IdleTTL, policy)
 	}
 
 	// Restored state must keep absorbing writes.

@@ -70,7 +70,7 @@ func TestE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	mirror, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{
-		Shards: inf.Shards, Writers: inf.Writers,
+		Shards: inf.Spec.Shards, Writers: inf.Writers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestE2E(t *testing.T) {
 		// Walk the shard count while the writers hammer.
 		go func() {
 			defer close(fireDone)
-			for _, s := range []int{inf.Shards + 2, 1, inf.Shards} {
+			for _, s := range []int{inf.Spec.Shards + 2, 1, inf.Spec.Shards} {
 				if err := cl.Resize(client.CountMin, "e2e.fire", s); err != nil {
 					t.Errorf("resize under fire: %v", err)
 					return
@@ -123,7 +123,7 @@ func TestE2E(t *testing.T) {
 		}
 		// Quiesce: one more resize drains everything into legacy; the total
 		// weight is then exact and must cover every acked item.
-		if err := cl.Resize(client.CountMin, "e2e.fire", inf.Shards+1); err != nil {
+		if err := cl.Resize(client.CountMin, "e2e.fire", inf.Spec.Shards+1); err != nil {
 			t.Fatal(err)
 		}
 		n, err := cl.CountMinN("e2e.fire")
@@ -194,7 +194,7 @@ func TestE2E(t *testing.T) {
 		// completed updates fold into legacy state, new shards start empty —
 		// so the merged state on both sides is the same deterministic
 		// function of the key multiset and the epoch history.
-		quiesceTo := inf.Shards + 1
+		quiesceTo := inf.Spec.Shards + 1
 		for fam, sk := range map[client.Family]interface{ Resize(int) error }{
 			client.Theta:     mt,
 			client.HLL:       mh,
@@ -335,8 +335,8 @@ func TestE2E(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !vinf.ViewEnabled {
-			t.Fatalf("Info after EnableView = %+v, want ViewEnabled", vinf)
+		if v := vinf.Spec.View; v == nil || v.RefreshEvery != refreshEvery || v.MaxAge != -1 {
+			t.Fatalf("Info after EnableView = %+v, want the declared view", vinf.Spec.View)
 		}
 		// Phase 2 ingested 100k distinct keys; the viewed estimate must sit
 		// inside the same accuracy envelope the live fold honoured.
@@ -375,24 +375,24 @@ func TestE2E(t *testing.T) {
 			}
 			time.Sleep(refreshEvery)
 		}
-		if err := cl.DisableView(name); err != nil {
+		if err := cl.Apply(client.AllFamilies, name, client.Spec{ViewOff: true}); err != nil {
 			t.Fatal(err)
 		}
 		vinf, err = cl.Info(client.Theta, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vinf.ViewEnabled {
-			t.Fatal("ViewEnabled still set after DisableView")
+		if vinf.Spec.View != nil {
+			t.Fatal("view still on after Spec.ViewOff")
 		}
-		// Disabling a viewless sketch is a typed server error on a healthy
-		// connection, not a hangup.
-		if err := cl.DisableView(name); err == nil {
-			t.Error("second DisableView did not error")
+		// A view on a name with no sketches is a typed server error on a
+		// healthy connection, not a hangup.
+		if err := cl.EnableView("e2e.absent", refreshEvery, -1); err == nil {
+			t.Error("view on an absent name did not error")
 		} else {
 			var se *client.Error
 			if !errors.As(err, &se) {
-				t.Errorf("second DisableView error %v is not a server-typed *client.Error", err)
+				t.Errorf("view on an absent name: error %v is not a server-typed *client.Error", err)
 			}
 		}
 		if err := cl.Ping(); err != nil {
@@ -427,7 +427,7 @@ func TestE2E(t *testing.T) {
 			if err := b.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if err := who.Resize(client.CountMin, "e2e.mr", inf.Shards+1); err != nil {
+			if err := who.Resize(client.CountMin, "e2e.mr", inf.Spec.Shards+1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -450,7 +450,7 @@ func TestE2E(t *testing.T) {
 		for i := uint64(0); i < 2*half; i++ {
 			ref.Update(0, i%701)
 		}
-		if err := ref.Resize(inf.Shards + 1); err != nil {
+		if err := ref.Resize(inf.Spec.Shards + 1); err != nil {
 			t.Fatal(err)
 		}
 		for probe := uint64(0); probe < 20; probe++ {

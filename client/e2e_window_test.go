@@ -15,7 +15,7 @@ import (
 // name (stripping decay from the families that cannot honour it), Info
 // echoes the declared geometry and rotation liveness, windowed and decayed
 // queries serve exact answers across rotations and an expulsion, and
-// DisableWindow restores the window-less behaviour without touching the
+// Spec.WindowOff restores the window-less behaviour without touching the
 // cumulative plane.
 //
 // The server is always in-process: the test reaches through the registry for
@@ -65,8 +65,12 @@ func TestE2EWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !inf.WindowEnabled || inf.WindowSlots != 2 ||
-			inf.WindowIntervalNs != uint64(time.Hour) || inf.WindowRotations != 0 {
+		wantDecay := 0.0
+		if fam == client.CountMin {
+			wantDecay = 0.5
+		}
+		if w := inf.Spec.Window; w == nil || w.Slots != 2 || w.Interval != time.Hour ||
+			w.Decay != wantDecay || inf.WindowRotations != 0 {
 			t.Fatalf("%s Info after EnableWindow = %+v, want a fresh 2-slot hour window", fam, inf)
 		}
 	}
@@ -139,30 +143,28 @@ func TestE2EWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !inf.WindowEnabled || inf.WindowRotations != 3 {
+	if inf.Spec.Window == nil || inf.WindowRotations != 3 {
 		t.Fatalf("Info after 3 rotations = %+v", inf)
 	}
 
-	// DisableWindow spans the name, windowed queries fail typed again, and
-	// the cumulative plane is untouched.
-	if err := cl.DisableWindow(name); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.WindowCountMinN(name); err == nil {
-		t.Fatal("windowed query after DisableWindow did not error")
-	}
-	inf, err = cl.Info(client.CountMin, name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inf.WindowEnabled {
-		t.Fatalf("Info after DisableWindow = %+v, want window gone", inf)
-	}
-	if got, err := cl.Count(name, 7); err != nil || got != 150 {
-		t.Fatalf("cumulative Count after DisableWindow = (%d, %v), want 150", got, err)
-	}
-	// A second DisableWindow finds nothing to collapse.
-	if err := cl.DisableWindow(name); err == nil {
-		t.Error("second DisableWindow did not error")
+	// Spec.WindowOff spans the name, windowed queries fail typed again, and
+	// the cumulative plane is untouched — a second one is a no-op.
+	for i := 0; i < 2; i++ {
+		if err := cl.Apply(client.AllFamilies, name, client.Spec{WindowOff: true}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.WindowCountMinN(name); err == nil {
+			t.Fatal("windowed query after Spec.WindowOff did not error")
+		}
+		inf, err = cl.Info(client.CountMin, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inf.Spec.Window != nil {
+			t.Fatalf("Info after Spec.WindowOff = %+v, want window gone", inf)
+		}
+		if got, err := cl.Count(name, 7); err != nil || got != 150 {
+			t.Fatalf("cumulative Count after Spec.WindowOff = (%d, %v), want 150", got, err)
+		}
 	}
 }

@@ -68,7 +68,7 @@ func quiesce(t *testing.T, cl *client.Client, fam client.Family, name string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Resize(fam, name, int(inf.Shards)+1); err != nil {
+	if err := cl.Resize(fam, name, int(inf.Spec.Shards)+1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -114,8 +114,8 @@ func TestClientSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inf.Shards != 3 {
-		t.Fatalf("restored sketch has %d shards, want B's configured 3", inf.Shards)
+	if inf.Spec.Shards != 3 {
+		t.Fatalf("restored sketch has %d shards, want B's configured 3", inf.Spec.Shards)
 	}
 
 	// Restoring the same blob twice is a union no-op for HLL.

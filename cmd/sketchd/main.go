@@ -1,8 +1,10 @@
 // Sketchd is the network front-end daemon: a fastsketches.Registry served
 // over TCP with the internal/wire protocol — batched ingest fanned into
 // writer lanes, pipelined merged queries through per-connection reusable
-// accumulators, and remote admin ops (create / live resize / autoscale /
-// drop / names / info). Use the fastsketches/client library to talk to it:
+// accumulators, one control op applying a Spec (shards, window, view,
+// autoscale, idle TTL, pinning), and drop / names / info. Checkpoints keep
+// each sketch's whole Spec, so a restarted daemon serves every tenant as it
+// was configured. Use the fastsketches/client library to talk to it:
 //
 //	sketchd -addr 127.0.0.1:7600 -shards 4 -writers 4
 //

@@ -4,7 +4,7 @@
 // throughput/staleness trade-off: merged queries miss at most S·r = S·2·N·b
 // completed updates while ingest scales with S parallel propagators. Live
 // resharding (examples/resharding) made that point movable; this
-// walkthrough hands the steering to a policy. Registry.Autoscale attaches
+// walkthrough hands the steering to a policy. A Spec.Autoscale attaches
 // a controller that samples the sketch's ingest-pressure counters — items
 // entering the propagation plane, and the propagator backlog — and walks S
 // through Resize under hysteresis rules: scale up when the per-shard rate
@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"fastsketches"
-	"fastsketches/internal/autoscale"
 )
 
 const writers = 4
@@ -55,15 +54,15 @@ func main() {
 	// with a drained backlog for two samples halves it (down to 2). The
 	// transitional staleness window of any resize is capped at 16·r.
 	// (A policy that doesn't depend on the live sketch could equally ride
-	// along declaratively as Spec.Autoscale on the Open call above.)
-	if err := h.Autoscale(autoscale.Policy{
+	// along on the Open call above.)
+	if err := h.Apply(fastsketches.Spec{Autoscale: &fastsketches.AutoscalePolicy{
 		MinShards: 2, MaxShards: 8,
 		HighWater: 200e3, LowWater: 25e3,
 		SustainedUp: 2, SustainedDown: 2,
 		SampleEvery:               25 * time.Millisecond,
 		Cooldown:                  75 * time.Millisecond,
 		MaxTransitionalRelaxation: 16 * requests.ShardRelaxation(),
-	}); err != nil {
+	}}); err != nil {
 		panic(err)
 	}
 

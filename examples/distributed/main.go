@@ -128,5 +128,5 @@ func main() {
 	// True union: shards overlap by overlapPerShard with each neighbour.
 	truth := float64(agents*uniquesPerAgent - (agents-1)*overlapPerShard)
 	fmt.Printf("\nglobal distinct estimate: %.0f (truth %.0f, error %+.2f%%; served at S=%d, staleness ≤ %d)\n",
-		got, truth, (got/truth-1)*100, inf.Shards, inf.Relaxation)
+		got, truth, (got/truth-1)*100, inf.Spec.Shards, inf.Relaxation)
 }

@@ -4,7 +4,7 @@
 // A merged query on a sharded sketch folds one wait-free snapshot per
 // shard: O(S) work per query, the right default for occasionally-queried
 // sketches and the wrong one for a dashboard polling a wide sketch a
-// thousand times a second. Registry.EnableView moves the fold off the
+// thousand times a second. A Spec.View moves the fold off the
 // query path: a background refresher folds the sketch's entire published
 // state into a double-buffered merged accumulator every RefreshEvery and
 // publishes it atomically; queries then fold that single accumulator —
@@ -63,13 +63,12 @@ func main() {
 
 	// Enable the view: one synchronous refresh (so a view is available
 	// immediately), then a background refresher every 20ms.
-	n, err := reg.ReplaceView("dashboard/users", fastsketches.ViewConfig{
+	if err := h.Apply(fastsketches.Spec{View: &fastsketches.ViewConfig{
 		RefreshEvery: 20 * time.Millisecond,
-	})
-	if err != nil {
+	}}); err != nil {
 		panic(err)
 	}
-	fmt.Printf("\nview enabled on %d sketch(es) under the name\n", n)
+	fmt.Printf("\nview enabled on %s/%s\n", h.Family(), h.Name())
 
 	viewNs := poll("through the view (O(1)):")
 	fmt.Printf("speedup %.1fx; the O(S) fold now runs on the refresher, not per query\n\n",
@@ -90,7 +89,7 @@ func main() {
 		users.Estimate())
 
 	// Disable: queries return to the live fold, fully fresh, O(S) again.
-	reg.StopView("dashboard/users")
+	h.Apply(fastsketches.Spec{ViewOff: true})
 	fmt.Println("view disabled — queries fold live snapshots again")
 	fmt.Println("\nThe trade mirrors the paper's: sharding bought ingest throughput with")
 	fmt.Println("merged-query staleness (S·r); the view buys query throughput with one")

@@ -26,10 +26,8 @@ type matrixHandle interface {
 	Name() string
 	Shards() int
 	Resize(shards int) error
-	EnableView(ViewConfig) error
-	DisableView() bool
+	Apply(Spec) error
 	ViewEnabled() bool
-	EnableWindow(WindowConfig) error
 	RotateNow() bool
 	Info() (SketchInfo, bool)
 	Drop() bool
@@ -145,15 +143,15 @@ func TestFamilyMatrixLifecycle(t *testing.T) {
 			near("total after resize", d.total(), 1000)
 
 			// View on: merged queries read the published view; off: live again.
-			if err := d.EnableView(ViewConfig{RefreshEvery: time.Hour, MaxAge: -1}); err != nil {
+			if err := d.Apply(Spec{View: &ViewConfig{RefreshEvery: time.Hour, MaxAge: -1}}); err != nil {
 				t.Fatal(err)
 			}
 			if !d.ViewEnabled() {
 				t.Error("view not enabled")
 			}
 			near("total through the view", d.total(), 1000)
-			if !d.DisableView() || d.ViewEnabled() {
-				t.Error("view not disabled")
+			if err := d.Apply(Spec{ViewOff: true}); err != nil || d.ViewEnabled() {
+				t.Errorf("view not disabled: %v", err)
 			}
 
 			// Window: items ingested after the declaration are the window's;
@@ -162,7 +160,7 @@ func TestFamilyMatrixLifecycle(t *testing.T) {
 				t.Error("windowed query answered before a window was declared")
 			}
 			wcfg := WindowConfig{Interval: time.Hour, Slots: 2, Clock: clock.NewManual(time.Unix(1<<20, 0))}
-			if err := d.EnableWindow(wcfg); err != nil {
+			if err := d.Apply(Spec{Window: &wcfg}); err != nil {
 				t.Fatal(err)
 			}
 			d.ingest(500)
@@ -178,7 +176,7 @@ func TestFamilyMatrixLifecycle(t *testing.T) {
 
 			// A view over the windowed sketch, parked on the same manual clock,
 			// so the checkpoint record carries both.
-			if err := d.EnableView(ViewConfig{RefreshEvery: time.Hour, MaxAge: -1, Clock: wcfg.Clock}); err != nil {
+			if err := d.Apply(Spec{View: &ViewConfig{RefreshEvery: time.Hour, MaxAge: -1, Clock: wcfg.Clock}}); err != nil {
 				t.Fatal(err)
 			}
 			near("total through the view over the window", d.total(), 1500)
@@ -214,7 +212,7 @@ func TestFamilyMatrixLifecycle(t *testing.T) {
 				t.Errorf("restored Names = %v, source has %v", got, want)
 			}
 			inf, ok := fresh.Info(fam.String(), name)
-			if !ok || inf.Shards != 3 || !inf.ViewEnabled || !inf.WindowEnabled || inf.WindowSlots != 2 || inf.WindowInterval != time.Hour {
+			if w := inf.Spec.Window; !ok || inf.Spec.Shards != 3 || inf.Spec.View == nil || w == nil || w.Slots != 2 || w.Interval != time.Hour {
 				t.Errorf("restored Info = %+v (ok=%v), want S=3 with a view and a 2×1h window", inf, ok)
 			}
 			wantTotal := rd.total()
@@ -270,14 +268,14 @@ func TestDroppedSketchKeepsNoLifecycle(t *testing.T) {
 	if !reg.Drop("hll", "orphan") {
 		t.Fatal("Drop found nothing")
 	}
-	if err := reg.applySpec(e, Spec{Pinned: true, IdleTTL: time.Hour}); err != nil {
+	if err := reg.apply(e, Spec{Pinned: true, IdleTTL: time.Hour}, nil); err != nil {
 		t.Fatal(err)
 	}
 	h, err := reg.OpenHLL("orphan", Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inf, ok := h.Info(); !ok || inf.Pinned || inf.IdleTTL != 0 {
+	if inf, ok := h.Info(); !ok || inf.Spec.Pinned || inf.Spec.IdleTTL != 0 {
 		t.Errorf("fresh sketch inherited a dropped sketch's lifecycle: %+v (ok=%v)", inf, ok)
 	}
 }

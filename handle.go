@@ -1,7 +1,6 @@
 package fastsketches
 
 import (
-	"fmt"
 	"time"
 
 	"fastsketches/internal/autoscale"
@@ -18,56 +17,20 @@ import (
 // it without importing the internal package.
 type AutoscalePolicy = autoscale.Policy
 
-// Spec declares a sketch's lifecycle in one place: its shard geometry, its
-// materialized view, its autoscaling policy, and how the ops layer's
-// eviction and budget sweeps may treat it. Open* applies the spec to the
-// named sketch (creating it on first use) and returns a typed Handle — the
-// one-call replacement for the per-family get/Resize/EnableView/Autoscale
-// call sprawl. The zero Spec is valid and declares nothing: the sketch is
-// created (or found) with the registry's defaults and left untouched.
-type Spec struct {
-	// Shards is the declared shard count S. 0 leaves the sketch at its
-	// current (or the registry's default) S; a positive value live-resizes
-	// the sketch whenever it differs — Open is declarative, so reopening
-	// with a different Shards walks the throughput/staleness trade-off
-	// exactly like Handle.Resize.
-	Shards int
-	// View, when non-nil, (re-)materializes the sketch's merged view under
-	// this config: the refresher is re-armed on every Open that declares it
-	// (idempotent per handle, mirroring ReplaceView). Nil leaves any
-	// existing view untouched.
-	View *ViewConfig
-	// Autoscale, when non-nil, attaches an autoscaling controller under
-	// this policy with replace semantics: a controller already driving the
-	// sketch is stopped and swapped, never stacked. Nil leaves any existing
-	// controller untouched.
-	Autoscale *AutoscalePolicy
-	// Window, when non-nil, declares a sliding window (and, for Count-Min,
-	// exponential time decay) under this config: windowed queries cover the
-	// live rotation interval plus the last Slots closed intervals, while the
-	// cumulative plane keeps serving the whole stream. Open is declarative
-	// with replace semantics, but an equal declaration is a no-op: reopening
-	// with the same Interval/Slots/Decay keeps the running window and its
-	// ring (no history loss), a different config collapses the old window
-	// into the cumulative plane and re-arms a fresh one. Nil leaves any
-	// existing window untouched.
-	Window *WindowConfig
-	// IdleTTL, when positive, overrides the ops sweeper's default idle TTL
-	// for this sketch: no ingest for longer than this and the sweeper drops
-	// it. 0 keeps the sketch on the sweeper's default (which may itself be
-	// "never evict"). Negative values are rejected.
-	IdleTTL time.Duration
-	// Pinned exempts the sketch from idle eviction and budget shedding
-	// entirely — the budget class for sketches that must survive quiet
-	// periods and memory pressure.
-	Pinned bool
-}
+// Spec declares a sketch's configuration in one place — shard count,
+// window, view, autoscale policy and lifecycle — and is the one form it
+// takes in the library, on the wire and in a checkpoint; see wire.Spec for
+// every field. Open* and Handle.Apply apply it (creating the sketch on first
+// use with Open*), Registry.Apply applies it to sketches that already exist,
+// and SketchInfo.Spec reports the Spec in force. The zero Spec declares
+// nothing.
+type Spec = wire.Spec
 
 // Sketch is the uniform surface the generic Handle requires of a family's
 // sharded sketch: the lane-disciplined ingest plane, the zero-alloc merged
-// query plane, live resizing, introspection, and the materialized-view
-// switches. All four family wrappers of the shard package satisfy it
-// through the embedded generic Sharded layer; family-specific queries
+// and windowed query planes, live resizing, and introspection. All four
+// family wrappers of the shard package satisfy it through the embedded
+// generic Sharded layer; family-specific queries
 // (Theta.Estimate, Quantiles.Quantile, CountMin.Estimate, UpdateString)
 // stay on the concrete type, reachable via Handle.Sketch.
 type Sketch[T any, A any] interface {
@@ -83,13 +46,9 @@ type Sketch[T any, A any] interface {
 	Eager() bool
 	Pressure() PressureSample
 	SizeBytes() int64
-	EnableView(ViewConfig) error
-	DisableView() bool
 	ViewEnabled() bool
 	ViewLag() time.Duration
 	RefreshViewNow() bool
-	EnableWindow(WindowConfig) error
-	DisableWindow() bool
 	WindowEnabled() bool
 	WindowSettings() (WindowConfig, bool)
 	WindowStats() (WindowInfo, bool)
@@ -152,64 +111,23 @@ func (r *Registry) OpenCountMin(name string, spec Spec) (*CountMinHandle, error)
 	return open[uint64, *countmin.Sketch, *shard.CountMin](r, wire.FamilyCountMin, name, spec)
 }
 
-// open is the one body behind the Open* constructors: get-or-create the
-// entry from the family table, apply the spec, and wrap the sketch back in
-// its concrete type S — the only place the entry's interface is narrowed,
-// so everything a Handle forwards stays statically dispatched.
+// open is the one body behind the Open* constructors: validate the spec,
+// get-or-create the entry from the family table, apply the spec, and wrap
+// the sketch back in its concrete type S — the only place the entry's
+// interface is narrowed, so everything a Handle forwards stays statically
+// dispatched. A rejected spec creates nothing.
 func open[T any, A any, S interface {
 	Sketch[T, A]
 	sketch
 }](r *Registry, fam wire.Family, name string, spec Spec) (*Handle[T, A, S], error) {
+	if err := spec.Validate(fam); err != nil {
+		return nil, err
+	}
 	e := r.getOrCreate(fam, name)
-	if err := r.applySpec(e, spec); err != nil {
+	if err := r.apply(e, spec, nil); err != nil {
 		return nil, err
 	}
 	return &Handle[T, A, S]{r: r, e: e, sk: e.sk.(S)}, nil
-}
-
-// applySpec applies one Spec to one sketch. Resize and view/window re-arming
-// run outside the registry lock (they serialise on the sketch's own resize
-// lock); only the lifecycle record takes r.mu, briefly.
-func (r *Registry) applySpec(e *entry, spec Spec) error {
-	if spec.Shards < 0 {
-		return fmt.Errorf("%w: negative Spec.Shards", ErrConfig)
-	}
-	if spec.IdleTTL < 0 {
-		return fmt.Errorf("%w: negative Spec.IdleTTL", ErrConfig)
-	}
-	sk := e.sk
-	if spec.Shards > 0 && sk.Shards() != spec.Shards {
-		if err := sk.Resize(spec.Shards); err != nil {
-			return err
-		}
-	}
-	if spec.View != nil {
-		sk.DisableView()
-		if err := sk.EnableView(*spec.View); err != nil {
-			return err
-		}
-	}
-	if spec.Window != nil {
-		if err := replaceWindow(sk, *spec.Window); err != nil {
-			return err
-		}
-	}
-	if spec.Autoscale != nil {
-		if err := r.attachController(e, *spec.Autoscale); err != nil {
-			return err
-		}
-	}
-	if spec.IdleTTL != 0 || spec.Pinned {
-		r.mu.Lock()
-		// Only while e is still the registered sketch: if a Drop landed since
-		// getOrCreate, the declaration dies with the dropped sketch instead of
-		// leaking onto whatever is opened under the name next.
-		if r.sketches[e.key] == e {
-			e.lc = lifecycleSpec{spec.IdleTTL, spec.Pinned}
-		}
-		r.mu.Unlock()
-	}
-	return nil
 }
 
 // Family returns the handle's family string ("theta", "hll", "quantiles",
@@ -275,14 +193,14 @@ func (h *Handle[T, A, S]) Pressure() PressureSample { return h.sk.Pressure() }
 // the memory-budget accountant sums (see shard.Sharded.SizeBytes).
 func (h *Handle[T, A, S]) SizeBytes() int64 { return h.sk.SizeBytes() }
 
-// EnableView materializes the sketch's merged view under cfg; merged
-// queries then fold one published accumulator — O(1) in S — at staleness
-// S·r plus one refresh interval.
-func (h *Handle[T, A, S]) EnableView(cfg ViewConfig) error { return h.sk.EnableView(cfg) }
-
-// DisableView stops the view refresher, reporting whether one was running;
-// merged queries fold live shard snapshots again.
-func (h *Handle[T, A, S]) DisableView() bool { return h.sk.DisableView() }
+// Apply applies spec to this sketch exactly as reopening it with Open*
+// would (see Spec), without the name lookup.
+func (h *Handle[T, A, S]) Apply(spec Spec) error {
+	if err := spec.Validate(h.e.key.fam); err != nil {
+		return err
+	}
+	return h.r.apply(h.e, spec, nil)
+}
 
 // ViewEnabled reports whether a materialized view is serving merged
 // queries.
@@ -291,18 +209,6 @@ func (h *Handle[T, A, S]) ViewEnabled() bool { return h.sk.ViewEnabled() }
 // ViewLag returns the age of the view's latest published refresh; zero
 // when no view is enabled.
 func (h *Handle[T, A, S]) ViewLag() time.Duration { return h.sk.ViewLag() }
-
-// EnableWindow declares a sliding window under cfg: windowed queries then
-// cover the live rotation interval plus the last cfg.Slots closed intervals,
-// while the cumulative plane keeps serving the whole stream. A windowed
-// query reflects all but at most Relaxation() of the window's updates, plus
-// whatever the live interval has accumulated beyond one rotation interval.
-func (h *Handle[T, A, S]) EnableWindow(cfg WindowConfig) error { return h.sk.EnableWindow(cfg) }
-
-// DisableWindow stops the window's rotator and collapses its closed slots
-// into the cumulative plane (no counted update is lost), reporting whether a
-// window was enabled.
-func (h *Handle[T, A, S]) DisableWindow() bool { return h.sk.DisableWindow() }
 
 // WindowEnabled reports whether a sliding window is declared on this sketch.
 func (h *Handle[T, A, S]) WindowEnabled() bool { return h.sk.WindowEnabled() }
@@ -328,22 +234,8 @@ func (h *Handle[T, A, S]) WindowMergeInto(acc A) bool { return h.sk.WindowMergeI
 // pipelines. Returns false when no window is enabled.
 func (h *Handle[T, A, S]) RotateNow() bool { return h.sk.RotateNow() }
 
-// Autoscale attaches an autoscaling controller under p with replace
-// semantics — a controller already driving this sketch is stopped and
-// swapped, never stacked (the idempotent per-sketch form of
-// Registry.ReplaceAutoscale).
-func (h *Handle[T, A, S]) Autoscale(p AutoscalePolicy) error {
-	return h.r.attachController(h.e, p)
-}
-
-// StopAutoscale stops and detaches the controller driving this sketch,
-// reporting how many (0 or 1) were stopped.
-func (h *Handle[T, A, S]) StopAutoscale() int {
-	return h.r.detachController(h.e)
-}
-
-// Info returns the sketch's live metadata (geometry, staleness bounds,
-// pressure counters, resident size, lifecycle), or ok=false after Drop.
+// Info returns the sketch's live metadata (the Spec in force, staleness
+// bounds, pressure counters, resident size), or ok=false after Drop.
 func (h *Handle[T, A, S]) Info() (SketchInfo, bool) {
 	return h.r.Info(h.Family(), h.Name())
 }

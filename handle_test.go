@@ -48,7 +48,7 @@ func TestOpenIdempotent(t *testing.T) {
 		t.Errorf("handle identity %s/%s", h2.Family(), h2.Name())
 	}
 	inf, ok := h2.Info()
-	if !ok || inf.IdleTTL != 0 || inf.Pinned {
+	if !ok || inf.Spec.IdleTTL != 0 || inf.Spec.Pinned {
 		t.Errorf("empty Spec recorded lifecycle: %+v (ok=%v)", inf, ok)
 	}
 }
@@ -116,8 +116,8 @@ func TestSpecViewRearm(t *testing.T) {
 	if !h.ViewEnabled() {
 		t.Error("nil Spec.View disabled a live view")
 	}
-	if !h.DisableView() {
-		t.Fatal("DisableView found no view")
+	if err := h.Apply(fastsketches.Spec{ViewOff: true}); err != nil || h.ViewEnabled() {
+		t.Fatalf("Spec.ViewOff left the view on (err %v)", err)
 	}
 	if h, err = reg.OpenQuantiles("viewed", fastsketches.Spec{View: view}); err != nil {
 		t.Fatal(err)
@@ -145,11 +145,14 @@ func TestSpecAutoscaleReplace(t *testing.T) {
 	if h, err = reg.OpenTheta("scaled", fastsketches.Spec{Autoscale: pol(8)}); err != nil {
 		t.Fatal(err)
 	}
-	if n := h.StopAutoscale(); n != 1 {
-		t.Errorf("StopAutoscale stopped %d controllers, want exactly 1 (replace, not stack)", n)
+	if inf, _ := h.Info(); inf.Spec.Autoscale == nil || inf.Spec.Autoscale.MaxShards != 8 {
+		t.Errorf("Spec in force %+v, want the replacing policy (MaxShards 8)", inf.Spec.Autoscale)
+	}
+	if err := h.Apply(fastsketches.Spec{AutoscaleOff: true}); err != nil {
+		t.Fatal(err)
 	}
 	if _, ok := h.AutoscaleStats(); ok {
-		t.Error("controller still attached after StopAutoscale")
+		t.Error("controller still attached after Spec.AutoscaleOff")
 	}
 }
 
@@ -162,19 +165,19 @@ func TestSpecLifecycleRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	inf, ok := h.Info()
-	if !ok || inf.IdleTTL != time.Minute || !inf.Pinned {
+	if !ok || inf.Spec.IdleTTL != time.Minute || !inf.Spec.Pinned {
 		t.Fatalf("lifecycle not recorded: %+v (ok=%v)", inf, ok)
 	}
 	if _, err = reg.OpenHLL("lc", fastsketches.Spec{}); err != nil {
 		t.Fatal(err)
 	}
-	if inf, _ = h.Info(); inf.IdleTTL != time.Minute || !inf.Pinned {
+	if inf, _ = h.Info(); inf.Spec.IdleTTL != time.Minute || !inf.Spec.Pinned {
 		t.Errorf("empty Spec clobbered lifecycle: %+v", inf)
 	}
 	if _, err = reg.OpenHLL("lc", fastsketches.Spec{IdleTTL: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
-	if inf, _ = h.Info(); inf.IdleTTL != time.Hour || inf.Pinned {
+	if inf, _ = h.Info(); inf.Spec.IdleTTL != time.Hour || inf.Spec.Pinned {
 		t.Errorf("redeclaration not applied: %+v, want IdleTTL=1h Pinned=false", inf)
 	}
 	// Drop clears the record: a fresh incarnation starts with no lifecycle.
@@ -185,7 +188,7 @@ func TestSpecLifecycleRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inf, _ = h2.Info(); inf.IdleTTL != 0 || inf.Pinned {
+	if inf, _ = h2.Info(); inf.Spec.IdleTTL != 0 || inf.Spec.Pinned {
 		t.Errorf("lifecycle leaked across Drop: %+v", inf)
 	}
 }
@@ -225,7 +228,7 @@ func TestInfosEnumeration(t *testing.T) {
 		if inf.Family == "theta" && inf.Ingested <= 0 {
 			t.Errorf("%s/%s: Ingested %d after an update", inf.Family, inf.Name, inf.Ingested)
 		}
-		if inf.Family == "countmin" && !inf.Pinned {
+		if inf.Family == "countmin" && !inf.Spec.Pinned {
 			t.Errorf("%s/%s: Pinned flag lost in enumeration", inf.Family, inf.Name)
 		}
 	}

@@ -144,7 +144,9 @@ type Policy struct {
 	Clock clock.Clock
 }
 
-func (p *Policy) normalise() error {
+// Normalise fills the defaults New applies and validates the policy,
+// returning the effective policy a controller would run under.
+func (p Policy) Normalise() (Policy, error) {
 	if p.MinShards == 0 {
 		p.MinShards = 1
 	}
@@ -152,38 +154,38 @@ func (p *Policy) normalise() error {
 		p.MaxShards = 32
 	}
 	if p.MinShards < 1 {
-		return fmt.Errorf("autoscale: MinShards must be ≥ 1, got %d", p.MinShards)
+		return p, fmt.Errorf("autoscale: MinShards must be ≥ 1, got %d", p.MinShards)
 	}
 	if p.MaxShards < p.MinShards {
-		return fmt.Errorf("autoscale: MaxShards %d < MinShards %d", p.MaxShards, p.MinShards)
+		return p, fmt.Errorf("autoscale: MaxShards %d < MinShards %d", p.MaxShards, p.MinShards)
 	}
 	if p.HighWater <= 0 {
-		return fmt.Errorf("autoscale: HighWater must be > 0, got %v", p.HighWater)
+		return p, fmt.Errorf("autoscale: HighWater must be > 0, got %v", p.HighWater)
 	}
 	if p.StepFactor == 0 {
 		p.StepFactor = 2
 	}
 	if p.StepFactor < 2 {
-		return fmt.Errorf("autoscale: StepFactor must be ≥ 2, got %d", p.StepFactor)
+		return p, fmt.Errorf("autoscale: StepFactor must be ≥ 2, got %d", p.StepFactor)
 	}
 	if p.LowWater == 0 {
 		p.LowWater = p.HighWater / float64(4*p.StepFactor)
 	}
 	if p.LowWater < 0 {
-		return fmt.Errorf("autoscale: negative LowWater")
+		return p, fmt.Errorf("autoscale: negative LowWater")
 	}
 	if p.LowWater*float64(p.StepFactor) > p.HighWater {
-		return fmt.Errorf("autoscale: LowWater %v too close to HighWater %v: need LowWater·StepFactor ≤ HighWater or a step up immediately re-qualifies for a step down",
+		return p, fmt.Errorf("autoscale: LowWater %v too close to HighWater %v: need LowWater·StepFactor ≤ HighWater or a step up immediately re-qualifies for a step down",
 			p.LowWater, p.HighWater)
 	}
 	if p.BacklogHighWater < 0 {
-		return fmt.Errorf("autoscale: negative BacklogHighWater")
+		return p, fmt.Errorf("autoscale: negative BacklogHighWater")
 	}
 	if p.SampleEvery == 0 {
 		p.SampleEvery = 250 * time.Millisecond
 	}
 	if p.SampleEvery < 0 {
-		return fmt.Errorf("autoscale: negative SampleEvery")
+		return p, fmt.Errorf("autoscale: negative SampleEvery")
 	}
 	if p.SustainedUp == 0 {
 		p.SustainedUp = 3
@@ -192,24 +194,24 @@ func (p *Policy) normalise() error {
 		p.SustainedDown = 6
 	}
 	if p.SustainedUp < 1 || p.SustainedDown < 1 {
-		return fmt.Errorf("autoscale: Sustained windows must be ≥ 1")
+		return p, fmt.Errorf("autoscale: Sustained windows must be ≥ 1")
 	}
 	if p.Cooldown == 0 {
 		p.Cooldown = 4 * p.SampleEvery
 	}
 	if p.Cooldown < 0 {
-		return fmt.Errorf("autoscale: negative Cooldown")
+		return p, fmt.Errorf("autoscale: negative Cooldown")
 	}
 	if p.MaxTransitionalRelaxation < 0 {
-		return fmt.Errorf("autoscale: negative MaxTransitionalRelaxation")
+		return p, fmt.Errorf("autoscale: negative MaxTransitionalRelaxation")
 	}
 	if p.ViewLagHighWater < 0 {
-		return fmt.Errorf("autoscale: negative ViewLagHighWater")
+		return p, fmt.Errorf("autoscale: negative ViewLagHighWater")
 	}
 	if p.Clock == nil {
 		p.Clock = clock.System{}
 	}
-	return nil
+	return p, nil
 }
 
 // Decision is the outcome of one controller tick.
@@ -298,9 +300,9 @@ type Stats struct {
 type Controller struct {
 	t     Target
 	clock clock.Clock
+	p     Policy // normalised; immutable after New
 
 	mu           sync.Mutex
-	p            Policy // normalised
 	memPressure  func() bool
 	lastAt       time.Time
 	lastIngested int64
@@ -320,18 +322,17 @@ type Controller struct {
 // New validates the policy, applies its defaults, and returns a controller
 // bound to the target. The controller is inert until Start or Tick.
 func New(t Target, p Policy) (*Controller, error) {
-	if err := p.normalise(); err != nil {
+	p, err := p.Normalise()
+	if err != nil {
 		return nil, err
 	}
 	return &Controller{t: t, clock: p.Clock, p: p}, nil
 }
 
-// Policy returns the controller's effective (normalised) policy.
-func (c *Controller) Policy() Policy {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.p
-}
+// Policy returns the controller's effective (normalised) policy. The
+// policy never changes after New, so this takes no lock and never waits out
+// a resize the controller is driving.
+func (c *Controller) Policy() Policy { return c.p }
 
 // SetMemoryPressure installs (or, with nil, removes) the memory-budget
 // signal: while f reports true the controller vetoes scale-ups (growing S

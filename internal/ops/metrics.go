@@ -31,7 +31,7 @@ type sketchGauge struct {
 
 var sketchSeries = []sketchGauge{
 	{"fastsketches_sketch_shards", "Current shard count S.", "gauge",
-		func(i *fastsketches.SketchInfo) float64 { return float64(i.Shards) }},
+		func(i *fastsketches.SketchInfo) float64 { return float64(i.Spec.Shards) }},
 	{"fastsketches_sketch_relaxation", "Live merged-query staleness bound S*r in completed updates (transiently S_old*r + S_new*r during a resize).", "gauge",
 		func(i *fastsketches.SketchInfo) float64 { return float64(i.Relaxation) }},
 	{"fastsketches_sketch_shard_relaxation", "Per-shard staleness bound r = 2*N*b.", "gauge",
@@ -45,15 +45,20 @@ var sketchSeries = []sketchGauge{
 	{"fastsketches_sketch_backlog", "Items published but not yet merged (ingested - merged).", "gauge",
 		func(i *fastsketches.SketchInfo) float64 { return float64(i.Backlog) }},
 	{"fastsketches_sketch_view_enabled", "1 when a materialized merged view serves this sketch's aggregate queries.", "gauge",
-		func(i *fastsketches.SketchInfo) float64 { return b2f(i.ViewEnabled) }},
+		func(i *fastsketches.SketchInfo) float64 { return b2f(i.Spec.View != nil) }},
 	{"fastsketches_sketch_view_lag_seconds", "Age of the view's latest published refresh; 0 with no view.", "gauge",
 		func(i *fastsketches.SketchInfo) float64 { return i.ViewLag.Seconds() }},
 	{"fastsketches_sketch_resident_bytes", "Estimated resident heap footprint of the sketch.", "gauge",
 		func(i *fastsketches.SketchInfo) float64 { return float64(i.SizeBytes) }},
 	{"fastsketches_sketch_window_enabled", "1 when a sliding window is declared on the sketch.", "gauge",
-		func(i *fastsketches.SketchInfo) float64 { return b2f(i.WindowEnabled) }},
+		func(i *fastsketches.SketchInfo) float64 { return b2f(i.Spec.Window != nil) }},
 	{"fastsketches_sketch_window_slots", "Declared window capacity in closed rotation intervals; 0 with no window.", "gauge",
-		func(i *fastsketches.SketchInfo) float64 { return float64(i.WindowSlots) }},
+		func(i *fastsketches.SketchInfo) float64 {
+			if i.Spec.Window == nil {
+				return 0
+			}
+			return float64(i.Spec.Window.Slots)
+		}},
 	{"fastsketches_sketch_window_rotations_total", "Window ring rotations since the window was declared.", "counter",
 		func(i *fastsketches.SketchInfo) float64 { return float64(i.WindowRotations) }},
 	{"fastsketches_sketch_window_live_age_seconds", "Age of the window's live interval; 0 with no window.", "gauge",

@@ -186,10 +186,10 @@ func TestMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := weird.Autoscale(autoscale.Policy{HighWater: 1e9, Clock: mc, SampleEvery: time.Hour}); err != nil {
+	if err := weird.Apply(fastsketches.Spec{Autoscale: &autoscale.Policy{HighWater: 1e9, Clock: mc, SampleEvery: time.Hour}}); err != nil {
 		t.Fatal(err)
 	}
-	defer weird.StopAutoscale()
+	defer weird.Apply(fastsketches.Spec{AutoscaleOff: true})
 
 	for i := uint64(0); i < 500; i++ {
 		th.Update(0, i)

@@ -234,11 +234,11 @@ func (m *Manager) Sweep() SweepResult {
 			ts.lastActive = now
 		}
 		c := candidate{inf, now.Sub(ts.lastActive)}
-		ttl := inf.IdleTTL
+		ttl := inf.Spec.IdleTTL
 		if ttl == 0 {
 			ttl = m.cfg.IdleTTL
 		}
-		if !inf.Pinned && ttl > 0 && c.idle >= ttl {
+		if !inf.Spec.Pinned && ttl > 0 && c.idle >= ttl {
 			evict = append(evict, c)
 		} else {
 			keep = append(keep, c)
@@ -274,11 +274,11 @@ func (m *Manager) Sweep() SweepResult {
 			if resident <= budget {
 				break
 			}
-			if c.Pinned {
+			if c.Spec.Pinned {
 				continue
 			}
-			if c.Shards > m.cfg.ShrinkToShards {
-				if err := m.reg.ResizeSketch(c.Family, c.Name, m.cfg.ShrinkToShards); err != nil {
+			if c.Spec.Shards > m.cfg.ShrinkToShards {
+				if err := m.reg.Apply(c.Family, c.Name, fastsketches.Spec{Shards: m.cfg.ShrinkToShards}); err != nil {
 					continue // racing drop/close; the next sweep re-reads
 				}
 				m.shrinks.Add(1)
@@ -288,7 +288,7 @@ func (m *Manager) Sweep() SweepResult {
 					resident += inf.SizeBytes - old
 				}
 				m.logf("ops: shrank %s/%s %d→%d shards under memory budget",
-					c.Family, c.Name, c.Shards, m.cfg.ShrinkToShards)
+					c.Family, c.Name, c.Spec.Shards, m.cfg.ShrinkToShards)
 				continue
 			}
 			if m.drop(c.Family, c.Name) {

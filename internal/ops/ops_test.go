@@ -208,16 +208,16 @@ func TestBudgetVetoesAutoscale(t *testing.T) {
 		t.Fatal("expected over budget after sweep")
 	}
 
-	if err := h.Autoscale(autoscale.Policy{
+	if err := h.Apply(fastsketches.Spec{Autoscale: &autoscale.Policy{
 		MinShards: 1, MaxShards: 8,
 		HighWater:   1, // any measurable rate qualifies as up-pressure
 		SampleEvery: time.Second,
 		SustainedUp: 1,
 		Clock:       mc,
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
-	defer h.StopAutoscale()
+	defer h.Apply(fastsketches.Spec{AutoscaleOff: true})
 
 	// Warmup tick plus two pressured ticks, paced on the manual clock.
 	for i := 0; i < 3; i++ {
@@ -310,7 +310,7 @@ func TestEvictVsQueryVsResize(t *testing.T) {
 			default:
 			}
 			name := fmt.Sprintf("stress/%d", i%names)
-			_ = reg.ResizeSketch("theta", name, 1+i%3)
+			_ = reg.Apply("theta", name, fastsketches.Spec{Shards: 1 + i%3})
 		}
 	}()
 

@@ -13,13 +13,12 @@ import (
 	"fastsketches/internal/wire"
 )
 
-// sketch is the family-agnostic slice of a sharded sketch the admin ops
-// (create, resize, snapshot, restore, merge-remote) drive, and the type the
-// per-connection cache holds; all four shard wrappers satisfy it. Ingest and
-// queries go through the concrete type their family row narrows it to.
+// sketch is the family-agnostic slice of a sharded sketch the snapshot ops
+// (snapshot, restore, merge-remote) drive, and the type the per-connection
+// cache holds; all four shard wrappers satisfy it. Ingest and queries go
+// through the concrete type their family row narrows it to.
 type sketch interface {
 	Shards() int
-	Resize(shards int) error
 	AppendSnapshot(dst []byte) []byte
 	ImportSnapshot(blob []byte) error
 }
@@ -28,9 +27,9 @@ type sketch interface {
 // request handlers need to know about a family, so none of them switches on
 // it.
 type family struct {
-	// open returns the named sketch of this family, creating it on first
-	// use.
-	open func(reg *fastsketches.Registry, name string) (sketch, error)
+	// open applies spec to the named sketch of this family, creating it on
+	// first use — the family's Open*.
+	open func(reg *fastsketches.Registry, name string, spec fastsketches.Spec) (sketch, error)
 	// applier builds a lane set's apply function for sk: decode one chunk of
 	// packed wire items into per-lane scratch and hand it to the sketch's
 	// batched update.
@@ -103,8 +102,8 @@ func row[T any, A any, S interface {
 	kinds []kind[A, S],
 ) family {
 	return family{
-		open: func(reg *fastsketches.Registry, name string) (sketch, error) {
-			h, err := open(reg, name, fastsketches.Spec{})
+		open: func(reg *fastsketches.Registry, name string, spec fastsketches.Spec) (sketch, error) {
+			h, err := open(reg, name, spec)
 			if err != nil {
 				return nil, err
 			}

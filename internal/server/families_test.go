@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fastsketches"
+	"fastsketches/internal/shard"
 	"fastsketches/internal/wire"
 )
 
@@ -79,7 +80,9 @@ func TestFamilyQueryMatrix(t *testing.T) {
 			}
 			// Declare a window (decay lands on the families that support it):
 			// every served kind now answers.
-			c.mustOK(wire.AppendEnableWindow(nil, c.nextID(), name, uint64(time.Hour), 2, 0.5))
+			c.mustOK(wire.AppendApply(nil, c.nextID(), 0, name, &wire.Spec{
+				Window: &shard.WindowConfig{Interval: time.Hour, Slots: 2, Decay: 0.5},
+			}))
 			for _, q := range served {
 				query(name, q)
 			}

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 
-	"fastsketches/internal/autoscale"
 	"fastsketches/internal/wire"
 )
 
@@ -45,16 +44,4 @@ func (cs *connState) query(req *wire.Request, out []byte) []byte {
 			fmt.Sprintf("no %s declared on %s/%s", missing, req.Family, req.Name))
 	}
 	return wire.AppendOKU64(out, req.ID, v)
-}
-
-// autoscalePolicy maps the wire knobs onto an autoscale.Policy; sampling
-// cadence, streaks, cooldown and step factor take the package's production
-// defaults (see autoscale.Policy).
-func autoscalePolicy(req *wire.Request) autoscale.Policy {
-	return autoscale.Policy{
-		MinShards: int(req.MinShards),
-		MaxShards: int(req.MaxShards),
-		HighWater: req.High,
-		LowWater:  req.Low,
-	}
 }

@@ -21,10 +21,14 @@
 //     the sketch or its shard count), reset and refolded per query — the
 //     serving path inherits the library's zero-alloc merged-query contract.
 //
-//   - Admin ops. Create, live Resize, Autoscale attachment, Drop, and
-//     Names/Info enumeration map 1:1 onto the registry's facades, so a
-//     remote operator can walk the throughput/staleness trade-off of a live
-//     sketch exactly as in-process code can.
+//   - One control plane. An OpApply frame carries a fastsketches.Spec —
+//     shard count, window, view, autoscale policy, lifecycle — and the
+//     server hands it to the registry's Open* (one family, get-or-create)
+//     or Registry.Apply (family 0, every sketch under the name), the same
+//     validation and the same apply order in-process code gets. OpInfo
+//     reports the Spec in force; Drop and Names complete the admin surface,
+//     so a remote operator can walk the throughput/staleness trade-off of a
+//     live sketch exactly as in-process code can.
 //
 // Shutdown is graceful by construction: the listener closes, in-flight
 // requests (including long batch dispatches) run to completion and are
@@ -37,7 +41,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -234,7 +237,7 @@ func (s *Server) laneSetFor(fam wire.Family, name []byte) (*laneSet, error) {
 		return nil, errShuttingDown
 	}
 	f := &families[fam]
-	sk, err := f.open(s.reg, key.name)
+	sk, err := f.open(s.reg, key.name, fastsketches.Spec{})
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +409,7 @@ func (cs *connState) sketch(fam wire.Family, name []byte) (sketch, error) {
 	if sk, ok := cs.sketches[laneKey{fam, string(name)}]; ok {
 		return sk, nil
 	}
-	sk, err := families[fam].open(cs.s.reg, string(name))
+	sk, err := families[fam].open(cs.s.reg, string(name), fastsketches.Spec{})
 	if err != nil {
 		return nil, err
 	}
@@ -459,71 +462,15 @@ func (cs *connState) serve(req *wire.Request, out []byte) []byte {
 	case wire.OpQuery:
 		return cs.query(req, out)
 
-	case wire.OpCreate:
-		if _, err := cs.sketch(req.Family, req.Name); err != nil {
-			return wire.AppendError(out, req.ID, err.Error())
-		}
-		return wire.AppendOK(out, req.ID)
-
-	case wire.OpResize:
-		if req.Arg < 1 || req.Arg > wire.MaxShards {
-			return wire.AppendError(out, req.ID,
-				fmt.Sprintf("resize to %d shards outside [1,%d]", req.Arg, wire.MaxShards))
-		}
-		sk, err := cs.sketch(req.Family, req.Name)
-		if err == nil {
-			err = sk.Resize(int(req.Arg))
+	case wire.OpApply:
+		var err error
+		if req.Family == 0 {
+			err = cs.s.reg.Apply("", string(req.Name), req.Spec)
+		} else {
+			_, err = families[req.Family].open(cs.s.reg, string(req.Name), req.Spec)
 		}
 		if err != nil {
 			return wire.AppendError(out, req.ID, err.Error())
-		}
-		return wire.AppendOK(out, req.ID)
-
-	case wire.OpAutoscale:
-		if req.MaxShards > wire.MaxShards || req.MinShards > wire.MaxShards {
-			return wire.AppendError(out, req.ID,
-				fmt.Sprintf("autoscale shard bounds exceed %d", wire.MaxShards))
-		}
-		// Atomic replace semantics: any controllers already attached under
-		// the name are swapped out in the same registry lock acquisition
-		// that attaches the new policy, so a retried or concurrent admin
-		// request can never leave two retained hysteresis loops driving
-		// one sketch's shard count.
-		if _, err := cs.s.reg.ReplaceAutoscale(string(req.Name), autoscalePolicy(req)); err != nil {
-			return wire.AppendError(out, req.ID, err.Error())
-		}
-		return wire.AppendOK(out, req.ID)
-
-	case wire.OpEnableView:
-		cfg := fastsketches.ViewConfig{
-			RefreshEvery: time.Duration(int64(req.Arg)),
-			MaxAge:       time.Duration(int64(req.Arg2)),
-		}
-		if _, err := cs.s.reg.ReplaceView(string(req.Name), cfg); err != nil {
-			return wire.AppendError(out, req.ID, err.Error())
-		}
-		return wire.AppendOK(out, req.ID)
-
-	case wire.OpDisableView:
-		if cs.s.reg.StopView(string(req.Name)) == 0 {
-			return wire.AppendError(out, req.ID, fmt.Sprintf("no view enabled on %q", req.Name))
-		}
-		return wire.AppendOK(out, req.ID)
-
-	case wire.OpEnableWindow:
-		cfg := fastsketches.WindowConfig{
-			Interval: time.Duration(int64(req.Arg)),
-			Slots:    int(req.Slots),
-			Decay:    math.Float64frombits(req.Arg2),
-		}
-		if _, err := cs.s.reg.ReplaceWindow(string(req.Name), cfg); err != nil {
-			return wire.AppendError(out, req.ID, err.Error())
-		}
-		return wire.AppendOK(out, req.ID)
-
-	case wire.OpDisableWindow:
-		if cs.s.reg.StopWindow(string(req.Name)) == 0 {
-			return wire.AppendError(out, req.ID, fmt.Sprintf("no window enabled on %q", req.Name))
 		}
 		return wire.AppendOK(out, req.ID)
 
@@ -543,18 +490,14 @@ func (cs *connState) serve(req *wire.Request, out []byte) []byte {
 		if !ok {
 			return wire.AppendError(out, req.ID, fmt.Sprintf("no %s sketch %q", req.Family, req.Name))
 		}
-		return wire.AppendOKInfo(out, req.ID, wire.Info{
-			Shards: inf.Shards, Writers: inf.Writers,
-			Relaxation:       uint64(inf.Relaxation),
-			ShardRelaxation:  uint64(inf.ShardRelaxation),
-			Eager:            inf.Eager,
-			ViewEnabled:      inf.ViewEnabled,
-			ViewLagNs:        uint64(inf.ViewLag.Nanoseconds()),
-			WindowEnabled:    inf.WindowEnabled,
-			WindowSlots:      uint32(inf.WindowSlots),
-			WindowIntervalNs: uint64(inf.WindowInterval.Nanoseconds()),
-			WindowRotations:  inf.WindowRotations,
-			WindowLiveAgeNs:  uint64(inf.WindowLiveAge.Nanoseconds()),
+		return wire.AppendOKInfo(out, req.ID, &wire.Info{
+			Spec: inf.Spec, Writers: inf.Writers,
+			Relaxation:      uint64(inf.Relaxation),
+			ShardRelaxation: uint64(inf.ShardRelaxation),
+			Eager:           inf.Eager,
+			ViewLagNs:       uint64(inf.ViewLag),
+			WindowRotations: inf.WindowRotations,
+			WindowLiveAgeNs: uint64(inf.WindowLiveAge),
 		})
 
 	case wire.OpSnapshot:

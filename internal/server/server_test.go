@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"fastsketches"
+	"fastsketches/internal/autoscale"
+	"fastsketches/internal/shard"
 	"fastsketches/internal/wire"
 )
 
@@ -91,7 +93,7 @@ func TestServeBasicOps(t *testing.T) {
 	c := dialT(t, addr)
 
 	c.mustOK(wire.AppendPing(nil, c.nextID()))
-	c.mustOK(wire.AppendCreate(nil, c.nextID(), wire.FamilyTheta, "users"))
+	c.mustOK(wire.AppendApply(nil, c.nextID(), wire.FamilyTheta, "users", &wire.Spec{}))
 
 	// Batched ingest: 10k distinct keys, acked in full.
 	keys := make([]uint64, 10_000)
@@ -139,19 +141,25 @@ func TestServeBasicOps(t *testing.T) {
 		t.Fatalf("names = %v (err %v), want 3 entries", names, err)
 	}
 	inf, err := wire.ParseInfo(c.mustOK(wire.AppendInfo(nil, c.nextID(), wire.FamilyTheta, "users")))
-	if err != nil || inf.Shards != 2 || inf.Writers != 2 {
+	if err != nil || inf.Spec.Shards != 2 || inf.Writers != 2 {
 		t.Fatalf("info = %+v (err %v), want S=2 W=2", inf, err)
 	}
 
-	// Live resize via admin op, visible in Info.
-	c.mustOK(wire.AppendResize(nil, c.nextID(), wire.FamilyTheta, "users", 4))
+	// Live resize via OpApply, visible in Info.
+	c.mustOK(wire.AppendApply(nil, c.nextID(), wire.FamilyTheta, "users", &wire.Spec{Shards: 4}))
 	inf, err = wire.ParseInfo(c.mustOK(wire.AppendInfo(nil, c.nextID(), wire.FamilyTheta, "users")))
-	if err != nil || inf.Shards != 4 {
+	if err != nil || inf.Spec.Shards != 4 {
 		t.Fatalf("info after resize = %+v (err %v), want S=4", inf, err)
 	}
 
-	// Autoscale attaches to the named sketches.
-	c.mustOK(wire.AppendAutoscale(nil, c.nextID(), "users", 2, 8, 1e6, 1e3))
+	// Autoscale attaches to the named sketches, pinning with it.
+	policy := autoscale.Policy{MinShards: 2, MaxShards: 8, HighWater: 1e6, LowWater: 1e3, SampleEvery: time.Hour}
+	c.mustOK(wire.AppendApply(nil, c.nextID(), 0, "users", &wire.Spec{Autoscale: &policy, Pinned: true}))
+	inf, err = wire.ParseInfo(c.mustOK(wire.AppendInfo(nil, c.nextID(), wire.FamilyTheta, "users")))
+	if want, _ := policy.Normalise(); err != nil || !inf.Spec.Pinned || inf.Spec.Autoscale == nil ||
+		inf.Spec.Autoscale.Cooldown != want.Cooldown || inf.Spec.Autoscale.MaxShards != 8 {
+		t.Fatalf("info after autoscale = %+v (err %v), want pinned with the normalised policy", inf.Spec, err)
+	}
 
 	// Errors: unsupported query kind, unknown sketch metadata, drop of an
 	// absent sketch — all answered, connection stays usable.
@@ -227,7 +235,7 @@ func TestMalformedFramesNoPanic(t *testing.T) {
 			return f
 		}(),
 		// Bad family.
-		append(binary.LittleEndian.AppendUint32(nil, 8), byte(wire.OpCreate), 1, 0, 0, 0, 0x7F, 1, 'x'),
+		append(binary.LittleEndian.AppendUint32(nil, 8), byte(wire.OpApply), 1, 0, 0, 0, 0x7F, 1, 'x'),
 		// Zero-length payload.
 		binary.LittleEndian.AppendUint32(nil, 0),
 	}
@@ -315,7 +323,7 @@ func TestResizeUnderFire(t *testing.T) {
 		defer wg.Done()
 		c := dialT(t, addr)
 		// Touch the sketch so resize has a target even if ingest lags.
-		c.mustOK(wire.AppendCreate(nil, 1, wire.FamilyCountMin, "fire"))
+		c.mustOK(wire.AppendApply(nil, 1, wire.FamilyCountMin, "fire", &wire.Spec{}))
 		sizes := []int{4, 1, 3, 2}
 		for i := 0; ; i++ {
 			select {
@@ -323,7 +331,7 @@ func TestResizeUnderFire(t *testing.T) {
 				return
 			default:
 			}
-			c.mustOK(wire.AppendResize(nil, uint32(i+2), wire.FamilyCountMin, "fire", sizes[i%len(sizes)]))
+			c.mustOK(wire.AppendApply(nil, uint32(i+2), wire.FamilyCountMin, "fire", &wire.Spec{Shards: sizes[i%len(sizes)]}))
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
@@ -504,23 +512,24 @@ func TestDropUnderBatchFire(t *testing.T) {
 	admin.mustOK(wire.AppendPing(nil, 1<<20))
 }
 
-// TestServeViewOps drives the materialized-view admin ops over the wire:
-// enable covers the named sketches, Info reports the view, queries keep
-// answering (through the view), disable reverts, and both ops reject
-// absent names with typed errors on a connection that stays usable.
+// TestServeViewOps drives the view plane over the wire through OpApply:
+// family 0 covers every sketch under the name, Info reports the view,
+// queries keep answering (through the view), Spec.ViewOff reverts, and an
+// absent name is a typed error on a connection that stays usable.
 func TestServeViewOps(t *testing.T) {
 	_, reg, addr := startServer(t, fastsketches.RegistryConfig{Shards: 2, Writers: 2})
 	c := dialT(t, addr)
+	view := &wire.Spec{View: &shard.ViewConfig{RefreshEvery: time.Hour, MaxAge: -1}}
 
-	// Enabling a view on a name with no sketches is a typed error.
-	if status, _ := c.roundTrip(wire.AppendEnableView(nil, c.nextID(), "absent", 0, 0)); status != wire.StatusError {
-		t.Fatal("enable-view on absent name should fail")
+	// A view on a name with no sketches is a typed error, and creates none.
+	if status, _ := c.roundTrip(wire.AppendApply(nil, c.nextID(), 0, "absent", view)); status != wire.StatusError {
+		t.Fatal("view on an absent name should fail")
 	}
-	if status, _ := c.roundTrip(wire.AppendDisableView(nil, c.nextID(), "absent")); status != wire.StatusError {
-		t.Fatal("disable-view on absent name should fail")
+	if names := reg.Names(); len(names) != 0 {
+		t.Fatalf("family-0 OpApply created %v", names)
 	}
 
-	c.mustOK(wire.AppendCreate(nil, c.nextID(), wire.FamilyCountMin, "viewed"))
+	c.mustOK(wire.AppendApply(nil, c.nextID(), wire.FamilyCountMin, "viewed", &wire.Spec{}))
 	items := make([]uint64, 2000)
 	for i := range items {
 		items[i] = uint64(i % 5)
@@ -529,13 +538,13 @@ func TestServeViewOps(t *testing.T) {
 
 	// Enable with an hour-long refresh: the synchronous initial refresh is
 	// the only fold, so the served totals below come from the published view.
-	c.mustOK(wire.AppendEnableView(nil, c.nextID(), "viewed", uint64(time.Hour), ^uint64(0)))
+	c.mustOK(wire.AppendApply(nil, c.nextID(), 0, "viewed", view))
 	inf, err := wire.ParseInfo(c.mustOK(wire.AppendInfo(nil, c.nextID(), wire.FamilyCountMin, "viewed")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !inf.ViewEnabled {
-		t.Fatalf("Info.ViewEnabled false after enable: %+v", inf)
+	if v := inf.Spec.View; v == nil || v.RefreshEvery != time.Hour || v.MaxAge != -1 {
+		t.Fatalf("Info.Spec.View after enable = %+v, want the declared view", v)
 	}
 	body := c.mustOK(wire.AppendQuery(nil, c.nextID(), wire.FamilyCountMin, wire.QueryN, "viewed", 0))
 	viewN := binary.LittleEndian.Uint64(body)
@@ -544,18 +553,17 @@ func TestServeViewOps(t *testing.T) {
 	}
 
 	// Registry-side the view really is attached (not just Info bookkeeping).
-	if rinf, ok := reg.Info("countmin", "viewed"); !ok || !rinf.ViewEnabled {
-		t.Fatalf("registry info = %+v (ok %v), want ViewEnabled", rinf, ok)
+	if rinf, ok := reg.Info("countmin", "viewed"); !ok || rinf.Spec.View == nil {
+		t.Fatalf("registry info = %+v (ok %v), want a view", rinf, ok)
 	}
 
-	c.mustOK(wire.AppendDisableView(nil, c.nextID(), "viewed"))
-	inf, err = wire.ParseInfo(c.mustOK(wire.AppendInfo(nil, c.nextID(), wire.FamilyCountMin, "viewed")))
-	if err != nil || inf.ViewEnabled {
-		t.Fatalf("Info after disable = %+v (err %v), want view off", inf, err)
-	}
-	// Second disable: nothing left to disable, typed error, connection fine.
-	if status, _ := c.roundTrip(wire.AppendDisableView(nil, c.nextID(), "viewed")); status != wire.StatusError {
-		t.Fatal("second disable-view should fail")
+	// Switching the view off reverts; doing it again is a declarative no-op.
+	for i := 0; i < 2; i++ {
+		c.mustOK(wire.AppendApply(nil, c.nextID(), 0, "viewed", &wire.Spec{ViewOff: true}))
+		inf, err = wire.ParseInfo(c.mustOK(wire.AppendInfo(nil, c.nextID(), wire.FamilyCountMin, "viewed")))
+		if err != nil || inf.Spec.View != nil {
+			t.Fatalf("Info after ViewOff = %+v (err %v), want view off", inf, err)
+		}
 	}
 	c.mustOK(wire.AppendPing(nil, c.nextID()))
 }
@@ -581,7 +589,7 @@ func TestServeEdgeCases(t *testing.T) {
 	// keep the connection open — pinned by the follow-up ping on the SAME
 	// connection.
 	raw := binary.LittleEndian.AppendUint32(nil, 7) // payload length
-	raw = append(raw, byte(wire.OpCreate), 0x2A, 0, 0, 0, byte(wire.FamilyTheta), 0)
+	raw = append(raw, byte(wire.OpApply), 0x2A, 0, 0, 0, byte(wire.FamilyTheta), 0)
 	if _, err := c.nc.Write(raw); err != nil {
 		t.Fatal(err)
 	}

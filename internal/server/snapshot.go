@@ -54,11 +54,11 @@ func (cs *connState) snapshot(req *wire.Request, out []byte) []byte {
 	rec := snapshot.Record{
 		Family: req.Family,
 		Name:   req.Name,
-		Shards: uint32(sk.Shards()),
+		Spec:   wire.Spec{Shards: sk.Shards()},
 	}
 	buf, m := snapshot.BeginPortable(cs.snapBuf[:0], &rec)
 	buf = sk.AppendSnapshot(buf)
-	cs.snapBuf = snapshot.EndPortable(buf, m)
+	cs.snapBuf = snapshot.EndRecord(buf, m)
 	if len(cs.snapBuf) > wire.MaxBlob {
 		return wire.AppendError(out, req.ID, wire.ErrBlobTooLarge.Error())
 	}
@@ -92,9 +92,8 @@ func (cs *connState) mergeRemote(req *wire.Request, out []byte) []byte {
 
 // importPortable parses a portable snapshot record and folds it into the
 // local sketch the request names (created if absent). Only the sketch body
-// is folded — shard count, view and autoscale settings travel in checkpoint
-// files, not over the merge wire, so an import never resizes or reconfigures
-// the receiving sketch.
+// is folded — the record's Spec is ignored, so an import never resizes or
+// reconfigures the receiving sketch.
 func (cs *connState) importPortable(req *wire.Request, blob []byte) error {
 	rec, err := snapshot.ParsePortable(blob)
 	if err != nil {

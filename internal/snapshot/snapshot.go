@@ -7,29 +7,22 @@
 // A checkpoint file is one header followed by count records:
 //
 //	magic    uint32 LE = "FSNP"
-//	version  uint16 LE = 1
+//	version  uint16 LE = 2 (1 is still read)
 //	reserved uint16 LE = 0
 //	count    uint32 LE
 //	records  count × record
 //
-// Each record carries one sketch's identity, serving configuration and
+// Each record is one sketch's identity, the Spec it ran under and its
 // family-encoded state:
 //
 //	recLen   uint32 LE      (length of everything after this field)
 //	family   uint8          (wire.Family)
 //	nameLen  uint8          (1..MaxName)
 //	name     nameLen bytes
-//	shards   uint32 LE      (the S the sketch served with)
-//	flags    uint8          (bit 0: view block, bit 1: policy block,
-//	                         bit 2: window block + tail)
-//	view     [refreshNs int64, maxAgeNs int64]            if flags bit 0
-//	policy   [minShards u32, maxShards u32,
-//	          highWater f64 bits, lowWater f64 bits]      if flags bit 1
-//	window   [intervalNs int64, slots u32,
-//	          decay f64 bits]                             if flags bit 2
+//	spec     wire.AppendSpec encoding, every field of the Spec in force
 //	blobLen  uint32 LE
 //	blob     blobLen bytes  (the family's ExportTo body)
-//	tail     window slot blobs                            if flags bit 2
+//	tail     window slot blobs                            if spec.Window
 //
 // A windowed record's blob holds the base state (everything outside the
 // closed ring slots); the tail serialises the ring slot-by-slot, oldest
@@ -40,13 +33,14 @@
 //	decayed   uint8        (0 or 1)
 //	dblob     [len uint32 LE, blob]                       if decayed = 1
 //
-// Records without the window flag are byte-identical to format revisions
-// that predate it, and readers reject unknown flag bits, so the extension
-// needs no version bump.
+// Version 1 records, read but never written, held a subset of the Spec
+// instead: shards uint32, flags uint8, then optional view [refresh, maxAge],
+// policy [min u32, max u32, high, low] and window [interval, slots u32,
+// decay] blocks.
 //
 // # Portable records
 //
-// A single record prefixed with the format version — AppendPortable — is the
+// A single record prefixed with the format version — BeginPortable — is the
 // self-contained unit that travels in OpSnapshot/OpRestore wire bodies, so a
 // snapshot pulled from one daemon restores on another even across format
 // revisions (the receiver rejects versions it does not speak).
@@ -67,15 +61,19 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
+	"fastsketches/internal/autoscale"
+	"fastsketches/internal/shard"
 	"fastsketches/internal/wire"
 )
 
 const (
 	// Magic opens every checkpoint container ("FSNP" little-endian).
 	Magic uint32 = 0x504e5346
-	// Version is the current container format version.
-	Version uint16 = 1
+	// Version is the container format version this build writes; it reads
+	// version 1 too.
+	Version uint16 = 2
 	// MaxName bounds a record's sketch name, matching the wire protocol.
 	MaxName = wire.MaxName
 	// MaxBlob caps one record's family blob. Records announcing a larger
@@ -87,16 +85,17 @@ const (
 	MaxRecords = 1 << 20
 
 	headerLen = 4 + 2 + 2 + 4
-	// fixedLen is a record's size net of name, optional blocks and blob.
-	fixedLen = 1 + 1 + 4 + 1 + 4
+	// maxSettingsLen bounds a record net of name and blob: family, name and
+	// blob lengths, and a Spec (longer than any v1 settings).
+	maxSettingsLen = 1 + 1 + 4 + wire.MaxSpecLen
 
-	flagView   = 1 << 0
-	flagPolicy = 1 << 1
-	flagWindow = 1 << 2
-
-	viewBlockLen   = 8 + 8
-	policyBlockLen = 4 + 4 + 8 + 8
-	windowBlockLen = 8 + 4 + 8
+	// The v1 settings flags and block sizes.
+	v1FlagView   = 1 << 0
+	v1FlagPolicy = 1 << 1
+	v1FlagWindow = 1 << 2
+	v1ViewLen    = 8 + 8
+	v1PolicyLen  = 4 + 4 + 8 + 8
+	v1WindowLen  = 8 + 4 + 8
 
 	// MaxWindowSlots caps a record's window slot count, mirroring the
 	// window layer's own ring bound.
@@ -119,31 +118,13 @@ var (
 type Record struct {
 	Family wire.Family
 	Name   []byte
-	// Shards is the shard count S the sketch was serving with when the
-	// checkpoint was taken; Restore resizes the fresh sketch to it.
-	Shards uint32
-	// HasView records whether a materialized view was enabled, with its
-	// refresh interval and maximum age in nanoseconds (the shard.ViewConfig
-	// durations; MaxAge may be negative = never fall back).
-	HasView       bool
-	ViewRefreshNs int64
-	ViewMaxAgeNs  int64
-	// HasPolicy records whether an autoscale controller was attached, with
-	// the four wire-travelling policy knobs (the rest are production
-	// defaults on restore, exactly as on the OpAutoscale path).
-	HasPolicy            bool
-	MinShards, MaxShards uint32
-	HighWater, LowWater  float64
-	// HasWindow records whether a sliding window was enabled, with its
-	// rotation interval in nanoseconds, closed-slot capacity and decay
-	// factor (0 = no decay plane).
-	HasWindow        bool
-	WindowIntervalNs int64
-	WindowSlots      uint32
-	WindowDecay      float64
+	// Spec is the configuration the sketch ran under — its Info().Spec —
+	// which Restore applies to the restored sketch.
+	Spec wire.Spec
 	// WindowSlotBlobs are the closed ring slots' ExportTo bodies, oldest
 	// first; WindowDecayedBlob is the decay plane's body (nil when the
-	// record has no decay plane). Views into the parse buffer on decode.
+	// record has no decay plane). Present only with Spec.Window; views into
+	// the parse buffer on decode.
 	WindowSlotBlobs   [][]byte
 	WindowDecayedBlob []byte
 	// Blob is the family's ExportTo body. For a windowed record it holds
@@ -166,44 +147,18 @@ type Marks struct {
 	blob int // offset of the blobLen field
 }
 
-// BeginRecord appends everything of rec except the blob — identity, shard
-// count, optional view/policy blocks and a blobLen placeholder — and returns
-// the marks EndRecord needs. The caller then appends the family blob
-// directly (e.g. via ExportTo) and closes the record with EndRecord, so the
-// blob is encoded in place with no gather copy. rec.Blob is ignored.
+// BeginRecord appends everything of rec except the blob — identity, Spec
+// and a blobLen placeholder — and returns the marks EndRecord needs. The
+// caller then appends the family blob directly (e.g. via ExportTo) and
+// closes the record with EndRecord, so the blob is encoded in place with no
+// gather copy. rec.Blob is ignored.
 func BeginRecord(dst []byte, rec *Record) ([]byte, Marks) {
 	var m Marks
 	m.rec = len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, 0)
 	dst = append(dst, byte(rec.Family), byte(len(rec.Name)))
 	dst = append(dst, rec.Name...)
-	dst = binary.LittleEndian.AppendUint32(dst, rec.Shards)
-	var flags byte
-	if rec.HasView {
-		flags |= flagView
-	}
-	if rec.HasPolicy {
-		flags |= flagPolicy
-	}
-	if rec.HasWindow {
-		flags |= flagWindow
-	}
-	dst = append(dst, flags)
-	if rec.HasView {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.ViewRefreshNs))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.ViewMaxAgeNs))
-	}
-	if rec.HasPolicy {
-		dst = binary.LittleEndian.AppendUint32(dst, rec.MinShards)
-		dst = binary.LittleEndian.AppendUint32(dst, rec.MaxShards)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(rec.HighWater))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(rec.LowWater))
-	}
-	if rec.HasWindow {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.WindowIntervalNs))
-		dst = binary.LittleEndian.AppendUint32(dst, rec.WindowSlots)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(rec.WindowDecay))
-	}
+	dst = wire.AppendSpec(dst, &rec.Spec)
 	m.blob = len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, 0)
 	return dst, m
@@ -254,201 +209,207 @@ func EndRecord(dst []byte, m Marks) []byte {
 func AppendRecord(dst []byte, rec *Record) []byte {
 	dst, m := BeginRecord(dst, rec)
 	dst = append(dst, rec.Blob...)
-	if rec.HasWindow {
+	if rec.Spec.Window != nil {
 		dst = EndBlob(dst, &m)
 		dst = AppendWindowTail(dst, rec.WindowSlotBlobs, rec.WindowDecayedBlob)
 	}
 	return EndRecord(dst, m)
 }
 
-// ParseHeader validates the container header and returns the record count
-// and the remaining bytes (the record stream).
-func ParseHeader(data []byte) (count int, rest []byte, err error) {
+// ParseHeader validates the container header and returns the record count,
+// the format version its records are in (the one ParseRecord needs), and
+// the remaining bytes (the record stream).
+func ParseHeader(data []byte) (count int, version uint16, rest []byte, err error) {
 	if len(data) < headerLen {
-		return 0, nil, fmt.Errorf("%w: short header (%d bytes)", ErrTruncated, len(data))
+		return 0, 0, nil, fmt.Errorf("%w: short header (%d bytes)", ErrTruncated, len(data))
 	}
 	if binary.LittleEndian.Uint32(data[0:]) != Magic {
-		return 0, nil, ErrMagic
+		return 0, 0, nil, ErrMagic
 	}
-	if v := binary.LittleEndian.Uint16(data[4:]); v != Version {
-		return 0, nil, fmt.Errorf("%w: %d, this build speaks %d", ErrVersion, v, Version)
+	if version, err = parseVersion(data[4:]); err != nil {
+		return 0, 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(data[8:])
 	if n > MaxRecords {
-		return 0, nil, fmt.Errorf("%w: record count %d exceeds %d", ErrBadRecord, n, MaxRecords)
+		return 0, 0, nil, fmt.Errorf("%w: record count %d exceeds %d", ErrBadRecord, n, MaxRecords)
 	}
-	return int(n), data[headerLen:], nil
+	return int(n), version, data[headerLen:], nil
 }
 
-// ParseRecord decodes one record from the front of data, returning the
-// record (Name and Blob aliasing data) and the bytes after it. The record
-// must consume exactly its announced recLen.
-func ParseRecord(data []byte) (Record, []byte, error) {
-	var rec Record
-	if len(data) < 4 {
-		return rec, nil, fmt.Errorf("%w: short record length", ErrTruncated)
+// parseVersion reads a uint16 format version, accepting 1 and Version.
+func parseVersion(b []byte) (uint16, error) {
+	v := binary.LittleEndian.Uint16(b)
+	if v != 1 && v != Version {
+		return 0, fmt.Errorf("%w: %d, this build reads 1 and %d", ErrVersion, v, Version)
 	}
-	recLen := binary.LittleEndian.Uint32(data[0:])
+	return v, nil
+}
+
+// ParseRecord decodes one record of the given format version from the
+// front of data, returning the record (Name and Blob aliasing data) and the
+// bytes after it. The record must consume exactly its announced recLen.
+func ParseRecord(data []byte, version uint16) (Record, []byte, error) {
+	var rec Record
+	in := reader{b: data}
 	// A windowed record's tail carries the closed slots and decay plane;
 	// grant it the same budget again as the base blob.
-	if recLen > 2*MaxBlob+fixedLen+MaxName+viewBlockLen+policyBlockLen+windowBlockLen {
-		return rec, nil, fmt.Errorf("%w: record length %d", ErrBadRecord, recLen)
+	recLen := in.u32()
+	if in.err == nil && recLen > 2*MaxBlob+maxSettingsLen+MaxName {
+		in.fail(ErrBadRecord, "record length %d", recLen)
 	}
-	if len(data)-4 < int(recLen) {
-		return rec, nil, fmt.Errorf("%w: record needs %d bytes, have %d", ErrTruncated, recLen, len(data)-4)
+	r := reader{b: in.next(int(recLen))}
+	if in.err != nil {
+		return rec, nil, in.err
 	}
-	body, rest := data[4:4+recLen], data[4+recLen:]
-	if len(body) < 2 {
-		return rec, nil, fmt.Errorf("%w: short record body", ErrTruncated)
+	rec.Family = wire.Family(r.u8())
+	nameLen := int(r.u8())
+	switch {
+	case r.err == nil && !rec.Family.Valid():
+		r.fail(ErrBadRecord, "unknown family %d", rec.Family)
+	case r.err == nil && nameLen == 0:
+		r.fail(ErrBadRecord, "empty name")
 	}
-	rec.Family = wire.Family(body[0])
-	if !rec.Family.Valid() {
-		return rec, nil, fmt.Errorf("%w: unknown family %d", ErrBadRecord, body[0])
-	}
-	nameLen := int(body[1])
-	body = body[2:]
-	if nameLen == 0 {
-		return rec, nil, fmt.Errorf("%w: empty name", ErrBadRecord)
-	}
-	if len(body) < nameLen+4+1 {
-		return rec, nil, fmt.Errorf("%w: record body shorter than name", ErrTruncated)
-	}
-	rec.Name = body[:nameLen]
-	body = body[nameLen:]
-	rec.Shards = binary.LittleEndian.Uint32(body[0:])
-	flags := body[4]
-	body = body[5:]
-	if flags&^(flagView|flagPolicy|flagWindow) != 0 {
-		return rec, nil, fmt.Errorf("%w: unknown flags %#x", ErrBadRecord, flags)
-	}
-	if flags&flagView != 0 {
-		if len(body) < viewBlockLen {
-			return rec, nil, fmt.Errorf("%w: short view block", ErrTruncated)
+	rec.Name = r.next(nameLen)
+	if r.err == nil && version == 1 {
+		rec.Spec = r.v1Settings()
+	} else if r.err == nil {
+		var err error
+		if rec.Spec, r.b, err = wire.ParseSpec(r.b); errors.Is(err, wire.ErrTruncated) {
+			r.fail(ErrTruncated, "spec")
+		} else if err != nil {
+			r.fail(ErrBadRecord, "%w", err)
 		}
-		rec.HasView = true
-		rec.ViewRefreshNs = int64(binary.LittleEndian.Uint64(body[0:]))
-		rec.ViewMaxAgeNs = int64(binary.LittleEndian.Uint64(body[8:]))
-		body = body[viewBlockLen:]
 	}
-	if flags&flagPolicy != 0 {
-		if len(body) < policyBlockLen {
-			return rec, nil, fmt.Errorf("%w: short policy block", ErrTruncated)
+	rec.Blob = r.blob()
+	if w := rec.Spec.Window; w != nil && r.err == nil {
+		// The window tail: closed slots oldest first, then the optional
+		// decay plane.
+		slotCount := r.u32()
+		if r.err == nil && (slotCount > MaxWindowSlots || int64(slotCount) > int64(w.Slots)) {
+			r.fail(ErrBadRecord, "window slot count %d exceeds capacity %d", slotCount, w.Slots)
 		}
-		rec.HasPolicy = true
-		rec.MinShards = binary.LittleEndian.Uint32(body[0:])
-		rec.MaxShards = binary.LittleEndian.Uint32(body[4:])
-		rec.HighWater = math.Float64frombits(binary.LittleEndian.Uint64(body[8:]))
-		rec.LowWater = math.Float64frombits(binary.LittleEndian.Uint64(body[16:]))
-		body = body[policyBlockLen:]
-	}
-	if flags&flagWindow != 0 {
-		if len(body) < windowBlockLen {
-			return rec, nil, fmt.Errorf("%w: short window block", ErrTruncated)
-		}
-		rec.HasWindow = true
-		rec.WindowIntervalNs = int64(binary.LittleEndian.Uint64(body[0:]))
-		rec.WindowSlots = binary.LittleEndian.Uint32(body[8:])
-		rec.WindowDecay = math.Float64frombits(binary.LittleEndian.Uint64(body[12:]))
-		body = body[windowBlockLen:]
-	}
-	if len(body) < 4 {
-		return rec, nil, fmt.Errorf("%w: short blob length", ErrTruncated)
-	}
-	blobLen := binary.LittleEndian.Uint32(body[0:])
-	body = body[4:]
-	if !rec.HasWindow {
-		// Without a window tail the blob is the record remainder, exactly.
-		if int(blobLen) != len(body) {
-			return rec, nil, fmt.Errorf("%w: blob length %d does not match record remainder %d", ErrBadRecord, blobLen, len(body))
-		}
-		rec.Blob = body
-		return rec, rest, nil
-	}
-	if blobLen > MaxBlob || int(blobLen) > len(body) {
-		return rec, nil, fmt.Errorf("%w: blob length %d exceeds record remainder %d", ErrBadRecord, blobLen, len(body))
-	}
-	rec.Blob = body[:blobLen]
-	body = body[blobLen:]
-	// Window tail: closed slots oldest first, then the optional decay plane.
-	// It must consume the record remainder exactly.
-	if len(body) < 4 {
-		return rec, nil, fmt.Errorf("%w: short window slot count", ErrTruncated)
-	}
-	slotCount := binary.LittleEndian.Uint32(body[0:])
-	body = body[4:]
-	if slotCount > MaxWindowSlots || slotCount > rec.WindowSlots {
-		return rec, nil, fmt.Errorf("%w: window slot count %d exceeds capacity %d", ErrBadRecord, slotCount, rec.WindowSlots)
-	}
-	if slotCount > 0 {
-		rec.WindowSlotBlobs = make([][]byte, slotCount)
-		for i := range rec.WindowSlotBlobs {
-			if len(body) < 4 {
-				return rec, nil, fmt.Errorf("%w: short window slot length", ErrTruncated)
+		if r.err == nil && slotCount > 0 {
+			rec.WindowSlotBlobs = make([][]byte, slotCount)
+			for i := range rec.WindowSlotBlobs {
+				rec.WindowSlotBlobs[i] = r.blob()
 			}
-			n := binary.LittleEndian.Uint32(body[0:])
-			body = body[4:]
-			if n > MaxBlob || int(n) > len(body) {
-				return rec, nil, fmt.Errorf("%w: window slot length %d exceeds remainder %d", ErrBadRecord, n, len(body))
-			}
-			rec.WindowSlotBlobs[i] = body[:n]
-			body = body[n:]
+		}
+		switch marker := r.u8(); {
+		case r.err != nil, marker == 0:
+		case marker == 1:
+			rec.WindowDecayedBlob = r.blob()
+		default:
+			r.fail(ErrBadRecord, "bad window decay marker %d", marker)
 		}
 	}
-	if len(body) < 1 {
-		return rec, nil, fmt.Errorf("%w: short window decay marker", ErrTruncated)
+	if r.err == nil && len(r.b) != 0 {
+		r.fail(ErrBadRecord, "%d bytes after the record's last field", len(r.b))
 	}
-	hasDecayed := body[0]
-	body = body[1:]
-	switch hasDecayed {
-	case 0:
-	case 1:
-		if len(body) < 4 {
-			return rec, nil, fmt.Errorf("%w: short window decay length", ErrTruncated)
-		}
-		n := binary.LittleEndian.Uint32(body[0:])
-		body = body[4:]
-		if n > MaxBlob || int(n) != len(body) {
-			return rec, nil, fmt.Errorf("%w: window decay length %d does not match remainder %d", ErrBadRecord, n, len(body))
-		}
-		rec.WindowDecayedBlob = body
-		body = nil
-	default:
-		return rec, nil, fmt.Errorf("%w: bad window decay marker %d", ErrBadRecord, hasDecayed)
+	if r.err != nil {
+		return rec, nil, r.err
 	}
-	if len(body) != 0 {
-		return rec, nil, fmt.Errorf("%w: %d bytes after window tail", ErrBadRecord, len(body))
-	}
-	return rec, rest, nil
+	return rec, in.b, nil
 }
 
-// AppendPortable appends the self-contained single-record form used in
-// OpSnapshot/OpRestore wire bodies: the format version followed by one
-// record (blob included).
-func AppendPortable(dst []byte, rec *Record) []byte {
-	dst = binary.LittleEndian.AppendUint16(dst, Version)
-	return AppendRecord(dst, rec)
+// reader is a bounds-checked sequential reader over a record: a fixed-size
+// field past the end is ErrTruncated, a length-prefixed blob overrunning
+// the record is ErrBadRecord, and the first error sticks.
+type reader struct {
+	b   []byte
+	err error
 }
 
-// BeginPortable/EndPortable bracket in-place blob encoding of a portable
-// record, mirroring BeginRecord/EndRecord.
+func (r *reader) fail(kind error, format string, args ...any) {
+	r.err = fmt.Errorf("%w: "+format, append([]any{kind}, args...)...)
+}
+
+// next returns the next n bytes, or nil once an error has stuck.
+func (r *reader) next(n int) []byte {
+	if r.err == nil && len(r.b) < n {
+		r.fail(ErrTruncated, "need %d bytes, have %d", n, len(r.b))
+	}
+	if r.err != nil {
+		return nil
+	}
+	v := r.b[:n]
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *reader) u8() byte {
+	if b := r.next(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *reader) u32() uint32 {
+	if b := r.next(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (r *reader) u64() uint64 {
+	if b := r.next(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// blob reads one uint32-length-prefixed blob.
+func (r *reader) blob() []byte {
+	n := r.u32()
+	if r.err == nil && (n > MaxBlob || int(n) > len(r.b)) {
+		r.fail(ErrBadRecord, "blob length %d overruns the record's %d bytes", n, len(r.b))
+	}
+	return r.next(int(n))
+}
+
+// v1Settings decodes a version-1 record's settings — shards, flags and the
+// optional view, policy and window blocks — into the equivalent Spec. The
+// policy kept only four knobs; the rest take the autoscale defaults, as
+// they did when the record was written.
+func (r *reader) v1Settings() (s wire.Spec) {
+	s.Shards = int(r.u32())
+	flags := r.u8()
+	if r.err == nil && flags&^(v1FlagView|v1FlagPolicy|v1FlagWindow) != 0 {
+		r.fail(ErrBadRecord, "unknown flags %#x", flags)
+	}
+	duration := func() time.Duration { return time.Duration(r.u64()) }
+	float := func() float64 { return math.Float64frombits(r.u64()) }
+	if flags&v1FlagView != 0 {
+		s.View = &shard.ViewConfig{RefreshEvery: duration(), MaxAge: duration()}
+	}
+	if flags&v1FlagPolicy != 0 {
+		s.Autoscale = &autoscale.Policy{MinShards: int(r.u32()), MaxShards: int(r.u32()), HighWater: float(), LowWater: float()}
+	}
+	if flags&v1FlagWindow != 0 {
+		s.Window = &shard.WindowConfig{Interval: duration(), Slots: int(r.u32()), Decay: float()}
+	}
+	return s
+}
+
+// BeginPortable opens the self-contained single-record form that travels
+// in OpSnapshot/OpRestore wire bodies — the format version followed by one
+// record — for in-place blob encoding, as BeginRecord does; EndRecord
+// closes it.
 func BeginPortable(dst []byte, rec *Record) ([]byte, Marks) {
 	dst = binary.LittleEndian.AppendUint16(dst, Version)
 	return BeginRecord(dst, rec)
 }
 
-// EndPortable closes a record opened with BeginPortable.
-func EndPortable(dst []byte, m Marks) []byte { return EndRecord(dst, m) }
-
-// ParsePortable decodes a portable single-record body, rejecting trailing
-// bytes.
+// ParsePortable decodes a portable single-record body of either format
+// version, rejecting trailing bytes.
 func ParsePortable(data []byte) (Record, error) {
 	if len(data) < 2 {
 		return Record{}, fmt.Errorf("%w: short portable record", ErrTruncated)
 	}
-	if v := binary.LittleEndian.Uint16(data[0:]); v != Version {
-		return Record{}, fmt.Errorf("%w: %d, this build speaks %d", ErrVersion, v, Version)
+	v, err := parseVersion(data)
+	if err != nil {
+		return Record{}, err
 	}
-	rec, rest, err := ParseRecord(data[2:])
+	rec, rest, err := ParseRecord(data[2:], v)
 	if err != nil {
 		return Record{}, err
 	}

@@ -5,42 +5,109 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
+	"time"
 
+	"fastsketches/internal/autoscale"
 	"fastsketches/internal/countmin"
 	"fastsketches/internal/hll"
 	"fastsketches/internal/murmur"
 	"fastsketches/internal/quantiles"
+	"fastsketches/internal/shard"
 	"fastsketches/internal/theta"
 	"fastsketches/internal/wire"
 )
 
 func fullRecord() Record {
 	return Record{
-		Family:        wire.FamilyCountMin,
-		Name:          []byte("metrics/api.requests"),
-		Shards:        12,
-		HasView:       true,
-		ViewRefreshNs: int64(50_000_000),
-		ViewMaxAgeNs:  -1,
-		HasPolicy:     true,
-		MinShards:     2,
-		MaxShards:     64,
-		HighWater:     1.5e6,
-		LowWater:      2.5e5,
-		Blob:          []byte{1, 2, 3, 4, 5, 6, 7, 8, 9},
+		Family: wire.FamilyCountMin,
+		Name:   []byte("metrics/api.requests"),
+		Spec: wire.Spec{
+			Shards:    12,
+			View:      &shard.ViewConfig{RefreshEvery: 50 * time.Millisecond, MaxAge: -1},
+			Autoscale: &autoscale.Policy{MinShards: 2, MaxShards: 64, HighWater: 1.5e6, LowWater: 2.5e5, Cooldown: time.Minute},
+			IdleTTL:   time.Hour,
+			Pinned:    true,
+		},
+		Blob: []byte{1, 2, 3, 4, 5, 6, 7, 8, 9},
 	}
 }
 
 func windowedRecord() Record {
 	rec := fullRecord()
-	rec.HasWindow = true
-	rec.WindowIntervalNs = int64(30_000_000_000)
-	rec.WindowSlots = 4
-	rec.WindowDecay = 0.75
+	rec.Spec.Window = &shard.WindowConfig{Interval: 30 * time.Second, Slots: 4, Decay: 0.75}
 	rec.WindowSlotBlobs = [][]byte{{10, 11}, {}, {12, 13, 14}}
 	rec.WindowDecayedBlob = []byte{20, 21, 22, 23}
 	return rec
+}
+
+// appendV1Record appends rec in the version-1 record layout — the settings
+// a v1 writer recorded (shards, view, four policy knobs, window) in place
+// of the Spec — so the read path for old checkpoints stays covered.
+func appendV1Record(dst []byte, rec *Record) []byte {
+	mark := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, 0)
+	dst = append(dst, byte(rec.Family), byte(len(rec.Name)))
+	dst = append(dst, rec.Name...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.Spec.Shards))
+	var flags byte
+	for i, on := range []bool{rec.Spec.View != nil, rec.Spec.Autoscale != nil, rec.Spec.Window != nil} {
+		if on {
+			flags |= 1 << i
+		}
+	}
+	dst = append(dst, flags)
+	if v := rec.Spec.View; v != nil {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.RefreshEvery))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.MaxAge))
+	}
+	if p := rec.Spec.Autoscale; p != nil {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(p.MinShards))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(p.MaxShards))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.HighWater))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.LowWater))
+	}
+	if w := rec.Spec.Window; w != nil {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(w.Interval))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(w.Slots))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(w.Decay))
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rec.Blob)))
+	dst = append(dst, rec.Blob...)
+	if rec.Spec.Window != nil {
+		dst = AppendWindowTail(dst, rec.WindowSlotBlobs, rec.WindowDecayedBlob)
+	}
+	binary.LittleEndian.PutUint32(dst[mark:], uint32(len(dst)-mark-4))
+	return dst
+}
+
+// v1Header is AppendHeader as a version-1 writer emitted it.
+func v1Header(count int) []byte {
+	b := AppendHeader(nil, count)
+	binary.LittleEndian.PutUint16(b[4:], 1)
+	return b
+}
+
+// portable is a complete portable record: BeginPortable, the blob, EndRecord.
+func portable(rec *Record) []byte {
+	b, m := BeginPortable(nil, rec)
+	return EndRecord(append(b, rec.Blob...), m)
+}
+
+// sameRecord compares two records field by field, blobs by content.
+func sameRecord(t *testing.T, got, want Record) {
+	t.Helper()
+	if got.Family != want.Family || !bytes.Equal(got.Name, want.Name) || !reflect.DeepEqual(got.Spec, want.Spec) ||
+		!bytes.Equal(got.Blob, want.Blob) || len(got.WindowSlotBlobs) != len(want.WindowSlotBlobs) ||
+		!bytes.Equal(got.WindowDecayedBlob, want.WindowDecayedBlob) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
+	}
+	for i := range want.WindowSlotBlobs {
+		if !bytes.Equal(got.WindowSlotBlobs[i], want.WindowSlotBlobs[i]) {
+			t.Errorf("slot %d: got %v, want %v", i, got.WindowSlotBlobs[i], want.WindowSlotBlobs[i])
+		}
+	}
 }
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -48,9 +115,12 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if len(b) != headerLen {
 		t.Fatalf("header is %d bytes, want %d", len(b), headerLen)
 	}
-	count, rest, err := ParseHeader(append(b, 0xAA))
-	if err != nil || count != 7 || len(rest) != 1 {
-		t.Fatalf("ParseHeader = (%d, %d bytes, %v), want (7, 1, nil)", count, len(rest), err)
+	count, version, rest, err := ParseHeader(append(b, 0xAA))
+	if err != nil || count != 7 || version != Version || len(rest) != 1 {
+		t.Fatalf("ParseHeader = (%d, v%d, %d bytes, %v), want (7, v%d, 1, nil)", count, version, len(rest), err, Version)
+	}
+	if _, version, _, err := ParseHeader(v1Header(0)); err != nil || version != 1 {
+		t.Fatalf("v1 header: version %d, err %v; want 1, nil", version, err)
 	}
 
 	for _, tc := range []struct {
@@ -67,7 +137,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 		}, ErrBadRecord},
 	} {
 		in := tc.mut(AppendHeader(nil, 0))
-		if _, _, err := ParseHeader(in); !errors.Is(err, tc.want) {
+		if _, _, _, err := ParseHeader(in); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -76,30 +146,22 @@ func TestHeaderRoundTrip(t *testing.T) {
 func TestRecordRoundTrip(t *testing.T) {
 	want := fullRecord()
 	b := AppendRecord(nil, &want)
-	got, rest, err := ParseRecord(append(b, 0xEE, 0xFF))
+	got, rest, err := ParseRecord(append(b, 0xEE, 0xFF), Version)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rest) != 2 {
 		t.Fatalf("rest = %d bytes, want 2", len(rest))
 	}
-	if got.Family != want.Family || !bytes.Equal(got.Name, want.Name) ||
-		got.Shards != want.Shards ||
-		got.HasView != want.HasView || got.ViewRefreshNs != want.ViewRefreshNs ||
-		got.ViewMaxAgeNs != want.ViewMaxAgeNs ||
-		got.HasPolicy != want.HasPolicy || got.MinShards != want.MinShards ||
-		got.MaxShards != want.MaxShards || got.HighWater != want.HighWater ||
-		got.LowWater != want.LowWater || !bytes.Equal(got.Blob, want.Blob) {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
-	}
+	sameRecord(t, got, want)
 
-	// Optional blocks absent: flags stay zero and the blocks are skipped.
-	bare := Record{Family: wire.FamilyTheta, Name: []byte("x"), Shards: 1, Blob: nil}
-	got, _, err = ParseRecord(AppendRecord(nil, &bare))
+	// Planes absent: they stay nil.
+	bare := Record{Family: wire.FamilyTheta, Name: []byte("x"), Spec: wire.Spec{Shards: 1}, Blob: nil}
+	got, _, err = ParseRecord(AppendRecord(nil, &bare), Version)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.HasView || got.HasPolicy || len(got.Blob) != 0 {
+	if got.Spec != bare.Spec || len(got.Blob) != 0 {
 		t.Fatalf("bare record round trip = %+v", got)
 	}
 
@@ -110,40 +172,34 @@ func TestRecordRoundTrip(t *testing.T) {
 	if !bytes.Equal(streamed, b) {
 		t.Fatal("BeginRecord/EndRecord differs from AppendRecord")
 	}
+
+	// A v1 record decodes into the Spec it recorded: the view, the four
+	// policy knobs it kept, the shard count — no lifecycle, which v1 lost.
+	v1 := want
+	v1.Spec.Autoscale = &autoscale.Policy{MinShards: 2, MaxShards: 64, HighWater: 1.5e6, LowWater: 2.5e5}
+	v1.Spec.IdleTTL, v1.Spec.Pinned = 0, false
+	got, rest, err = ParseRecord(appendV1Record(nil, &v1), 1)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("v1 record: rest %d bytes, err %v", len(rest), err)
+	}
+	sameRecord(t, got, v1)
 }
 
 func TestWindowedRecordRoundTrip(t *testing.T) {
 	want := windowedRecord()
 	b := AppendRecord(nil, &want)
-	got, rest, err := ParseRecord(append(b, 0xEE))
+	got, rest, err := ParseRecord(append(b, 0xEE), Version)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rest) != 1 {
 		t.Fatalf("rest = %d bytes, want 1", len(rest))
 	}
-	if !got.HasWindow || got.WindowIntervalNs != want.WindowIntervalNs ||
-		got.WindowSlots != want.WindowSlots || got.WindowDecay != want.WindowDecay {
-		t.Fatalf("window block round trip: got %+v", got)
-	}
-	if !bytes.Equal(got.Blob, want.Blob) {
-		t.Fatalf("windowed base blob: got %v, want %v", got.Blob, want.Blob)
-	}
-	if len(got.WindowSlotBlobs) != len(want.WindowSlotBlobs) {
-		t.Fatalf("slot count: got %d, want %d", len(got.WindowSlotBlobs), len(want.WindowSlotBlobs))
-	}
-	for i := range want.WindowSlotBlobs {
-		if !bytes.Equal(got.WindowSlotBlobs[i], want.WindowSlotBlobs[i]) {
-			t.Errorf("slot %d: got %v, want %v", i, got.WindowSlotBlobs[i], want.WindowSlotBlobs[i])
-		}
-	}
-	if !bytes.Equal(got.WindowDecayedBlob, want.WindowDecayedBlob) {
-		t.Errorf("decay plane: got %v, want %v", got.WindowDecayedBlob, want.WindowDecayedBlob)
-	}
+	sameRecord(t, got, want)
 
 	// No decay plane: the marker byte is 0 and the parsed blob stays nil.
 	want.WindowDecayedBlob = nil
-	got, _, err = ParseRecord(AppendRecord(nil, &want))
+	got, _, err = ParseRecord(AppendRecord(nil, &want), Version)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +219,15 @@ func TestWindowedRecordRoundTrip(t *testing.T) {
 	if !bytes.Equal(streamed, b) {
 		t.Fatal("BeginRecord/EndBlob/AppendWindowTail/EndRecord differs from AppendRecord")
 	}
+
+	// A windowed v1 record rebuilds the same window and tail.
+	v1 := windowedRecord()
+	v1.Spec = wire.Spec{Shards: 3, Window: v1.Spec.Window}
+	got, _, err = ParseRecord(appendV1Record(nil, &v1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRecord(t, got, v1)
 }
 
 func TestWindowedRecordErrors(t *testing.T) {
@@ -178,14 +243,14 @@ func TestWindowedRecordErrors(t *testing.T) {
 	// Cut inside the decay length field → truncated; cut inside the decay
 	// body or a slot body → the announced length no longer matches, a
 	// corruption error.
-	if _, _, err := ParseRecord(reframe(len(valid) - 6)); !errors.Is(err, ErrTruncated) {
+	if _, _, err := ParseRecord(reframe(len(valid)-6), Version); !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncated decay length: err = %v, want %v", err, ErrTruncated)
 	}
-	if _, _, err := ParseRecord(reframe(len(valid) - 2)); !errors.Is(err, ErrBadRecord) {
+	if _, _, err := ParseRecord(reframe(len(valid)-2), Version); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("truncated decay plane: err = %v, want %v", err, ErrBadRecord)
 	}
 	cutSlotBody := len(valid) - len(rec.WindowDecayedBlob) - 4 - 1 - 1
-	if _, _, err := ParseRecord(reframe(cutSlotBody)); !errors.Is(err, ErrBadRecord) {
+	if _, _, err := ParseRecord(reframe(cutSlotBody), Version); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("truncated slot body: err = %v, want %v", err, ErrBadRecord)
 	}
 
@@ -203,15 +268,15 @@ func TestWindowedRecordErrors(t *testing.T) {
 	}
 	slotCountOff -= 4
 	over := mut(func(b []byte) {
-		binary.LittleEndian.PutUint32(b[slotCountOff:], rec.WindowSlots+1)
+		binary.LittleEndian.PutUint32(b[slotCountOff:], uint32(rec.Spec.Window.Slots+1))
 	})
-	if _, _, err := ParseRecord(over); !errors.Is(err, ErrBadRecord) {
+	if _, _, err := ParseRecord(over, Version); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("slot count beyond capacity: err = %v, want %v", err, ErrBadRecord)
 	}
 	marker := mut(func(b []byte) {
 		b[len(b)-len(rec.WindowDecayedBlob)-4-1] = 7
 	})
-	if _, _, err := ParseRecord(marker); !errors.Is(err, ErrBadRecord) {
+	if _, _, err := ParseRecord(marker, Version); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("bad decay marker: err = %v, want %v", err, ErrBadRecord)
 	}
 	// Bytes after a complete window tail (no decay plane, so the tail's end
@@ -221,15 +286,18 @@ func TestWindowedRecordErrors(t *testing.T) {
 	trailing := AppendRecord(nil, &noDecay)
 	trailing = append(trailing, 0xAB)
 	binary.LittleEndian.PutUint32(trailing, uint32(len(trailing)-4))
-	if _, _, err := ParseRecord(trailing); !errors.Is(err, ErrBadRecord) {
+	if _, _, err := ParseRecord(trailing, Version); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("bytes after window tail: err = %v, want %v", err, ErrBadRecord)
 	}
 }
 
 func TestRecordErrors(t *testing.T) {
 	valid := AppendRecord(nil, &Record{
-		Family: wire.FamilyHLL, Name: []byte("n"), Shards: 2, Blob: []byte{9},
+		Family: wire.FamilyHLL, Name: []byte("n"), Spec: wire.Spec{Shards: 2}, Blob: []byte{9},
 	})
+	// The Spec's flags byte follows recLen, family, name length and name;
+	// the blob length follows the flags and the Spec's two fixed words.
+	const flagsOff, blobLenOff = 4 + 2 + 1, 4 + 2 + 1 + 1 + 16
 	mut := func(f func([]byte)) []byte {
 		b := append([]byte(nil), valid...)
 		f(b)
@@ -248,35 +316,40 @@ func TestRecordErrors(t *testing.T) {
 		{"unknown family", mut(func(b []byte) { b[4] = 200 }), ErrBadRecord},
 		{"empty name", mut(func(b []byte) { b[5] = 0 }), ErrBadRecord},
 		{"name past body", mut(func(b []byte) { b[5] = 100 }), ErrTruncated},
-		{"unknown flags", mut(func(b []byte) { b[11] |= 0x80 }), ErrBadRecord},
-		{"blob length mismatch", mut(func(b []byte) { b[12]++ }), ErrBadRecord},
+		{"unknown flags", mut(func(b []byte) { b[flagsOff] |= 0x80 }), ErrBadRecord},
+		{"blob length mismatch", mut(func(b []byte) { b[blobLenOff]++ }), ErrBadRecord},
 	}
 	for _, tc := range cases {
-		if _, _, err := ParseRecord(tc.in); !errors.Is(err, tc.want) {
+		if _, _, err := ParseRecord(tc.in, Version); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 
-	// Truncated optional blocks.
-	viewRec := AppendRecord(nil, &Record{
-		Family: wire.FamilyTheta, Name: []byte("v"), Shards: 1, HasView: true,
-	})
-	cut := viewRec[:len(viewRec)-6] // into the view block
-	binary.LittleEndian.PutUint32(cut, uint32(len(cut)-4))
-	if _, _, err := ParseRecord(cut); !errors.Is(err, ErrTruncated) {
-		t.Errorf("truncated view block: err = %v, want %v", err, ErrTruncated)
+	// A truncated Spec, in either layout.
+	viewRec := Record{Family: wire.FamilyTheta, Name: []byte("v"), Spec: wire.Spec{Shards: 1, View: &shard.ViewConfig{}}}
+	for version, b := range map[uint16][]byte{Version: AppendRecord(nil, &viewRec), 1: appendV1Record(nil, &viewRec)} {
+		cut := b[:len(b)-6] // into the view words
+		binary.LittleEndian.PutUint32(cut, uint32(len(cut)-4))
+		if _, _, err := ParseRecord(cut, version); !errors.Is(err, ErrTruncated) {
+			t.Errorf("v%d truncated view: err = %v, want %v", version, err, ErrTruncated)
+		}
 	}
 }
 
 func TestPortableRoundTrip(t *testing.T) {
 	want := fullRecord()
-	b := AppendPortable(nil, &want)
+	b := portable(&want)
 	got, err := ParsePortable(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Name, want.Name) || !bytes.Equal(got.Blob, want.Blob) {
-		t.Fatalf("portable round trip: got %+v", got)
+	sameRecord(t, got, want)
+	// A portable record from a version-1 daemon still restores.
+	v1 := Record{Family: wire.FamilyTheta, Name: []byte("old"), Spec: wire.Spec{Shards: 3}, Blob: []byte{7}}
+	if got, err := ParsePortable(append([]byte{1, 0}, appendV1Record(nil, &v1)...)); err != nil {
+		t.Fatal(err)
+	} else {
+		sameRecord(t, got, v1)
 	}
 
 	if _, err := ParsePortable(append(b, 0)); !errors.Is(err, ErrTrailing) {
@@ -290,14 +363,6 @@ func TestPortableRoundTrip(t *testing.T) {
 	if _, err := ParsePortable(skew); !errors.Is(err, ErrVersion) {
 		t.Errorf("version skew: err = %v, want %v", err, ErrVersion)
 	}
-
-	// BeginPortable/EndPortable equals AppendPortable byte for byte.
-	streamed, m := BeginPortable(nil, &want)
-	streamed = append(streamed, want.Blob...)
-	streamed = EndPortable(streamed, m)
-	if !bytes.Equal(streamed, b) {
-		t.Fatal("BeginPortable/EndPortable differs from AppendPortable")
-	}
 }
 
 // FuzzSnapshotDecode throws arbitrary bytes at every decode surface of the
@@ -310,9 +375,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(AppendHeader(nil, 0))
 	rec := fullRecord()
 	f.Add(AppendRecord(AppendHeader(nil, 1), &rec))
-	f.Add(AppendPortable(nil, &rec))
+	f.Add(portable(&rec))
 	win := windowedRecord()
 	f.Add(AppendRecord(AppendHeader(nil, 1), &win))
+	f.Add(appendV1Record(v1Header(1), &rec))
+	f.Add(appendV1Record(v1Header(1), &win))
 
 	// Valid family bodies so the fuzzer explores deep into each decoder.
 	u := theta.NewUnion(6, murmur.DefaultSeed)
@@ -337,18 +404,19 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(cm.ExportTo(nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if count, rest, err := ParseHeader(data); err == nil {
+		if count, version, rest, err := ParseHeader(data); err == nil {
 			for i := 0; i < count && len(rest) > 0; i++ {
-				rec, next, err := ParseRecord(rest)
+				rec, next, err := ParseRecord(rest, version)
 				if err != nil {
 					break
 				}
-				re, _, rerr := ParseRecord(AppendRecord(nil, &rec))
+				// Either version re-encodes as the current one, losslessly.
+				re, _, rerr := ParseRecord(AppendRecord(nil, &rec), Version)
 				if rerr != nil {
 					t.Fatalf("re-encoded record does not parse: %v", rerr)
 				}
 				if re.Family != rec.Family || !bytes.Equal(re.Name, rec.Name) ||
-					!bytes.Equal(re.Blob, rec.Blob) {
+					!reflect.DeepEqual(re.Spec, rec.Spec) || !bytes.Equal(re.Blob, rec.Blob) {
 					t.Fatal("record re-encode round trip mismatch")
 				}
 				rest = next

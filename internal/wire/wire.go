@@ -25,24 +25,23 @@
 //
 // # Ops
 //
-//	OpPing       liveness probe                          → empty
-//	OpBatch      batched ingest: many items, one frame   → uint32 ack count
-//	OpQuery      merged query (see Query kinds)          → 8-byte result
-//	OpCreate     create the named sketch                 → empty
-//	OpResize     live-reshard the named sketch           → empty
-//	OpAutoscale  attach an autoscaling controller        → empty
-//	OpDrop       close and remove the named sketch       → empty
-//	OpNames      enumerate registered sketches           → name list
-//	OpInfo       metadata for the named sketch           → Info
-//	OpEnableView   materialize the named sketch's merged view  → empty
-//	OpDisableView  drop the named sketch's merged view         → empty
-//	OpSnapshot     export the named sketch's merged state      → portable snapshot record
+//	OpPing         liveness probe                                  → empty
+//	OpBatch        batched ingest: many items, one frame           → uint32 ack count
+//	OpQuery        merged query (see Query kinds)                  → 8-byte result
+//	OpApply        apply a Spec to the named sketch(es)            → empty
+//	OpDrop         close and remove the named sketch               → empty
+//	OpNames        enumerate registered sketches                   → name list
+//	OpInfo         the named sketch's Spec in force and live stats → Info
+//	OpSnapshot     export the named sketch's merged state          → portable snapshot record
 //	OpRestore      fold a portable snapshot into the named sketch  → empty
 //	OpMergeRemote  pull a sketch from another daemon and fold it   → empty
 //	OpCheckpoint   write the server's checkpoint file now          → empty
 //	OpOpsStats     lifecycle sweeper / memory-budget counters      → OpsStats
-//	OpEnableWindow   declare a sliding window on the named sketches  → empty
-//	OpDisableWindow  collapse the named sketches' windows            → empty
+//
+// OpApply is the whole control plane: its body is family | name | Spec (see
+// AppendSpec). A family byte 0 applies the Spec to every sketch registered
+// under the name and creates none; any other family gets or creates its
+// sketch, as the registry's Open* does.
 //
 // Batch items are fixed 8-byte words: uint64 keys for Θ/HLL/Count-Min,
 // IEEE-754 bits (math.Float64bits) for quantiles values. Fixed-size items
@@ -63,7 +62,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 )
 
 const (
@@ -87,10 +85,10 @@ const (
 	// MaxBatchItems is the largest item count one OpBatch frame can carry
 	// within MaxFrame (header, family, name, count prefix accounted).
 	MaxBatchItems = (MaxFrame - headerLen - 2 - MaxName - 4) / ItemSize
-	// MaxShards bounds any shard count travelling on the wire (OpResize,
-	// OpAutoscale bounds). Far above any sane deployment, low enough that
-	// one malicious frame cannot make the server build billions of shard
-	// frameworks; receivers reject values outside [1, MaxShards].
+	// MaxShards bounds any shard count a Spec declares (Spec.Shards and the
+	// autoscale bounds). Far above any sane deployment, low enough that one
+	// malicious frame or checkpoint cannot make a process build billions of
+	// shard frameworks; Spec.Validate rejects values above it.
 	MaxShards = 4096
 	// MaxAddr is the longest peer address an OpMergeRemote request may name
 	// (uint16 length prefix; host:port and bracketed IPv6 fit comfortably).
@@ -111,21 +109,15 @@ const (
 	OpPing Op = iota + 1
 	OpBatch
 	OpQuery
-	OpCreate
-	OpResize
-	OpAutoscale
+	OpApply
 	OpDrop
 	OpNames
 	OpInfo
-	OpEnableView
-	OpDisableView
 	OpSnapshot
 	OpRestore
 	OpMergeRemote
 	OpCheckpoint
 	OpOpsStats
-	OpEnableWindow
-	OpDisableWindow
 	opMax
 )
 
@@ -184,7 +176,7 @@ type Query uint8
 // last Slots closed intervals plus the live one) instead of the cumulative
 // stream, and DecayedCount over the Count-Min exponentially time-decayed
 // plane. They fail as typed errors when the named sketch has no window
-// declared (OpEnableWindow, Spec.Window, or the server's default window).
+// declared (Spec.Window, or the server's default window).
 const (
 	QueryEstimate Query = iota + 1
 	QueryQuantile
@@ -232,6 +224,10 @@ var (
 	ErrBadBlob       = errors.New("wire: blob length does not match payload")
 	ErrBadAddr       = errors.New("wire: bad remote address")
 	ErrBlobTooLarge  = errors.New("wire: snapshot blob exceeds frame budget")
+	ErrBadSpec       = errors.New("wire: bad spec flags")
+	// ErrConfig reports an invalid configuration: every Spec that fails
+	// Validate wraps it, whichever path the Spec arrived on.
+	ErrConfig = errors.New("fastsketches: invalid configuration")
 )
 
 // ValidName reports whether a sketch name fits the wire format (1..MaxName
@@ -314,12 +310,6 @@ func appendFamName(dst []byte, op Op, id uint32, fam Family, name string) ([]byt
 	return appendName(dst, name), m
 }
 
-// AppendCreate appends an OpCreate request frame.
-func AppendCreate(dst []byte, id uint32, fam Family, name string) []byte {
-	dst, m := appendFamName(dst, OpCreate, id, fam, name)
-	return endFrame(dst, m)
-}
-
 // AppendDrop appends an OpDrop request frame.
 func AppendDrop(dst []byte, id uint32, fam Family, name string) []byte {
 	dst, m := appendFamName(dst, OpDrop, id, fam, name)
@@ -332,70 +322,12 @@ func AppendInfo(dst []byte, id uint32, fam Family, name string) []byte {
 	return endFrame(dst, m)
 }
 
-// AppendResize appends an OpResize request frame.
-func AppendResize(dst []byte, id uint32, fam Family, name string, shards int) []byte {
-	dst, m := appendFamName(dst, OpResize, id, fam, name)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(shards))
-	return endFrame(dst, m)
-}
-
-// AppendAutoscale appends an OpAutoscale request frame. The policy travels
-// as its four load-bearing knobs (shard bounds and water marks); the server
-// fills the remaining policy fields with production defaults.
-func AppendAutoscale(dst []byte, id uint32, name string, minShards, maxShards int, high, low float64) []byte {
-	dst, m := beginFrame(dst)
-	dst = appendHeader(dst, byte(OpAutoscale), id)
-	dst = appendName(dst, name)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(minShards))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(maxShards))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(high))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(low))
-	return endFrame(dst, m)
-}
-
-// AppendEnableView appends an OpEnableView request frame: materialize the
-// merged view of every sketch registered under name. refreshNs is the
-// refresh interval in nanoseconds (0 = server default); maxAgeNs is the
-// maximum served view age in nanoseconds before queries fall back to the
-// live fold (0 = server default, derived from the refresh interval).
-func AppendEnableView(dst []byte, id uint32, name string, refreshNs, maxAgeNs uint64) []byte {
-	dst, m := beginFrame(dst)
-	dst = appendHeader(dst, byte(OpEnableView), id)
-	dst = appendName(dst, name)
-	dst = binary.LittleEndian.AppendUint64(dst, refreshNs)
-	dst = binary.LittleEndian.AppendUint64(dst, maxAgeNs)
-	return endFrame(dst, m)
-}
-
-// AppendDisableView appends an OpDisableView request frame.
-func AppendDisableView(dst []byte, id uint32, name string) []byte {
-	dst, m := beginFrame(dst)
-	dst = appendHeader(dst, byte(OpDisableView), id)
-	return endFrame(appendName(dst, name), m)
-}
-
-// AppendEnableWindow appends an OpEnableWindow request frame: declare a
-// sliding window on every sketch registered under name. intervalNs is the
-// rotation interval in nanoseconds (required, > 0); slots the closed-interval
-// capacity (0 = server default); decay the Count-Min exponential decay factor
-// in [0,1) (0 = none; rejected by the server for families without a linearly
-// scalable state).
-func AppendEnableWindow(dst []byte, id uint32, name string, intervalNs uint64, slots uint32, decay float64) []byte {
-	dst, m := beginFrame(dst)
-	dst = appendHeader(dst, byte(OpEnableWindow), id)
-	dst = appendName(dst, name)
-	dst = binary.LittleEndian.AppendUint64(dst, intervalNs)
-	dst = binary.LittleEndian.AppendUint32(dst, slots)
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(decay))
-	return endFrame(dst, m)
-}
-
-// AppendDisableWindow appends an OpDisableWindow request frame: collapse the
-// named sketches' windows back into their cumulative state (no counts lost).
-func AppendDisableWindow(dst []byte, id uint32, name string) []byte {
-	dst, m := beginFrame(dst)
-	dst = appendHeader(dst, byte(OpDisableWindow), id)
-	return endFrame(appendName(dst, name), m)
+// AppendApply appends an OpApply request frame: apply spec to the named
+// sketch of family fam (created if absent) or, with fam 0, to every sketch
+// registered under name.
+func AppendApply(dst []byte, id uint32, fam Family, name string, spec *Spec) []byte {
+	dst, m := appendFamName(dst, OpApply, id, fam, name)
+	return endFrame(AppendSpec(dst, spec), m)
 }
 
 // AppendSnapshotReq appends an OpSnapshot request frame: export the named
@@ -537,66 +469,33 @@ func AppendOKNames(dst []byte, id uint32, names []string) []byte {
 	return endFrame(dst, m)
 }
 
-// Info is the OpInfo response: the served sketch's shard/lane geometry and
-// its live staleness bounds, mirroring the registry's SketchInfo. A served
-// merged query's staleness is exactly the in-process bound — Relaxation =
-// S·r — because the server answers through the same QueryInto plane.
+// Info is the OpInfo response, mirroring the registry's SketchInfo: the
+// Spec in force, the writer-lane count, and the live stats — the staleness
+// bounds (a served merged query lags by exactly the in-process Relaxation =
+// S·r), the view's refresh lag, and the window's rotations and live-interval
+// age (zero for a plane that is off).
 type Info struct {
-	Shards          int
+	Spec            Spec
 	Writers         int
 	Relaxation      uint64
 	ShardRelaxation uint64
 	Eager           bool
-	// ViewEnabled reports whether a materialized merged view serves the
-	// sketch's aggregate queries; ViewLagNs is the age (nanoseconds) of its
-	// latest published refresh — the extra staleness term on top of
-	// Relaxation. Zero when no view is enabled.
-	ViewEnabled bool
-	ViewLagNs   uint64
-	// WindowEnabled reports whether a sliding window is declared on the
-	// sketch; the remaining fields echo its shape and liveness. WindowSlots
-	// and WindowIntervalNs are the declared geometry, WindowRotations counts
-	// ring rotations since enable, and WindowLiveAgeNs is the live
-	// interval's age — when it exceeds WindowIntervalNs the difference is
-	// the rotation lag. All zero when no window is declared.
-	WindowEnabled    bool
-	WindowSlots      uint32
-	WindowIntervalNs uint64
-	WindowRotations  uint64
-	WindowLiveAgeNs  uint64
+	ViewLagNs       uint64
+	WindowRotations uint64
+	WindowLiveAgeNs uint64
 }
 
-const infoLen = 4 + 4 + 8 + 8 + 1 + 1 + 8 + 1 + 4 + 8 + 8 + 8
-
-// AppendOKInfo appends the OpInfo success response.
-func AppendOKInfo(dst []byte, id uint32, inf Info) []byte {
+// AppendOKInfo appends the OpInfo success response: seven words — Eager as
+// 0 or 1, then the other live stats in declaration order — then the Spec.
+func AppendOKInfo(dst []byte, id uint32, inf *Info) []byte {
 	dst, m := beginFrame(dst)
-	dst = appendHeader(dst, StatusOK, id)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(inf.Shards))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(inf.Writers))
-	dst = binary.LittleEndian.AppendUint64(dst, inf.Relaxation)
-	dst = binary.LittleEndian.AppendUint64(dst, inf.ShardRelaxation)
-	var eager byte
+	var eager int64
 	if inf.Eager {
 		eager = 1
 	}
-	dst = append(dst, eager)
-	var viewed byte
-	if inf.ViewEnabled {
-		viewed = 1
-	}
-	dst = append(dst, viewed)
-	dst = binary.LittleEndian.AppendUint64(dst, inf.ViewLagNs)
-	var windowed byte
-	if inf.WindowEnabled {
-		windowed = 1
-	}
-	dst = append(dst, windowed)
-	dst = binary.LittleEndian.AppendUint32(dst, inf.WindowSlots)
-	dst = binary.LittleEndian.AppendUint64(dst, inf.WindowIntervalNs)
-	dst = binary.LittleEndian.AppendUint64(dst, inf.WindowRotations)
-	dst = binary.LittleEndian.AppendUint64(dst, inf.WindowLiveAgeNs)
-	return endFrame(dst, m)
+	dst = appendWords(appendHeader(dst, StatusOK, id), eager, int64(inf.Writers), int64(inf.Relaxation),
+		int64(inf.ShardRelaxation), int64(inf.ViewLagNs), int64(inf.WindowRotations), int64(inf.WindowLiveAgeNs))
+	return endFrame(AppendSpec(dst, &inf.Spec), m)
 }
 
 // OpsStats is the OpOpsStats response: the server-side lifecycle sweeper's
@@ -618,13 +517,8 @@ const opsStatsLen = 7 * 8
 // AppendOKOpsStats appends the OpOpsStats success response.
 func AppendOKOpsStats(dst []byte, id uint32, st OpsStats) []byte {
 	dst, m := beginFrame(dst)
-	dst = appendHeader(dst, StatusOK, id)
-	for _, v := range [...]int64{
-		st.Sweeps, st.Evictions, st.BudgetSheds, st.BudgetShrinks,
-		st.ResidentBytes, st.BudgetBytes, st.Sketches,
-	} {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-	}
+	dst = appendWords(appendHeader(dst, StatusOK, id), st.Sweeps, st.Evictions, st.BudgetSheds,
+		st.BudgetShrinks, st.ResidentBytes, st.BudgetBytes, st.Sketches)
 	return endFrame(dst, m)
 }
 
@@ -655,20 +549,11 @@ type Request struct {
 	Family Family
 	Query  Query
 	Name   []byte
-	// Arg is the op-specific scalar: the resize shard count, the query
-	// argument (float bits / key) for kinds with NeedsArg, the EnableView
-	// refresh interval in nanoseconds, or the EnableWindow rotation
-	// interval in nanoseconds.
+	// Arg is the query argument (float bits / key) for kinds with NeedsArg.
 	Arg uint64
-	// Arg2 is the second op-specific scalar: the EnableView maximum view
-	// age in nanoseconds, or the EnableWindow decay factor bits.
-	Arg2 uint64
-	// Slots is the OpEnableWindow closed-interval capacity (0 = default).
-	Slots uint32
-	// MinShards/MaxShards/High/Low are the OpAutoscale policy knobs.
-	MinShards, MaxShards uint32
-	High, Low            float64
-	Items                []byte
+	// Spec is the OpApply body.
+	Spec  Spec
+	Items []byte
 	// Blob is the OpRestore snapshot payload (a view into the parse buffer,
 	// like Name and Items).
 	Blob []byte
@@ -684,80 +569,61 @@ func (r *Request) Item(i int) uint64 {
 	return binary.LittleEndian.Uint64(r.Items[i*ItemSize:])
 }
 
-// cursor is a bounds-checked sequential reader over a payload body.
+// cursor is a bounds-checked sequential reader over a payload body; the
+// first error sticks.
 type cursor struct {
 	b   []byte
 	err error
 }
 
-func (c *cursor) u8() byte {
-	if c.err != nil {
-		return 0
-	}
-	if len(c.b) < 1 {
+// next returns the next n bytes, or nil once an error has stuck; reading
+// past the end is ErrTruncated.
+func (c *cursor) next(n int) []byte {
+	if c.err == nil && len(c.b) < n {
 		c.err = ErrTruncated
-		return 0
 	}
-	v := c.b[0]
-	c.b = c.b[1:]
-	return v
-}
-
-func (c *cursor) u16() uint16 {
 	if c.err != nil {
-		return 0
-	}
-	if len(c.b) < 2 {
-		c.err = ErrTruncated
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(c.b)
-	c.b = c.b[2:]
-	return v
-}
-
-func (c *cursor) u32() uint32 {
-	if c.err != nil {
-		return 0
-	}
-	if len(c.b) < 4 {
-		c.err = ErrTruncated
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.b)
-	c.b = c.b[4:]
-	return v
-}
-
-func (c *cursor) u64() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	if len(c.b) < 8 {
-		c.err = ErrTruncated
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.b)
-	c.b = c.b[8:]
-	return v
-}
-
-func (c *cursor) name() []byte {
-	n := int(c.u8())
-	if c.err != nil {
-		return nil
-	}
-	if n == 0 {
-		c.err = ErrBadName
-		return nil
-	}
-	if len(c.b) < n {
-		c.err = ErrTruncated
 		return nil
 	}
 	v := c.b[:n]
 	c.b = c.b[n:]
 	return v
+}
+
+func (c *cursor) u8() byte {
+	if b := c.next(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (c *cursor) u16() uint16 {
+	if b := c.next(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
+	}
+	return 0
+}
+
+func (c *cursor) u32() uint32 {
+	if b := c.next(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (c *cursor) u64() uint64 {
+	if b := c.next(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (c *cursor) name() []byte {
+	n := int(c.u8())
+	if c.err == nil && n == 0 {
+		c.err = ErrBadName
+	}
+	return c.next(n)
 }
 
 func (c *cursor) family() Family {
@@ -795,9 +661,18 @@ func ParseRequest(p []byte) (Request, error) {
 	switch req.Op {
 	case OpPing, OpNames, OpCheckpoint, OpOpsStats:
 		// empty body
-	case OpCreate, OpDrop, OpInfo, OpSnapshot:
+	case OpDrop, OpInfo, OpSnapshot:
 		req.Family = c.family()
 		req.Name = c.name()
+	case OpApply:
+		// Family 0 addresses every family registered under the name.
+		if req.Family = Family(c.u8()); c.err == nil && req.Family != 0 && !req.Family.Valid() {
+			return req, ErrBadFamily
+		}
+		req.Name = c.name()
+		if c.err == nil {
+			req.Spec, c.b, c.err = ParseSpec(c.b)
+		}
 	case OpRestore:
 		req.Family = c.family()
 		req.Name = c.name()
@@ -820,27 +695,6 @@ func ParseRequest(p []byte) (Request, error) {
 			req.Addr = c.b
 			c.b = nil
 		}
-	case OpResize:
-		req.Family = c.family()
-		req.Name = c.name()
-		req.Arg = uint64(c.u32())
-	case OpAutoscale:
-		req.Name = c.name()
-		req.MinShards = c.u32()
-		req.MaxShards = c.u32()
-		req.High = math.Float64frombits(c.u64())
-		req.Low = math.Float64frombits(c.u64())
-	case OpEnableView:
-		req.Name = c.name()
-		req.Arg = c.u64()
-		req.Arg2 = c.u64()
-	case OpDisableView, OpDisableWindow:
-		req.Name = c.name()
-	case OpEnableWindow:
-		req.Name = c.name()
-		req.Arg = c.u64()
-		req.Slots = c.u32()
-		req.Arg2 = c.u64()
 	case OpBatch:
 		req.Family = c.family()
 		req.Name = c.name()
@@ -906,23 +760,13 @@ func ParseNames(body []byte) ([]string, error) {
 
 // ParseInfo decodes an OpInfo response body.
 func ParseInfo(body []byte) (Info, error) {
-	if len(body) != infoLen {
-		return Info{}, ErrTruncated
-	}
 	c := cursor{b: body}
-	inf := Info{
-		Shards:          int(c.u32()),
-		Writers:         int(c.u32()),
-		Relaxation:      c.u64(),
-		ShardRelaxation: c.u64(),
-		Eager:           c.u8() == 1,
+	inf := Info{Eager: c.u64() == 1}
+	inf.Writers = int(c.u64())
+	inf.Relaxation, inf.ShardRelaxation = c.u64(), c.u64()
+	inf.ViewLagNs, inf.WindowRotations, inf.WindowLiveAgeNs = c.u64(), c.u64(), c.u64()
+	if c.err == nil {
+		inf.Spec, c.b, c.err = ParseSpec(c.b)
 	}
-	inf.ViewEnabled = c.u8() == 1
-	inf.ViewLagNs = c.u64()
-	inf.WindowEnabled = c.u8() == 1
-	inf.WindowSlots = c.u32()
-	inf.WindowIntervalNs = c.u64()
-	inf.WindowRotations = c.u64()
-	inf.WindowLiveAgeNs = c.u64()
 	return inf, c.done()
 }

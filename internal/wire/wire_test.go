@@ -6,8 +6,14 @@ import (
 	"errors"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"fastsketches/internal/autoscale"
+	"fastsketches/internal/shard"
+	"fastsketches/internal/window"
 )
 
 // frame strips the length prefix after checking it matches the payload.
@@ -31,14 +37,14 @@ func TestRequestRoundTrip(t *testing.T) {
 	}{
 		{"ping", func() []byte { return AppendPing(nil, 7) }, Request{Op: OpPing, ID: 7}},
 		{"names", func() []byte { return AppendNamesReq(nil, 9) }, Request{Op: OpNames, ID: 9}},
-		{"create", func() []byte { return AppendCreate(nil, 1, FamilyTheta, "users") },
-			Request{Op: OpCreate, ID: 1, Family: FamilyTheta, Name: []byte("users")}},
+		{"create", func() []byte { return AppendApply(nil, 1, FamilyTheta, "users", &Spec{}) },
+			Request{Op: OpApply, ID: 1, Family: FamilyTheta, Name: []byte("users")}},
 		{"drop", func() []byte { return AppendDrop(nil, 2, FamilyCountMin, "api.calls") },
 			Request{Op: OpDrop, ID: 2, Family: FamilyCountMin, Name: []byte("api.calls")}},
 		{"info", func() []byte { return AppendInfo(nil, 3, FamilyHLL, "x") },
 			Request{Op: OpInfo, ID: 3, Family: FamilyHLL, Name: []byte("x")}},
-		{"resize", func() []byte { return AppendResize(nil, 4, FamilyQuantiles, "lat", 8) },
-			Request{Op: OpResize, ID: 4, Family: FamilyQuantiles, Name: []byte("lat"), Arg: 8}},
+		{"resize", func() []byte { return AppendApply(nil, 4, FamilyQuantiles, "lat", &Spec{Shards: 8}) },
+			Request{Op: OpApply, ID: 4, Family: FamilyQuantiles, Name: []byte("lat"), Spec: Spec{Shards: 8}}},
 		{"query-estimate", func() []byte { return AppendQuery(nil, 5, FamilyTheta, QueryEstimate, "users", 0) },
 			Request{Op: OpQuery, ID: 5, Family: FamilyTheta, Query: QueryEstimate, Name: []byte("users")}},
 		{"query-quantile", func() []byte {
@@ -57,7 +63,7 @@ func TestRequestRoundTrip(t *testing.T) {
 			}
 			if got.Op != tc.want.Op || got.ID != tc.want.ID || got.Family != tc.want.Family ||
 				got.Query != tc.want.Query || got.Arg != tc.want.Arg ||
-				!bytes.Equal(got.Name, tc.want.Name) {
+				!bytes.Equal(got.Name, tc.want.Name) || !reflect.DeepEqual(got.Spec, tc.want.Spec) {
 				t.Fatalf("got %+v, want %+v", got, tc.want)
 			}
 		})
@@ -84,15 +90,40 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAutoscaleRoundTrip(t *testing.T) {
-	b := AppendAutoscale(nil, 12, "users", 2, 16, 250e3, 50e3)
-	req, err := ParseRequest(frame(t, b))
-	if err != nil {
-		t.Fatal(err)
+// fullSpec sets every Spec field to a value no default produces; the
+// planes carry no Clock, as a decoded Spec never does.
+func fullSpec() Spec {
+	return Spec{
+		Shards:  12,
+		Window:  &window.Config{Interval: 30 * time.Second, Slots: 12, Decay: 0.875},
+		View:    &shard.ViewConfig{RefreshEvery: 50 * time.Millisecond, MaxAge: -1},
+		IdleTTL: 90 * time.Minute,
+		Pinned:  true,
+		Autoscale: &autoscale.Policy{
+			MinShards: 2, MaxShards: 16, HighWater: 250e3, LowWater: 50e3,
+			BacklogHighWater: 4096, SampleEvery: time.Second, SustainedUp: 5,
+			SustainedDown: 7, Cooldown: 9 * time.Second, StepFactor: 3,
+			MaxTransitionalRelaxation: 1 << 20, ViewLagHighWater: 300 * time.Millisecond,
+		},
 	}
-	if req.Op != OpAutoscale || string(req.Name) != "users" ||
-		req.MinShards != 2 || req.MaxShards != 16 || req.High != 250e3 || req.Low != 50e3 {
-		t.Fatalf("bad autoscale request: %+v", req)
+}
+
+// TestAutoscaleRoundTrip: an OpApply frame carries every field of a Spec —
+// all twelve policy knobs among them — and the off switches, bit-exactly;
+// a sketch family of 0 addresses every family under the name.
+func TestAutoscaleRoundTrip(t *testing.T) {
+	for _, want := range []Spec{fullSpec(), {ViewOff: true, WindowOff: true, AutoscaleOff: true}, {}} {
+		req, err := ParseRequest(frame(t, AppendApply(nil, 12, 0, "users", &want)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.Op != OpApply || req.ID != 12 || req.Family != 0 || string(req.Name) != "users" ||
+			!reflect.DeepEqual(req.Spec, want) {
+			t.Fatalf("apply round trip:\n got %+v\nwant %+v", req.Spec, want)
+		}
+		if n := len(AppendSpec(nil, &want)); n > MaxSpecLen {
+			t.Fatalf("encoded Spec %d bytes > MaxSpecLen %d", n, MaxSpecLen)
+		}
 	}
 }
 
@@ -120,13 +151,13 @@ func TestResponseRoundTrip(t *testing.T) {
 		t.Fatalf("names = %v (err %v), want %v", got, err, names[:2])
 	}
 
-	inf := Info{Shards: 8, Writers: 4, Relaxation: 512, ShardRelaxation: 64, Eager: true}
-	_, _, body, err = ParseResponse(frame(t, AppendOKInfo(nil, 24, inf)))
+	inf := Info{Spec: Spec{Shards: 8}, Writers: 4, Relaxation: 512, ShardRelaxation: 64, Eager: true}
+	_, _, body, err = ParseResponse(frame(t, AppendOKInfo(nil, 24, &inf)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	gotInf, err := ParseInfo(body)
-	if err != nil || gotInf != inf {
+	if err != nil || !reflect.DeepEqual(gotInf, inf) {
 		t.Fatalf("info = %+v (err %v), want %+v", gotInf, err, inf)
 	}
 }
@@ -152,8 +183,13 @@ func TestParseRequestRejectsMalformed(t *testing.T) {
 			b[headerLen+1] = 0x7f
 			return b
 		}()},
-		{"zero-name", []byte{byte(OpCreate), 0, 0, 0, 0, byte(FamilyTheta), 0}},
-		{"truncated-name", []byte{byte(OpCreate), 0, 0, 0, 0, byte(FamilyTheta), 5, 'a', 'b'}},
+		{"zero-name", []byte{byte(OpApply), 0, 0, 0, 0, byte(FamilyTheta), 0}},
+		{"truncated-name", []byte{byte(OpApply), 0, 0, 0, 0, byte(FamilyTheta), 5, 'a', 'b'}},
+		{"apply-bad-flags", func() []byte {
+			b := AppendApply(nil, 1, FamilyTheta, "u", &Spec{})[4:]
+			b[headerLen+3] = 0x80 // the Spec's flags follow family byte + name "u"
+			return b
+		}()},
 		{"query-missing-arg", AppendQuery(nil, 1, FamilyQuantiles, QueryQuantile, "u", 1)[4 : 4+headerLen+2+2]},
 		{"query-trailing", append(append([]byte(nil), valid...), 1, 2, 3)},
 		{"batch-count-mismatch", func() []byte {
@@ -231,10 +267,12 @@ func TestValidName(t *testing.T) {
 func TestEncodersAppendInPlace(t *testing.T) {
 	buf := make([]byte, 0, 4096)
 	items := []uint64{1, 2, 3, 4}
+	spec := fullSpec()
 	allocs := testing.AllocsPerRun(100, func() {
 		buf = AppendBatch(buf[:0], 1, FamilyTheta, "users", items)
 		buf = AppendQuery(buf[:0], 2, FamilyTheta, QueryEstimate, "users", 0)
 		buf = AppendOKU64(buf[:0], 3, 9)
+		buf = AppendApply(buf[:0], 4, FamilyTheta, "users", &spec)
 	})
 	if allocs != 0 {
 		t.Fatalf("encoders allocated %.1f/run into a pre-sized buffer", allocs)
@@ -273,83 +311,68 @@ func TestAppendOKNamesBounded(t *testing.T) {
 	}
 }
 
-func TestViewOpsRoundTrip(t *testing.T) {
-	// EnableView carries two nanosecond scalars; a negative maxAge (never
-	// expire) must survive the uint64 transit bit-exactly.
-	neverExpire := ^uint64(0) // int64(-1) in transit
-	b := AppendEnableView(nil, 31, "users", 50_000_000, neverExpire)
-	req, err := ParseRequest(frame(t, b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Op != OpEnableView || req.ID != 31 || string(req.Name) != "users" ||
-		req.Arg != 50_000_000 || req.Arg2 != neverExpire {
-		t.Fatalf("bad enable-view request: %+v", req)
-	}
-	if int64(req.Arg2) != -1 {
-		t.Fatalf("maxAge sign lost in transit: %d", int64(req.Arg2))
-	}
-
-	b = AppendDisableView(nil, 32, "users")
-	req, err = ParseRequest(frame(t, b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Op != OpDisableView || req.ID != 32 || string(req.Name) != "users" {
-		t.Fatalf("bad disable-view request: %+v", req)
-	}
-
-	// Truncated enable-view bodies are rejected, id preserved.
-	full := AppendEnableView(nil, 33, "u", 1, 2)[4:]
+// truncationsRejected asserts that every cut of a request payload short of
+// its end is rejected with the request id preserved, and a trailing byte
+// too — the body must be consumed exactly.
+func truncationsRejected(t *testing.T, full []byte, id uint32) {
+	t.Helper()
 	for cut := len(full) - 1; cut >= headerLen; cut-- {
 		req, err := ParseRequest(full[:cut])
 		if err == nil {
-			t.Fatalf("truncated enable-view at %d bytes accepted", cut)
+			t.Fatalf("truncated request at %d bytes accepted", cut)
 		}
-		if req.ID != 33 {
-			t.Fatalf("truncated enable-view lost id: %d", req.ID)
+		if req.ID != id {
+			t.Fatalf("truncated request lost id: %d", req.ID)
 		}
+	}
+	if _, err := ParseRequest(append(append([]byte(nil), full...), 0xCC)); err == nil {
+		t.Fatal("request with a trailing byte accepted")
 	}
 }
 
+func TestViewOpsRoundTrip(t *testing.T) {
+	// A view carries two nanosecond scalars; a negative maxAge (never
+	// expire) must survive the transit bit-exactly.
+	view := &shard.ViewConfig{RefreshEvery: 50 * time.Millisecond, MaxAge: -1}
+	req, err := ParseRequest(frame(t, AppendApply(nil, 31, 0, "users", &Spec{View: view})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Op != OpApply || req.ID != 31 || string(req.Name) != "users" || req.Spec.View == nil ||
+		*req.Spec.View != *view || req.Spec.ViewOff {
+		t.Fatalf("bad view request: %+v", req)
+	}
+	req, err = ParseRequest(frame(t, AppendApply(nil, 32, 0, "users", &Spec{ViewOff: true})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Spec.View != nil || !req.Spec.ViewOff {
+		t.Fatalf("bad view-off request: %+v", req)
+	}
+	truncationsRejected(t, AppendApply(nil, 33, 0, "u", &Spec{View: view})[4:], 33)
+}
+
 func TestWindowOpsRoundTrip(t *testing.T) {
-	// EnableWindow carries the rotation interval, the ring capacity and the
+	// A window carries the rotation interval, the ring capacity and the
 	// decay factor; the float64 decay must survive its bits transit exactly.
-	b := AppendEnableWindow(nil, 41, "users", 30_000_000_000, 12, 0.875)
-	req, err := ParseRequest(frame(t, b))
+	win := &window.Config{Interval: 30 * time.Second, Slots: 12, Decay: 0.875}
+	req, err := ParseRequest(frame(t, AppendApply(nil, 41, 0, "users", &Spec{Window: win})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Op != OpEnableWindow || req.ID != 41 || string(req.Name) != "users" ||
-		req.Arg != 30_000_000_000 || req.Slots != 12 ||
-		math.Float64frombits(req.Arg2) != 0.875 {
-		t.Fatalf("bad enable-window request: %+v", req)
+	if req.Op != OpApply || req.ID != 41 || string(req.Name) != "users" || req.Spec.Window == nil ||
+		*req.Spec.Window != *win {
+		t.Fatalf("bad window request: %+v", req)
 	}
-
-	b = AppendDisableWindow(nil, 42, "users")
-	req, err = ParseRequest(frame(t, b))
+	req, err = ParseRequest(frame(t, AppendApply(nil, 42, 0, "users", &Spec{WindowOff: true})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Op != OpDisableWindow || req.ID != 42 || string(req.Name) != "users" {
-		t.Fatalf("bad disable-window request: %+v", req)
+	if req.Spec.Window != nil || !req.Spec.WindowOff {
+		t.Fatalf("bad window-off request: %+v", req)
 	}
-
-	// Truncated enable-window bodies are rejected at every cut, id preserved.
-	full := AppendEnableWindow(nil, 43, "u", 1, 2, 0.5)[4:]
-	for cut := len(full) - 1; cut >= headerLen; cut-- {
-		req, err := ParseRequest(full[:cut])
-		if err == nil {
-			t.Fatalf("truncated enable-window at %d bytes accepted", cut)
-		}
-		if req.ID != 43 {
-			t.Fatalf("truncated enable-window lost id: %d", req.ID)
-		}
-	}
-	// Trailing bytes are rejected too — the body must be consumed exactly.
-	if _, err := ParseRequest(append(append([]byte(nil), full...), 0xCC)); err == nil {
-		t.Fatal("enable-window with trailing byte accepted")
-	}
+	full := fullSpec()
+	truncationsRejected(t, AppendApply(nil, 43, FamilyCountMin, "u", &full)[4:], 43)
 }
 
 func TestWindowQueryKindsRoundTrip(t *testing.T) {
@@ -389,27 +412,34 @@ func TestWindowQueryKindsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInfoWindowFieldsRoundTrip(t *testing.T) {
-	inf := Info{Shards: 4, Writers: 2, Relaxation: 128, ShardRelaxation: 32,
-		WindowEnabled: true, WindowSlots: 6,
-		WindowIntervalNs: 60_000_000_000, WindowRotations: 42, WindowLiveAgeNs: 12_345_678}
-	_, _, body, err := ParseResponse(frame(t, AppendOKInfo(nil, 27, inf)))
+// infoRoundTrip encodes inf as an OpInfo response and decodes it back.
+func infoRoundTrip(t *testing.T, inf Info) Info {
+	t.Helper()
+	_, _, body, err := ParseResponse(frame(t, AppendOKInfo(nil, 27, &inf)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := ParseInfo(body)
-	if err != nil || got != inf {
-		t.Fatalf("info = %+v (err %v), want %+v", got, err, inf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Window absent: every window field must decode as zero.
-	inf = Info{Shards: 4, Writers: 2, Relaxation: 128, ShardRelaxation: 32}
-	_, _, body, _ = ParseResponse(frame(t, AppendOKInfo(nil, 28, inf)))
-	if got, err := ParseInfo(body); err != nil || got != inf {
-		t.Fatalf("window-less info = %+v (err %v), want %+v", got, err, inf)
+	return got
+}
+
+func TestInfoWindowFieldsRoundTrip(t *testing.T) {
+	inf := Info{Spec: Spec{Shards: 4, Window: &window.Config{Interval: time.Minute, Slots: 6}},
+		Writers: 2, Relaxation: 128, ShardRelaxation: 32, WindowRotations: 42, WindowLiveAgeNs: 12_345_678}
+	if got := infoRoundTrip(t, inf); !reflect.DeepEqual(got, inf) {
+		t.Fatalf("info = %+v, want %+v", got, inf)
+	}
+	// Window absent: the plane and its live stats decode as zero.
+	inf = Info{Spec: Spec{Shards: 4}, Writers: 2, Relaxation: 128, ShardRelaxation: 32}
+	if got := infoRoundTrip(t, inf); !reflect.DeepEqual(got, inf) {
+		t.Fatalf("window-less info = %+v, want %+v", got, inf)
 	}
 	// A truncated info body is a typed error at every cut.
-	full := AppendOKInfo(nil, 29, inf)[4:]
-	_, _, body, err = ParseResponse(full)
+	inf.Spec = fullSpec()
+	_, _, body, err := ParseResponse(AppendOKInfo(nil, 29, &inf)[4:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,22 +451,15 @@ func TestInfoWindowFieldsRoundTrip(t *testing.T) {
 }
 
 func TestInfoViewFieldsRoundTrip(t *testing.T) {
-	inf := Info{Shards: 4, Writers: 2, Relaxation: 128, ShardRelaxation: 32,
-		Eager: true, ViewEnabled: true, ViewLagNs: 1_500_000}
-	_, _, body, err := ParseResponse(frame(t, AppendOKInfo(nil, 25, inf)))
-	if err != nil {
-		t.Fatal(err)
+	inf := Info{Spec: fullSpec(), Writers: 2, Relaxation: 128, ShardRelaxation: 32,
+		Eager: true, ViewLagNs: 1_500_000}
+	if got := infoRoundTrip(t, inf); !reflect.DeepEqual(got, inf) {
+		t.Fatalf("info = %+v, want %+v", got, inf)
 	}
-	got, err := ParseInfo(body)
-	if err != nil || got != inf {
-		t.Fatalf("info = %+v (err %v), want %+v", got, err, inf)
-	}
-	// And with the view absent: the flag and lag must decode as zero.
-	inf.ViewEnabled = false
-	inf.ViewLagNs = 0
-	_, _, body, _ = ParseResponse(frame(t, AppendOKInfo(nil, 26, inf)))
-	if got, err := ParseInfo(body); err != nil || got != inf {
-		t.Fatalf("view-less info = %+v (err %v), want %+v", got, err, inf)
+	// And with the view absent: the plane and lag decode as zero.
+	inf.Spec.View, inf.ViewLagNs = nil, 0
+	if got := infoRoundTrip(t, inf); !reflect.DeepEqual(got, inf) {
+		t.Fatalf("view-less info = %+v, want %+v", got, inf)
 	}
 }
 

@@ -70,7 +70,7 @@ func assertZeroAllocQueries(t *testing.T, schedule []int, view bool) {
 	for i, phase := 0, 0; i < uniques; i++ {
 		if phase < len(schedule) && i == (phase+1)*uniques/(len(schedule)+1) {
 			for _, fam := range []string{"theta", "hll", "quantiles", "countmin"} {
-				if err := reg.ResizeSketch(fam, "bench", schedule[phase]); err != nil {
+				if err := reg.Apply(fam, "bench", fastsketches.Spec{Shards: schedule[phase]}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -83,10 +83,10 @@ func assertZeroAllocQueries(t *testing.T, schedule []int, view bool) {
 	}
 	if view {
 		clk := clock.NewManual(time.Unix(1<<20, 0))
-		if n, err := reg.ReplaceView("bench", fastsketches.ViewConfig{
+		if err := reg.Apply("", "bench", fastsketches.Spec{View: &fastsketches.ViewConfig{
 			RefreshEvery: time.Hour, MaxAge: -1, Clock: clk,
-		}); err != nil || n != 4 {
-			t.Fatalf("ReplaceView = %d, %v; want all 4 families covered", n, err)
+		}}); err != nil {
+			t.Fatal(err)
 		}
 	} else {
 		reg.Close()

@@ -10,6 +10,7 @@ import (
 	"fastsketches/internal/clock"
 	"fastsketches/internal/core"
 	"fastsketches/internal/shard"
+	"fastsketches/internal/snapshot"
 	"fastsketches/internal/wire"
 )
 
@@ -209,7 +210,7 @@ type Registry struct {
 	// Checkpointer) allocate nothing once the scratch has grown to the
 	// working size. See checkpoint.go.
 	ckptMu      sync.Mutex
-	ckptEntries []checkpointEntry
+	ckptEntries []infoEntry
 	ckptNameBuf []byte
 	ckptBuf     []byte
 }
@@ -257,9 +258,9 @@ type entry struct {
 	// read by the ops layer's eviction and budget sweeps via Infos.
 	lc lifecycleSpec
 	// ctl is the sketch's autoscale controller, nil when none is attached.
-	// Every attach path replaces it, so a sketch never has two; Drop and
-	// Close stop it before the sketch's propagators, so a controller can
-	// never resize a closing sketch.
+	// apply replaces it, so a sketch never has two; Drop and Close stop it
+	// before the sketch's propagators, so a controller can never resize a
+	// closing sketch.
 	ctl *autoscale.Controller
 }
 
@@ -268,9 +269,6 @@ type entry struct {
 // Open* constructors and Handle aliases in handle.go — is the only other
 // place a family is named.
 type family struct {
-	// decayable reports whether the family's accumulator has linearly
-	// scalable counters, i.e. whether a window may carry a decay plane.
-	decayable bool
 	// new builds a fresh sketch from the (pre-validated) registry config.
 	new func(c *RegistryConfig) (sketch, error)
 }
@@ -286,7 +284,7 @@ var families = [...]family{
 	wire.FamilyQuantiles: {new: func(c *RegistryConfig) (sketch, error) {
 		return shard.NewQuantiles(c.QuantilesK, c.shardConfig())
 	}},
-	wire.FamilyCountMin: {decayable: true, new: func(c *RegistryConfig) (sketch, error) {
+	wire.FamilyCountMin: {new: func(c *RegistryConfig) (sketch, error) {
 		return shard.NewCountMin(c.CountMinEpsilon, c.CountMinDelta, c.shardConfig())
 	}},
 }
@@ -338,12 +336,11 @@ func (r *Registry) getOrCreate(fam wire.Family, name string) *entry {
 	if e = r.sketches[key]; e != nil {
 		return e
 	}
-	f := &families[fam]
-	sk, err := f.new(&r.cfg)
+	sk, err := families[fam].new(&r.cfg)
 	if err != nil {
 		panic(err) // unreachable: config pre-validated
 	}
-	if wc, ok := r.cfg.defaultWindow(f.decayable); ok {
+	if wc, ok := r.cfg.defaultWindow(fam.Decayable()); ok {
 		if err := sk.EnableWindow(wc); err != nil {
 			panic(err) // unreachable: config pre-validated
 		}
@@ -362,45 +359,6 @@ func (r *Registry) lookup(family, name string) *entry {
 		return nil
 	}
 	return r.sketches[sketchKey{fam, name}]
-}
-
-// namedLocked collects every entry registered under name across all
-// families — the targets of the name-spanning admin calls (the wire protocol
-// addresses views, windows and autoscaling by name only, with no family
-// discriminator). Caller holds r.mu.
-func (r *Registry) namedLocked(name string) []*entry {
-	var es []*entry
-	for fam := range families {
-		if e := r.sketches[sketchKey{wire.Family(fam), name}]; e != nil {
-			es = append(es, e)
-		}
-	}
-	return es
-}
-
-// named is namedLocked under a brief lock, for the admin calls that act on
-// the sketches outside it.
-func (r *Registry) named(name string) []*entry {
-	r.rlockOpen()
-	defer r.mu.RUnlock()
-	return r.namedLocked(name)
-}
-
-// ResizeSketch live-reshards the named sketch of the given family (one of
-// "theta", "hll", "quantiles", "countmin") without creating it on a miss —
-// the by-family admin resize serving and ops layers use. It returns
-// ErrConfig when no such sketch is registered; otherwise it carries exactly
-// the Resize semantics documented on Handle.Resize.
-func (r *Registry) ResizeSketch(family, name string, shards int) error {
-	r.rlockOpen()
-	e := r.lookup(family, name)
-	r.mu.RUnlock()
-	if e == nil {
-		return fmt.Errorf("%w: no %s sketch %q to resize", ErrConfig, family, name)
-	}
-	// Resize outside r.mu: the drain can take a writer-grace period, and
-	// holding the registry lock across it would stall Open/Drop/Infos.
-	return e.sk.Resize(shards)
 }
 
 // ViewConfig configures a materialized merged view — see shard.ViewConfig:
@@ -422,123 +380,140 @@ type WindowInfo = shard.WindowInfo
 // rotators, autoscale controllers, the Checkpointer and the ops sweeper.
 type Clock = clock.Clock
 
-// ReplaceView materializes the merged state of every sketch currently
-// registered under name, across all four families: a background refresher
-// per sketch re-folds all shard snapshots every cfg.RefreshEvery and
-// publishes the result atomically, after which the per-family queries
-// (Estimate, Quantile, Rank, N, QueryInto) transparently fold the single
-// published view — O(1) in the shard count — instead of S shard snapshots.
-// The staleness bound of those queries widens from S·r to S·r plus one
-// refresh interval; per-key CountMin estimates keep reading their owning
-// shard directly and are unaffected. Returns how many sketches gained a
-// view.
-//
-// Only sketches that already exist are covered. The call is idempotent per
-// sketch: a sketch whose view is already enabled is re-armed under the new
-// config (its old refresher is stopped first) — the replace-not-stack
-// semantics remote admin planes need, mirroring ReplaceAutoscale. Views are
-// disabled automatically when their sketch is dropped or the registry
-// closes; like every registry accessor, ReplaceView panics after Close.
-func (r *Registry) ReplaceView(name string, cfg ViewConfig) (int, error) {
-	targets := r.named(name)
-	if len(targets) == 0 {
-		return 0, fmt.Errorf("%w: no registered sketches to view", ErrConfig)
-	}
-	// Enabling outside r.mu: EnableView serialises on each sketch's resize
-	// lock, which an in-flight autoscale Resize may hold for a drain.
-	for _, e := range targets {
-		e.sk.DisableView()
-		if err := e.sk.EnableView(cfg); err != nil {
-			return 0, err
+// Apply applies spec to the named sketch of the given family (one of
+// "theta", "hll", "quantiles", "countmin"), or with family "" to every
+// sketch registered under name, and creates none — the existing-only
+// counterpart of Open*, and what a remote admin plane or the ops layer uses
+// to reconfigure tenants it did not open. With family "", a window Decay is
+// dropped for the families that cannot decay, so one declaration covers a
+// mixed name. It returns ErrConfig when spec is invalid or nothing is
+// registered under the name; otherwise each sketch is configured exactly as
+// Open* would (see Spec). Like every registry accessor it panics after
+// Close.
+func (r *Registry) Apply(family, name string, spec Spec) error {
+	var fam wire.Family // 0: every family registered under name
+	if family != "" {
+		f, err := wire.ParseFamily(family)
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrConfig, err)
 		}
+		fam = f
 	}
-	return len(targets), nil
-}
-
-// StopView stops the view refresher of every sketch registered under
-// name, across all families, and reports how many views were disabled.
-// Subsequent merged queries fold live shard snapshots again (bound back to
-// S·r). It mirrors StopAutoscale.
-func (r *Registry) StopView(name string) int {
-	n := 0
-	for _, e := range r.named(name) {
-		if e.sk.DisableView() {
-			n++
-		}
-	}
-	return n
-}
-
-// ReplaceWindow declares a sliding window on every sketch currently
-// registered under name, across all four families: each sketch's queries
-// gain a windowed plane (WindowQueryInto and the per-family Window* scalars)
-// covering the live rotation interval plus the last cfg.Slots closed
-// intervals, while the cumulative plane keeps serving the whole stream. A
-// windowed query reflects all but at most S·r of the window's updates plus
-// whatever the live interval has accumulated past one rotation interval —
-// see shard.Sharded.EnableWindow for the bound's derivation.
-//
-// The call is idempotent per sketch with replace semantics, mirroring
-// ReplaceView: a sketch already windowed under an equal config keeps its
-// ring (no history loss); a different config collapses the old window into
-// the cumulative plane and re-arms a fresh one. Returns how many sketches
-// the window was applied to. Windows stop automatically when their sketch
-// is dropped or the registry closes.
-func (r *Registry) ReplaceWindow(name string, cfg WindowConfig) (int, error) {
-	if _, err := cfg.Normalise(); err != nil {
-		return 0, err
-	}
-	targets := r.named(name)
-	if len(targets) == 0 {
-		return 0, fmt.Errorf("%w: no registered sketches to window", ErrConfig)
-	}
-	for _, e := range targets {
-		// Decay needs linearly scalable counters; for families without them
-		// the same window is applied sans decay, mirroring
-		// RegistryConfig.WindowDecay — and compared sans decay, so repeated
-		// calls stay idempotent per family.
-		cfgSk := cfg
-		if !families[e.key.fam].decayable {
-			cfgSk.Decay = 0
-		}
-		if err := replaceWindow(e.sk, cfgSk); err != nil {
-			return 0, err
-		}
-	}
-	return len(targets), nil
-}
-
-// replaceWindow declares cfg on one sketch with replace semantics: an equal
-// declaration is a no-op, so routinely re-declaring a window never discards
-// its ring of closed intervals; only a changed config re-arms (collapse into
-// the cumulative plane, fresh ring). It runs outside r.mu: EnableWindow
-// serialises on the sketch's resize lock, which an in-flight autoscale
-// Resize may hold for a drain.
-func replaceWindow(sk sketch, cfg WindowConfig) error {
-	want, err := cfg.Normalise()
-	if err != nil {
+	if err := spec.Validate(fam); err != nil {
 		return err
 	}
-	if cur, ok := sk.WindowSettings(); ok && cur.Same(want) {
-		return nil
-	}
-	sk.DisableWindow()
-	return sk.EnableWindow(cfg)
-}
-
-// StopWindow disables the sliding window of every sketch registered under
-// name, across all families, and reports how many windows were stopped.
-// Each window's closed slots are collapsed into the sketch's cumulative
-// plane first, so no counted update is lost; subsequent queries serve the
-// cumulative stream only. It mirrors StopView.
-func (r *Registry) StopWindow(name string) int {
-	n := 0
-	for _, e := range r.named(name) {
-		if e.sk.DisableWindow() {
-			n++
+	r.rlockOpen()
+	var targets []*entry
+	for f := range families {
+		if fam == 0 || wire.Family(f) == fam {
+			if e := r.sketches[sketchKey{wire.Family(f), name}]; e != nil {
+				targets = append(targets, e)
+			}
 		}
 	}
-	return n
+	r.mu.RUnlock()
+	if len(targets) == 0 {
+		return fmt.Errorf("%w: no sketch %q to apply a Spec to", ErrConfig, name)
+	}
+	for _, e := range targets {
+		s := spec
+		if w := s.Window; w != nil && w.Decay != 0 && !e.key.fam.Decayable() {
+			nw := *w
+			nw.Decay = 0
+			s.Window = &nw
+		}
+		if err := r.apply(e, s, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// apply is the only code that changes a sketch's configuration. It applies
+// a validated spec to e, plane by plane, in one fixed order:
+//
+//	shards → window → view → autoscale → lifecycle
+//
+// The window precedes the view because EnableView publishes its first view
+// synchronously, and that fold must already see the window's ring. rec is
+// non-nil when restoring a checkpoint record: the window is then rebuilt
+// from the record's slot blobs instead of re-armed empty, and any window
+// already running collapses into the cumulative plane first, so no count is
+// lost. The sketch planes run outside r.mu — they serialise on the sketch's
+// own resize lock, which an autoscale drain may hold — and only the
+// controller swap and the lifecycle record take it, briefly.
+func (r *Registry) apply(e *entry, spec Spec, rec *snapshot.Record) error {
+	sk := e.sk
+	if spec.Shards > 0 {
+		if err := sk.Resize(spec.Shards); err != nil {
+			return err
+		}
+	}
+	if w := spec.Window; w != nil {
+		// Replace semantics: an equal declaration keeps the running ring, so
+		// re-declaring a window never discards its closed intervals.
+		want, _ := w.Normalise()
+		if cur, ok := sk.WindowSettings(); rec != nil || !ok || !cur.Same(want) {
+			sk.DisableWindow()
+			var err error
+			if rec != nil {
+				err = sk.RestoreWindow(*w, rec.WindowSlotBlobs, rec.WindowDecayedBlob)
+			} else {
+				err = sk.EnableWindow(*w)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	} else if spec.WindowOff {
+		sk.DisableWindow()
+	}
+	if spec.View != nil || spec.ViewOff {
+		sk.DisableView()
+	}
+	if spec.View != nil {
+		if err := sk.EnableView(*spec.View); err != nil {
+			return err
+		}
+	}
+	var ctl *autoscale.Controller
+	if spec.Autoscale != nil {
+		var err error
+		if ctl, err = autoscale.New(sk, *spec.Autoscale); err != nil {
+			return err
+		}
+	}
+	lifecycle := spec.IdleTTL != 0 || spec.Pinned
+	if ctl == nil && !spec.AutoscaleOff && !lifecycle {
+		return nil
+	}
+	// The controller and the lifecycle are registry state, recorded only
+	// while e is still the registered sketch: after a Drop nothing would ever
+	// stop a controller attached to it, and its lifecycle dies with it
+	// instead of leaking onto whatever is opened under the name next.
+	r.mu.Lock()
+	live := !r.closed && r.sketches[e.key] == e
+	if live && lifecycle {
+		e.lc = lifecycleSpec{spec.IdleTTL, spec.Pinned}
+	}
+	var replaced *autoscale.Controller
+	if live && (ctl != nil || spec.AutoscaleOff) {
+		replaced, e.ctl = e.ctl, ctl
+		if ctl != nil {
+			if r.memPressure != nil {
+				ctl.SetMemoryPressure(r.memPressure)
+			}
+			ctl.Start()
+		}
+	}
+	r.mu.Unlock()
+	if replaced != nil {
+		replaced.Stop()
+	}
+	if !live && ctl != nil {
+		return fmt.Errorf("%w: autoscale on a dropped or closed sketch %s/%s", ErrConfig, e.key.fam, e.key.name)
+	}
+	return nil
 }
 
 // SetAutoscaleMemoryPressure installs f as the memory-budget signal on
@@ -579,116 +554,6 @@ func (r *Registry) AutoscaleStats(family, name string) (autoscale.Stats, bool) {
 	return ctl.Stats(), true
 }
 
-// StopAutoscale stops and detaches the autoscaling controller of every
-// sketch currently registered under name, across all families, and reports
-// how many were stopped.
-func (r *Registry) StopAutoscale(name string) int {
-	r.lockOpen()
-	var stop []*autoscale.Controller
-	for _, e := range r.namedLocked(name) {
-		if e.ctl != nil {
-			stop = append(stop, e.ctl)
-			e.ctl = nil
-		}
-	}
-	r.mu.Unlock()
-	for _, ctl := range stop {
-		ctl.Stop()
-	}
-	return len(stop)
-}
-
-// ReplaceAutoscale atomically swaps the autoscaling of name: under one
-// registry lock acquisition it builds a fresh controller under the new
-// policy for every sketch registered under the name and swaps it in for the
-// one attached before (if any), so concurrent or retried calls can never
-// leave two controllers driving one sketch — the idempotent attach remote
-// admin planes need. The replaced controllers are stopped after the swap;
-// their loops may overlap the new ones for that stop latency (harmless
-// under the policies' cooldowns). On a policy validation error nothing is
-// swapped: the previous controllers stay attached.
-func (r *Registry) ReplaceAutoscale(name string, p autoscale.Policy) ([]*autoscale.Controller, error) {
-	r.lockOpen()
-	targets := r.namedLocked(name)
-	if len(targets) == 0 {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: no registered sketches to autoscale", ErrConfig)
-	}
-	// Build every controller before swapping any, so a bad policy attaches
-	// nothing rather than half a fleet.
-	ctls := make([]*autoscale.Controller, len(targets))
-	for i, e := range targets {
-		ctl, err := autoscale.New(e.sk, p)
-		if err != nil {
-			r.mu.Unlock()
-			return nil, err
-		}
-		ctls[i] = ctl
-	}
-	replaced := make([]*autoscale.Controller, len(targets))
-	for i, e := range targets {
-		replaced[i] = r.swapControllerLocked(e, ctls[i])
-	}
-	r.mu.Unlock()
-	for _, ctl := range replaced {
-		if ctl != nil {
-			ctl.Stop()
-		}
-	}
-	return ctls, nil
-}
-
-// swapControllerLocked makes ctl the (started) controller of e and returns
-// the one it replaced, nil if none; the caller stops that one outside r.mu.
-// Caller holds r.mu.
-func (r *Registry) swapControllerLocked(e *entry, ctl *autoscale.Controller) (replaced *autoscale.Controller) {
-	if r.memPressure != nil {
-		ctl.SetMemoryPressure(r.memPressure)
-	}
-	replaced, e.ctl = e.ctl, ctl
-	ctl.Start()
-	return replaced
-}
-
-// attachController replaces the autoscale controller of one specific
-// sketch: a fresh started one under p takes over, and the controller it
-// replaces (if any) is stopped — so Spec.Autoscale, Handle.Autoscale and a
-// Restore into a registry with live controllers swap rather than stack (no
-// goroutine leak). On a policy validation error the previous controller
-// stays attached. A sketch that was dropped meanwhile is refused: nothing
-// would ever stop its controller.
-func (r *Registry) attachController(e *entry, p autoscale.Policy) error {
-	ctl, err := autoscale.New(e.sk, p)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	if r.closed || r.sketches[e.key] != e {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: autoscale on a dropped or closed sketch %s/%s", ErrConfig, e.key.fam, e.key.name)
-	}
-	replaced := r.swapControllerLocked(e, ctl)
-	r.mu.Unlock()
-	if replaced != nil {
-		replaced.Stop()
-	}
-	return nil
-}
-
-// detachController stops and detaches the controller driving e, reporting
-// how many (0 or 1) were stopped — Handle.StopAutoscale.
-func (r *Registry) detachController(e *entry) int {
-	r.lockOpen()
-	ctl := e.ctl
-	e.ctl = nil
-	r.mu.Unlock()
-	if ctl == nil {
-		return 0
-	}
-	ctl.Stop()
-	return 1
-}
-
 // Config returns a copy of the registry's normalised configuration — the
 // geometry (shard and writer-lane counts) and family accuracy parameters
 // every sketch it creates inherits. Serving layers use it to dimension
@@ -696,34 +561,30 @@ func (r *Registry) detachController(e *entry) int {
 // dimensions, because those depend only on this configuration.
 func (r *Registry) Config() RegistryConfig { return r.cfg }
 
-// SketchInfo is one registered sketch's metadata: its identity, its current
-// shard/lane geometry, and its live staleness bounds. Relaxation is the
-// merged-query bound S·r (transiently S_old·r + S_new·r while a resize
-// drains); ShardRelaxation is the single-shard bound r governing per-key
-// queries.
+// SketchInfo is one registered sketch's metadata: its identity, the Spec in
+// force, and its live stats. Relaxation is the merged-query bound S·r
+// (transiently S_old·r + S_new·r while a resize drains); ShardRelaxation is
+// the single-shard bound r governing per-key queries.
 type SketchInfo struct {
-	Family          string
-	Name            string
-	Shards          int
+	Family string
+	Name   string
+	// Spec is the configuration in force: the live shard count, the view,
+	// window and autoscale planes that are on (normalised, defaults filled)
+	// and the declared lifecycle. A checkpoint record stores exactly this
+	// Spec beside the sketch's blobs.
+	Spec            Spec
 	Writers         int
 	Relaxation      int
 	ShardRelaxation int
 	Eager           bool
-	// ViewEnabled reports whether a materialized merged view is serving this
-	// sketch's aggregate queries; ViewLag is the age of its latest published
-	// refresh — the extra term on top of Relaxation in the query-staleness
-	// bound. Zero when no view is enabled.
-	ViewEnabled bool
-	ViewLag     time.Duration
-	// WindowEnabled reports whether a sliding window is declared on this
-	// sketch; the remaining Window fields echo its shape and liveness (see
-	// shard.WindowInfo): rotation count since enable, the live interval's
-	// age, and how far the live interval has outlived the declared interval
-	// (0 while the rotator keeps up). Zero values when no window is enabled.
-	WindowEnabled     bool
-	WindowInterval    time.Duration
-	WindowSlots       int
-	WindowDecay       float64
+	// ViewLag is the age of the view's latest published refresh — the extra
+	// term on top of Relaxation in the query-staleness bound. Zero with no
+	// view.
+	ViewLag time.Duration
+	// WindowRotations, WindowLiveAge and WindowRotationLag sample the
+	// window's liveness (see shard.WindowInfo): rotations since enable, the
+	// live interval's age, and how far it has outlived the declared interval
+	// (0 while the rotator keeps up). Zero with no window.
 	WindowRotations   uint64
 	WindowLiveAge     time.Duration
 	WindowRotationLag time.Duration
@@ -736,11 +597,6 @@ type SketchInfo struct {
 	// SizeBytes is the sketch's estimated resident heap footprint — the
 	// unit the memory-budget accountant sums (see shard.Sharded.SizeBytes).
 	SizeBytes int64
-	// IdleTTL and Pinned echo the lifecycle declared through Open*/Spec:
-	// the per-sketch idle-eviction override (0 = use the sweeper's default)
-	// and whether eviction/shedding must skip this sketch entirely.
-	IdleTTL time.Duration
-	Pinned  bool
 }
 
 // lifecycleSpec is the per-sketch lifecycle state declared through Spec.
@@ -749,43 +605,64 @@ type lifecycleSpec struct {
 	pinned  bool
 }
 
-// infoEntry is the under-lock snapshot Info and Infos take: the entry and a
-// copy of its lifecycle record. Everything else — every per-sketch
+// infoEntry is the under-lock snapshot Info, Infos and the checkpoint
+// encoder take: the entry and copies of its registry-owned state, the
+// lifecycle record and the controller. Everything else — every per-sketch
 // introspection call and the final sort — happens outside the registry
 // lock, so a slow enumeration (a /metrics scrape walking thousands of
 // sketches) can never stall Open/Drop.
 type infoEntry struct {
-	e  *entry
-	lc lifecycleSpec
+	e   *entry
+	lc  lifecycleSpec
+	ctl *autoscale.Controller
+}
+
+// planes is the storage a Spec in force points its planes into.
+type planes struct {
+	window WindowConfig
+	view   ViewConfig
+	policy AutoscalePolicy
+}
+
+// spec assembles the Spec in force: the live shard count, view and window
+// settings, the controller's policy and the lifecycle record. Its planes
+// point into pl, so a caller keeping pl on its stack assembles it without
+// allocating. Every read is wait-free — an epoch or config pointer load —
+// so a scrape never stalls a rotation or a resize.
+func (ie *infoEntry) spec(pl *planes) Spec {
+	sk := ie.e.sk
+	s := Spec{Shards: sk.Shards(), IdleTTL: ie.lc.idleTTL, Pinned: ie.lc.pinned}
+	var ok bool
+	if pl.window, ok = sk.WindowSettings(); ok {
+		s.Window = &pl.window
+	}
+	if pl.view, ok = sk.ViewSettings(); ok {
+		s.View = &pl.view
+	}
+	if ie.ctl != nil {
+		pl.policy = ie.ctl.Policy()
+		s.Autoscale = &pl.policy
+	}
+	return s
 }
 
 func (r *Registry) info(ie infoEntry) SketchInfo {
 	sk := ie.e.sk
 	pr := sk.Pressure()
-	_, viewEnabled := sk.ViewSettings()
 	si := SketchInfo{
 		Family: ie.e.key.fam.String(), Name: ie.e.key.name,
-		Shards: sk.Shards(), Writers: r.cfg.Writers,
+		Spec:            ie.spec(new(planes)),
+		Writers:         r.cfg.Writers,
 		Relaxation:      sk.Relaxation(),
 		ShardRelaxation: sk.ShardRelaxation(),
 		Eager:           sk.Eager(),
-		ViewEnabled:     viewEnabled,
 		ViewLag:         sk.ViewLag(),
 		Ingested:        pr.Ingested,
 		Merged:          pr.Merged,
 		Backlog:         pr.Backlog(),
 		SizeBytes:       sk.SizeBytes(),
-		IdleTTL:         ie.lc.idleTTL,
-		Pinned:          ie.lc.pinned,
 	}
-	// WindowStats is wait-free (one epoch load plus a clock read), keeping
-	// the rule that info() never takes a lock or folds sketch state — a
-	// metrics scrape walking thousands of sketches must not stall rotations.
 	if wi, ok := sk.WindowStats(); ok {
-		si.WindowEnabled = true
-		si.WindowInterval = wi.Interval
-		si.WindowSlots = wi.Slots
-		si.WindowDecay = wi.Decay
 		si.WindowRotations = wi.Rotations
 		si.WindowLiveAge = wi.LiveAge
 		si.WindowRotationLag = wi.RotationLag
@@ -802,7 +679,7 @@ func (r *Registry) Info(family, name string) (SketchInfo, bool) {
 		r.mu.RUnlock()
 		return SketchInfo{}, false
 	}
-	ie := infoEntry{e, e.lc}
+	ie := infoEntry{e, e.lc, e.ctl}
 	r.mu.RUnlock()
 	return r.info(ie), true
 }
@@ -819,7 +696,7 @@ func (r *Registry) Infos() []SketchInfo {
 	r.mu.RLock()
 	entries := make([]infoEntry, 0, len(r.sketches))
 	for _, e := range r.sketches {
-		entries = append(entries, infoEntry{e, e.lc})
+		entries = append(entries, infoEntry{e, e.lc, e.ctl})
 	}
 	r.mu.RUnlock()
 	out := make([]SketchInfo, len(entries))

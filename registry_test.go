@@ -1,6 +1,7 @@
 package fastsketches_test
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -365,7 +366,7 @@ func TestRegistryInfoAndInfos(t *testing.T) {
 	if !ok {
 		t.Fatal("Info missed a registered sketch")
 	}
-	if inf.Family != "theta" || inf.Name != "users" || inf.Shards != 5 || inf.Writers != 3 {
+	if inf.Family != "theta" || inf.Name != "users" || inf.Spec.Shards != 5 || inf.Writers != 3 {
 		t.Fatalf("Info = %+v, want theta/users S=5 W=3", inf)
 	}
 	if inf.Relaxation != users.Relaxation() ||
@@ -406,9 +407,8 @@ func TestRegistryDrop(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		sk.Update(0, uint64(i%10))
 	}
-	ctls, err := reg.ReplaceAutoscale("api", autoscale.Policy{HighWater: 1e6, SampleEvery: time.Millisecond})
-	if err != nil || len(ctls) != 1 {
-		t.Fatalf("ReplaceAutoscale: ctls=%d err=%v", len(ctls), err)
+	if err := reg.Apply("", "api", fastsketches.Spec{Autoscale: &autoscale.Policy{HighWater: 1e6, SampleEvery: time.Millisecond}}); err != nil {
+		t.Fatal(err)
 	}
 
 	if !reg.Drop("countmin", "api") {
@@ -445,9 +445,10 @@ func TestRegistryConfigAccessor(t *testing.T) {
 	}
 }
 
-// TestRegistryStopAutoscale pins the attach-replace primitive: stopping by
-// name detaches exactly the named sketches' controllers, and a repeated
-// stop+attach cycle (the remote admin path) never accumulates loops.
+// TestRegistryStopAutoscale pins the attach-replace primitive behind
+// Spec.Autoscale and Spec.AutoscaleOff: switching autoscale off by name
+// detaches exactly the named sketches' controllers, and a repeated
+// attach cycle (the remote admin path) never accumulates loops.
 func TestRegistryStopAutoscale(t *testing.T) {
 	reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{Shards: 2, Writers: 1})
 	if err != nil {
@@ -458,34 +459,40 @@ func TestRegistryStopAutoscale(t *testing.T) {
 	openTheta(t, reg, "a")
 	openCountMin(t, reg, "a")
 	openTheta(t, reg, "b")
-	pol := autoscale.Policy{HighWater: 1e9, SampleEvery: time.Millisecond}
-	if _, err := reg.ReplaceAutoscale("a", pol); err != nil {
-		t.Fatal(err)
+	on := fastsketches.Spec{Autoscale: &autoscale.Policy{HighWater: 1e9, SampleEvery: time.Millisecond}}
+	off := fastsketches.Spec{AutoscaleOff: true}
+	controlled := func(fam, name string) bool {
+		_, ok := reg.AutoscaleStats(fam, name)
+		return ok
 	}
-	if _, err := reg.ReplaceAutoscale("b", pol); err != nil {
+	if err := errors.Join(reg.Apply("", "a", on), reg.Apply("", "b", on)); err != nil {
 		t.Fatal(err)
 	}
 
-	if n := reg.StopAutoscale("a"); n != 2 {
-		t.Fatalf("StopAutoscale(a) stopped %d controllers, want 2 (theta+countmin)", n)
+	if err := reg.Apply("", "a", off); err != nil {
+		t.Fatal(err)
 	}
-	if n := reg.StopAutoscale("a"); n != 0 {
-		t.Fatalf("second StopAutoscale(a) stopped %d, want 0", n)
+	if controlled("theta", "a") || controlled("countmin", "a") {
+		t.Fatal("Spec.AutoscaleOff left a controller under a")
 	}
-	// b's controller is untouched; atomic replace cycles keep exactly one.
+	if err := reg.Apply("", "a", off); err != nil {
+		t.Fatalf("switching an absent controller off: %v, want a no-op", err)
+	}
+	// b's controller is untouched; replace cycles keep exactly one, which
+	// Close then stops (a stacked one would leak past it).
 	for i := 0; i < 3; i++ {
-		if _, err := reg.ReplaceAutoscale("b", pol); err != nil {
+		if err := reg.Apply("theta", "b", on); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// An invalid policy must leave the previous controller attached.
-	if _, err := reg.ReplaceAutoscale("b", autoscale.Policy{}); err == nil {
-		t.Fatal("ReplaceAutoscale accepted an invalid policy")
+	if err := reg.Apply("theta", "b", fastsketches.Spec{Autoscale: &autoscale.Policy{}}); err == nil {
+		t.Fatal("Apply accepted an invalid policy")
 	}
-	if n := reg.StopAutoscale("b"); n != 1 {
-		t.Fatalf("after replace cycles, StopAutoscale(b) stopped %d, want 1", n)
+	if !controlled("theta", "b") {
+		t.Fatal("a rejected policy detached b's controller")
 	}
-	if n := reg.StopAutoscale("absent"); n != 0 {
-		t.Fatalf("StopAutoscale(absent) stopped %d, want 0", n)
+	if err := reg.Apply("", "absent", off); !errors.Is(err, fastsketches.ErrConfig) {
+		t.Fatalf("Apply to an absent name: %v, want ErrConfig", err)
 	}
 }

@@ -25,10 +25,15 @@ func TestRegistryViewFacades(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
+	clk := clock.NewManual(time.Unix(1<<20, 0))
+	view := fastsketches.Spec{View: &fastsketches.ViewConfig{RefreshEvery: time.Hour, MaxAge: -1, Clock: clk}}
 
-	// No sketches under the name yet: error, nothing enabled.
-	if _, err := reg.ReplaceView("metrics", fastsketches.ViewConfig{}); err == nil {
-		t.Fatal("ReplaceView on absent name should error")
+	// No sketches under the name yet: error, nothing created.
+	if err := reg.Apply("", "metrics", view); err == nil {
+		t.Fatal("Apply to an absent name should error")
+	}
+	if names := reg.Names(); len(names) != 0 {
+		t.Fatalf("Apply to an absent name created %v", names)
 	}
 
 	th := openTheta(t, reg, "metrics").Sketch()
@@ -39,18 +44,17 @@ func TestRegistryViewFacades(t *testing.T) {
 		cm.Update(0, uint64(i%10))
 	}
 
-	clk := clock.NewManual(time.Unix(1<<20, 0))
-	n, err := reg.ReplaceView("metrics", fastsketches.ViewConfig{
-		RefreshEvery: time.Hour, MaxAge: -1, Clock: clk,
-	})
-	if err != nil || n != 2 {
-		t.Fatalf("ReplaceView = %d, %v; want 2 sketches covered", n, err)
+	if err := reg.Apply("", "metrics", view); err != nil {
+		t.Fatal(err)
 	}
-	inf, ok := reg.Info("theta", "metrics")
-	if !ok || !inf.ViewEnabled {
-		t.Fatalf("theta info = %+v (ok %v), want ViewEnabled", inf, ok)
+	viewed := func(fam, name string) bool {
+		inf, ok := reg.Info(fam, name)
+		return ok && inf.Spec.View != nil
 	}
-	if inf, _ := reg.Info("hll", "other"); inf.ViewEnabled {
+	if !viewed("theta", "metrics") || !viewed("countmin", "metrics") {
+		t.Fatal("Apply with family \"\" missed a sketch under the name")
+	}
+	if viewed("hll", "other") {
 		t.Fatal("view leaked onto a different name")
 	}
 	// Served through the published view.
@@ -62,20 +66,18 @@ func TestRegistryViewFacades(t *testing.T) {
 		t.Fatalf("ViewLag = %v, want 1m", inf.ViewLag)
 	}
 
-	// Re-enabling re-arms idempotently; disabling reports the pair.
-	if n, err := reg.ReplaceView("metrics", fastsketches.ViewConfig{
-		RefreshEvery: time.Hour, MaxAge: -1, Clock: clk,
-	}); err != nil || n != 2 {
-		t.Fatalf("re-ReplaceView = %d, %v", n, err)
+	// Re-declaring re-arms idempotently; switching off covers the pair, and
+	// switching off again is a no-op.
+	if err := reg.Apply("", "metrics", view); err != nil {
+		t.Fatal(err)
 	}
-	if n := reg.StopView("metrics"); n != 2 {
-		t.Fatalf("StopView = %d, want 2", n)
-	}
-	if n := reg.StopView("metrics"); n != 0 {
-		t.Fatalf("second StopView = %d, want 0", n)
-	}
-	if inf, _ := reg.Info("theta", "metrics"); inf.ViewEnabled {
-		t.Fatal("ViewEnabled after disable")
+	for i := 0; i < 2; i++ {
+		if err := reg.Apply("", "metrics", fastsketches.Spec{ViewOff: true}); err != nil {
+			t.Fatal(err)
+		}
+		if viewed("theta", "metrics") || viewed("countmin", "metrics") {
+			t.Fatal("view on after Spec.ViewOff")
+		}
 	}
 }
 
@@ -86,17 +88,17 @@ func TestRegistryViewPanicsAfterClose(t *testing.T) {
 	}
 	openTheta(t, reg, "x")
 	reg.Close()
-	for name, f := range map[string]func(){
-		"ReplaceView": func() { reg.ReplaceView("x", fastsketches.ViewConfig{}) },
-		"StopView":    func() { reg.StopView("x") },
+	for name, spec := range map[string]fastsketches.Spec{
+		"view": {View: &fastsketches.ViewConfig{}},
+		"off":  {ViewOff: true},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s after Close did not panic", name)
+					t.Errorf("Apply(%s) after Close did not panic", name)
 				}
 			}()
-			f()
+			reg.Apply("", "x", spec)
 		}()
 	}
 }
@@ -130,15 +132,13 @@ func TestRegistryDropUnderFireNoLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 		cm := openCountMin(t, reg, "fire").Sketch()
-		if _, err := reg.ReplaceAutoscale("fire", autoscale.Policy{
-			MinShards: 1, MaxShards: 4,
-			HighWater: 1, LowWater: 0.5, // trigger-happy: resizes constantly
-			SampleEvery: 200 * time.Microsecond,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := reg.ReplaceView("fire", fastsketches.ViewConfig{
-			RefreshEvery: 200 * time.Microsecond,
+		if err := reg.Apply("", "fire", fastsketches.Spec{
+			Autoscale: &autoscale.Policy{
+				MinShards: 1, MaxShards: 4,
+				HighWater: 1, LowWater: 0.5, // trigger-happy: resizes constantly
+				SampleEvery: 200 * time.Microsecond,
+			},
+			View: &fastsketches.ViewConfig{RefreshEvery: 200 * time.Microsecond},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -181,10 +181,10 @@ func TestRegistryDropUnderFireNoLeak(t *testing.T) {
 	settleToBaseline(t, base)
 }
 
-// TestRegistryDropRacesReplaceView races ReplaceView/StopView against Drop
-// of the same name: every interleaving must end with zero view refreshers
-// alive, no panic, and the registry reusable for a fresh sketch under the
-// same name.
+// TestRegistryDropRacesReplaceView races a name-wide Apply of a view against
+// Drop of the same name: every interleaving must end with zero view
+// refreshers alive, no panic, and the registry reusable for a fresh sketch
+// under the same name.
 func TestRegistryDropRacesReplaceView(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for round := 0; round < 20; round++ {
@@ -199,7 +199,7 @@ func TestRegistryDropRacesReplaceView(t *testing.T) {
 			defer wg.Done()
 			// May hit the sketch before or after Drop closed it; both must
 			// be clean (an error from a closed sketch is fine, a panic not).
-			reg.ReplaceView("raced", fastsketches.ViewConfig{RefreshEvery: 100 * time.Microsecond})
+			reg.Apply("", "raced", fastsketches.Spec{View: &fastsketches.ViewConfig{RefreshEvery: 100 * time.Microsecond}})
 		}()
 		go func() {
 			defer wg.Done()
@@ -207,7 +207,7 @@ func TestRegistryDropRacesReplaceView(t *testing.T) {
 		}()
 		wg.Wait()
 		// The name is reusable; a fresh sketch starts viewless.
-		if inf, ok := reg.Info("theta", "raced"); ok && inf.ViewEnabled {
+		if inf, ok := reg.Info("theta", "raced"); ok && inf.Spec.View != nil {
 			t.Fatal("recreated sketch inherited a view")
 		}
 		fresh := openTheta(t, reg, "raced").Sketch()

@@ -91,7 +91,6 @@
 package fastsketches
 
 import (
-	"errors"
 	"fmt"
 
 	"fastsketches/internal/core"
@@ -99,14 +98,15 @@ import (
 	"fastsketches/internal/murmur"
 	"fastsketches/internal/quantiles"
 	"fastsketches/internal/theta"
+	"fastsketches/internal/wire"
 )
 
 // DefaultSeed is the MurmurHash3 seed used when a config leaves Seed zero;
 // it matches Apache DataSketches' default so serialised summaries agree.
 const DefaultSeed = murmur.DefaultSeed
 
-// ErrConfig reports an invalid configuration.
-var ErrConfig = errors.New("fastsketches: invalid configuration")
+// ErrConfig reports an invalid configuration, a rejected Spec included.
+var ErrConfig = wire.ErrConfig
 
 // ---------------------------------------------------------------------------
 // Concurrent Θ sketch

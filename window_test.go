@@ -1,7 +1,7 @@
 package fastsketches_test
 
 // Registry-level windowing: the declarative Spec.Window surface, the
-// name-spanning ReplaceWindow/StopWindow admin plane, the registry-wide
+// name-spanning Registry.Apply of a window and of Spec.WindowOff, the registry-wide
 // default window, windowed checkpoint round-trips, and the rotation-vs-
 // resize-vs-checkpoint chaos run (exercised under -race in CI).
 
@@ -131,7 +131,7 @@ func TestSpecWindowRejectsBadConfig(t *testing.T) {
 	}
 	// Decay on a family without scalable counters is a per-sketch error on
 	// the typed path (the caller named one family explicitly — no silent
-	// stripping, unlike the name-spanning ReplaceWindow).
+	// stripping, unlike a name-spanning Registry.Apply).
 	if _, err := reg.OpenTheta("w.bad", fastsketches.Spec{
 		Window: &fastsketches.WindowConfig{Interval: time.Second, Decay: 0.5},
 	}); err == nil {
@@ -173,14 +173,14 @@ func TestReplaceWindowAndStopWindow(t *testing.T) {
 	th := openTheta(t, reg, "multi")
 	cm := openCountMin(t, reg, "multi")
 
-	if _, err := reg.ReplaceWindow("absent", fastsketches.WindowConfig{Interval: time.Hour}); err == nil {
-		t.Error("ReplaceWindow on an unregistered name succeeded")
+	window := func(cfg fastsketches.WindowConfig) fastsketches.Spec { return fastsketches.Spec{Window: &cfg} }
+	if err := reg.Apply("", "absent", window(fastsketches.WindowConfig{Interval: time.Hour})); err == nil {
+		t.Error("Apply of a window to an unregistered name succeeded")
 	}
 
 	cfg := fastsketches.WindowConfig{Interval: time.Hour, Slots: 2, Decay: 0.5}
-	n, err := reg.ReplaceWindow("multi", cfg)
-	if err != nil || n != 2 {
-		t.Fatalf("ReplaceWindow = (%d, %v), want (2, nil)", n, err)
+	if err := reg.Apply("", "multi", window(cfg)); err != nil {
+		t.Fatal(err)
 	}
 	// Decay is stripped for the families without scalable counters and kept
 	// for Count-Min — same window shape, per-family decay capability.
@@ -195,34 +195,32 @@ func TestReplaceWindowAndStopWindow(t *testing.T) {
 	// the same config, and the rings must survive on every family.
 	th.RotateNow()
 	cm.RotateNow()
-	if n, err := reg.ReplaceWindow("multi", cfg); err != nil || n != 2 {
-		t.Fatalf("repeat ReplaceWindow = (%d, %v)", n, err)
+	if err := reg.Apply("", "multi", window(cfg)); err != nil {
+		t.Fatal(err)
 	}
 	if st, ok := th.WindowStats(); !ok || st.Rotations != 1 {
-		t.Fatalf("repeat ReplaceWindow re-armed theta: stats (%+v, %v)", st, ok)
+		t.Fatalf("repeat Apply re-armed theta: stats (%+v, %v)", st, ok)
 	}
 	if st, ok := cm.WindowStats(); !ok || st.Rotations != 1 {
-		t.Fatalf("repeat ReplaceWindow re-armed countmin: stats (%+v, %v)", st, ok)
+		t.Fatalf("repeat Apply re-armed countmin: stats (%+v, %v)", st, ok)
 	}
 
 	// A changed shape re-arms everywhere.
-	if _, err := reg.ReplaceWindow("multi", fastsketches.WindowConfig{
-		Interval: time.Hour, Slots: 4,
-	}); err != nil {
+	if err := reg.Apply("", "multi", window(fastsketches.WindowConfig{Interval: time.Hour, Slots: 4})); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := cm.WindowStats(); st.Rotations != 0 {
-		t.Fatalf("changed ReplaceWindow kept countmin ring: %d rotations", st.Rotations)
+		t.Fatalf("changed window kept countmin ring: %d rotations", st.Rotations)
 	}
 
-	if n := reg.StopWindow("multi"); n != 2 {
-		t.Fatalf("StopWindow = %d, want 2", n)
-	}
-	if th.WindowEnabled() || cm.WindowEnabled() {
-		t.Fatal("StopWindow left a window enabled")
-	}
-	if n := reg.StopWindow("multi"); n != 0 {
-		t.Fatalf("second StopWindow = %d, want 0", n)
+	// Switching the windows off covers the name; again, it is a no-op.
+	for i := 0; i < 2; i++ {
+		if err := reg.Apply("", "multi", fastsketches.Spec{WindowOff: true}); err != nil {
+			t.Fatal(err)
+		}
+		if th.WindowEnabled() || cm.WindowEnabled() {
+			t.Fatal("Spec.WindowOff left a window enabled")
+		}
 	}
 }
 
