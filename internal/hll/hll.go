@@ -77,13 +77,23 @@ func alpha(m int) float64 {
 	}
 }
 
+// invPow2 holds 2^-r for every rank a register can hold: UpdateHash's guard
+// bit caps a rank at 65−p ≤ 61, and imports reject anything larger. The
+// entries are exact powers of two, so a lookup equals math.Ldexp(1, -r).
+var invPow2 = func() (t [64]float64) {
+	for r := range t {
+		t[r] = math.Ldexp(1, -r)
+	}
+	return t
+}()
+
 // Estimate returns the estimated number of distinct elements, applying
 // linear counting when the raw estimate is small and registers remain empty.
 func (s *Sketch) Estimate() float64 {
 	var sum float64
 	zeros := 0
 	for _, r := range s.regs {
-		sum += math.Ldexp(1, -int(r))
+		sum += invPow2[r]
 		if r == 0 {
 			zeros++
 		}

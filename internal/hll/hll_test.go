@@ -125,6 +125,48 @@ func TestPropertyRegisterMonotone(t *testing.T) {
 	}
 }
 
+// TestEstimateTableMatchesLdexp pins Estimate's 2^-r table lookup to the
+// math.Ldexp sum it replaced, bit for bit, across precisions, fills and
+// every rank a register can hold.
+func TestEstimateTableMatchesLdexp(t *testing.T) {
+	ldexpEstimate := func(s *Sketch) float64 {
+		var sum float64
+		zeros := 0
+		for _, r := range s.regs {
+			sum += math.Ldexp(1, -int(r))
+			if r == 0 {
+				zeros++
+			}
+		}
+		m := float64(s.m)
+		raw := alpha(s.m) * m * m / sum
+		if raw <= 2.5*m && zeros > 0 {
+			return m * math.Log(m/float64(zeros))
+		}
+		return raw
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, p := range []int{4, 8, 12, 21} {
+		for _, n := range []int{0, 10, 1 << 10, 1 << 16} {
+			s := New(p, 9001)
+			for i := 0; i < n; i++ {
+				s.UpdateHash(rng.Uint64())
+			}
+			if got, want := s.Estimate(), ldexpEstimate(s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("p=%d n=%d: estimate %v, Ldexp sum gives %v", p, n, got, want)
+			}
+		}
+		// Registers at every legal rank, including the guard-bit maximum 65−p.
+		s := New(p, 9001)
+		for i := range s.regs {
+			s.regs[i] = uint8(i % (66 - p))
+		}
+		if got, want := s.Estimate(), ldexpEstimate(s); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("p=%d all ranks: estimate %v, Ldexp sum gives %v", p, got, want)
+		}
+	}
+}
+
 func TestReset(t *testing.T) {
 	s := New(10, 9001)
 	for i := 0; i < 10000; i++ {

@@ -3,14 +3,17 @@ package shard_test
 // Fuzzed merge-into equivalence: arbitrary key streams (duplicates, skew,
 // any byte pattern) through arbitrary shard counts must leave the pooled,
 // fresh-accumulator and reused-accumulator query paths in exact agreement
-// after Close — for the exact-mode Θ sketch also with the true distinct
-// count, and for Count-Min with per-key exactness of path agreement.
+// after Close — for Θ also with the union invariant (exactly the stream's
+// hashes below θ are retained, so exact mode counts every distinct key), and
+// for Count-Min with per-key exactness of path agreement.
 
 import (
 	"encoding/binary"
 	"testing"
 
+	"fastsketches/internal/murmur"
 	"fastsketches/internal/shard"
+	"fastsketches/internal/theta"
 )
 
 // fuzzKeys derives a key stream from raw fuzz bytes: one key per 2-byte
@@ -33,24 +36,27 @@ func FuzzMergeIntoEquivalence(f *testing.F) {
 	f.Add([]byte("hello sharded sketches"), uint8(2))
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 1, 0}, uint8(1))
 	f.Add([]byte{255, 255, 17, 3, 9, 200, 42, 42, 42, 42}, uint8(7))
+	// 600 distinct keys over 4 shards: every shard's table passes 2k = 64
+	// retained, so the shards and the merged fold both run the selection.
+	long := make([]byte, 0, 1200)
+	for k := 0; k < 600; k++ {
+		long = binary.LittleEndian.AppendUint16(long, uint16(k*97))
+	}
+	f.Add(long, uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, shardByte uint8) {
 		keys := fuzzKeys(data)
 		if len(keys) == 0 {
 			t.Skip()
 		}
 		if len(keys) > 1000 {
-			// Keep the total distinct count inside exact mode (< 2k for the
-			// lgK=10 shard gadgets and the merge Union), so Θ equality with
-			// the true distinct count holds on every path.
 			keys = keys[:1000]
 		}
 		S := 1 + int(shardByte)%4
 		cfg := shard.Config{Shards: S, MaxError: 1}
 
-		// Θ: keys are ≤ 16-bit so distincts stay below k=2^10·2 per shard →
-		// exact mode; the merged estimate must equal the true distinct count
-		// on every path.
-		th, err := shard.NewTheta(10, cfg)
+		// Θ at lgK=5: a short stream stays in exact mode, a longer one drives
+		// the shards and the merged fold past 2k = 64 retained.
+		th, err := shard.NewTheta(5, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,10 +73,33 @@ func FuzzMergeIntoEquivalence(f *testing.F) {
 		th.Close()
 		cm.Close()
 
+		// The union retains exactly the stream's hashes below its θ.
+		merged := th.Merged()
+		hashes := make(map[uint64]bool, len(distinct))
+		below := 0
+		for k := range distinct {
+			h := theta.HashKey(k, murmur.DefaultSeed)
+			hashes[h] = true
+			if h < merged.ThetaLong() {
+				below++
+			}
+		}
+		if merged.Retained() != below {
+			t.Fatalf("theta union retains %d hashes, the stream has %d below θ", merged.Retained(), below)
+		}
+		for _, h := range merged.Retention(nil) {
+			if !hashes[h] || h >= merged.ThetaLong() {
+				t.Fatalf("theta union retains %#x: not a stream hash below θ", h)
+			}
+		}
+		want := merged.Estimate()
+		if merged.ThetaLong() == theta.MaxTheta && want != float64(len(distinct)) {
+			t.Fatalf("exact-mode theta estimate %v, want %d distinct", want, len(distinct))
+		}
+
 		thReused := th.NewAccumulator()
 		cmReused := cm.NewAccumulator()
 		for q := 0; q < 3; q++ {
-			want := float64(len(distinct))
 			thFresh := th.NewAccumulator()
 			th.MergeInto(thFresh)
 			th.QueryInto(thReused)

@@ -58,8 +58,8 @@
 // by earlier resizes. A resize builds and publishes the new epoch, waits
 // out in-flight writers behind per-lane seqlocks, closes the old epoch's
 // frameworks (an exact drain), folds the old shards' final snapshots into
-// the legacy accumulator through the same SnapshotMergeInto plane queries
-// use, and retires the old epoch in one atomic store. Because every query
+// the legacy accumulator through the same group fold queries use, and
+// retires the old epoch in one atomic store. Because every query
 // reads one epoch pointer, it sees a retired epoch either live or as
 // legacy — never both, never neither — so no completed update is lost or
 // double-counted across a resize. The merged-query staleness bound is

@@ -286,7 +286,7 @@ func (s *Sharded[T, A, C]) awaitWriters() {
 //     seqlock grace period), then Close the old epoch's frameworks, which
 //     drains every buffered update exactly into the old composables.
 //  4. Fold the previous legacy state and every old shard's final snapshot —
-//     through the same SnapshotMergeInto plane merged queries use — into
+//     through the same group fold (foldGroup) merged queries use — into
 //     one fresh accumulator, and publish it as the new epoch's legacy,
 //     atomically detaching the old epoch. The old shards are now retired
 //     and unreachable from new queries.
@@ -345,9 +345,7 @@ func (s *Sharded[T, A, C]) Resize(shards int) error {
 		if w.hasCarry {
 			w.carry.FoldInto(carry)
 		}
-		for _, c := range old.comps {
-			c.SnapshotMergeInto(carry)
-		}
+		foldGroup(carry, old.comps)
 		win := *w
 		win.carry, win.hasCarry = carry, true
 		retired.win = &win
@@ -361,9 +359,7 @@ func (s *Sharded[T, A, C]) Resize(shards int) error {
 		if old.hasLegacy {
 			old.legacy.FoldInto(legacy)
 		}
-		for _, c := range old.comps {
-			c.SnapshotMergeInto(legacy)
-		}
+		foldGroup(legacy, old.comps)
 		retired.legacy, retired.hasLegacy = legacy, true
 	}
 	s.st.Store(retired) // retire the old epoch atomically
@@ -403,20 +399,38 @@ func mergeEpoch[T any, A Accumulator[A], C Mergeable[T, A]](st *epochState[T, A,
 	if st.hasLegacy {
 		st.legacy.FoldInto(acc)
 	}
-	if w := st.win; w != nil {
-		if w.hasMerged {
-			w.merged.FoldInto(acc)
-		}
-		if w.hasCarry {
-			w.carry.FoldInto(acc)
-		}
+	if w := st.win; w != nil && w.hasMerged {
+		w.merged.FoldInto(acc)
+	}
+	foldOpen(st, acc)
+}
+
+// foldOpen folds the open interval's state — a window's resize carry, then
+// the draining epoch's shards, then the current epoch's shards — into acc.
+// The two epochs are two groups: routing makes one epoch's shards disjoint,
+// but a key may sit in both epochs, so only within a group may an
+// accumulator skip deduplication.
+func foldOpen[T any, A Accumulator[A], C Mergeable[T, A]](st *epochState[T, A, C], acc A) {
+	if w := st.win; w != nil && w.hasCarry {
+		w.carry.FoldInto(acc)
 	}
 	if st.old != nil {
-		for _, c := range st.old.comps {
-			c.SnapshotMergeInto(acc)
-		}
+		foldGroup(acc, st.old.comps)
 	}
-	for _, c := range st.comps {
+	foldGroup(acc, st.comps)
+}
+
+// foldGroup folds the published snapshots of one epoch's shards into acc.
+// Routing sends every key to exactly one shard of an epoch, so the group's
+// states are disjoint; an accumulator with a disjoint-group fold
+// (theta.Union.FoldShards) takes the whole group in one pass, any other
+// folds shard by shard.
+func foldGroup[T any, A Accumulator[A], C Mergeable[T, A]](acc A, comps []C) {
+	if g, ok := any(acc).(interface{ FoldShards([]C) }); ok {
+		g.FoldShards(comps)
+		return
+	}
+	for _, c := range comps {
 		c.SnapshotMergeInto(acc)
 	}
 }

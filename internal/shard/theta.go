@@ -63,7 +63,7 @@ func (t *Theta) Estimate() float64 {
 // Eager reports whether every shard is still in its eager phase. While true,
 // every completed update is immediately visible to merged queries; note that
 // Estimate is additionally exact only while the total distinct count also
-// fits the merge Union's exact mode (< 2^lgK retained) — with S shards the
+// fits the merge Union's exact mode (< 2·2^lgK retained) — with S shards the
 // combined eager window S·2/e² can exceed that for large S, at which point
 // the merged answer is a (still correct) sampled estimate.
 func (t *Theta) Eager() bool { return t.Sharded.Eager() }

@@ -210,7 +210,9 @@ func TestViewRefresherGoroutineStopsOnClose(t *testing.T) {
 }
 
 func TestViewQueryPathZeroAlloc(t *testing.T) {
-	sk, err := shard.NewTheta(12, shard.Config{Shards: 8, MaxError: 1})
+	// 2^8 samples per shard: the view's fold selects down from well over
+	// 2k = 512 hashes below θ, and every query copies the flat run it left.
+	sk, err := shard.NewTheta(8, shard.Config{Shards: 8, MaxError: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,9 +242,7 @@ func (s *Sharded[T, A, C]) rotateLocked() {
 	if w.hasCarry {
 		w.carry.FoldInto(slot)
 	}
-	for _, c := range st.comps {
-		c.SnapshotMergeInto(slot)
-	}
+	foldGroup(slot, st.comps)
 	w.ring.Push(slot)
 
 	merged := s.mkAcc()
@@ -293,17 +291,7 @@ func windowMergeEpoch[T any, A Accumulator[A], C Mergeable[T, A]](st *epochState
 	if w.hasMerged {
 		w.merged.FoldInto(acc)
 	}
-	if w.hasCarry {
-		w.carry.FoldInto(acc)
-	}
-	if st.old != nil {
-		for _, c := range st.old.comps {
-			c.SnapshotMergeInto(acc)
-		}
-	}
-	for _, c := range st.comps {
-		c.SnapshotMergeInto(acc)
-	}
+	foldOpen(st, acc)
 	return true
 }
 
@@ -340,17 +328,7 @@ func (s *Sharded[T, A, C]) DecayedMergeInto(acc A) bool {
 	if w.hasDecayed {
 		w.decayed.FoldInto(acc)
 	}
-	if w.hasCarry {
-		w.carry.FoldInto(acc)
-	}
-	if st.old != nil {
-		for _, c := range st.old.comps {
-			c.SnapshotMergeInto(acc)
-		}
-	}
-	for _, c := range st.comps {
-		c.SnapshotMergeInto(acc)
-	}
+	foldOpen(st, acc)
 	return true
 }
 
@@ -513,17 +491,7 @@ func (s *Sharded[T, A, C]) AppendWindowedSnapshot(dst []byte) (out []byte, slots
 	if st.hasLegacy {
 		st.legacy.FoldInto(acc)
 	}
-	if w != nil && w.hasCarry {
-		w.carry.FoldInto(acc)
-	}
-	if st.old != nil {
-		for _, c := range st.old.comps {
-			c.SnapshotMergeInto(acc)
-		}
-	}
-	for _, c := range st.comps {
-		c.SnapshotMergeInto(acc)
-	}
+	foldOpen(st, acc)
 	out = acc.ExportTo(dst)
 	s.release(acc)
 	if w == nil {

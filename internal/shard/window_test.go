@@ -441,33 +441,52 @@ func TestWindowStatsAges(t *testing.T) {
 func TestWindowedQueryZeroAlloc(t *testing.T) {
 	sk := windowCM(t, 4)
 	defer sk.Close()
+	// Θ at 2^6 samples per shard: every interval puts far more than
+	// 2k = 128 hashes below θ, so rotations and queries fold through the
+	// selection and copy a selected table.
+	th, err := shard.NewTheta(6, shard.Config{Shards: 4, MaxError: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer th.Close()
 	if err := sk.EnableWindow(manualWindow(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := th.EnableWindow(manualWindow(3)); err != nil {
 		t.Fatal(err)
 	}
 	for iv := 0; iv < 4; iv++ {
 		for i := 0; i < 200; i++ {
 			sk.Update(0, uint64(i%32))
 		}
+		for i := 0; i < 1024; i++ {
+			th.Update(0, uint64(iv<<16|i))
+		}
 		sk.RotateNow()
+		th.RotateNow()
 	}
 	for i := 0; i < 100; i++ {
 		sk.Update(0, uint64(i%32))
+	}
+	for i := 0; i < 1024; i++ {
+		th.Update(0, uint64(1<<20|i))
 	}
 	// Caller-owned accumulator path: race-safe to pin (no sync.Pool, whose
 	// race-mode build drops puts at random). The pooled Window* scalar path
 	// is pinned in the registry-level alloc contract test, which is
 	// !race-gated.
-	acc := sk.NewAccumulator()
+	acc, thAcc := sk.NewAccumulator(), th.NewAccumulator()
 	var sink uint64
+	var sinkF float64
 	if allocs := testing.AllocsPerRun(200, func() {
-		if !sk.WindowQueryInto(acc) {
+		if !sk.WindowQueryInto(acc) || !th.WindowQueryInto(thAcc) {
 			t.Fatal("WindowQueryInto not ok")
 		}
-		sink = acc.Estimate(7)
+		sink, sinkF = acc.Estimate(7), thAcc.Estimate()
 	}); allocs != 0 {
 		t.Errorf("windowed QueryInto allocates %.1f/op, want 0", allocs)
 	}
-	_ = sink
+	_, _ = sink, sinkF
 }
 
 func TestWindowCheckpointRoundTrip(t *testing.T) {

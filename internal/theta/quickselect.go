@@ -183,13 +183,15 @@ func (s *QuickSelect) shrinkTheta(newTheta uint64) {
 	}
 }
 
-// Reset restores the empty state without releasing capacity.
+// Reset restores the empty state without releasing capacity. The table is
+// cleared only when it holds entries: count is exactly the number of
+// occupied slots.
 func (s *QuickSelect) Reset() {
 	s.thetaLong = MaxTheta
-	for i := range s.slots {
-		s.slots[i] = 0
+	if s.count > 0 {
+		clear(s.slots)
+		s.count = 0
 	}
-	s.count = 0
 }
 
 // quickSelect returns the element with 0-based rank `rank` in ascending

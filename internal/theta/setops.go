@@ -10,8 +10,20 @@ import "fmt"
 // Union accumulates the union of many Θ sketches. It is itself backed by a
 // QuickSelect sketch: union Θ is the minimum input Θ (further lowered by
 // retention pressure) and the estimate is retained/θ.
+//
+// The retained set lives in one of two places. Normally it is the gadget's
+// hash table. A FoldShards into a union holding no entries instead leaves it
+// as a flat run in the gadget's rebuild scratch (flat == true, table empty):
+// disjoint inputs need no deduplication, so no table is built. Reads
+// (Estimate, FoldInto, ExportTo, Result) take either form; Add, AddHashes,
+// ImportFrom and any fold into a non-empty union first settle the run into
+// the table, and Reset drops it.
 type Union struct {
 	gadget *QuickSelect
+	flat   bool
+	// snaps is FoldShards' scratch of loaded snapshots, cleared after every
+	// fold so that a pooled union pins no retired snapshot.
+	snaps []*CompactSketch
 }
 
 // NewUnion returns an empty union accumulator with 2^lgK nominal entries.
@@ -20,30 +32,120 @@ func NewUnion(lgK int, seed uint64) *Union {
 }
 
 // Add folds a sketch into the union.
-func (u *Union) Add(s Sketch) { u.gadget.Merge(s) }
+func (u *Union) Add(s Sketch) {
+	u.settle()
+	u.gadget.Merge(s)
+}
 
 // AddHashes folds raw retained hashes (with their source threshold) into the
 // union.
 func (u *Union) AddHashes(hashes []uint64, thetaLong uint64) {
+	u.settle()
 	u.gadget.shrinkTheta(thetaLong)
 	u.gadget.MergeHashes(hashes)
 }
 
+// FoldShards folds the latest published snapshots of a group of composables
+// into the union. The group's retained sets must be pairwise disjoint — the
+// shards of one routing epoch, where every hash has exactly one owner — so
+// the fold needs no deduplication. Each snapshot is loaded once and θ drops
+// to the minimum of the union's and every snapshot's θ. Into a union holding
+// no entries, the hashes below θ are appended to a flat run; whenever the run
+// reaches 2k, the (k+1)-th smallest becomes θ and the k below it stay,
+// exactly as QuickSelect.rebuild does. Into a non-empty union (which may
+// already hold some of the same hashes) the fold shrinks θ once and inserts
+// through the table. Requires EnableSnapshots on every composable; allocates
+// nothing once the snapshot scratch has grown to the group size.
+func (u *Union) FoldShards(shards []*Composable) {
+	g := u.gadget
+	theta := g.thetaLong
+	for _, c := range shards {
+		s := c.snap.Load()
+		if s == nil {
+			panic("theta: FoldShards requires EnableSnapshots before ingestion")
+		}
+		if s.seed != g.seed {
+			panic("theta: cannot merge sketches with different seeds")
+		}
+		u.snaps = append(u.snaps, s)
+		theta = min(theta, s.thetaLong)
+	}
+	if !u.flat && g.count == 0 {
+		g.thetaLong = theta
+		run := g.scratch[:0]
+		for _, s := range u.snaps {
+			for _, h := range s.hashes {
+				if h >= g.thetaLong {
+					continue
+				}
+				run = append(run, h)
+				if len(run) == 2*g.k {
+					g.thetaLong = quickSelect(run, g.k)
+					run = run[:g.k]
+				}
+			}
+		}
+		g.scratch = run
+		u.flat = len(run) > 0
+	} else {
+		u.settle()
+		g.shrinkTheta(theta)
+		for _, s := range u.snaps {
+			g.MergeHashes(s.hashes)
+		}
+	}
+	clear(u.snaps)
+	u.snaps = u.snaps[:0]
+}
+
+// settle moves a flat run into the hash table, so the union can take
+// insertions that may duplicate retained hashes. The run holds fewer than 2k
+// distinct hashes below θ, so no rebuild is due.
+func (u *Union) settle() {
+	if !u.flat {
+		return
+	}
+	u.flat = false
+	g := u.gadget
+	for _, h := range g.scratch {
+		g.insert(h)
+	}
+}
+
+// entries returns the retained hashes: the flat run, or the table's slots,
+// where 0 marks an empty slot. Only read, so concurrent readers are safe.
+func (u *Union) entries() []uint64 {
+	if u.flat {
+		return u.gadget.scratch
+	}
+	return u.gadget.slots
+}
+
 // Estimate returns the estimated cardinality of the union.
-func (u *Union) Estimate() float64 { return u.gadget.Estimate() }
+func (u *Union) Estimate() float64 {
+	if u.flat {
+		return estimate(len(u.gadget.scratch), u.gadget.thetaLong, false)
+	}
+	return u.gadget.Estimate()
+}
 
 // Result returns the union as a standalone sketch (a copy).
 func (u *Union) Result() *QuickSelect {
 	out := NewQuickSelect(u.gadget.lgK, u.gadget.seed)
 	out.thetaLong = u.gadget.thetaLong
-	for _, h := range u.gadget.Retention(nil) {
-		out.insert(h)
+	for _, h := range u.entries() {
+		if h != 0 {
+			out.insert(h)
+		}
 	}
 	return out
 }
 
 // Reset empties the union accumulator.
-func (u *Union) Reset() { u.gadget.Reset() }
+func (u *Union) Reset() {
+	u.flat = false
+	u.gadget.Reset()
+}
 
 // SizeBytes estimates the union's resident heap footprint in bytes — the
 // memory-budget accounting hook of the sharded layer.
@@ -54,24 +156,41 @@ func (u *Union) SizeBytes() int { return u.gadget.SizeBytes() }
 // resharding: a legacy Union published by a completed Resize is folded into
 // every merged-query accumulator exactly like one more shard snapshot.
 //
-// The fold walks the receiver's hash table directly (no gather copy), so it
-// allocates nothing: concurrent FoldInto calls from many query goroutines
-// into their own dst accumulators are safe because the receiver is only
-// read.
+// Into a dst of the same lgK that holds no entries and whose θ is not below
+// the receiver's, the fold copies the receiver's table or flat run verbatim;
+// otherwise it shrinks dst's θ and inserts every retained hash. Either way it
+// allocates nothing, and concurrent FoldInto calls from many query
+// goroutines into their own dst accumulators are safe because the receiver
+// is only read.
 func (u *Union) FoldInto(dst *Union) {
-	if u.gadget.seed != dst.gadget.seed {
+	src, g := u.gadget, dst.gadget
+	if src.seed != g.seed {
 		panic("theta: cannot fold unions with different seeds")
 	}
-	dst.gadget.shrinkTheta(u.gadget.thetaLong)
-	for _, h := range u.gadget.slots {
+	if !dst.flat && g.count == 0 && g.thetaLong >= src.thetaLong && g.lgK == src.lgK {
+		g.thetaLong = src.thetaLong
+		if u.flat {
+			g.scratch = append(g.scratch[:0], src.scratch...)
+			dst.flat = true
+		} else {
+			copy(g.slots, src.slots)
+			g.count = src.count
+		}
+		return
+	}
+	dst.settle()
+	g.shrinkTheta(src.thetaLong)
+	for _, h := range u.entries() {
 		if h != 0 {
-			dst.gadget.UpdateHash(h)
+			g.UpdateHash(h)
 		}
 	}
 }
 
-// CompactSketch is an immutable result of a set operation: a sorted list of
-// retained hashes below a threshold. It supports only queries.
+// CompactSketch is an immutable result of a set operation: a list of
+// retained hashes below a threshold, in no particular order (a composable's
+// published snapshot keeps its hash table's slot order). It supports only
+// queries.
 type CompactSketch struct {
 	thetaLong uint64
 	hashes    []uint64

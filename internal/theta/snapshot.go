@@ -41,7 +41,7 @@ func (u *Union) ExportTo(dst []byte) []byte {
 	countAt := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, 0)
 	n := uint32(0)
-	for _, h := range g.slots {
+	for _, h := range u.entries() {
 		if h != 0 {
 			dst = binary.LittleEndian.AppendUint64(dst, h)
 			n++
@@ -91,6 +91,7 @@ func (u *Union) ImportFrom(data []byte) error {
 	if seed != u.gadget.seed {
 		return fmt.Errorf("%w: seed %#x, receiver has %#x", ErrSnapshotMismatch, seed, u.gadget.seed)
 	}
+	u.settle()
 	u.gadget.shrinkTheta(theta)
 	for i := 0; i < count; i++ {
 		u.gadget.UpdateHash(binary.LittleEndian.Uint64(hashes[8*i:]))

@@ -54,12 +54,14 @@ func TestMergedQueryZeroAllocThroughView(t *testing.T) {
 // len(schedule)+1 equal stream phases, then either publishes a view over
 // the live sketches or closes the registry (closed sketches stay queryable
 // and give deterministic per-query work), and requires every merged-query
-// path to run allocation-free.
+// path to run allocation-free. The Θ sketch's 2^8 samples per shard put
+// well over 2k = 512 of the stream below the merged θ, so its folds run the
+// selection and build a flat run that the view and legacy paths copy.
 func assertZeroAllocQueries(t *testing.T, schedule []int, view bool) {
 	t.Helper()
 	const uniques = 1 << 12
 	reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{
-		Shards: 4, MaxError: 1, QuantilesK: 128, CountMinEpsilon: 0.01,
+		Shards: 4, MaxError: 1, ThetaLgK: 8, QuantilesK: 128, CountMinEpsilon: 0.01,
 	})
 	if err != nil {
 		t.Fatal(err)

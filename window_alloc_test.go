@@ -18,8 +18,10 @@ import (
 )
 
 func TestWindowedQueryZeroAlloc(t *testing.T) {
+	// ThetaLgK 6: each interval puts far more than 2k = 128 Θ hashes below
+	// the merged θ, so rotations and queries fold through the selection.
 	reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{
-		Shards: 4, MaxError: 1, QuantilesK: 128, CountMinEpsilon: 0.01,
+		Shards: 4, MaxError: 1, ThetaLgK: 6, QuantilesK: 128, CountMinEpsilon: 0.01,
 	})
 	if err != nil {
 		t.Fatal(err)
