@@ -12,6 +12,7 @@ import (
 	"fastsketches/internal/hll"
 	"fastsketches/internal/murmur"
 	"fastsketches/internal/quantiles"
+	"fastsketches/internal/relax"
 	"fastsketches/internal/theta"
 )
 
@@ -162,31 +163,18 @@ func TestEagerDisabled(t *testing.T) {
 	}
 }
 
-func TestRelaxationBoundHolds(t *testing.T) {
-	// The defining guarantee (Theorem 1): a query reflects all but at most
-	// r = 2Nb of the updates that completed before it. With all-unique keys
-	// and the sketch in exact mode, estimate ≥ completed − r.
-	const writers, b, n = 4, 8, 4000 // r = 64; 2k = 8192 > n → exact mode
-	fw, comp := newThetaFramework(core.Config{Workers: writers, BufferSize: b, MaxError: 1}, 12)
-	r := float64(fw.Relaxation())
-
-	var completed atomic.Int64
+// checkWindow feeds n unique keys from the given number of writers while a
+// querier races the sketch, and holds every answer to the r-relaxation
+// window completedBefore(invoke) − r ≤ estimate ≤ startedBefore(response)
+// through relax.Oracle. With all-unique keys and n < 2k the sketch stays in
+// exact mode, so the estimate counts the hashes it has absorbed.
+func checkWindow(t *testing.T, fw *core.Framework[uint64], comp *theta.Composable, writers, n int) {
+	t.Helper()
+	r := int64(fw.Relaxation())
+	o := relax.NewOracle()
 	fw.Start()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			base := uint64(w) << 40
-			for i := 0; i < n/writers; i++ {
-				fw.Update(w, theta.HashKey(base+uint64(i), seed))
-				completed.Add(1)
-			}
-		}(w)
-	}
-	// Query concurrently and check the bound each time.
-	var worst float64
 	queryDone := make(chan struct{})
 	go func() {
 		defer close(queryDone)
@@ -196,51 +184,8 @@ func TestRelaxationBoundHolds(t *testing.T) {
 				return
 			default:
 			}
-			before := float64(completed.Load())
-			est := comp.Estimate()
-			if deficit := before - r - est; deficit > worst {
-				worst = deficit
-			}
-			runtime.Gosched()
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	<-queryDone
-	fw.Close()
-	if worst > 0 {
-		t.Errorf("a query missed more than r=%v completed updates (worst deficit %v)", r, worst)
-	}
-	if est := comp.Estimate(); est != n {
-		t.Errorf("final estimate %v, want exactly %d", est, n)
-	}
-}
-
-func TestEstimateNeverExceedsIngested(t *testing.T) {
-	// In exact mode the estimate counts retained distinct hashes, which can
-	// never exceed the number of updates ingested so far.
-	const writers, n = 4, 6000
-	fw, comp := newThetaFramework(core.Config{Workers: writers, BufferSize: 4, MaxError: 1}, 12)
-	var started atomic.Int64
-	fw.Start()
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	bad := make(chan float64, 1)
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			est := comp.Estimate()
-			after := float64(started.Load())
-			if est > after {
-				select {
-				case bad <- est - after:
-				default:
-				}
-			}
+			c1 := o.Invoke()
+			o.Respond(c1, int64(comp.Estimate()), r)
 			runtime.Gosched()
 		}
 	}()
@@ -250,19 +195,45 @@ func TestEstimateNeverExceedsIngested(t *testing.T) {
 			defer wg.Done()
 			base := uint64(w) << 40
 			for i := 0; i < n/writers; i++ {
-				started.Add(1)
+				o.Started()
 				fw.Update(w, theta.HashKey(base+uint64(i), seed))
+				o.Completed()
 			}
 		}(w)
 	}
 	wg.Wait()
 	close(stop)
+	<-queryDone
 	fw.Close()
-	select {
-	case excess := <-bad:
-		t.Errorf("query observed %v more uniques than were ever started", excess)
-	default:
+	tl := o.Tally()
+	t.Logf("%d queries, max staleness %d of r=%d", tl.Queries, tl.MaxStaleness, r)
+	if tl.Lower != 0 {
+		t.Errorf("%d queries missed more than r=%d completed updates (%v)", tl.Lower, r, o.Err())
 	}
+	if tl.Upper != 0 {
+		t.Errorf("%d queries observed more uniques than were ever started (%v)", tl.Upper, o.Err())
+	}
+}
+
+func TestRelaxationBoundHolds(t *testing.T) {
+	// The defining guarantee (Theorem 1): a query reflects all but at most
+	// r = 2Nb of the updates that completed before it, and nothing that was
+	// never started.
+	const writers, b, n = 4, 8, 4000 // r = 64; 2k = 8192 > n → exact mode
+	fw, comp := newThetaFramework(core.Config{Workers: writers, BufferSize: b, MaxError: 1}, 12)
+	checkWindow(t, fw, comp, writers, n)
+	if est := comp.Estimate(); est != n {
+		t.Errorf("final estimate %v, want exactly %d", est, n)
+	}
+}
+
+func TestEstimateNeverExceedsIngested(t *testing.T) {
+	// In exact mode the estimate counts retained distinct hashes, which can
+	// never exceed the number of updates ingested so far — nor lag them by
+	// more than r.
+	const writers, n = 4, 6000
+	fw, comp := newThetaFramework(core.Config{Workers: writers, BufferSize: 4, MaxError: 1}, 12)
+	checkWindow(t, fw, comp, writers, n)
 }
 
 func TestPreFilteringReducesWork(t *testing.T) {

@@ -1,198 +1,140 @@
 // Package relax implements the r-relaxation formalism of Section 4 of
-// "Fast Concurrent Data Sketches" (Definition 2) as executable checks:
-// recording invoke/response histories from concurrent sketch executions and
-// verifying that a recorded history is an r-relaxation of the sequential
-// specification.
+// "Fast Concurrent Data Sketches" (Definition 2) as executable checks: an
+// oracle that holds every answer of a live concurrent execution to the
+// relaxation window, and a checker that decides whether one explicit
+// sequential history is an r-relaxation of another (Figure 2).
 //
 // Definition 2 (r-relaxation): a sequential history H is an r-relaxation of
 // H′ if H consists of all but at most r of the invocations of H′, and each
 // invocation in H is preceded by all but at most r of the invocations that
 // precede it in H′.
 //
-// For an order-agnostic, duplicate-free distinct-counting sketch in exact
-// mode this admits a counting characterisation that can be checked
-// mechanically (and that the adversary analysis of Section 6 builds on): a
-// query that returns v is justified iff it reflects some sub-multiset of
-// the updates invoked before its response containing all but ≤ r of the
-// updates that completed before its invocation, i.e.
+// For an order-agnostic, duplicate-free counting sketch (a distinct counter
+// in exact mode, or a stream total) this admits a counting characterisation
+// that can be checked mechanically (and that the adversary analysis of
+// Section 6 builds on): a query that returns v is justified iff it reflects
+// some sub-multiset of the updates invoked before its response containing
+// all but ≤ r of the updates that completed before its invocation, i.e.
 //
 //	completedBefore(q.invoke) − r  ≤  v  ≤  startedBefore(q.response).
 //
-// The package records real histories with monotonic per-event timestamps —
-// a query is an interval like an update: stamped before the read and again
-// after it, so updates that complete while the querier is preempted between
-// the two are not charged to it — and checks this window for every query,
-// providing the empirical counterpart of the paper's Theorem 1 on actual
-// executions (the exhaustive-schedule counterpart lives in internal/core's
-// model tests).
+// The two counts are all the window needs, so the Oracle keeps exactly two
+// atomic counters: a query is an interval like an update, stamped before the
+// read and again after it, so updates that complete while the querier is
+// preempted between the two are not charged to it. Checking every answer of
+// a real run is the empirical counterpart of the paper's Theorem 1 (the
+// exhaustive-schedule counterpart lives in internal/core's model tests).
 package relax
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"math"
 	"sync/atomic"
 )
 
-// EventKind distinguishes history events.
-type EventKind uint8
-
-const (
-	// UpdateInvoke marks the start of an update operation.
-	UpdateInvoke EventKind = iota
-	// UpdateResponse marks its completion.
-	UpdateResponse
-	// QueryInvoke marks the start of a query, stamped before the sketch is
-	// read.
-	QueryInvoke
-	// QueryResponse marks its completion and carries the value it returned.
-	QueryResponse
-)
-
-// Event is one history entry.
-type Event struct {
-	Kind EventKind
-	// Seq is the global sequence number assigned by the recorder; it
-	// totally orders events (the recorder's linearisation of the
-	// instrumentation points).
-	Seq uint64
-	// Writer identifies the lane for update events and the querier for
-	// query events; each issues one operation at a time.
-	Writer int
-	// Value is the query result for QueryResponse events.
-	Value float64
+// Oracle checks live answers against the r-relaxation window. Writers
+// bracket each update with Started and Completed; a querier brackets each
+// read as
+//
+//	c1 := o.Invoke()
+//	v := read()
+//	o.Respond(c1, v, r)
+//
+// with r the staleness bound in force for that answer. All methods are safe
+// for concurrent use and lock-free; use NewOracle to build one.
+type Oracle struct {
+	started, completed    atomic.Int64
+	queries, lower, upper atomic.Int64
+	maxStale              atomic.Int64
+	first                 atomic.Pointer[Violation]
 }
 
-// Recorder collects a history from a concurrent execution. Instrumentation
-// is a single atomic counter increment per event, so it perturbs the
-// schedule minimally.
-type Recorder struct {
-	clock atomic.Uint64
-	mu    sync.Mutex
-	evs   []Event
+// NewOracle returns an oracle with no updates and no queries recorded.
+func NewOracle() *Oracle {
+	o := &Oracle{}
+	o.maxStale.Store(math.MinInt64)
+	return o
 }
 
-// NewRecorder returns an empty history recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{}
-}
+// Started records the invocation of an update; call it before the update.
+func (o *Oracle) Started() { o.started.Add(1) }
 
-// record appends an event with a fresh sequence number.
-func (r *Recorder) record(e Event) uint64 {
-	seq := r.clock.Add(1)
-	e.Seq = seq
-	r.mu.Lock()
-	r.evs = append(r.evs, e)
-	r.mu.Unlock()
-	return seq
-}
+// Completed records the response of an update; call it after the update.
+func (o *Oracle) Completed() { o.completed.Add(1) }
 
-// UpdateInvoked records the invocation of an update on a writer lane.
-func (r *Recorder) UpdateInvoked(writer int) {
-	r.record(Event{Kind: UpdateInvoke, Writer: writer})
-}
+// StartedCount returns the number of updates invoked so far.
+func (o *Oracle) StartedCount() int64 { return o.started.Load() }
 
-// UpdateReturned records the completion of the writer's oldest outstanding
-// update.
-func (r *Recorder) UpdateReturned(writer int) {
-	r.record(Event{Kind: UpdateResponse, Writer: writer})
-}
+// Invoke stamps a query's invocation: it returns completedBefore(invoke),
+// the c1 to pass to Respond. Call it before reading the sketch.
+func (o *Oracle) Invoke() int64 { return o.completed.Load() }
 
-// QueryInvoked records the invocation of a query; call it before reading
-// the sketch.
-func (r *Recorder) QueryInvoked(querier int) {
-	r.record(Event{Kind: QueryInvoke, Writer: querier})
-}
-
-// QueryReturned records the completion of the querier's outstanding query
-// and the value it returned.
-func (r *Recorder) QueryReturned(querier int, value float64) {
-	r.record(Event{Kind: QueryResponse, Writer: querier, Value: value})
-}
-
-// History returns the recorded events in sequence order.
-func (r *Recorder) History() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]Event(nil), r.evs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
-// Violation describes a query that no r-relaxed prefix justifies.
-type Violation struct {
-	QuerySeq        uint64
-	Value           float64
-	CompletedBefore int
-	StartedBefore   int
-	R               int
-}
-
-func (v Violation) Error() string {
-	return fmt.Sprintf("relax: query@%d returned %v outside [completedBefore(invoke)−r, startedBefore(response)] = [%d−%d, %d]",
-		v.QuerySeq, v.Value, v.CompletedBefore, v.R, v.StartedBefore)
-}
-
-// eachQuery walks a history in sequence order and calls fn for every
-// completed query with the two counts its window is made of: the updates
-// completed before its invocation and the updates started before its
-// response. It returns the number of updates invoked.
-func eachQuery(history []Event, fn func(q Event, completedBefore, startedBefore int)) (started int) {
-	completed := 0
-	atInvoke := map[int]int{} // querier → completedBefore(its open query's invoke)
-	for _, e := range history {
-		switch e.Kind {
-		case UpdateInvoke:
-			started++
-		case UpdateResponse:
-			completed++
-		case QueryInvoke:
-			atInvoke[e.Writer] = completed
-		case QueryResponse:
-			fn(e, atInvoke[e.Writer], started)
+// Respond stamps the response of the query invoked at c1 that answered v,
+// and checks c1 − r ≤ v ≤ startedBefore(response). Call it after reading
+// the sketch. r is the bound in force: 0 in an eager phase, S·r in steady
+// state, the transitional sum while a resize or rotation drains, and for
+// planes that lag on purpose the bound plus the lag — a view's c1 minus
+// its published floor, a window's expelled weight. It returns whether the
+// answer was inside the window.
+func (o *Oracle) Respond(c1, v, r int64) bool {
+	started := o.started.Load()
+	for stale := c1 - v; ; {
+		cur := o.maxStale.Load()
+		if stale <= cur || o.maxStale.CompareAndSwap(cur, stale) {
+			break
 		}
 	}
-	return started
+	o.queries.Add(1)
+	low, high := v < c1-r, v > started
+	if low {
+		o.lower.Add(1)
+	}
+	if high {
+		o.upper.Add(1)
+	}
+	if low || high {
+		o.first.CompareAndSwap(nil, &Violation{Value: v, CompletedBefore: c1, StartedBefore: started, R: r})
+	}
+	return !low && !high
 }
 
-// CheckDistinctExact verifies a recorded history of a distinct-counting
-// sketch in exact mode (all updates unique, estimate = retained count)
-// against the r-relaxation window. It returns every violating query.
-func CheckDistinctExact(history []Event, r int) []Violation {
-	var violations []Violation
-	eachQuery(history, func(q Event, completed, started int) {
-		if q.Value < float64(completed-r) || q.Value > float64(started) {
-			violations = append(violations, Violation{
-				QuerySeq:        q.Seq,
-				Value:           q.Value,
-				CompletedBefore: completed,
-				StartedBefore:   started,
-				R:               r,
-			})
-		}
-	})
-	return violations
+// Tally is a snapshot of an oracle's verdicts.
+type Tally struct {
+	// Queries counts answers checked; Lower counts answers that missed more
+	// than r completed updates, Upper answers above the started count
+	// (invented updates).
+	Queries, Lower, Upper int64
+	// MaxStaleness is the largest c1 − v observed: how many completed
+	// updates the most stale answer missed. Negative when every answer
+	// also saw updates that completed during its read; 0 with no queries.
+	MaxStaleness int64
 }
 
-// Stats summarises a history.
-type Stats struct {
-	Updates int
-	Queries int
-	// MaxDeficit is the largest (completedBefore(invoke) − value) over all
-	// queries: how close the execution came to the relaxation bound.
-	MaxDeficit float64
+// Tally returns the verdicts so far.
+func (o *Oracle) Tally() Tally {
+	t := Tally{Queries: o.queries.Load(), Lower: o.lower.Load(), Upper: o.upper.Load()}
+	if t.Queries > 0 {
+		t.MaxStaleness = o.maxStale.Load()
+	}
+	return t
 }
 
-// Summarise computes history statistics.
-func Summarise(history []Event) Stats {
-	var st Stats
-	st.Updates = eachQuery(history, func(q Event, completed, _ int) {
-		st.Queries++
-		if d := float64(completed) - q.Value; d > st.MaxDeficit {
-			st.MaxDeficit = d
-		}
-	})
-	return st
+// Err returns the first violation recorded, or nil if every answer held.
+func (o *Oracle) Err() error {
+	if v := o.first.Load(); v != nil {
+		return v
+	}
+	return nil
+}
+
+// Violation describes an answer outside its r-relaxation window.
+type Violation struct {
+	Value, CompletedBefore, StartedBefore, R int64
+}
+
+func (v *Violation) Error() string {
+	return fmt.Sprintf("relax: query returned %d outside [completedBefore(invoke)−r, startedBefore(response)] = [%d−%d, %d]",
+		v.Value, v.CompletedBefore, v.R, v.StartedBefore)
 }
 
 // --- Definition 2 on explicit histories ---

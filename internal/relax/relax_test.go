@@ -103,50 +103,99 @@ func TestRelaxationReorderBound(t *testing.T) {
 	}
 }
 
+// advance records completed updates and a further inFlight that started
+// but have not completed.
+func advance(o *Oracle, completed, inFlight int) {
+	for i := 0; i < completed; i++ {
+		o.Started()
+		o.Completed()
+	}
+	for i := 0; i < inFlight; i++ {
+		o.Started()
+	}
+}
+
 func TestCheckDistinctExactWindow(t *testing.T) {
-	rec := NewRecorder()
 	// 5 completed updates, then a query returning 2: with r=2 the lower
-	// edge is 3 → violation; with r=3 it passes.
-	for i := 0; i < 5; i++ {
-		rec.UpdateInvoked(0)
-		rec.UpdateReturned(0)
+	// edge is 3 → violation; with r=3 it passes. Either way the answer
+	// missed 3 completed updates.
+	o := NewOracle()
+	advance(o, 5, 0)
+	if o.Respond(o.Invoke(), 2, 2) {
+		t.Fatal("expected a violation with r=2")
 	}
-	rec.QueryInvoked(0)
-	rec.QueryReturned(0, 2)
-	h := rec.History()
-	if v := CheckDistinctExact(h, 2); len(v) != 1 {
-		t.Fatalf("expected 1 violation with r=2, got %v", v)
-	} else if v[0].Error() == "" {
-		t.Fatal("violation should format")
+	if err := o.Err(); err == nil || err.Error() == "" {
+		t.Fatalf("violation should be kept and format, got %v", err)
 	}
-	if v := CheckDistinctExact(h, 3); len(v) != 0 {
-		t.Fatalf("expected no violation with r=3, got %v", v)
+	if !o.Respond(o.Invoke(), 2, 3) {
+		t.Fatal("expected no violation with r=3")
 	}
-	st := Summarise(h)
-	if st.Updates != 5 || st.Queries != 1 || st.MaxDeficit != 3 {
-		t.Fatalf("bad stats %+v", st)
+	if tl := o.Tally(); tl != (Tally{Queries: 2, Lower: 1, MaxStaleness: 3}) {
+		t.Fatalf("bad tally %+v", tl)
 	}
 }
 
 func TestQueryExceedingStartedIsViolation(t *testing.T) {
-	rec := NewRecorder()
-	rec.UpdateInvoked(0)
-	rec.UpdateReturned(0)
-	rec.QueryInvoked(0)
-	rec.QueryReturned(0, 5) // only 1 update ever started
-	if v := CheckDistinctExact(rec.History(), 100); len(v) != 1 {
+	o := NewOracle()
+	advance(o, 1, 0)
+	c1 := o.Invoke()
+	if o.Respond(c1, 5, 100) { // only 1 update ever started
 		t.Fatal("query above started-count must violate regardless of r")
+	}
+	if tl := o.Tally(); tl.Upper != 1 || tl.Lower != 0 || tl.MaxStaleness != -4 {
+		t.Fatalf("bad tally %+v", tl)
 	}
 }
 
-// TestRealExecutionHistories instruments actual concurrent Θ sketch runs
-// and verifies every recorded query against the relaxation window — the
-// empirical Theorem 1 check on live schedules.
+// TestOracleEdges holds the window to each bound a caller passes: an
+// answer exactly on either edge passes, one past either edge fails. The run
+// has 1000 completed updates and 10 more in flight, so the upper edge is
+// 1010 throughout; the shard relaxation is r = 24 at S = 4.
+func TestOracleEdges(t *testing.T) {
+	const c1, started, r = 1000, 1010, 24
+	for _, tc := range []struct {
+		name  string
+		bound int64
+	}{
+		{"eager", 0},
+		{"steady S·r", 4 * r},
+		{"transitional (S_old+S_new)·r", (4 + 8) * r},
+		{"view: S·r plus c1 − published floor", 4*r + (c1 - 600)},
+		{"window: S·r plus expelled weight", 4*r + 700},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, e := range []struct {
+				v      int64
+				ok     bool
+				lo, hi int64
+			}{
+				{c1 - tc.bound, true, 0, 0},
+				{started, true, 0, 0},
+				{c1 - tc.bound - 1, false, 1, 0},
+				{started + 1, false, 0, 1},
+			} {
+				o := NewOracle()
+				advance(o, c1, started-c1)
+				if got := o.Respond(o.Invoke(), e.v, tc.bound); got != e.ok {
+					t.Errorf("answer %d with r=%d: ok=%v, want %v", e.v, tc.bound, got, e.ok)
+				}
+				if tl := o.Tally(); tl.Lower != e.lo || tl.Upper != e.hi || tl.MaxStaleness != c1-e.v {
+					t.Errorf("answer %d with r=%d: tally %+v", e.v, tc.bound, tl)
+				}
+			}
+		})
+	}
+}
+
+// TestRealExecutionHistories checks every answer of actual concurrent Θ
+// sketch runs against the relaxation window — the empirical Theorem 1
+// check on live schedules.
 func TestRealExecutionHistories(t *testing.T) {
 	const writers, b, n = 3, 4, 3000 // r = 24; n < 2k so the sketch is exact
 	comp := theta.NewComposable(12, 9001)
 	fw := core.New[uint64](comp, core.Config{Workers: writers, BufferSize: b, MaxError: 1})
-	rec := NewRecorder()
+	o := NewOracle()
+	r := int64(fw.Relaxation())
 	fw.Start()
 
 	var wg sync.WaitGroup
@@ -155,14 +204,14 @@ func TestRealExecutionHistories(t *testing.T) {
 	queries.Add(1)
 	go func() {
 		defer queries.Done()
-		for q := 0; q < 20000; q++ { // bounded so the history stays small
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			rec.QueryInvoked(0)
-			rec.QueryReturned(0, comp.Estimate())
+			c1 := o.Invoke()
+			o.Respond(c1, int64(comp.Estimate()), r)
 			runtime.Gosched() // let writers run on small machines
 		}
 	}()
@@ -172,9 +221,9 @@ func TestRealExecutionHistories(t *testing.T) {
 			defer wg.Done()
 			base := uint64(w) << 40
 			for i := 0; i < n/writers; i++ {
-				rec.UpdateInvoked(w)
+				o.Started()
 				fw.Update(w, theta.HashKey(base+uint64(i), 9001))
-				rec.UpdateReturned(w)
+				o.Completed()
 			}
 		}(w)
 	}
@@ -183,15 +232,12 @@ func TestRealExecutionHistories(t *testing.T) {
 	queries.Wait()
 	fw.Close()
 
-	h := rec.History()
-	r := fw.Relaxation()
-	if viol := CheckDistinctExact(h, r); len(viol) > 0 {
-		t.Fatalf("%d queries violated the r=%d window (first: %v)", len(viol), r, viol[0])
+	tl := o.Tally()
+	if tl.Lower+tl.Upper > 0 {
+		t.Fatalf("%d queries violated the r=%d window (first: %v)", tl.Lower+tl.Upper, r, o.Err())
 	}
-	st := Summarise(h)
-	if st.Queries == 0 {
-		t.Fatal("no queries recorded")
+	if tl.Queries == 0 {
+		t.Fatal("no queries checked")
 	}
-	t.Logf("history: %d updates, %d queries, max deficit %.0f (r=%d)",
-		st.Updates, st.Queries, st.MaxDeficit, r)
+	t.Logf("%d updates, %d queries, max staleness %d (r=%d)", o.StartedCount(), tl.Queries, tl.MaxStaleness, r)
 }

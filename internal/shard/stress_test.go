@@ -1,15 +1,45 @@
 package shard_test
 
-// Relaxation-bound stress suite: the adversary package drives the sharded
-// registry with concurrent writers and queriers and checks EVERY merged
-// query against the combined staleness bound S·r = S·2·N·b — and against
+// Relaxation-bound stress suite: adversary.Stress drives the sharded
+// registry with concurrent writers and queriers, and relax.Oracle checks
+// EVERY merged answer against the bound in force — S·r = S·2·N·b in steady
+// state, the transitional bounds while a resize or rotation drains, and
 // exactness during the eager phase. Run with -race in CI.
 
 import (
 	"testing"
 
 	"fastsketches/internal/adversary"
+	"fastsketches/internal/wire"
 )
+
+// stress runs one scenario and holds it to the oracle's envelope: queries
+// ran, and none missed more than the bound in force or invented updates.
+func stress(t *testing.T, cfg adversary.StressConfig) adversary.StressReport {
+	t.Helper()
+	rep, err := adversary.Stress(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d queries (%d settled), %d resizes, %d refreshes, %d rotations (%d expulsions); bound %d, max staleness %d (%.2f of the bound)",
+		rep.Queries, rep.PostResizeQueries, rep.Resizes, rep.Refreshes, rep.Rotations, rep.Expulsions,
+		rep.Bound, rep.MaxStaleness, float64(rep.MaxStaleness)/float64(rep.Bound))
+	if rep.Queries == 0 {
+		t.Fatal("queriers never ran")
+	}
+	if rep.LowerViolations != 0 {
+		t.Errorf("%d/%d answers missed more completed updates than the bound in force (transitional %d; max staleness %d) — state was lost",
+			rep.LowerViolations, rep.Queries, rep.Bound, rep.MaxStaleness)
+	}
+	if rep.UpperViolations != 0 {
+		t.Errorf("%d/%d answers exceeded the updates started — state was invented or double-counted",
+			rep.UpperViolations, rep.Queries)
+	}
+	return rep
+}
+
+// families are the two rows of the engine's family table.
+var families = map[string]wire.Family{"countmin": wire.FamilyCountMin, "theta": wire.FamilyTheta}
 
 func TestStressCountTotalsBound(t *testing.T) {
 	cfg := adversary.StressConfig{
@@ -20,91 +50,42 @@ func TestStressCountTotalsBound(t *testing.T) {
 	if testing.Short() {
 		cfg.UpdatesPerWriter = 4000
 	}
-	rep, err := adversary.StressCountTotals(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("countmin stress: %d queries, bound S·r=%d, worst deficit %d",
-		rep.Queries, rep.Bound, rep.WorstDeficit)
-	if rep.Queries == 0 {
-		t.Fatal("queriers never ran")
-	}
-	if rep.LowerViolations != 0 {
-		t.Errorf("%d/%d queries missed more than S·r=%d completed updates (worst deficit %d)",
-			rep.LowerViolations, rep.Queries, rep.Bound, rep.WorstDeficit)
-	}
-	if rep.UpperViolations != 0 {
-		t.Errorf("%d/%d queries reported more weight than was ever started",
-			rep.UpperViolations, rep.Queries)
-	}
+	stress(t, cfg)
 }
 
-func TestStressCountTotalsEagerPrologueExact(t *testing.T) {
-	rep, err := adversary.StressCountTotals(adversary.StressConfig{
-		Shards: 4, Writers: 4, BufferSize: 4,
-		UpdatesPerWriter: 8000, Queriers: 2,
-		MaxError: 0.1, // eager for ≈2/e² updates per shard first
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("countmin eager prologue: %d exact queries, then %d lazy queries within S·r=%d",
-		rep.EagerQueries, rep.Queries, rep.Bound)
+// eagerExact holds an eager-prologue run to exactness before the lazy phase.
+func eagerExact(t *testing.T, cfg adversary.StressConfig) {
+	t.Helper()
+	rep := stress(t, cfg)
+	t.Logf("eager prologue: %d exact queries", rep.EagerQueries)
 	if rep.EagerQueries == 0 {
 		t.Fatal("eager prologue never ran")
 	}
 	if rep.EagerViolations != 0 {
 		t.Errorf("%d/%d eager-phase queries were not exact", rep.EagerViolations, rep.EagerQueries)
 	}
-	if rep.LowerViolations != 0 || rep.UpperViolations != 0 {
-		t.Errorf("lazy-phase violations: %d lower, %d upper (bound %d)",
-			rep.LowerViolations, rep.UpperViolations, rep.Bound)
-	}
+}
+
+func TestStressCountTotalsEagerPrologueExact(t *testing.T) {
+	eagerExact(t, adversary.StressConfig{
+		Shards: 4, Writers: 4, BufferSize: 4,
+		UpdatesPerWriter: 8000, Queriers: 2,
+		MaxError: 0.1, // eager for ≈2/e² updates per shard first
+	})
 }
 
 func TestStressThetaDistinctBound(t *testing.T) {
-	rep, err := adversary.StressThetaDistinct(adversary.StressConfig{
+	stress(t, adversary.StressConfig{
 		Shards: 4, Writers: 4, BufferSize: 4, Queriers: 2,
-		MaxError: 1.0,
+		MaxError: 1.0, Family: wire.FamilyTheta,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("theta stress: %d queries, bound S·r=%d, worst deficit %d",
-		rep.Queries, rep.Bound, rep.WorstDeficit)
-	if rep.Queries == 0 {
-		t.Fatal("queriers never ran")
-	}
-	if rep.LowerViolations != 0 {
-		t.Errorf("%d/%d merged estimates missed more than S·r=%d completed updates",
-			rep.LowerViolations, rep.Queries, rep.Bound)
-	}
-	if rep.UpperViolations != 0 {
-		t.Errorf("%d/%d merged estimates exceeded started updates", rep.UpperViolations, rep.Queries)
-	}
 }
 
 func TestStressThetaEagerPrologueExact(t *testing.T) {
-	rep, err := adversary.StressThetaDistinct(adversary.StressConfig{
+	eagerExact(t, adversary.StressConfig{
 		Shards: 2, Writers: 2, BufferSize: 4, Queriers: 2,
-		MaxError: 0.1,
+		MaxError: 0.1, Family: wire.FamilyTheta,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("theta eager prologue: %d exact queries, then %d lazy queries within S·r=%d",
-		rep.EagerQueries, rep.Queries, rep.Bound)
-	if rep.EagerQueries == 0 {
-		t.Fatal("eager prologue never ran")
-	}
-	if rep.EagerViolations != 0 {
-		t.Errorf("%d/%d eager-phase merged estimates were not exact",
-			rep.EagerViolations, rep.EagerQueries)
-	}
-	if rep.LowerViolations != 0 || rep.UpperViolations != 0 {
-		t.Errorf("lazy-phase violations: %d lower, %d upper (bound %d)",
-			rep.LowerViolations, rep.UpperViolations, rep.Bound)
-	}
 }
 
 func TestStressAccumulatorReuseUnderContention(t *testing.T) {
@@ -123,24 +104,11 @@ func TestStressAccumulatorReuseUnderContention(t *testing.T) {
 		cfg.UpdatesPerWriter = 3000
 		cfg.Queriers = 4
 	}
-	for name, stress := range map[string]func(adversary.StressConfig) (adversary.StressReport, error){
-		"countmin": adversary.StressCountTotals,
-		"theta":    adversary.StressThetaDistinct,
-	} {
+	for name, fam := range families {
 		t.Run(name, func(t *testing.T) {
-			rep, err := stress(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("%s pooled-path stress: %d queries over %d queriers, bound S·r=%d, worst deficit %d",
-				name, rep.Queries, cfg.Queriers, rep.Bound, rep.WorstDeficit)
-			if rep.Queries == 0 {
-				t.Fatal("queriers never ran")
-			}
-			if rep.LowerViolations != 0 || rep.UpperViolations != 0 {
-				t.Errorf("accumulator-reuse violations: %d lower, %d upper (bound %d)",
-					rep.LowerViolations, rep.UpperViolations, rep.Bound)
-			}
+			cfg := cfg
+			cfg.Family = fam
+			stress(t, cfg)
 		})
 	}
 }
@@ -149,20 +117,11 @@ func TestStressManyShardsManyWriters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	rep, err := adversary.StressCountTotals(adversary.StressConfig{
+	stress(t, adversary.StressConfig{
 		Shards: 8, Writers: 8, BufferSize: 8,
 		UpdatesPerWriter: 30000, Queriers: 4,
 		MaxError: 1.0,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("8×8 stress: %d queries, bound S·r=%d, worst deficit %d",
-		rep.Queries, rep.Bound, rep.WorstDeficit)
-	if rep.LowerViolations != 0 || rep.UpperViolations != 0 {
-		t.Errorf("violations under 8 shards × 8 writers: %d lower, %d upper",
-			rep.LowerViolations, rep.UpperViolations)
-	}
 }
 
 func TestStressAutoscaleUnderFire(t *testing.T) {
@@ -176,43 +135,26 @@ func TestStressAutoscaleUnderFire(t *testing.T) {
 	// control loop itself must also behave: the burst must produce at
 	// least one scale-up, the lull at least one scale-down to MinShards,
 	// and no transition may breach the policy's transitional staleness cap.
-	cfg := adversary.AutoscaleStressConfig{
-		StressConfig: adversary.StressConfig{
-			Shards: 2, Writers: 4, BufferSize: 4,
-			UpdatesPerWriter: 20000, Queriers: 4,
-		},
-		MinShards: 1, MaxShards: 8,
+	cfg := adversary.StressConfig{
+		Shards: 2, Writers: 4, BufferSize: 4,
+		UpdatesPerWriter: 20000, Queriers: 4,
+		Autoscale: adversary.StressAutoscale{MinShards: 1, MaxShards: 8},
 	}
 	if testing.Short() {
 		cfg.UpdatesPerWriter = 4000
 		cfg.Queriers = 2
 	}
-	rep, err := adversary.StressAutoscaleUnderFire(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("autoscale stress: %d ups / %d downs, final S=%d, %d queries (%d post-settle), bound %d, worst deficit %d",
-		rep.ScaleUps, rep.ScaleDowns, rep.FinalShards, rep.Queries, rep.PostResizeQueries, rep.Bound, rep.WorstDeficit)
-	if rep.Queries == 0 {
-		t.Fatal("queriers never ran")
-	}
+	rep := stress(t, cfg)
+	t.Logf("autoscale: %d ups / %d downs, final S=%d", rep.ScaleUps, rep.ScaleDowns, rep.FinalShards)
 	if rep.ScaleUps == 0 {
 		t.Error("the write burst never scaled up: the controller is not reacting to measured pressure")
 	}
-	if rep.ScaleDowns == 0 || rep.FinalShards != cfg.MinShards {
+	if rep.ScaleDowns == 0 || rep.FinalShards != cfg.Autoscale.MinShards {
 		t.Errorf("the lull did not settle at MinShards: %d downs, final S=%d, want S=%d",
-			rep.ScaleDowns, rep.FinalShards, cfg.MinShards)
+			rep.ScaleDowns, rep.FinalShards, cfg.Autoscale.MinShards)
 	}
 	if rep.CapViolations != 0 {
 		t.Errorf("%d controller transitions breached the transitional staleness cap", rep.CapViolations)
-	}
-	if rep.LowerViolations != 0 {
-		t.Errorf("%d/%d answers missed more than the per-epoch bound %d (worst deficit %d)",
-			rep.LowerViolations, rep.Queries, rep.Bound, rep.WorstDeficit)
-	}
-	if rep.UpperViolations != 0 {
-		t.Errorf("%d/%d answers exceeded started updates — a controller-driven drain double-counted retired state",
-			rep.UpperViolations, rep.Queries)
 	}
 	if rep.PostResizeQueries == 0 {
 		t.Error("no queries ran against the settled MinShards·r bound")
@@ -227,52 +169,32 @@ func TestStressResizeUnderFire(t *testing.T) {
 	// may be in flight, and inside the plain S_final·r envelope once the
 	// last Resize has returned — an upper breach would mean a drain
 	// double-counted retired updates, a lower breach that it lost them.
-	cfg := adversary.ResizeStressConfig{
-		StressConfig: adversary.StressConfig{
-			Shards: 2, Writers: 4, BufferSize: 4,
-			UpdatesPerWriter: 20000, Queriers: 4,
-		},
+	cfg := adversary.StressConfig{
+		Shards: 2, Writers: 4, BufferSize: 4,
+		UpdatesPerWriter: 20000, Queriers: 4,
 		Schedule: []int{8, 1, 6},
 	}
 	if testing.Short() {
 		cfg.UpdatesPerWriter = 4000
 		cfg.Queriers = 2
 	}
-	for name, stress := range map[string]func(adversary.ResizeStressConfig) (adversary.StressReport, error){
-		"countmin": adversary.StressResizeCountTotals,
-		"theta":    adversary.StressResizeThetaDistinct,
-	} {
+	for name, fam := range families {
 		t.Run(name, func(t *testing.T) {
-			rep, err := stress(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("%s resize stress: %d resizes, %d queries (%d post-resize), transitional bound %d, worst deficit %d",
-				name, rep.Resizes, rep.Queries, rep.PostResizeQueries, rep.Bound, rep.WorstDeficit)
-			if rep.Resizes != int64(len(cfg.Schedule)) {
+			cfg := cfg
+			cfg.Family = fam
+			if rep := stress(t, cfg); rep.Resizes != int64(len(cfg.Schedule)) {
 				t.Errorf("completed %d resizes, want %d", rep.Resizes, len(cfg.Schedule))
-			}
-			if rep.Queries == 0 {
-				t.Fatal("queriers never ran")
-			}
-			if rep.LowerViolations != 0 {
-				t.Errorf("%d/%d answers missed more than the transitional bound %d (worst deficit %d)",
-					rep.LowerViolations, rep.Queries, rep.Bound, rep.WorstDeficit)
-			}
-			if rep.UpperViolations != 0 {
-				t.Errorf("%d/%d answers exceeded started updates — a drain double-counted retired state",
-					rep.UpperViolations, rep.Queries)
 			}
 		})
 	}
 }
 
 func TestStressWindowRotateUnderFire(t *testing.T) {
-	// Window-rotation-under-fire: queriers race the windowed total WindowN()
-	// on both query planes while writers hammer the sketch, a conductor
-	// expels ring slots by explicit rotation (manual clock, so no rotation
-	// ever fires behind the checker's back), and — in the "resizing" variant
-	// — a resizer cycles the shard group through grow → collapse → grow
+	// Window-rotation-under-fire: queriers race the windowed total on both
+	// query planes while writers hammer the sketch, a conductor expels ring
+	// slots by explicit rotation (manual clock, so no rotation ever fires
+	// behind the checker's back), and — in the "spanning-resize" leg — a
+	// resizer cycles the shard group through grow → collapse → grow
 	// underneath the rotator. Every answer must stay inside the documented
 	// window envelope c1 − floor − bound ≤ got ≤ c2: floor the expelled-slot
 	// ground truth (the "S·r + one rotation interval" bound with the
@@ -281,8 +203,9 @@ func TestStressWindowRotateUnderFire(t *testing.T) {
 	// both have quiesced. A lower breach means a rotation or its interplay
 	// with a resize drain lost live-interval weight; an upper breach means a
 	// slot was double-counted across the suffix-merge, carry and live
-	// planes. The decayed plane is enabled throughout, racing its
-	// scale-and-fold against every rotation.
+	// planes. On Count-Min the decayed plane is enabled throughout, racing
+	// its scale-and-fold against every rotation; on Θ the leg races the
+	// disjoint-shard fold (FoldShards) of every slot and of the live epoch.
 	base := adversary.StressConfig{
 		Shards: 2, Writers: 4, BufferSize: 4,
 		UpdatesPerWriter: 20000, Queriers: 4,
@@ -291,43 +214,31 @@ func TestStressWindowRotateUnderFire(t *testing.T) {
 		base.UpdatesPerWriter = 4000
 		base.Queriers = 2
 	}
-	for name, schedule := range map[string][]int{
+	for leg, schedule := range map[string][]int{
 		"rotation-only":   nil,
 		"spanning-resize": {8, 1, 6},
 	} {
-		t.Run(name, func(t *testing.T) {
-			cfg := adversary.WindowStressConfig{
-				StressConfig: base,
-				Slots:        4,
-				Decay:        0.5,
-				Schedule:     schedule,
-			}
-			rep, err := adversary.StressWindowRotateUnderFire(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("window stress: %d rotations (%d expulsions), %d resizes, %d queries (%d post-settle), bound %d, worst deficit %d",
-				rep.Rotations, rep.Expulsions, rep.Resizes, rep.Queries, rep.PostResizeQueries, rep.Bound, rep.WorstDeficit)
-			if rep.Queries == 0 {
-				t.Fatal("queriers never ran")
-			}
-			if rep.Expulsions == 0 {
-				t.Fatalf("only %d rotations, none expelled a slot: the ring eviction path was never under fire",
-					rep.Rotations)
-			}
-			if rep.Resizes != int64(len(schedule)) {
-				t.Errorf("completed %d resizes, want %d", rep.Resizes, len(schedule))
-			}
-			if rep.LowerViolations != 0 {
-				t.Errorf("%d/%d windowed answers missed more than the bound %d past the expelled floor (worst deficit %d) — a rotation lost live-interval weight",
-					rep.LowerViolations, rep.Queries, rep.Bound, rep.WorstDeficit)
-			}
-			if rep.UpperViolations != 0 {
-				t.Errorf("%d/%d windowed answers exceeded started updates — a slot was double-counted",
-					rep.UpperViolations, rep.Queries)
-			}
-			if rep.PostResizeQueries == 0 {
-				t.Error("no queries ran against the settled post-rotation bound")
+		t.Run(leg, func(t *testing.T) {
+			for name, fam := range families {
+				t.Run(name, func(t *testing.T) {
+					cfg := base
+					cfg.Family, cfg.Schedule = fam, schedule
+					cfg.Window = adversary.StressWindow{Slots: 4}
+					if fam == wire.FamilyCountMin {
+						cfg.Window.Decay = 0.5
+					}
+					rep := stress(t, cfg)
+					if rep.Expulsions == 0 {
+						t.Fatalf("only %d rotations, none expelled a slot: the ring eviction path was never under fire",
+							rep.Rotations)
+					}
+					if rep.Resizes != int64(len(schedule)) {
+						t.Errorf("completed %d resizes, want %d", rep.Resizes, len(schedule))
+					}
+					if rep.PostResizeQueries == 0 {
+						t.Error("no queries ran against the settled post-rotation bound")
+					}
+				})
 			}
 		})
 	}
@@ -345,42 +256,31 @@ func TestStressViewUnderFire(t *testing.T) {
 	// tight S_final·r once the last drain has been re-folded into a fresh
 	// publication. A lower breach means a refresh lost committed state (for
 	// instance the draining epoch's legacy); an upper breach means a fold
-	// double-counted.
-	cfg := adversary.ViewStressConfig{
-		StressConfig: adversary.StressConfig{
-			Shards: 2, Writers: 4, BufferSize: 4,
-			UpdatesPerWriter: 20000, Queriers: 4,
-		},
+	// double-counted. The Θ leg races the copy-on-empty view read.
+	cfg := adversary.StressConfig{
+		Shards: 2, Writers: 4, BufferSize: 4,
+		UpdatesPerWriter: 20000, Queriers: 4,
 		Schedule: []int{8, 1, 6},
+		View:     true,
 	}
 	if testing.Short() {
 		cfg.UpdatesPerWriter = 4000
 		cfg.Queriers = 2
 	}
-	rep, err := adversary.StressViewUnderFire(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("view stress: %d refreshes, %d resizes, %d queries (%d post-resize), bound %d, worst deficit %d",
-		rep.Refreshes, rep.Resizes, rep.Queries, rep.PostResizeQueries, rep.Bound, rep.WorstDeficit)
-	if rep.Queries == 0 {
-		t.Fatal("queriers never ran")
-	}
-	if rep.Refreshes < 2 {
-		t.Fatalf("only %d refreshes published: the conductor never drove the view", rep.Refreshes)
-	}
-	if rep.Resizes != int64(len(cfg.Schedule)) {
-		t.Errorf("completed %d resizes, want %d", rep.Resizes, len(cfg.Schedule))
-	}
-	if rep.LowerViolations != 0 {
-		t.Errorf("%d/%d viewed answers missed more than the bound %d (worst deficit %d) — a refresh lost committed state",
-			rep.LowerViolations, rep.Queries, rep.Bound, rep.WorstDeficit)
-	}
-	if rep.UpperViolations != 0 {
-		t.Errorf("%d/%d viewed answers exceeded started updates — a refresh double-counted state",
-			rep.UpperViolations, rep.Queries)
-	}
-	if rep.PostResizeQueries == 0 {
-		t.Error("no queries ran against the settled post-resize view bound")
+	for name, fam := range families {
+		t.Run(name, func(t *testing.T) {
+			cfg := cfg
+			cfg.Family = fam
+			rep := stress(t, cfg)
+			if rep.Refreshes < 2 {
+				t.Fatalf("only %d refreshes published: the conductor never drove the view", rep.Refreshes)
+			}
+			if rep.Resizes != int64(len(cfg.Schedule)) {
+				t.Errorf("completed %d resizes, want %d", rep.Resizes, len(cfg.Schedule))
+			}
+			if rep.PostResizeQueries == 0 {
+				t.Error("no queries ran against the settled post-resize view bound")
+			}
+		})
 	}
 }
