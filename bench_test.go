@@ -281,27 +281,37 @@ func BenchmarkQuantilesError(b *testing.B) {
 	fw.Close()
 }
 
-// BenchmarkConcurrentThetaUpdate is the library's headline hot path through
-// the public API.
-func BenchmarkConcurrentThetaUpdate(b *testing.B) {
-	sk, err := NewConcurrentTheta(ThetaConfig{LgK: 12, Writers: 1, MaxError: 0.04})
+// BenchmarkSingleShardThetaUpdate is the library's headline hot path
+// through the public API: one concurrent Θ sketch, a registry handle at S=1.
+func BenchmarkSingleShardThetaUpdate(b *testing.B) {
+	reg, err := NewRegistry(RegistryConfig{Shards: 1, ThetaLgK: 12, MaxError: 0.04})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := reg.OpenTheta("bench", Spec{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sk.Update(0, uint64(i))
+		h.Update(0, uint64(i))
 	}
 	b.StopTimer()
-	sk.Close()
+	reg.Close()
 }
 
-// BenchmarkConcurrentQuantilesQuery measures the wait-free snapshot query.
-func BenchmarkConcurrentQuantilesQuery(b *testing.B) {
-	q, err := NewConcurrentQuantiles(QuantilesConfig{K: 128})
+// BenchmarkSingleShardQuantilesQuery measures the wait-free merged query
+// of a one-shard quantiles sketch.
+func BenchmarkSingleShardQuantilesQuery(b *testing.B) {
+	reg, err := NewRegistry(RegistryConfig{Shards: 1, QuantilesK: 128})
 	if err != nil {
 		b.Fatal(err)
 	}
+	h, err := reg.OpenQuantiles("bench", Spec{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := h.Sketch()
 	for i := 0; i < 1<<18; i++ {
 		q.Update(0, float64(i))
 	}
@@ -311,7 +321,7 @@ func BenchmarkConcurrentQuantilesQuery(b *testing.B) {
 		_ = q.Quantile(0.5)
 	}
 	b.StopTimer()
-	q.Close()
+	reg.Close()
 }
 
 // BenchmarkHarnessSweepSmoke keeps the harness itself honest: one op = a

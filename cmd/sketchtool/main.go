@@ -82,12 +82,15 @@ func runCount(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sk, err := fastsketches.NewConcurrentTheta(fastsketches.ThetaConfig{
-		LgK: *lgk, Writers: *writers, MaxError: 0.04,
+	// One shard: the registry serves one concurrent sketch per name.
+	reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{
+		Shards: 1, ThetaLgK: *lgk, Writers: *writers, MaxError: 0.04,
 	})
 	if err != nil {
 		return err
 	}
+	h, _ := reg.OpenTheta("stdin", fastsketches.Spec{}) // a zero Spec is never rejected
+	sk := h.Sketch()
 	in := lines()
 	var wg sync.WaitGroup
 	for w := 0; w < *writers; w++ {
@@ -100,7 +103,7 @@ func runCount(args []string) error {
 		}(w)
 	}
 	wg.Wait()
-	sk.Close()
+	reg.Close() // drains every buffer: the estimate covers all of stdin
 	lo, hi := sk.ConfidenceBounds(2)
 	fmt.Printf("estimate\t%.0f\nbounds_2sigma\t%.0f\t%.0f\n", sk.Estimate(), lo, hi)
 	return nil
@@ -112,15 +115,16 @@ func runHLL(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sk, err := fastsketches.NewConcurrentHLL(fastsketches.HLLConfig{P: *p, Writers: 1})
+	reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{Shards: 1, HLLPrecision: *p})
 	if err != nil {
 		return err
 	}
+	h, _ := reg.OpenHLL("stdin", fastsketches.Spec{})
 	for s := range lines() {
-		sk.UpdateString(0, s)
+		h.Sketch().UpdateString(0, s)
 	}
-	sk.Close()
-	fmt.Printf("estimate\t%.0f\n", sk.Estimate())
+	reg.Close()
+	fmt.Printf("estimate\t%.0f\n", h.Sketch().Estimate())
 	return nil
 }
 
@@ -139,25 +143,25 @@ func runQuants(args []string) error {
 		}
 		phis = append(phis, v)
 	}
-	sk, err := fastsketches.NewConcurrentQuantiles(fastsketches.QuantilesConfig{K: *k, Writers: 1})
+	reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{Shards: 1, QuantilesK: *k})
 	if err != nil {
 		return err
 	}
-	var n, skipped int
+	h, _ := reg.OpenQuantiles("stdin", fastsketches.Spec{})
+	var skipped int
 	for s := range lines() {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil {
 			skipped++
 			continue
 		}
-		sk.Update(0, v)
-		n++
+		h.Update(0, v)
 	}
-	sk.Close()
-	snap := sk.Snapshot()
+	reg.Close()
+	snap := h.Sketch().Summary()
 	fmt.Printf("n\t%d\nmin\t%g\nmax\t%g\n", snap.N(), snap.Min(), snap.Max())
-	for i, phi := range phis {
-		fmt.Printf("q%g\t%g\n", phi, snap.Quantile(phis[i]))
+	for _, phi := range phis {
+		fmt.Printf("q%g\t%g\n", phi, snap.Quantile(phi))
 	}
 	if skipped > 0 {
 		fmt.Fprintf(os.Stderr, "skipped %d non-numeric lines\n", skipped)
@@ -198,16 +202,23 @@ func loadSketch(path string) (*theta.QuickSelect, error) {
 	return theta.UnmarshalQuickSelect(data)
 }
 
+// runMerge unions the saved sketches at the largest k among them, so no
+// input is merged below the precision it was built with.
 func runMerge(paths []string) error {
 	if len(paths) < 2 {
 		return fmt.Errorf("merge: need at least two sketch files")
 	}
-	u := fastsketches.ThetaUnion(12, 0)
-	for _, p := range paths {
+	sks := make([]*theta.QuickSelect, len(paths))
+	lgK := 0
+	for i, p := range paths {
 		sk, err := loadSketch(p)
 		if err != nil {
 			return fmt.Errorf("%s: %w", p, err)
 		}
+		sks[i], lgK = sk, max(lgK, sk.LgK())
+	}
+	u := fastsketches.ThetaUnion(lgK, 0)
+	for _, sk := range sks {
 		u.Add(sk)
 	}
 	fmt.Printf("union_estimate\t%.0f\n", u.Estimate())

@@ -126,10 +126,10 @@ type StressReport struct {
 	// Bound is the widest relaxation queries were checked against: S·r, or
 	// the transitional bound of a run that resizes or rotates.
 	Bound int
-	// MaxStaleness is the most completed updates one answer missed;
-	// MaxStaleness ÷ Bound is how close the run came to the wall. A view's
-	// refresh lag and a window's expelled weight count too, so those runs
-	// may pass 1 inside their wider envelope.
+	// MaxStaleness is the most updates one answer missed of those it owed
+	// (see Stress: a view owes its published floor, a window the completed
+	// count less its expelled weight); MaxStaleness ÷ Bound is how close the
+	// run came to the wall, never above 1 without a LowerViolation.
 	MaxStaleness int64
 	// Queries is the number of answers checked after the eager prologue.
 	Queries int64
@@ -287,9 +287,11 @@ type run struct {
 
 // Stress plays one scenario against a live sharded sketch and reports what
 // the oracle saw. Every merged answer is held to c1 − bound ≤ answer ≤ c2:
-// c1 the completed count before the read, c2 the started count after it,
-// and bound the bound in force, widened for a view by its refresh lag
-// c1 − viewFloor and for a window by the weight the ring has expelled. A
+// c2 the started count after the read, bound the bound in force, and c1 the
+// completed count the answer owes — the count before the read, replaced for
+// a view by the floor its refresh published and lowered for a window by the
+// weight the ring has expelled. The lag a plane has on purpose thus moves
+// c1, never the bound, so MaxStaleness ÷ Bound is the run's margin. A
 // conductor runs whichever of the resize schedule, the autoscale
 // controller, view refreshes and window rotations the config turns on; one
 // bounded settle phase then holds answers to the steady-state bound. A
@@ -433,11 +435,11 @@ func (r *run) query(read reader) {
 		if post {
 			bound = r.final
 		}
-		c1 := r.o.Invoke()
+		owed := r.o.Invoke()
 		if r.cfg.View {
 			// Read before the answer: the view the read then acquires folded
 			// at least the state of the refresh that published this floor.
-			bound += c1 - r.viewFloor.Load()
+			owed = r.viewFloor.Load()
 		}
 		v, ok := read(i, p)
 		if !ok {
@@ -448,8 +450,8 @@ func (r *run) query(read reader) {
 		}
 		// Read after the answer: the floor only grows and always covers the
 		// expulsions performed so far, so a late read can only over-cover.
-		bound += r.expelled.Load()
-		r.o.Respond(c1, v, bound)
+		owed -= r.expelled.Load()
+		r.o.Respond(owed, v, bound)
 		if post {
 			r.postQueries.Add(1)
 		}

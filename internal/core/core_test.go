@@ -358,7 +358,7 @@ func TestParSketchWriterBlocksUntilPropagated(t *testing.T) {
 	fw.Close()
 }
 
-func TestConcurrentQuantiles(t *testing.T) {
+func TestFrameworkQuantiles(t *testing.T) {
 	comp := quantiles.NewComposable(128, quantiles.NewRandomBits(1))
 	fw := core.New[float64](comp, core.Config{Workers: 2, BufferSize: 64, MaxError: 1})
 	fw.Start()
@@ -410,7 +410,7 @@ func TestConcurrentQuantiles(t *testing.T) {
 	}
 }
 
-func TestConcurrentHLL(t *testing.T) {
+func TestFrameworkHLL(t *testing.T) {
 	comp := hll.NewComposable(12, seed)
 	fw := core.New[uint64](comp, core.Config{Workers: 2, BufferSize: 32, MaxError: 1})
 	fw.Start()

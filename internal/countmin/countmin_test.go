@@ -179,7 +179,7 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestConcurrentCountMin(t *testing.T) {
+func TestComposableUnderFramework(t *testing.T) {
 	comp := NewComposable(2048, 4, 9001)
 	fw := core.New[uint64](comp, core.Config{Workers: 2, BufferSize: 32, MaxError: 1})
 	fw.Start()

@@ -71,11 +71,12 @@ func (o *Oracle) Invoke() int64 { return o.completed.Load() }
 
 // Respond stamps the response of the query invoked at c1 that answered v,
 // and checks c1 − r ≤ v ≤ startedBefore(response). Call it after reading
-// the sketch. r is the bound in force: 0 in an eager phase, S·r in steady
-// state, the transitional sum while a resize or rotation drains, and for
-// planes that lag on purpose the bound plus the lag — a view's c1 minus
-// its published floor, a window's expelled weight. It returns whether the
-// answer was inside the window.
+// the sketch. c1 is the completed count the answer owes: Invoke's value,
+// or, for a plane that lags on purpose, that lag's own floor — a view's
+// published floor, a window's Invoke value less its expelled weight. r is
+// the bound in force: 0 in an eager phase, S·r in steady state, the
+// transitional sum while a resize or rotation drains. It returns whether
+// the answer was inside the window.
 func (o *Oracle) Respond(c1, v, r int64) bool {
 	started := o.started.Load()
 	for stale := c1 - v; ; {
@@ -104,8 +105,8 @@ type Tally struct {
 	// than r completed updates, Upper answers above the started count
 	// (invented updates).
 	Queries, Lower, Upper int64
-	// MaxStaleness is the largest c1 − v observed: how many completed
-	// updates the most stale answer missed. Negative when every answer
+	// MaxStaleness is the largest c1 − v observed: how many of the completed
+	// updates it owed the most stale answer missed. Negative when every answer
 	// also saw updates that completed during its read; 0 with no queries.
 	MaxStaleness int64
 }

@@ -14,7 +14,8 @@ import (
 )
 
 // stress runs one scenario and holds it to the oracle's envelope: queries
-// ran, and none missed more than the bound in force or invented updates.
+// ran, none missed more than the bound in force or invented updates, and so
+// the most stale answer stayed within the widest bound.
 func stress(t *testing.T, cfg adversary.StressConfig) adversary.StressReport {
 	t.Helper()
 	rep, err := adversary.Stress(cfg)
@@ -26,6 +27,9 @@ func stress(t *testing.T, cfg adversary.StressConfig) adversary.StressReport {
 		rep.Bound, rep.MaxStaleness, float64(rep.MaxStaleness)/float64(rep.Bound))
 	if rep.Queries == 0 {
 		t.Fatal("queriers never ran")
+	}
+	if rep.MaxStaleness > int64(rep.Bound) {
+		t.Errorf("max staleness %d exceeds the bound %d", rep.MaxStaleness, rep.Bound)
 	}
 	if rep.LowerViolations != 0 {
 		t.Errorf("%d/%d answers missed more completed updates than the bound in force (transitional %d; max staleness %d) — state was lost",

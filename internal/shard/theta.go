@@ -88,3 +88,9 @@ func (t *Theta) UpdateBatch(lane int, keys []uint64) {
 	}
 	t.updateBatch(lane, keys, func(h uint64) uint64 { return h })
 }
+
+// ConfidenceBounds returns approximate bounds on the true distinct count at
+// the given number of standard deviations (1–3), around Estimate.
+func (t *Theta) ConfidenceBounds(stdDevs int) (lo, hi float64) {
+	return theta.ConfidenceBounds(t.Estimate(), t.k, stdDevs)
+}

@@ -152,19 +152,16 @@ func (c *RegistryConfig) shardConfig() shard.Config {
 	}
 }
 
-// defaultWindow returns the registry-wide default WindowConfig new sketches
-// start with, and whether one is declared. decayable gates the decay factor:
-// only Count-Min has a scalable counter plane, so other families take the
-// sliding window without decay rather than failing to open.
-func (c *RegistryConfig) defaultWindow(decayable bool) (shard.WindowConfig, bool) {
-	if c.WindowInterval <= 0 {
-		return shard.WindowConfig{}, false
+// forFamily returns spec with a window Decay dropped when fam cannot decay:
+// only Count-Min has a scalable counter plane, so one declaration covers a
+// mixed name, the other families taking the sliding window without decay.
+func forFamily(spec Spec, fam wire.Family) Spec {
+	if w := spec.Window; w != nil && w.Decay != 0 && !fam.Decayable() {
+		nw := *w
+		nw.Decay = 0
+		spec.Window = &nw
 	}
-	wc := shard.WindowConfig{Interval: c.WindowInterval, Slots: c.WindowSlots}
-	if decayable {
-		wc.Decay = c.WindowDecay
-	}
-	return wc, true
+	return spec
 }
 
 // Registry is a multi-tenant collection of named sharded sketches: the
@@ -213,6 +210,10 @@ type Registry struct {
 	ckptEntries []infoEntry
 	ckptNameBuf []byte
 	ckptBuf     []byte
+
+	// defaults is the Spec every sketch is created with: the registry-wide
+	// default window (RegistryConfig.Window*), or nothing.
+	defaults Spec
 }
 
 // sketchKey identifies one registered sketch.
@@ -294,7 +295,11 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if err := cfg.normalise(); err != nil {
 		return nil, err
 	}
-	return &Registry{cfg: cfg, sketches: make(map[sketchKey]*entry)}, nil
+	r := &Registry{cfg: cfg, sketches: make(map[sketchKey]*entry)}
+	if cfg.WindowInterval > 0 {
+		r.defaults.Window = &WindowConfig{Interval: cfg.WindowInterval, Slots: cfg.WindowSlots, Decay: cfg.WindowDecay}
+	}
+	return r, nil
 }
 
 // lockOpen takes r.mu exclusively, and rlockOpen shared, for a caller that
@@ -340,12 +345,12 @@ func (r *Registry) getOrCreate(fam wire.Family, name string) *entry {
 	if err != nil {
 		panic(err) // unreachable: config pre-validated
 	}
-	if wc, ok := r.cfg.defaultWindow(fam.Decayable()); ok {
-		if err := sk.EnableWindow(wc); err != nil {
-			panic(err) // unreachable: config pre-validated
-		}
-	}
 	e = &entry{key: key, sk: sk}
+	// The defaults declare a window at most, so apply configures the sketch
+	// without taking r.mu, before any other goroutine can see it.
+	if err := r.apply(e, forFamily(r.defaults, fam), nil); err != nil {
+		panic(err) // unreachable: config pre-validated
+	}
 	r.sketches[key] = e
 	return e
 }
@@ -416,13 +421,7 @@ func (r *Registry) Apply(family, name string, spec Spec) error {
 		return fmt.Errorf("%w: no sketch %q to apply a Spec to", ErrConfig, name)
 	}
 	for _, e := range targets {
-		s := spec
-		if w := s.Window; w != nil && w.Decay != 0 && !e.key.fam.Decayable() {
-			nw := *w
-			nw.Decay = 0
-			s.Window = &nw
-		}
-		if err := r.apply(e, s, nil); err != nil {
+		if err := r.apply(e, forFamily(spec, e.key.fam), nil); err != nil {
 			return err
 		}
 	}

@@ -1,202 +1,153 @@
-package fastsketches
+package fastsketches_test
 
 import (
 	"math"
 	"sync"
 	"testing"
 
+	"fastsketches"
+	"fastsketches/internal/stream"
 	"fastsketches/internal/theta"
 )
 
-func TestConcurrentThetaEndToEnd(t *testing.T) {
-	sk, err := NewConcurrentTheta(ThetaConfig{LgK: 12, Writers: 4, MaxError: 0.04})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 1 << 19
+// ingest runs one goroutine per writer lane, lane w feeding the indices
+// i ≡ w (mod writers) of [0, n) to update, and waits for all of them.
+func ingest(writers, n int, update func(w, i int)) {
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			base := uint64(w) << 40
-			for i := 0; i < n/4; i++ {
-				sk.Update(w, base+uint64(i))
+			for i := w; i < n; i += writers {
+				update(w, i)
 			}
 		}(w)
 	}
 	wg.Wait()
-	sk.Close()
-	re := sk.Estimate()/n - 1
-	if math.Abs(re) > 4*theta.RSEBound(4096) {
-		t.Errorf("estimate error %.4f out of tolerance", re)
-	}
-	lo, hi := sk.ConfidenceBounds(2)
-	if lo > n || hi < n {
-		t.Errorf("2σ bounds [%v,%v] exclude truth %d", lo, hi, n)
-	}
 }
 
-func TestConcurrentThetaDefaults(t *testing.T) {
-	sk, err := NewConcurrentTheta(ThetaConfig{})
-	if err != nil {
-		t.Fatal(err)
+// TestSingleShard drives each family as the paper's object — one
+// concurrent sketch, a registry handle at S=1 — through concurrent ingest
+// and checks the drained answers.
+func TestSingleShard(t *testing.T) {
+	single := func(t *testing.T, writers int, maxErr float64) *fastsketches.Registry {
+		return openRegistry(t, fastsketches.RegistryConfig{Shards: 1, Writers: writers, MaxError: maxErr})
 	}
-	defer sk.Close()
-	if sk.Writers() != 1 {
-		t.Errorf("default writers = %d, want 1", sk.Writers())
-	}
-	if sk.Relaxation() <= 0 {
-		t.Error("relaxation should be positive")
-	}
-	sk.Update(0, 1)
-	sk.UpdateString(0, "two")
-	sk.UpdateBytes(0, []byte("three"))
-	if est := sk.Estimate(); est != 3 {
-		t.Errorf("eager-phase estimate %v, want 3", est)
-	}
-}
-
-func TestConcurrentThetaConfigErrors(t *testing.T) {
-	for name, cfg := range map[string]ThetaConfig{
-		"lgK too small":   {LgK: 1},
-		"lgK too big":     {LgK: 27},
-		"neg writers":     {Writers: -1},
-		"neg error":       {MaxError: -0.1},
-		"neg buffer size": {BufferSize: -5},
-	} {
-		if _, err := NewConcurrentTheta(cfg); err == nil {
-			t.Errorf("%s: expected error", name)
+	t.Run("theta", func(t *testing.T) {
+		reg := single(t, 4, 0.04)
+		sk := openTheta(t, reg, "t").Sketch()
+		const n = 1 << 19
+		ingest(4, n, func(w, i int) { sk.Update(w, uint64(i)) })
+		reg.Close()
+		if re := sk.Estimate()/n - 1; math.Abs(re) > 4*theta.RSEBound(4096) {
+			t.Errorf("estimate error %.4f out of tolerance", re)
 		}
-	}
-}
-
-func TestConcurrentThetaUnoptimised(t *testing.T) {
-	sk, err := NewConcurrentTheta(ThetaConfig{LgK: 10, Writers: 2, MaxError: 1, BufferSize: 4, Unoptimised: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sk.Relaxation(); got != 2*4 {
-		t.Errorf("ParSketch relaxation = %d, want N·b = 8", got)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				sk.Update(w, uint64(w)<<40+uint64(i))
+		if lo, hi := sk.ConfidenceBounds(2); lo > n || hi < n {
+			t.Errorf("2σ bounds [%v,%v] exclude truth %d", lo, hi, n)
+		}
+	})
+	t.Run("theta-defaults", func(t *testing.T) {
+		reg := openRegistry(t, fastsketches.RegistryConfig{Shards: 1})
+		h := openTheta(t, reg, "t")
+		if inf, _ := h.Info(); inf.Writers != 1 || h.Relaxation() <= 0 {
+			t.Errorf("defaults: writers %d, relaxation %d; want 1 and > 0", inf.Writers, h.Relaxation())
+		}
+		h.Update(0, 1)
+		h.Sketch().UpdateString(0, "two")
+		h.Sketch().UpdateString(0, "three")
+		if est := h.Sketch().Estimate(); est != 3 {
+			t.Errorf("eager-phase estimate %v, want 3", est)
+		}
+	})
+	t.Run("hll", func(t *testing.T) {
+		reg := single(t, 2, 1)
+		sk := openHLL(t, reg, "h").Sketch()
+		const n = 1 << 17
+		ingest(2, n, func(w, i int) { sk.Update(w, uint64(i)) })
+		reg.Close()
+		if re := sk.Estimate()/n - 1; math.Abs(re) > 0.07 {
+			t.Errorf("HLL estimate error %.4f", re)
+		}
+	})
+	t.Run("quantiles", func(t *testing.T) {
+		reg := single(t, 2, 1)
+		q := openQuantiles(t, reg, "q").Sketch()
+		const n = 1 << 16
+		ingest(2, n, func(w, i int) { q.Update(w, float64(i)) })
+		reg.Close()
+		if q.N() != n {
+			t.Fatalf("N = %d, want %d", q.N(), n)
+		}
+		if med := q.Quantile(0.5); math.Abs(med/n-0.5) > 0.05 {
+			t.Errorf("median %v, want ≈%v", med, n/2)
+		}
+		if r := q.Rank(n / 4); math.Abs(r-0.25) > 0.05 {
+			t.Errorf("rank %v, want ≈0.25", r)
+		}
+	})
+	t.Run("countmin", func(t *testing.T) {
+		reg := single(t, 2, 1)
+		cm := openCountMin(t, reg, "c").Sketch()
+		const n = 1 << 16
+		keys := stream.Zipf(n, 500, 1.5, 11)
+		truth := map[uint64]uint64{}
+		for _, k := range keys {
+			truth[k]++
+		}
+		ingest(2, n, func(w, i int) { cm.Update(w, keys[i]) })
+		reg.Close()
+		if cm.N() != n {
+			t.Fatalf("N = %d, want %d", cm.N(), n)
+		}
+		bound := uint64(n*3/1000) + 1 // 3ε·N
+		for k, want := range truth {
+			if got := cm.Estimate(k); got < want || got > want+bound {
+				t.Fatalf("key %d: estimate %d outside [%d, %d+3ε·N]", k, got, want, want)
 			}
-		}(w)
-	}
-	wg.Wait()
-	sk.Close()
-	if est := sk.Estimate(); est != 1000 {
-		t.Errorf("estimate %v, want exactly 1000", est)
-	}
+		}
+	})
+	t.Run("countmin-strings", func(t *testing.T) {
+		reg := openRegistry(t, fastsketches.RegistryConfig{Shards: 1})
+		cm := openCountMin(t, reg, "c").Sketch()
+		for i := 0; i < 100; i++ {
+			cm.UpdateString(0, "alpha")
+			if i%2 == 0 {
+				cm.UpdateString(0, "beta")
+			}
+		}
+		reg.Close()
+		if a, b, u := cm.EstimateString("alpha"), cm.EstimateString("beta"), cm.EstimateString("never-seen"); a != 100 || b != 50 || u > 2 {
+			t.Errorf("alpha=%d beta=%d unseen=%d, want 100, 50, ≈0", a, b, u)
+		}
+	})
 }
 
 func TestResultSetOperations(t *testing.T) {
-	a, _ := NewConcurrentTheta(ThetaConfig{LgK: 12, MaxError: 1})
-	b, _ := NewConcurrentTheta(ThetaConfig{LgK: 12, MaxError: 1})
+	reg := openRegistry(t, fastsketches.RegistryConfig{Shards: 1, MaxError: 1})
+	a, b := openTheta(t, reg, "a"), openTheta(t, reg, "b")
 	for i := 0; i < 60000; i++ {
 		a.Update(0, uint64(i))
 		b.Update(0, uint64(i+30000))
 	}
-	a.Close()
-	b.Close()
-	inter := ThetaIntersect(a.Result(), b.Result())
-	if math.Abs(inter.Estimate()/30000-1) > 0.2 {
+	reg.Close()
+	ra, rb := a.Sketch().Merged(), b.Sketch().Merged()
+	if inter := fastsketches.ThetaIntersect(ra, rb); math.Abs(inter.Estimate()/30000-1) > 0.2 {
 		t.Errorf("intersection %v, want ≈30000", inter.Estimate())
 	}
-	diff := ThetaAnotB(a.Result(), b.Result())
-	if math.Abs(diff.Estimate()/30000-1) > 0.2 {
+	if diff := fastsketches.ThetaAnotB(ra, rb); math.Abs(diff.Estimate()/30000-1) > 0.2 {
 		t.Errorf("difference %v, want ≈30000", diff.Estimate())
 	}
-	u := ThetaUnion(12, 0)
-	u.Add(a.Result())
-	u.Add(b.Result())
+	u := fastsketches.ThetaUnion(12, 0)
+	u.Add(ra)
+	u.Add(rb)
 	if math.Abs(u.Estimate()/90000-1) > 0.1 {
 		t.Errorf("union %v, want ≈90000", u.Estimate())
 	}
 }
 
-func TestConcurrentQuantilesEndToEnd(t *testing.T) {
-	q, err := NewConcurrentQuantiles(QuantilesConfig{K: 128, Writers: 2, MaxError: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 1 << 16
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += 2 {
-				q.Update(w, float64(i))
-			}
-		}(w)
-	}
-	wg.Wait()
-	q.Close()
-	if q.N() != n {
-		t.Fatalf("N = %d, want %d", q.N(), n)
-	}
-	med := q.Quantile(0.5)
-	if math.Abs(med/float64(n)-0.5) > 0.05 {
-		t.Errorf("median %v, want ≈%v", med, n/2)
-	}
-	if r := q.Rank(float64(n) / 4); math.Abs(r-0.25) > 0.05 {
-		t.Errorf("rank %v, want ≈0.25", r)
-	}
-}
-
-func TestConcurrentQuantilesConfigErrors(t *testing.T) {
-	if _, err := NewConcurrentQuantiles(QuantilesConfig{K: 1}); err == nil {
-		t.Error("K=1 should error")
-	}
-	if _, err := NewConcurrentQuantiles(QuantilesConfig{Writers: -2}); err == nil {
-		t.Error("negative writers should error")
-	}
-}
-
-func TestConcurrentHLLEndToEnd(t *testing.T) {
-	h, err := NewConcurrentHLL(HLLConfig{P: 12, Writers: 2, MaxError: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 1 << 17
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			base := uint64(w) << 40
-			for i := 0; i < n/2; i++ {
-				h.Update(w, base+uint64(i))
-			}
-		}(w)
-	}
-	wg.Wait()
-	h.Close()
-	re := h.Estimate()/n - 1
-	if math.Abs(re) > 0.07 {
-		t.Errorf("HLL estimate error %.4f", re)
-	}
-}
-
-func TestConcurrentHLLConfigErrors(t *testing.T) {
-	if _, err := NewConcurrentHLL(HLLConfig{P: 3}); err == nil {
-		t.Error("P=3 should error")
-	}
-	if _, err := NewConcurrentHLL(HLLConfig{P: 22}); err == nil {
-		t.Error("P=22 should error")
-	}
-}
-
 func TestSequentialReExports(t *testing.T) {
-	qs := NewThetaSketch(10, 0)
-	kmv := NewKMVSketch(1024, 0)
+	qs := fastsketches.NewThetaSketch(10, 0)
+	kmv := fastsketches.NewKMVSketch(1024, 0)
 	for i := 0; i < 50000; i++ {
 		qs.Update(uint64(i))
 		kmv.Update(uint64(i))
@@ -206,14 +157,14 @@ func TestSequentialReExports(t *testing.T) {
 			t.Errorf("%s estimate %v, want ≈50000", name, est)
 		}
 	}
-	q := NewQuantilesSketch(64)
+	q := fastsketches.NewQuantilesSketch(64)
 	for i := 0; i < 10000; i++ {
 		q.Update(float64(i))
 	}
 	if med := q.Quantile(0.5); math.Abs(med/10000-0.5) > 0.1 {
 		t.Errorf("median %v", med)
 	}
-	h := NewHLLSketch(10, 0)
+	h := fastsketches.NewHLLSketch(10, 0)
 	for i := 0; i < 10000; i++ {
 		h.Update(uint64(i))
 	}
@@ -222,43 +173,30 @@ func TestSequentialReExports(t *testing.T) {
 	}
 }
 
+// TestLiveQueriesWhileIngesting: the headline feature — queries while
+// building, never blocking, never running ahead of the stream.
 func TestLiveQueriesWhileIngesting(t *testing.T) {
-	// The headline feature: queries while building, never blocking.
-	sk, _ := NewConcurrentTheta(ThetaConfig{LgK: 12, Writers: 2, MaxError: 0.04})
+	reg := openRegistry(t, fastsketches.RegistryConfig{Shards: 1, Writers: 2})
+	sk := openTheta(t, reg, "live").Sketch()
+	const n = 400000
 	stop := make(chan struct{})
 	var qwg sync.WaitGroup
 	qwg.Add(1)
 	go func() {
 		defer qwg.Done()
-		prevFloor := -1.0
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			est := sk.Estimate()
-			if est < 0 {
-				t.Error("negative estimate")
+			if est := sk.Estimate(); est < 0 || est > 1.1*n {
+				t.Errorf("live estimate %v outside [0, 1.1·%d]", est, n)
 				return
 			}
-			_ = prevFloor
-			prevFloor = est
 		}
 	}()
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			base := uint64(w) << 40
-			for i := 0; i < 200000; i++ {
-				sk.Update(w, base+uint64(i))
-			}
-		}(w)
-	}
-	wg.Wait()
+	ingest(2, n, func(w, i int) { sk.Update(w, uint64(i)) })
 	close(stop)
 	qwg.Wait()
-	sk.Close()
 }
