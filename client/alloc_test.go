@@ -76,9 +76,8 @@ func TestServedQueryZeroAlloc(t *testing.T) {
 	}
 
 	// Batched ingest: steady-state Add+Flush reuses the batch buffer, the
-	// write path, the per-connection batch countdown, and the ack path.
-	// Since the lane rings replaced the per-batch WaitGroup the whole flush
-	// is allocation-free.
+	// write path, the connection's decode scratch, and the ack path, so the
+	// whole flush is allocation-free.
 	ib := cl.NewBatch(client.CountMin, "alloc")
 	if allocs := testing.AllocsPerRun(runs, func() {
 		for i := 0; i < 512; i++ {
@@ -95,16 +94,16 @@ func TestServedQueryZeroAlloc(t *testing.T) {
 }
 
 // TestServedIngestZeroAlloc pins the overhauled ingest hot path: a
-// synchronous batch flush — client encode, server decode into per-lane
-// scratch, ring dispatch across lane workers, batched writer updates, ack —
-// allocates nothing in steady state, at batch sizes on both sides of the
-// lane fan-out threshold, on a multi-lane server.
+// synchronous batch flush — client encode, a lane claim, server decode into
+// the connection's scratch, batched writer updates, ack — allocates nothing
+// in steady state, for a batch inside one decode block and one spanning
+// several, on a multi-lane server.
 //
 // The pinned family is CountMin because its global sketch is genuinely
 // steady-state: Θ and Quantiles keep growing internal structure on a
 // changing stream (adaptive buffers, compaction levels), which is amortised
 // data-structure growth, not per-batch serving overhead. CountMin shares
-// the entire transport, ring-dispatch, and core UpdateBatch path with the
+// the entire transport, lane-claim, and core UpdateBatch path with the
 // other families, so a regression anywhere on that path shows up here.
 func TestServedIngestZeroAlloc(t *testing.T) {
 	addr, _ := startServer(t, fastsketches.RegistryConfig{Shards: 2, Writers: 4})
@@ -119,12 +118,11 @@ func TestServedIngestZeroAlloc(t *testing.T) {
 		name  string
 		batch int
 	}{
-		{"small-batch", 64},   // below minChunkItems: single-lane dispatch
-		{"large-batch", 4096}, // above lanes·minChunkItems: full fan-out
+		{"small-batch", 64},   // one decode block
+		{"large-batch", 4096}, // several decode blocks
 	} {
 		cb := cl.NewBatch(client.CountMin, "ingest-"+tc.name)
-		// Warm: create the sketch, the lane workers, the per-lane decode
-		// scratch, and the batch buffer.
+		// Warm: create the sketch and the batch buffer.
 		for w := 0; w < 8; w++ {
 			for i := 0; i < tc.batch; i++ {
 				if err := cb.Add(uint64(i % 64)); err != nil {

@@ -245,8 +245,9 @@ func TestE2EOps(t *testing.T) {
 	}
 
 	// ---- Phase D: a recreated tenant absorbs writes after its eviction —
-	// the server drop path quiesced the lane workers rather than wedging
-	// them. Quiesce (resize) then read back the exact post-eviction count.
+	// the sweeper's Registry.Drop waited out the claimed lanes, and the
+	// connections reopen the name instead of writing to the closed sketch.
+	// Quiesce (resize) then read back the exact post-eviction count.
 	waitStats("ops.main evicted", func(st client.OpsStats) bool {
 		return st.Evictions+st.BudgetSheds >= 1
 	})

@@ -15,8 +15,8 @@
 //
 // On SIGINT/SIGTERM the daemon shuts down gracefully: the listener closes,
 // in-flight batches complete and are acked, received pipeline frames are
-// served, lane workers exit, and the registry drains every sketch buffer
-// exactly before the process reports the drain and exits 0.
+// served, and the registry drains every sketch buffer exactly before the
+// process reports the drain and exits 0.
 package main
 
 import (
@@ -113,11 +113,7 @@ func main() {
 			IdleTTL:    *idleTTL,
 			MemBudget:  *memBudget,
 			SweepEvery: *opsSweepEvery,
-			// Evictions and sheds must retire sketches through the server's
-			// quiescing drop — a bare registry drop would close a sketch
-			// under its live lane workers.
-			Drop: srv.DropSketch,
-			Logf: log.Printf,
+			Logf:       log.Printf,
 		})
 		if err != nil {
 			log.Fatalf("sketchd: %v", err)

@@ -36,6 +36,8 @@ type Spec = wire.Spec
 type Sketch[T any, A any] interface {
 	Update(lane int, item T)
 	UpdateBatch(lane int, items []T)
+	AcquireLane() (lane int, ok bool)
+	ReleaseLane(lane int)
 	QueryInto(acc A)
 	MergeInto(acc A)
 	NewAccumulator() A
@@ -67,8 +69,9 @@ type Sketch[T any, A any] interface {
 // A handle is a cheap value tied to the sketch it was opened on. After
 // Drop (from any handle, or Registry.Drop) the sketch's propagators are
 // stopped: queries through a retained handle still summarise the final
-// drained state, but updates would block forever — the same contract as a
-// retained *shard.Theta. Reopening the name yields a fresh sketch and
+// drained state, a lane claim on its sketch (AcquireLane) reports ok=false,
+// and an update on a pinned lane would block forever — the same contract
+// as a retained *shard.Theta. Reopening the name yields a fresh sketch and
 // fresh handles.
 type Handle[T any, A any, S Sketch[T, A]] struct {
 	r  *Registry

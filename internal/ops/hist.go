@@ -12,8 +12,8 @@ import (
 const histBuckets = 63
 
 // Hist is a wait-free power-of-two-bucketed histogram: Observe is two
-// atomic adds and a bit scan — no locks, no allocation — so lane workers
-// can record every applied chunk without giving up the ingest plane's
+// atomic adds and a bit scan — no locks, no allocation — so the serving
+// layer can record every ingest batch without giving up the ingest plane's
 // zero-alloc, wait-free contract, while a concurrent /metrics scrape reads
 // the buckets with plain atomic loads. Counts are monotonic; a scrape
 // racing an Observe sees either the pre- or post-observation value of each
@@ -54,19 +54,19 @@ func (h *Hist) snapshot(dst *[histBuckets]int64) {
 }
 
 // IngestObserver is the process-wide ingest instrumentation the serving
-// layer feeds: one Observe pair per applied lane chunk (item count and
-// apply duration), recorded by the lane worker after the chunk's updates
-// landed. Both histograms are wait-free and allocation-free, so observing
-// costs the hot path two clock reads and a handful of atomic adds per
-// chunk — amortised over up to applyBlock items.
+// layer feeds: one Observe pair per served ingest batch (item count and
+// apply duration), recorded by the connection that applied it on a claimed
+// writer lane, after the batch's updates landed. Both histograms are
+// wait-free and allocation-free, so observing costs the hot path two clock
+// reads and a handful of atomic adds per batch.
 type IngestObserver struct {
-	// Items buckets the item count of each applied chunk.
+	// Items buckets the item count of each applied batch.
 	Items Hist
-	// Nanos buckets each chunk's apply duration in nanoseconds.
+	// Nanos buckets each batch's apply duration in nanoseconds.
 	Nanos Hist
 }
 
-// ObserveChunk records one applied chunk: n items applied in d nanoseconds.
+// ObserveChunk records one applied batch: n items applied in d nanoseconds.
 func (o *IngestObserver) ObserveChunk(n, d int64) {
 	o.Items.Observe(n)
 	o.Nanos.Observe(d)

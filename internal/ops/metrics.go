@@ -101,9 +101,9 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 	}
 	if c.Ingest != nil {
 		buf = appendHist(buf, "fastsketches_ingest_chunk_items",
-			"Items per applied ingest lane chunk.", &c.Ingest.Items, 1)
+			"Items per served ingest batch.", &c.Ingest.Items, 1)
 		buf = appendHist(buf, "fastsketches_ingest_chunk_duration_seconds",
-			"Apply duration per ingest lane chunk.", &c.Ingest.Nanos, 1e-9)
+			"Apply duration per served ingest batch.", &c.Ingest.Nanos, 1e-9)
 	}
 
 	_, err := w.Write(buf)

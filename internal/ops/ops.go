@@ -14,9 +14,10 @@
 // zero cost to the ingest hot path: a sketch whose counter has not moved
 // since the last sweep has received no completed updates, and once that
 // stillness has lasted its idle TTL (per-sketch Spec.IdleTTL, else the
-// sweeper's default) the Manager drops it through the configured Drop hook.
-// Dropping folds nothing away silently: Drop itself drains every buffer
-// exactly before the sketch closes. Queries do not refresh the TTL —
+// sweeper's default) the Manager drops it with Registry.Drop. Dropping
+// folds nothing away silently: Drop waits out every claimed writer lane and
+// drains every buffer exactly before the sketch closes, so a served
+// registry needs no hook of its own. Queries do not refresh the TTL —
 // liveness is an ingest-plane property.
 //
 // # Memory budget
@@ -71,11 +72,6 @@ type Config struct {
 	// ShrinkToShards is the shard count a budget shrink resizes down to
 	// before resorting to shedding. Default 1.
 	ShrinkToShards int
-	// Drop removes one sketch, returning whether it existed. Defaults to
-	// Registry.Drop; serving layers must point it at their own quiescing
-	// drop path (sketchd uses server.DropSketch) so lane workers bound to
-	// the sketch drain before it closes instead of wedging on it.
-	Drop func(family, name string) bool
 	// Clock supplies sweep timing and the idle clock. Default: real time.
 	Clock fastsketches.Clock
 	// Logf, when set, receives one line per eviction, shrink, and shed.
@@ -119,7 +115,6 @@ type Manager struct {
 	reg   *fastsketches.Registry
 	cfg   Config
 	clock fastsketches.Clock
-	drop  func(family, name string) bool
 
 	mu   sync.Mutex
 	seen map[string]*tenantState
@@ -164,11 +159,7 @@ func NewManager(reg *fastsketches.Registry, cfg Config) (*Manager, error) {
 		reg:   reg,
 		cfg:   cfg,
 		clock: cfg.Clock,
-		drop:  cfg.Drop,
 		seen:  make(map[string]*tenantState),
-	}
-	if m.drop == nil {
-		m.drop = reg.Drop
 	}
 	if cfg.MemBudget > 0 {
 		reg.SetAutoscaleMemoryPressure(m.OverBudget)
@@ -251,11 +242,10 @@ func (m *Manager) Sweep() SweepResult {
 	}
 	m.mu.Unlock()
 
-	// Evictions run outside m.mu: Drop stops controllers and drains
-	// propagators, and the configured hook may additionally quiesce lane
-	// workers.
+	// Evictions run outside m.mu: Drop stops controllers, waits out
+	// claimed lanes and drains propagators.
 	for _, c := range evict {
-		if m.drop(c.Family, c.Name) {
+		if m.reg.Drop(c.Family, c.Name) {
 			m.evictions.Add(1)
 			res.Evicted++
 			m.logf("ops: evicted idle %s/%s (idle %v)", c.Family, c.Name, c.idle)
@@ -291,7 +281,7 @@ func (m *Manager) Sweep() SweepResult {
 					c.Family, c.Name, c.Spec.Shards, m.cfg.ShrinkToShards)
 				continue
 			}
-			if m.drop(c.Family, c.Name) {
+			if m.reg.Drop(c.Family, c.Name) {
 				m.sheds.Add(1)
 				res.Shed++
 				resident -= c.SizeBytes

@@ -13,11 +13,16 @@ import (
 	"fastsketches/internal/wire"
 )
 
-// sketch is the family-agnostic slice of a sharded sketch the snapshot ops
-// (snapshot, restore, merge-remote) drive, and the type the per-connection
-// cache holds; all four shard wrappers satisfy it. Ingest and queries go
-// through the concrete type their family row narrows it to.
+// sketch is the family-agnostic slice of a sharded sketch the request
+// handlers drive — the lane claim around an ingest, the closed check that
+// revalidates the per-connection cache, and the snapshot ops (snapshot,
+// restore, merge-remote) — and the type the per-connection cache holds;
+// all four shard wrappers satisfy it. Updates and queries go through the
+// concrete type their family row narrows it to.
 type sketch interface {
+	AcquireLane() (lane int, ok bool)
+	ReleaseLane(lane int)
+	Closed() bool
 	Shards() int
 	AppendSnapshot(dst []byte) []byte
 	ImportSnapshot(blob []byte) error
@@ -30,10 +35,10 @@ type family struct {
 	// open applies spec to the named sketch of this family, creating it on
 	// first use — the family's Open*.
 	open func(reg *fastsketches.Registry, name string, spec fastsketches.Spec) (sketch, error)
-	// applier builds a lane set's apply function for sk: decode one chunk of
-	// packed wire items into per-lane scratch and hand it to the sketch's
-	// batched update.
-	applier func(sk sketch, writers int) func(lane int, items []byte)
+	// update feeds one batch of packed wire items to sk's batched update on
+	// a lane the caller has claimed, decoding them block by block into the
+	// connection's scratch.
+	update func(sk sketch, lane int, items []byte, sc *scratch)
 	// answers reports whether this family serves the query kind.
 	answers func(q wire.Query) bool
 	// querier builds one connection's query function for this family. The
@@ -53,10 +58,10 @@ type queryFunc func(sk sketch, q wire.Query, arg uint64) (result uint64, missing
 // families is the family table, indexed by wire.Family (index 0 is unused;
 // wire.ParseRequest only lets defined families through).
 var families = [...]family{
-	wire.FamilyTheta:     row((*fastsketches.Registry).OpenTheta, applyWords, estimateKinds[*theta.Union, *shard.Theta]()),
-	wire.FamilyHLL:       row((*fastsketches.Registry).OpenHLL, applyWords, estimateKinds[*hll.Sketch, *shard.HLL]()),
-	wire.FamilyQuantiles: row((*fastsketches.Registry).OpenQuantiles, applyFloats, quantilesKinds),
-	wire.FamilyCountMin:  row((*fastsketches.Registry).OpenCountMin, applyWords, countMinKinds),
+	wire.FamilyTheta:     row((*fastsketches.Registry).OpenTheta, decodeWords, estimateKinds[*theta.Union, *shard.Theta]()),
+	wire.FamilyHLL:       row((*fastsketches.Registry).OpenHLL, decodeWords, estimateKinds[*hll.Sketch, *shard.HLL]()),
+	wire.FamilyQuantiles: row((*fastsketches.Registry).OpenQuantiles, decodeFloats, quantilesKinds),
+	wire.FamilyCountMin:  row((*fastsketches.Registry).OpenCountMin, decodeWords, countMinKinds),
 }
 
 // plane is the part of a sketch's state a query kind folds into the
@@ -89,7 +94,7 @@ type kind[A any, S any] struct {
 
 // row assembles one family's table row from its typed pieces: the
 // registry's Open* constructor, the wire item decoder, and the kind list
-// (indexed by wire.Query). The type assertion sk.(S) in applier and querier
+// (indexed by wire.Query). The type assertion sk.(S) in update and querier
 // is the one place the cached interface is narrowed back to the concrete
 // sketch.
 func row[T any, A any, S interface {
@@ -98,7 +103,7 @@ func row[T any, A any, S interface {
 	DecayedQueryInto(A) bool
 }](
 	open func(*fastsketches.Registry, string, fastsketches.Spec) (*fastsketches.Handle[T, A, S], error),
-	decode func(writers int, update func(lane int, items []T)) func(lane int, items []byte),
+	decode func(sc *scratch, items []byte) []T,
 	kinds []kind[A, S],
 ) family {
 	return family{
@@ -109,8 +114,13 @@ func row[T any, A any, S interface {
 			}
 			return h.Sketch(), nil
 		},
-		applier: func(sk sketch, writers int) func(lane int, items []byte) {
-			return decode(writers, sk.(S).UpdateBatch)
+		update: func(sk sketch, lane int, items []byte, sc *scratch) {
+			s := sk.(S)
+			for len(items) >= wire.ItemSize {
+				block := decode(sc, items)
+				s.UpdateBatch(lane, block)
+				items = items[len(block)*wire.ItemSize:]
+			}
 		},
 		answers: func(q wire.Query) bool {
 			return int(q) < len(kinds) && kinds[q].read != nil
@@ -189,58 +199,37 @@ var countMinKinds = func() []kind[*countmin.Sketch, *shard.CountMin] {
 	}
 }()
 
-// applyBlock is the per-lane decode granularity of the batched apply path:
-// wire items are decoded into a fixed per-lane scratch in blocks this large,
-// each handed to the family's UpdateBatch, so per-item work in the lane
-// worker is one LittleEndian load and one scratch store — all sketch-side
-// coordination is amortised per block.
+// applyBlock is the decode granularity of the ingest path: wire items are
+// decoded into the connection's scratch in blocks this large, each handed
+// to the family's UpdateBatch, so per-item work on the connection's
+// goroutine is one LittleEndian load and one scratch store — all
+// sketch-side coordination is amortised per block.
 const applyBlock = 512
 
-// applyWords builds a laneSet apply that decodes packed little-endian
-// uint64 items into per-lane scratch blocks and feeds them to a family's
-// batched update. One scratch block per lane, allocated once here: each lane
-// is driven by its single worker goroutine, so the blocks are never shared
-// and the steady-state path allocates nothing.
-func applyWords(writers int, update func(lane int, keys []uint64)) func(lane int, items []byte) {
-	scratch := make([][]uint64, writers)
-	for l := range scratch {
-		scratch[l] = make([]uint64, applyBlock)
-	}
-	return func(lane int, items []byte) {
-		block := scratch[lane]
-		for len(items) >= wire.ItemSize {
-			n := len(items) / wire.ItemSize
-			if n > applyBlock {
-				n = applyBlock
-			}
-			for i := 0; i < n; i++ {
-				block[i] = binary.LittleEndian.Uint64(items[i*wire.ItemSize:])
-			}
-			update(lane, block[:n])
-			items = items[n*wire.ItemSize:]
-		}
-	}
+// scratch is one connection's decode blocks, one per wire item type. The
+// connection's goroutine is their only user, so the steady-state ingest
+// path allocates nothing.
+type scratch struct {
+	words  [applyBlock]uint64
+	floats [applyBlock]float64
 }
 
-// applyFloats is applyWords for the quantiles family, whose wire items are
-// float64 bit patterns.
-func applyFloats(writers int, update func(lane int, vs []float64)) func(lane int, items []byte) {
-	scratch := make([][]float64, writers)
-	for l := range scratch {
-		scratch[l] = make([]float64, applyBlock)
+// decodeWords decodes the leading block of packed little-endian uint64
+// items into sc.
+func decodeWords(sc *scratch, items []byte) []uint64 {
+	block := sc.words[:min(len(items)/wire.ItemSize, applyBlock)]
+	for i := range block {
+		block[i] = binary.LittleEndian.Uint64(items[i*wire.ItemSize:])
 	}
-	return func(lane int, items []byte) {
-		block := scratch[lane]
-		for len(items) >= wire.ItemSize {
-			n := len(items) / wire.ItemSize
-			if n > applyBlock {
-				n = applyBlock
-			}
-			for i := 0; i < n; i++ {
-				block[i] = math.Float64frombits(binary.LittleEndian.Uint64(items[i*wire.ItemSize:]))
-			}
-			update(lane, block[:n])
-			items = items[n*wire.ItemSize:]
-		}
+	return block
+}
+
+// decodeFloats is decodeWords for the quantiles family, whose wire items
+// are float64 bit patterns.
+func decodeFloats(sc *scratch, items []byte) []float64 {
+	block := sc.floats[:min(len(items)/wire.ItemSize, applyBlock)]
+	for i := range block {
+		block[i] = math.Float64frombits(binary.LittleEndian.Uint64(items[i*wire.ItemSize:]))
 	}
+	return block
 }

@@ -5,12 +5,11 @@ import (
 )
 
 // Ops hooks: the serving layer's face of the lifecycle/observability plane
-// (internal/ops). The daemon wires three things here at startup: the
-// OpOpsStats responder (SetOps), the per-chunk ingest instrumentation
-// (SetIngestObserver), and — on the ops manager's side — DropSketch as the
-// manager's Drop hook, so idle-TTL evictions and budget sheds retire
-// sketches through the server's quiescing drop path instead of yanking
-// them out of the registry under live lane workers.
+// (internal/ops). The daemon wires two things here at startup: the
+// OpOpsStats responder (SetOps) and the per-batch ingest instrumentation
+// (SetIngestObserver). The ops manager's evictions and budget sheds need no
+// hook: they are plain Registry.Drop calls, which wait out the lanes
+// connections hold, and a connection notices the drop on its next request.
 
 // SetOps installs the function OpOpsStats invokes — typically a bound
 // adapter over ops.Manager.Stats. A nil (or never-set) hook makes
@@ -27,28 +26,14 @@ func (s *Server) opsStatsFn() func() wire.OpsStats {
 	return s.opsStats
 }
 
-// SetIngestObserver installs the per-chunk ingest instrumentation hook:
-// obs(n, d) is called by a lane worker after applying one ingest chunk of
-// n items in d nanoseconds. Lane apply closures capture the hook when the
-// sketch's lane set is created, so install it before serving traffic;
-// lane sets created earlier keep running unobserved.
+// SetIngestObserver installs the per-batch ingest instrumentation hook:
+// obs(n, d) is called after the updates of one OpBatch of n items took d
+// nanoseconds on its claimed lane. It takes effect from the next batch on,
+// for every sketch; nil removes it.
 func (s *Server) SetIngestObserver(obs func(n, d int64)) {
-	s.mu.Lock()
-	s.ingestObs = obs
-	s.mu.Unlock()
-}
-
-// DropSketch retires the named sketch through the server's quiescing drop:
-// lane workers drain and exit before the registry closes the sketch, and
-// every connection's handle cache is invalidated. This is the Drop hook an
-// ops.Manager must use when its registry is served by this server — a bare
-// Registry.Drop would close the sketch under live lane workers and wedge
-// them on a closed sketch's Update. Returns false for an unknown family or
-// an unregistered sketch.
-func (s *Server) DropSketch(family, name string) bool {
-	fam, err := wire.ParseFamily(family)
-	if err != nil {
-		return false
+	if obs == nil {
+		s.ingestObs.Store(nil)
+		return
 	}
-	return s.drop(fam, []byte(name))
+	s.ingestObs.Store(&obs)
 }

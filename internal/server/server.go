@@ -5,13 +5,15 @@
 // frames — and is built so the paper's concurrency actually gets exercised
 // per connection:
 //
-//   - Batched ingest. One OpBatch frame carries many updates; the server
-//     fans each batch into the sketch's W writer lanes (one long-lived lane
-//     worker goroutine per lane per sketch, respecting the framework's
-//     one-goroutine-per-lane discipline) and acks after every item's Update
-//     has returned. An acked batch is therefore a set of *completed* updates
-//     in the paper's sense: the merged-query staleness bound S·r applies to
-//     it exactly as it would to in-process writers.
+//   - Batched ingest. One OpBatch frame carries many updates; the
+//     connection's own goroutine claims one of the sketch's W writer lanes
+//     (AcquireLane, which keeps the framework's one-goroutine-per-lane
+//     discipline), feeds the whole batch to the family's UpdateBatch,
+//     releases the lane and acks. An acked batch is therefore a set of
+//     *completed* updates in the paper's sense: the merged-query staleness
+//     bound S·r applies to it exactly as it would to in-process writers.
+//     Parallelism comes from concurrent connections, up to W per sketch;
+//     the server starts no goroutine per sketch.
 //
 //   - Pipelined queries. Requests are answered in order per connection, so
 //     clients may keep many frames in flight. Every query is served through
@@ -30,11 +32,14 @@
 //     so a remote operator can walk the throughput/staleness trade-off of a
 //     live sketch exactly as in-process code can.
 //
+// A sketch dropped under a connection — by OpDrop on any connection, or by
+// a bare Registry.Drop such as the ops sweeper's — is noticed by a closed
+// check on the connection's cached sketch, and the name is reopened fresh.
+//
 // Shutdown is graceful by construction: the listener closes, in-flight
-// requests (including long batch dispatches) run to completion and are
-// acked, buffered pipeline frames already received are served, and only
-// then do the lane workers exit. The caller closes the registry afterwards,
-// which drains every sketch buffer exactly.
+// requests (including long batches) run to completion and are acked, and
+// buffered pipeline frames already received are served. The caller closes
+// the registry afterwards, which drains every sketch buffer exactly.
 package server
 
 import (
@@ -54,31 +59,18 @@ import (
 // ErrServerClosed is returned by Serve after Shutdown.
 var ErrServerClosed = errors.New("server: closed")
 
-var errShuttingDown = errors.New("server: shutting down")
-
 // Server is one sketchd instance: a TCP acceptor over a caller-owned
 // Registry. Create with New, drive with Serve, stop with Shutdown; the
 // caller closes the Registry after Shutdown returns.
 type Server struct {
-	reg     *fastsketches.Registry
-	writers int
+	reg *fastsketches.Registry
 
-	mu    sync.Mutex
-	ln    net.Listener
-	conns map[net.Conn]struct{}
-	lanes map[laneKey]*laneSet
-	// dropping holds a tombstone per name being dropped: laneSetFor waits
-	// on the channel instead of binding new lane workers to the sketch the
-	// drop is about to close, and drop's slow work (lane drain, registry
-	// drain) runs without holding mu — a drop never stalls the control
-	// plane of unrelated sketches.
-	dropping     map[laneKey]chan struct{}
+	mu           sync.Mutex
+	ln           net.Listener
+	conns        map[net.Conn]struct{}
 	shuttingDown bool
 
 	connWG sync.WaitGroup
-	// gen invalidates per-connection handle caches; bumped by Drop so a
-	// connection never ingests into (or queries) a sketch retired under it.
-	gen atomic.Uint64
 
 	// ckpt, when set (SetCheckpoint), serves OpCheckpoint: one synchronous
 	// checkpoint write. Guarded by mu; nil means checkpointing is not
@@ -89,14 +81,12 @@ type Server struct {
 	// sweeper's counters. Guarded by mu; nil answers with a typed error.
 	opsStats func() wire.OpsStats
 
-	// ingestObs, when set (SetIngestObserver), is called by each lane worker
-	// after it applies one ingest chunk: n items in d nanoseconds. Guarded by
-	// mu for installation; lane apply closures capture it at lane-set
-	// creation, so install it before serving traffic.
-	ingestObs func(n, d int64)
+	// ingestObs, when set (SetIngestObserver), is loaded once per OpBatch
+	// and called after the batch's updates: n items in d nanoseconds.
+	ingestObs atomic.Pointer[func(n, d int64)]
 }
 
-type laneKey struct {
+type sketchKey struct {
 	fam  wire.Family
 	name string
 }
@@ -105,13 +95,7 @@ type laneKey struct {
 // caller closes it after Shutdown, at which point every sketch buffer is
 // drained exactly.
 func New(reg *fastsketches.Registry) *Server {
-	return &Server{
-		reg:      reg,
-		writers:  reg.Config().Writers,
-		conns:    make(map[net.Conn]struct{}),
-		lanes:    make(map[laneKey]*laneSet),
-		dropping: make(map[laneKey]chan struct{}),
-	}
+	return &Server{reg: reg, conns: make(map[net.Conn]struct{})}
 }
 
 // Serve accepts connections on ln until Shutdown, serving each on its own
@@ -178,10 +162,9 @@ func (s *Server) draining() bool {
 // Shutdown stops the server gracefully: the listener closes, every
 // connection's pending read is unblocked (a read deadline in the past), and
 // Shutdown waits for all connection handlers to finish — each serves any
-// frames it has already received, completing and acking in-flight batches —
-// before the per-sketch lane workers exit. Idempotent; concurrent calls all
-// block until the drain completes. The caller closes the Registry
-// afterwards.
+// frames it has already received, completing and acking in-flight batches.
+// Idempotent; concurrent calls all block until the drain completes. The
+// caller closes the Registry afterwards.
 func (s *Server) Shutdown() {
 	s.mu.Lock()
 	first := !s.shuttingDown
@@ -201,100 +184,6 @@ func (s *Server) Shutdown() {
 		c.SetReadDeadline(deadline)
 	}
 	s.connWG.Wait()
-
-	s.mu.Lock()
-	lanes := s.lanes
-	s.lanes = make(map[laneKey]*laneSet)
-	s.mu.Unlock()
-	for _, ls := range lanes {
-		ls.close()
-	}
-}
-
-// laneSetFor returns the ingest lane workers of the named sketch, creating
-// sketch and workers on first use. Creation is rejected while shutting
-// down, so no worker can be born after Shutdown started collecting them;
-// while the name is mid-Drop, creation waits for the drop to finish and
-// then binds to the recreated (fresh) sketch — never to the dying one.
-func (s *Server) laneSetFor(fam wire.Family, name []byte) (*laneSet, error) {
-	key := laneKey{fam, string(name)}
-	s.mu.Lock()
-	for {
-		if ls, ok := s.lanes[key]; ok {
-			s.mu.Unlock()
-			return ls, nil
-		}
-		ch, isDropping := s.dropping[key]
-		if !isDropping {
-			break
-		}
-		s.mu.Unlock()
-		<-ch
-		s.mu.Lock()
-	}
-	defer s.mu.Unlock()
-	if s.shuttingDown {
-		return nil, errShuttingDown
-	}
-	f := &families[fam]
-	sk, err := f.open(s.reg, key.name, fastsketches.Spec{})
-	if err != nil {
-		return nil, err
-	}
-	apply := f.applier(sk, s.writers)
-	if obs := s.ingestObs; obs != nil {
-		inner := apply
-		apply = func(lane int, items []byte) {
-			start := time.Now()
-			inner(lane, items)
-			obs(int64(len(items)/wire.ItemSize), time.Since(start).Nanoseconds())
-		}
-	}
-	ls := newLaneSet(s.writers, apply)
-	s.lanes[key] = ls
-	return ls, nil
-}
-
-// drop retires the named sketch: the lane workers drain and exit first
-// (close waits out in-flight chunks, whose Updates still land on the open
-// sketch), then the registry closes and unregisters it, then every
-// connection's handle cache is invalidated. A tombstone in s.dropping
-// makes the sequence atomic against laneSetFor without holding s.mu over
-// the slow drains: a concurrent batch either found the old lane set (its
-// items drain before the sketch closes) or waits on the tombstone until
-// the name maps to a fresh, empty sketch — it can never bind new lane
-// workers to the dying sketch, which would wedge them forever on a closed
-// sketch's Update. Same-name drops serialise on the tombstone; unrelated
-// sketches and connection setup are never stalled.
-func (s *Server) drop(fam wire.Family, name []byte) bool {
-	key := laneKey{fam, string(name)}
-	s.mu.Lock()
-	for {
-		ch, isDropping := s.dropping[key]
-		if !isDropping {
-			break
-		}
-		s.mu.Unlock()
-		<-ch
-		s.mu.Lock()
-	}
-	ls := s.lanes[key]
-	delete(s.lanes, key)
-	done := make(chan struct{})
-	s.dropping[key] = done
-	s.mu.Unlock()
-
-	if ls != nil {
-		ls.close()
-	}
-	ok := s.reg.Drop(fam.String(), key.name)
-	s.gen.Add(1)
-
-	s.mu.Lock()
-	delete(s.dropping, key)
-	close(done)
-	s.mu.Unlock()
-	return ok
 }
 
 // handleConn serves one connection: a strict request/response loop over
@@ -365,23 +254,18 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 }
 
-// connState is one connection's reusable serving state: cached sketches and
-// lane sets (both keyed by family and name, so the per-request lookup is an
-// allocation-free map hit) and one lazily built query function per family,
-// each owning the connection's reusable accumulator for that family (see
-// family.querier) — the served query path inherits the library's zero-alloc
-// QueryInto contract.
+// connState is one connection's reusable serving state: cached sketches
+// (keyed by family and name, so the per-request lookup is an
+// allocation-free map hit), the decode scratch of the ingest path, and one
+// lazily built query function per family, each owning the connection's
+// reusable accumulator for that family (see family.querier) — the served
+// query path inherits the library's zero-alloc QueryInto contract.
 type connState struct {
-	s   *Server
-	gen uint64
+	s *Server
 
-	sketches map[laneKey]sketch
-	lanes    map[laneKey]*laneSet
+	sketches map[sketchKey]sketch
 	queriers [len(families)]queryFunc
-
-	// bs is the connection's reusable batch-completion countdown, re-armed
-	// per OpBatch so the served ingest path allocates nothing per batch.
-	bs *batchState
+	scratch  scratch
 
 	// snapBuf is the connection's reusable snapshot-encode scratch
 	// (OpSnapshot responses and OpMergeRemote pulls).
@@ -389,73 +273,70 @@ type connState struct {
 }
 
 func newConnState(s *Server) *connState {
-	return &connState{
-		s:        s,
-		gen:      s.gen.Load(),
-		sketches: make(map[laneKey]sketch),
-		lanes:    make(map[laneKey]*laneSet),
-		bs:       newBatchState(),
-	}
+	return &connState{s: s, sketches: make(map[sketchKey]sketch)}
 }
 
-func (cs *connState) resetCaches() {
-	clear(cs.sketches)
-	clear(cs.lanes)
-}
-
-// sketch resolves (family, name) to the cached sketch, creating it in the
-// registry on first use — same get-or-create semantics as the ingest path.
+// sketch resolves (family, name) to the cached sketch, opening it in the
+// registry (get-or-create) on first use or when the cached one has been
+// dropped since. A miss also forgets every cached sketch dropped since, so
+// a connection does not keep dropped tenants' memory alive; the sweep is
+// one closed check per cached sketch, beside the registry open the miss
+// pays anyway.
 func (cs *connState) sketch(fam wire.Family, name []byte) (sketch, error) {
-	if sk, ok := cs.sketches[laneKey{fam, string(name)}]; ok {
+	if sk, ok := cs.sketches[sketchKey{fam, string(name)}]; ok && !sk.Closed() {
 		return sk, nil
 	}
 	sk, err := families[fam].open(cs.s.reg, string(name), fastsketches.Spec{})
 	if err != nil {
 		return nil, err
 	}
-	cs.sketches[laneKey{fam, string(name)}] = sk
+	for k, c := range cs.sketches {
+		if c.Closed() {
+			delete(cs.sketches, k)
+		}
+	}
+	cs.sketches[sketchKey{fam, string(name)}] = sk
 	return sk, nil
 }
 
-func (cs *connState) laneSet(fam wire.Family, name []byte) (*laneSet, error) {
-	if ls, ok := cs.lanes[laneKey{fam, string(name)}]; ok {
-		return ls, nil
+// ingest serves one OpBatch on the connection's goroutine: claim one of the
+// sketch's writer lanes, feed the batch to the family's batched update,
+// release the lane. A sketch dropped between the cache check and the claim
+// refuses it; the name is then reopened and the claim retried on the fresh
+// sketch, so a drop never fails a batch.
+func (cs *connState) ingest(req *wire.Request) error {
+	for {
+		sk, err := cs.sketch(req.Family, req.Name)
+		if err != nil {
+			return err
+		}
+		lane, ok := sk.AcquireLane()
+		if !ok {
+			continue
+		}
+		obs := cs.s.ingestObs.Load()
+		var start time.Time
+		if obs != nil {
+			start = time.Now()
+		}
+		families[req.Family].update(sk, lane, req.Items, &cs.scratch)
+		sk.ReleaseLane(lane)
+		if obs != nil {
+			(*obs)(int64(req.NumItems()), time.Since(start).Nanoseconds())
+		}
+		return nil
 	}
-	ls, err := cs.s.laneSetFor(fam, name)
-	if err != nil {
-		return nil, err
-	}
-	cs.lanes[laneKey{fam, string(name)}] = ls
-	return ls, nil
 }
 
 // serve answers one parsed request, appending the response frame to out.
 func (cs *connState) serve(req *wire.Request, out []byte) []byte {
-	if g := cs.s.gen.Load(); g != cs.gen {
-		cs.resetCaches()
-		cs.gen = g
-	}
 	switch req.Op {
 	case wire.OpPing:
 		return wire.AppendOK(out, req.ID)
 
 	case wire.OpBatch:
-		ls, err := cs.laneSet(req.Family, req.Name)
-		if err != nil {
+		if err := cs.ingest(req); err != nil {
 			return wire.AppendError(out, req.ID, err.Error())
-		}
-		if !ls.ingest(req.Items, cs.bs) {
-			// The lane set closed under us (a concurrent Drop). Refresh the
-			// cache and retry once onto the recreated sketch.
-			cs.resetCaches()
-			cs.gen = cs.s.gen.Load()
-			ls, err = cs.laneSet(req.Family, req.Name)
-			if err == nil && !ls.ingest(req.Items, cs.bs) {
-				err = errShuttingDown
-			}
-			if err != nil {
-				return wire.AppendError(out, req.ID, err.Error())
-			}
 		}
 		return wire.AppendOKU32(out, req.ID, uint32(req.NumItems()))
 
@@ -475,11 +356,9 @@ func (cs *connState) serve(req *wire.Request, out []byte) []byte {
 		return wire.AppendOK(out, req.ID)
 
 	case wire.OpDrop:
-		if !cs.s.drop(req.Family, req.Name) {
+		if !cs.s.reg.Drop(req.Family.String(), string(req.Name)) {
 			return wire.AppendError(out, req.ID, fmt.Sprintf("no %s sketch %q", req.Family, req.Name))
 		}
-		cs.resetCaches()
-		cs.gen = cs.s.gen.Load()
 		return wire.AppendOK(out, req.ID)
 
 	case wire.OpNames:

@@ -446,70 +446,118 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	}
 }
 
-// TestDropUnderBatchFire races Drop against concurrent batches to the same
-// name, repeatedly. The drop sequence is atomic against lane-set creation:
-// a racing batch must either land on the pre-drop sketch (and drain before
-// it closes), error out, or land on the recreated sketch — and nothing may
-// ever wedge a lane worker on a closed sketch (which would hang both the
-// batch ack and Shutdown; the test completing at all is the assertion).
+// TestDropUnderBatchFire races drops against concurrent batches to the same
+// name, repeatedly, through both drop paths: OpDrop on an admin connection
+// and a bare Registry.Drop, the ops sweeper's path. A racing batch lands
+// either on the pre-drop sketch, whose Close waits for its claimed lane, or
+// on the recreated one — it never errors and never hangs. Afterwards a
+// connection whose cached sketch was dropped out-of-band answers from, and
+// ingests into, the fresh sketch.
 func TestDropUnderBatchFire(t *testing.T) {
-	_, _, addr := startServer(t, fastsketches.RegistryConfig{Shards: 1, Writers: 2})
+	for _, leg := range []struct {
+		name string
+		drop func(reg *fastsketches.Registry, admin *testConn, name string)
+	}{
+		{"OpDrop", func(_ *fastsketches.Registry, admin *testConn, name string) {
+			// Drop whether or not the sketch currently exists (an ingester
+			// may not have recreated it yet); the error answer is fine.
+			admin.roundTrip(wire.AppendDrop(nil, admin.nextID(), wire.FamilyCountMin, name))
+		}},
+		{"RegistryDrop", func(reg *fastsketches.Registry, _ *testConn, name string) {
+			reg.Drop("countmin", name)
+		}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			_, reg, addr := startServer(t, fastsketches.RegistryConfig{Shards: 1, Writers: 2})
+			const ingesters = 3 // one more than W: claimers queue for lanes
+			const rounds = 60
+			stop := make(chan struct{})
+			var acked atomic.Int64
+			var wg sync.WaitGroup
+			for g := 0; g < ingesters; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					nc, err := net.Dial("tcp", addr)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer nc.Close()
+					br := bufio.NewReader(nc)
+					var buf, frame []byte
+					items := make([]uint64, 256)
+					for b := uint32(0); ; b++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						for i := range items {
+							items[i] = uint64(g)<<32 | uint64(i)
+						}
+						frame = wire.AppendBatch(frame[:0], b, wire.FamilyCountMin, "churn", items)
+						if _, err := nc.Write(frame); err != nil {
+							t.Error(err)
+							return
+						}
+						payload, err := wire.ReadFrame(br, &buf)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						status, _, body, err := wire.ParseResponse(payload)
+						if err != nil || status != wire.StatusOK {
+							t.Errorf("batch under drop fire: status %d, %v, %s", status, err, body)
+							return
+						}
+						acked.Add(1)
+					}
+				}(g)
+			}
 
-	const ingesters = 2
-	const rounds = 60
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < ingesters; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			nc, err := net.Dial("tcp", addr)
+			admin := dialT(t, addr)
+			for r := 0; r < rounds; r++ {
+				leg.drop(reg, admin, "churn")
+				// Let a batch land between drops, so every drop races
+				// live traffic.
+				for a := acked.Load(); acked.Load() == a && !t.Failed(); {
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+			close(stop)
+			wg.Wait()
+			// No batch may hold a lane of a closed sketch: Shutdown in the
+			// cleanup would hang otherwise.
+			admin.mustOK(wire.AppendPing(nil, 1<<20))
+
+			// A cached sketch dropped out-of-band: the connection's next
+			// query answers from the fresh sketch, its next batch recreates
+			// the name.
+			q := dialT(t, addr)
+			nQuery := func() uint64 {
+				body := q.mustOK(wire.AppendQuery(nil, q.nextID(), wire.FamilyCountMin, wire.QueryN, "probe", 0))
+				return binary.LittleEndian.Uint64(body)
+			}
+			q.mustOK(wire.AppendBatch(nil, q.nextID(), wire.FamilyCountMin, "probe", make([]uint64, 100)))
+			if n := nQuery(); n != 100 {
+				t.Fatalf("probe N = %d before the drop, want 100 (eager, exact)", n)
+			}
+			leg.drop(reg, admin, "probe")
+			if n := nQuery(); n != 0 {
+				t.Fatalf("after an out-of-band drop the cached connection answered N = %d, want 0 from the fresh sketch", n)
+			}
+			leg.drop(reg, admin, "probe")
+			q.mustOK(wire.AppendBatch(nil, q.nextID(), wire.FamilyCountMin, "probe", make([]uint64, 7)))
+			h, err := reg.OpenCountMin("probe", fastsketches.Spec{})
 			if err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
-			defer nc.Close()
-			br := bufio.NewReader(nc)
-			var buf, frame []byte
-			items := make([]uint64, 256)
-			for b := uint32(0); ; b++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for i := range items {
-					items[i] = uint64(g)<<32 | uint64(i)
-				}
-				frame = wire.AppendBatch(frame[:0], b, wire.FamilyCountMin, "churn", items)
-				if _, err := nc.Write(frame); err != nil {
-					return
-				}
-				payload, err := wire.ReadFrame(br, &buf)
-				if err != nil {
-					return
-				}
-				// OK acks and racing-drop errors are both legitimate; only
-				// a hang (caught by the test timeout) is a bug.
-				if _, _, _, err := wire.ParseResponse(payload); err != nil {
-					t.Error(err)
-					return
-				}
+			if n := h.Sketch().N(); n != 7 {
+				t.Fatalf("batch after the drop: fresh sketch N = %d, want 7", n)
 			}
-		}(g)
+		})
 	}
-
-	admin := dialT(t, addr)
-	for r := 0; r < rounds; r++ {
-		// Drop whether or not the sketch currently exists (an ingester may
-		// not have recreated it yet); the error case is fine.
-		admin.roundTrip(wire.AppendDrop(nil, uint32(r), wire.FamilyCountMin, "churn"))
-	}
-	close(stop)
-	wg.Wait()
-	// The server must still be fully responsive (no wedged lane worker
-	// blocking Shutdown — cleanup would hang otherwise).
-	admin.mustOK(wire.AppendPing(nil, 1<<20))
 }
 
 // TestServeViewOps drives the view plane over the wire through OpApply:

@@ -143,6 +143,13 @@ type Sharded[T any, A Accumulator[A], C Mergeable[T, A]] struct {
 
 	lanes   []laneSeq
 	scratch []laneScratch[T]
+	// free holds the writer lanes no AcquireLane caller currently holds;
+	// closing is closed when Close starts, refusing further claims. Close
+	// takes back every token before it stops the frameworks, which is how
+	// it waits out the lanes still held.
+	free      chan int
+	closing   chan struct{}
+	closeOnce sync.Once
 
 	// view is the published materialized merged view, nil unless EnableView
 	// has built one (see view.go). Queries load it once per fold; a non-nil,
@@ -177,6 +184,11 @@ func newSharded[T any, A Accumulator[A], C Mergeable[T, A]](
 		mkAcc:   mkAcc,
 		lanes:   make([]laneSeq, cfg.Writers),
 		scratch: make([]laneScratch[T], cfg.Writers),
+		free:    make(chan int, cfg.Writers),
+		closing: make(chan struct{}),
+	}
+	for l := 0; l < cfg.Writers; l++ {
+		s.free <- l
 	}
 	s.accs.New = func() any { return mkAcc() }
 	s.st.Store(s.newEpoch(cfg.Shards))
@@ -252,6 +264,48 @@ func (s *Sharded[T, A, C]) updateBatch(lane int, items []T, route func(T) uint64
 		}
 	}
 	ls.seq.Add(1) // even: lane idle
+}
+
+// AcquireLane claims a writer lane for the caller's exclusive use until
+// ReleaseLane, blocking while all W lanes are claimed — the way for
+// goroutines that do not each own a fixed lane (a server's connection
+// handlers, say) to keep the framework's one-goroutine-per-lane discipline.
+// ok is false once Close has started, including for a claimer already
+// waiting; such a caller must not update the sketch. Close waits for every
+// claimed lane to be released before it stops the frameworks, so the
+// updates a holder makes between AcquireLane and ReleaseLane all land
+// before the final drain.
+//
+// A sketch's lanes are driven either by pinned callers of Update(lane, …)
+// and UpdateBatch(lane, …) or by claimers, never both: a claimer may be
+// handed a lane a pinned caller is driving.
+func (s *Sharded[T, A, C]) AcquireLane() (lane int, ok bool) {
+	select {
+	case lane = <-s.free:
+	case <-s.closing:
+		return 0, false
+	}
+	select {
+	case <-s.closing:
+		s.free <- lane // Close is collecting the tokens; hand it over
+		return 0, false
+	default:
+		return lane, true
+	}
+}
+
+// ReleaseLane returns a lane claimed by AcquireLane.
+func (s *Sharded[T, A, C]) ReleaseLane(lane int) { s.free <- lane }
+
+// Closed reports whether Close has started: a closed sketch still answers
+// queries, but refuses lane claims and must not be updated.
+func (s *Sharded[T, A, C]) Closed() bool {
+	select {
+	case <-s.closing:
+		return true
+	default:
+		return false
+	}
 }
 
 // awaitWriters returns once every writer lane has provably stopped using
@@ -572,9 +626,16 @@ func (s *Sharded[T, A, C]) Eager() bool {
 // merged queries summarise the entire ingested stream with no relaxation
 // residue. A materialized view and a sliding-window rotator, if enabled,
 // are stopped first (Close never leaks their goroutines), so post-Close
-// queries fold the drained shards live and are exact. Call once, after all
-// writer goroutines stop; Close is serialised with Resize and idempotent.
+// queries fold the drained shards live and are exact. Call after every
+// pinned writer goroutine stops; lanes claimed through AcquireLane are
+// waited for instead. Close is serialised with Resize and idempotent.
 func (s *Sharded[T, A, C]) Close() {
+	s.closeOnce.Do(func() {
+		close(s.closing)
+		for range cap(s.free) {
+			<-s.free
+		}
+	})
 	s.resizeMu.Lock()
 	if s.closed {
 		s.resizeMu.Unlock()

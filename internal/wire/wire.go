@@ -45,8 +45,8 @@
 //
 // Batch items are fixed 8-byte words: uint64 keys for Θ/HLL/Count-Min,
 // IEEE-754 bits (math.Float64bits) for quantiles values. Fixed-size items
-// keep encode/decode allocation-free and let the server fan a batch into
-// writer-lane chunks without reparsing.
+// keep encode/decode allocation-free and let the server decode a batch
+// block by block without reparsing.
 //
 // # Allocation discipline
 //

@@ -306,7 +306,8 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 // must not run on a closed registry: both panic (with the lock released) once
 // Close has run. A sketch handle obtained before Close stays queryable, but
 // the registry itself must not hand out or reconfigure sketches whose
-// propagators are stopped: an Update on one would block forever.
+// propagators are stopped: an Update on a pinned lane of one would block
+// forever.
 func (r *Registry) lockOpen() {
 	r.mu.Lock()
 	if r.closed {
@@ -716,9 +717,11 @@ func (r *Registry) Infos() []SketchInfo {
 // buffer), an autoscaling controller attached to it is stopped first, and
 // the name becomes free — the next accessor call under it creates a fresh,
 // empty sketch. Handles retained by callers stay queryable (merged queries
-// are wait-free and summarise the final drained state) but must not be
-// updated: an Update on a dropped sketch blocks forever, the same contract
-// as Close. Like every registry accessor it panics after Close.
+// are wait-free and summarise the final drained state). Drop waits for
+// every lane claimed through AcquireLane to be released, and later claims
+// report ok=false; an update on a pinned lane of a dropped sketch blocks
+// forever, the same contract as Close. Like every registry accessor it
+// panics after Close.
 func (r *Registry) Drop(family, name string) bool {
 	r.lockOpen()
 	e := r.lookup(family, name)
