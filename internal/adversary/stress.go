@@ -28,6 +28,7 @@ import (
 	"fastsketches/internal/clock"
 	"fastsketches/internal/core"
 	"fastsketches/internal/countmin"
+	"fastsketches/internal/quantiles"
 	"fastsketches/internal/relax"
 	"fastsketches/internal/shard"
 	"fastsketches/internal/theta"
@@ -49,7 +50,8 @@ type StressConfig struct {
 	MaxError float64
 	// Family is the sketch under fire: wire.FamilyCountMin (the default)
 	// checks the total N() over a hot key set — every update counts exactly
-	// once — and wire.FamilyTheta the distinct count of all-distinct keys,
+	// once — wire.FamilyQuantiles the item count N() of the keys taken as
+	// values, and wire.FamilyTheta the distinct count of all-distinct keys,
 	// the stream capped so the estimate is an exact count.
 	Family wire.Family
 	// Schedule is the successive shard counts Resize moves through,
@@ -223,9 +225,15 @@ type family struct {
 }
 
 const (
-	hotKeys  = 64 // Count-Min key set: small, so every shard stays loaded
-	thetaLgK = 13
+	hotKeys    = 64 // Count-Min key set: small, so every shard stays loaded
+	thetaLgK   = 13
+	quantilesK = 128
 )
+
+// quantilesKeys feeds the engine's keys to a Quantiles sketch as values.
+type quantilesKeys struct{ *shard.Quantiles }
+
+func (q quantilesKeys) Update(lane int, k uint64) { q.Quantiles.Update(lane, float64(k)) }
 
 var families = map[wire.Family]family{
 	wire.FamilyCountMin: {
@@ -244,6 +252,22 @@ var families = map[wire.Family]family{
 			}, func(acc *countmin.Sketch) int64 { return int64(acc.N()) }), err
 		},
 		key: func(k uint64) uint64 { return k % hotKeys },
+	},
+	wire.FamilyQuantiles: {
+		open: func(c shard.Config) (sketch, func() reader, error) {
+			sk, err := shard.NewQuantiles(quantilesK, c)
+			return quantilesKeys{sk}, newReader(sk, func(p plane, _ int) (int64, bool) {
+				switch p {
+				case windowed:
+					n, ok := sk.WindowN()
+					return int64(n), ok
+				case decayed:
+					return 0, false
+				}
+				return int64(sk.N()), true
+			}, func(acc *quantiles.Accumulator) int64 { return int64(acc.N()) }), err
+		},
+		key: func(k uint64) uint64 { return k },
 	},
 	wire.FamilyTheta: {
 		open: func(c shard.Config) (sketch, func() reader, error) {

@@ -3,11 +3,10 @@ package quantiles
 import "math"
 
 // Accumulator is a reusable merge target for summaries: the caller-owned
-// accumulator of the sharded merge-on-query path. Where MergeSummaries
-// allocates a fresh Summary per fold, an Accumulator merges in place over a
-// pair of ping-ponged buffers, so once its capacity has grown to the
-// working-set size, a query that Resets it and folds every shard summary
-// into it allocates nothing.
+// accumulator of the sharded merge-on-query path. An Accumulator merges in
+// place over a pair of ping-ponged buffers, so once its capacity has grown
+// to the working-set size, a query that Resets it and folds every shard
+// summary into it allocates nothing.
 //
 // An Accumulator is not safe for concurrent use; pool or own one per
 // goroutine. The summaries folded into it are never retained or mutated.
@@ -41,8 +40,10 @@ func (a *Accumulator) Reset() {
 	a.cur.min, a.cur.max = 0, 0
 }
 
-// Merge folds one immutable summary into the accumulator. Equivalent to
-// cur = MergeSummaries(cur, s), but reusing the accumulator's buffers.
+// Merge folds one immutable summary into the accumulator: values are merged
+// in sorted order with their weights, and n/min/max accumulate. The rank
+// error of the result is bounded by the max of the inputs' errors, as for
+// sketch-level merging of mergeable summaries.
 func (a *Accumulator) Merge(s *Summary) {
 	if s == nil || s.n == 0 {
 		return

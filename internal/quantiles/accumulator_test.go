@@ -5,6 +5,50 @@ import (
 	"testing"
 )
 
+// MergeSummaries is Accumulator's reference oracle: it combines two
+// immutable summaries into a freshly allocated one summarising the
+// concatenation of their streams: values are merged in sorted order with
+// their weights, and n/min/max accumulate. Either argument may be nil or
+// empty, in which case the other is returned unchanged (summaries are
+// immutable, so sharing is safe). The rank error of the result is bounded by
+// the max of the inputs' errors, as for sketch-level merging of mergeable
+// summaries.
+func MergeSummaries(a, b *Summary) *Summary {
+	if a == nil || a.n == 0 {
+		if b == nil {
+			return emptySummary
+		}
+		return b
+	}
+	if b == nil || b.n == 0 {
+		return a
+	}
+	out := &Summary{
+		values: make([]float64, 0, len(a.values)+len(b.values)),
+		cum:    make([]float64, 0, len(a.values)+len(b.values)),
+		n:      a.n + b.n,
+		min:    math.Min(a.min, b.min),
+		max:    math.Max(a.max, b.max),
+	}
+	var cum float64
+	i, j := 0, 0
+	for i < len(a.values) || j < len(b.values) {
+		takeA := j >= len(b.values) ||
+			(i < len(a.values) && a.values[i] <= b.values[j])
+		if takeA {
+			cum += a.weight(i)
+			out.values = append(out.values, a.values[i])
+			i++
+		} else {
+			cum += b.weight(j)
+			out.values = append(out.values, b.values[j])
+			j++
+		}
+		out.cum = append(out.cum, cum)
+	}
+	return out
+}
+
 // buildSummary returns a published summary over the given values.
 func buildSummary(t *testing.T, k int, seed int64, values []float64) *Summary {
 	t.Helper()

@@ -2,6 +2,7 @@ package quantiles
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -91,49 +92,6 @@ func (s *Summary) weight(i int) float64 {
 	return s.cum[i] - s.cum[i-1]
 }
 
-// MergeSummaries combines two immutable summaries into one summarising the
-// concatenation of their streams: values are merged in sorted order with
-// their weights, and n/min/max accumulate. Either argument may be nil or
-// empty, in which case the other is returned unchanged (summaries are
-// immutable, so sharing is safe). The rank error of the result is bounded by
-// the max of the inputs' errors, as for sketch-level merging of mergeable
-// summaries.
-func MergeSummaries(a, b *Summary) *Summary {
-	if a == nil || a.n == 0 {
-		if b == nil {
-			return emptySummary
-		}
-		return b
-	}
-	if b == nil || b.n == 0 {
-		return a
-	}
-	out := &Summary{
-		values: make([]float64, 0, len(a.values)+len(b.values)),
-		cum:    make([]float64, 0, len(a.values)+len(b.values)),
-		n:      a.n + b.n,
-		min:    math.Min(a.min, b.min),
-		max:    math.Max(a.max, b.max),
-	}
-	var cum float64
-	i, j := 0, 0
-	for i < len(a.values) || j < len(b.values) {
-		takeA := j >= len(b.values) ||
-			(i < len(a.values) && a.values[i] <= b.values[j])
-		if takeA {
-			cum += a.weight(i)
-			out.values = append(out.values, a.values[i])
-			i++
-		} else {
-			cum += b.weight(j)
-			out.values = append(out.values, b.values[j])
-			j++
-		}
-		out.cum = append(out.cum, cum)
-	}
-	return out
-}
-
 // emptySummary is the snapshot published before any data arrives.
 var emptySummary = &Summary{}
 
@@ -144,14 +102,30 @@ var emptySummary = &Summary{}
 // atomic pointer load. This is the "queryable copy" semantics of the
 // paper's snapshot API: immediately after the snapshot is taken, it answers
 // exactly like the sketch it copied.
+//
+// Publishing merges, it does not sort. The composable caches the levels'
+// merged run, rebuilt only when the gadget's level generation changes (a
+// compaction, every 2k items), and a sorted copy of the base buffer,
+// extended by sorting just the items added since the last publish. A
+// publish is then one linear merge of the two runs into a fresh Summary,
+// the one sorting every retained item would build (for distinct values,
+// field for field).
 type Composable struct {
 	gadget *Sketch
 	snap   atomic.Pointer[Summary]
+
+	// Propagator-owned publication state. gen is the gadget generation the
+	// caches reflect; run is the levels merged with their weights; base
+	// holds gadget.base[:len(base)] sorted, and tail is the scratch that
+	// sorts the items appended since.
+	gen        uint64
+	run        []weightedItem
+	base, tail []float64
 }
 
 // NewComposable returns a composable quantiles sketch with parameter k.
 func NewComposable(k int, bits BitSource) *Composable {
-	c := &Composable{gadget: New(k, bits)}
+	c := &Composable{gadget: New(k, bits), base: make([]float64, 0, 2*k)}
 	c.snap.Store(emptySummary)
 	return c
 }
@@ -171,24 +145,76 @@ func (c *Composable) DirectUpdate(v float64) {
 	c.publish()
 }
 
-// publish rebuilds the immutable summary from the gadget. The atomic
-// pointer store is the linearisation point of the merge.
+// publish merges the cached level run and sorted base into a fresh
+// immutable summary. The atomic pointer store is the linearisation point of
+// the merge.
 func (c *Composable) publish() {
-	items := c.gadget.gather()
-	sum := &Summary{
-		values: make([]float64, len(items)),
-		cum:    make([]float64, len(items)),
-		n:      c.gadget.n,
-		min:    c.gadget.min,
-		max:    c.gadget.max,
+	g := c.gadget
+	if c.gen != g.gen {
+		c.gen = g.gen
+		c.mergeLevels()
+		c.base = append(c.base[:0], g.base...)
+		slices.Sort(c.base)
+	} else if old := len(c.base); len(g.base) > old {
+		// Sort only the new tail, then merge it in from the back.
+		c.tail = append(c.tail[:0], g.base[old:]...)
+		slices.Sort(c.tail)
+		c.base = append(c.base, c.tail...)
+		i, j := old-1, len(c.tail)-1
+		for k := len(c.base) - 1; j >= 0; k-- {
+			if i >= 0 && c.base[i] > c.tail[j] {
+				c.base[k] = c.base[i]
+				i--
+			} else {
+				c.base[k] = c.tail[j]
+				j--
+			}
+		}
 	}
+	m := len(c.run) + len(c.base)
+	buf := make([]float64, 2*m)
+	sum := &Summary{values: buf[:m:m], cum: buf[m:], n: g.n, min: g.min, max: g.max}
 	var cum float64
-	for i, it := range items {
+	o, j := 0, 0
+	for _, it := range c.run {
+		for ; j < len(c.base) && c.base[j] < it.value; j++ {
+			cum++
+			sum.values[o], sum.cum[o] = c.base[j], cum
+			o++
+		}
 		cum += float64(it.weight)
-		sum.values[i] = it.value
-		sum.cum[i] = cum
+		sum.values[o], sum.cum[o] = it.value, cum
+		o++
+	}
+	for _, v := range c.base[j:] {
+		cum++
+		sum.values[o], sum.cum[o] = v, cum
+		o++
 	}
 	c.snap.Store(sum)
+}
+
+// mergeLevels rebuilds the level run by merging the sorted levels into it
+// one at a time, each from the back so the run needs no scratch.
+func (c *Composable) mergeLevels() {
+	c.run = c.run[:0]
+	for i, lv := range c.gadget.lvls {
+		if lv == nil {
+			continue
+		}
+		w := uint64(1) << uint(i+1)
+		r, j := len(c.run)-1, len(lv)-1
+		c.run = append(c.run, make([]weightedItem, len(lv))...)
+		for k := len(c.run) - 1; j >= 0; k-- {
+			if r >= 0 && c.run[r].value > lv[j] {
+				c.run[k] = c.run[r]
+				r--
+			} else {
+				c.run[k] = weightedItem{lv[j], w}
+				j--
+			}
+		}
+	}
 }
 
 // CalcHint returns 1: the quantiles sketch has no useful pre-filter (every

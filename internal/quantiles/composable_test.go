@@ -1,7 +1,10 @@
 package quantiles
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -228,4 +231,123 @@ func TestMergeSummariesProperties(t *testing.T) {
 	if m.cum[len(m.cum)-1] != float64(m.N()) {
 		t.Errorf("total cum weight %v != N %d", m.cum[len(m.cum)-1], m.N())
 	}
+}
+
+// gatherSummary is the reference publication: the gadget's retained items
+// gathered and sorted with cumulative weights.
+func gatherSummary(s *Sketch) *Summary {
+	items := s.gather()
+	out := &Summary{
+		values: make([]float64, len(items)),
+		cum:    make([]float64, len(items)),
+		n:      s.n,
+		min:    s.min,
+		max:    s.max,
+	}
+	var cum float64
+	for i, it := range items {
+		cum += float64(it.weight)
+		out.values[i], out.cum[i] = it.value, cum
+	}
+	return out
+}
+
+func TestPublishedSummaryMatchesGather(t *testing.T) {
+	// The composable publishes by merging a cached level run with a sorted
+	// copy of the base; after every publication, on buffers that straddle
+	// compactions, the summary must be the one gather builds. Distinct
+	// values make that summary unique, so it is compared field for field.
+	// gather's sort is unstable on ties, so a tie-heavy stream compares only
+	// the answers, which do not depend on the order of equal values.
+	const k, items = 16, 8000
+	r := rand.New(rand.NewSource(7))
+	distinct := make([]float64, items)
+	for i, p := range r.Perm(items) {
+		distinct[i] = float64(p) + 0.5
+	}
+	ties := make([]float64, items)
+	for i := range ties {
+		ties[i] = float64(r.Intn(37))
+	}
+	phis := []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
+	check := func(t *testing.T, step int, got, want *Summary, exact bool) {
+		t.Helper()
+		if got.n != want.n || got.min != want.min || got.max != want.max {
+			t.Fatalf("step %d: n/min/max %d/%v/%v, gather %d/%v/%v",
+				step, got.n, got.min, got.max, want.n, want.min, want.max)
+		}
+		if exact {
+			if !slices.Equal(got.values, want.values) || !slices.Equal(got.cum, want.cum) {
+				t.Fatalf("step %d: published summary differs from gather's", step)
+			}
+			return
+		}
+		for _, phi := range phis {
+			if g, w := got.Quantile(phi), want.Quantile(phi); g != w {
+				t.Fatalf("step %d: quantile(%v) %v, gather %v", step, phi, g, w)
+			}
+		}
+		for v := -1.0; v <= 37; v += 0.5 {
+			if g, w := got.Rank(v), want.Rank(v); g != w {
+				t.Fatalf("step %d: rank(%v) %v, gather %v", step, v, g, w)
+			}
+		}
+	}
+	for _, stream := range []struct {
+		name   string
+		values []float64
+	}{{"distinct", distinct}, {"ties", ties}} {
+		for _, size := range []int{0, 1, 63, 64, 257, 1000} { // 0: DirectUpdate
+			name := fmt.Sprintf("%s/b=%d", stream.name, size)
+			if size == 0 {
+				name = stream.name + "/direct"
+			}
+			t.Run(name, func(t *testing.T) {
+				c := NewComposable(k, NewRandomBits(int64(size)))
+				vs, step := stream.values, 0
+				for len(vs) > 0 {
+					if size == 0 {
+						c.DirectUpdate(vs[0])
+						vs = vs[1:]
+					} else {
+						n := min(size, len(vs))
+						c.MergeBuffer(vs[:n])
+						vs = vs[n:]
+					}
+					check(t, step, c.Snapshot(), gatherSummary(c.gadget), stream.name == "distinct")
+					step++
+				}
+				if c.gadget.n/(2*k) < 100 {
+					t.Fatalf("only %d compactions", c.gadget.n/(2*k))
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkComposableMergeBuffer times the propagator's merge-and-publish of
+// one 64-item buffer into a k=128 composable that has already absorbed 2^20
+// items, so the levels are deep and every buffer republishes a full summary.
+func BenchmarkComposableMergeBuffer(b *testing.B) {
+	const k, bufSize, warm = 128, 64, 1 << 20
+	r := rand.New(rand.NewSource(1))
+	stream := make([]float64, 1<<16)
+	for i := range stream {
+		stream[i] = r.Float64()
+	}
+	c := NewComposable(k, NewRandomBits(1))
+	off := 0
+	next := func() []float64 {
+		buf := stream[off : off+bufSize]
+		off = (off + bufSize) % len(stream)
+		return buf
+	}
+	for i := 0; i < warm; i += bufSize {
+		c.MergeBuffer(next())
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.MergeBuffer(next())
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bufSize), "ns/item")
 }

@@ -22,9 +22,11 @@
 package quantiles
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -63,6 +65,9 @@ type Sketch struct {
 	base []float64   // unsorted base buffer, cap 2k
 	lvls [][]float64 // lvls[i] is nil or a sorted slice of exactly k items
 	bits BitSource
+	// gen changes whenever lvls may have changed or base was emptied, so a
+	// Composable knows when its cached level run and sorted base are stale.
+	gen uint64
 }
 
 // New returns an empty sketch with summary parameter k (items per level).
@@ -118,7 +123,7 @@ func (s *Sketch) Update(v float64) {
 // compactBase sorts and zips the full base buffer into a level-0 carry and
 // propagates it.
 func (s *Sketch) compactBase() {
-	sort.Float64s(s.base)
+	slices.Sort(s.base)
 	carry := s.zip(s.base)
 	s.base = s.base[:0]
 	s.propagate(0, carry)
@@ -142,6 +147,7 @@ func (s *Sketch) zip(in []float64) []float64 {
 // propagate performs the binary-addition carry walk: insert `carry` (sorted,
 // k items) at level lvl, merging and re-zipping through occupied levels.
 func (s *Sketch) propagate(lvl int, carry []float64) {
+	s.gen++
 	for {
 		for len(s.lvls) <= lvl {
 			s.lvls = append(s.lvls, nil)
@@ -218,6 +224,7 @@ func (s *Sketch) Reset() {
 	s.max = math.Inf(-1)
 	s.base = s.base[:0]
 	s.lvls = s.lvls[:0]
+	s.gen++
 }
 
 // weightedItem pairs a retained value with its weight.
@@ -241,7 +248,7 @@ func (s *Sketch) gather() []weightedItem {
 			items = append(items, weightedItem{v, w})
 		}
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].value < items[j].value })
+	slices.SortFunc(items, func(a, b weightedItem) int { return cmp.Compare(a.value, b.value) })
 	return items
 }
 

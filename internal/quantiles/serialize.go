@@ -134,6 +134,7 @@ func Unmarshal(data []byte, bits BitSource) (*Sketch, error) {
 		s.lvls[lvl] = lv
 		total += uint64(k) << uint(lvl+1)
 	}
+	s.gen++
 	if total != n {
 		return nil, fmt.Errorf("%w: retained weight %d does not match n %d", ErrCorrupt, total, n)
 	}

@@ -42,8 +42,10 @@ func stress(t *testing.T, cfg adversary.StressConfig) adversary.StressReport {
 	return rep
 }
 
-// families are the two rows of the engine's family table.
-var families = map[string]wire.Family{"countmin": wire.FamilyCountMin, "theta": wire.FamilyTheta}
+// families are the rows of the engine's family table.
+var families = map[string]wire.Family{
+	"countmin": wire.FamilyCountMin, "quantiles": wire.FamilyQuantiles, "theta": wire.FamilyTheta,
+}
 
 func TestStressCountTotalsBound(t *testing.T) {
 	cfg := adversary.StressConfig{
