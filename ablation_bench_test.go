@@ -5,8 +5,7 @@
 //     memory fences" — Ablation_PreFilter removes shouldAdd and measures
 //     the cost;
 //   - double buffering (Section 5.2): OptParSketch vs ParSketch;
-//   - local buffer size b: the throughput/recency knob behind Figure 8 and
-//     the "future work" item on adapting buffer sizes dynamically;
+//   - local buffer size b: the throughput/recency knob behind Figure 8;
 //   - snapshot publication cost: what the Θ composable pays to make queries
 //     a single atomic load.
 package fastsketches
@@ -152,29 +151,6 @@ func BenchmarkAblation_WritersOnOneCore(b *testing.B) {
 	for _, writers := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
 			feedConcurrent(writers, 12, 16, 1.0, b.N, 1)
-		})
-	}
-}
-
-// BenchmarkAblation_AdaptiveBuffers measures the future-work extension: the
-// hint-driven buffer growth against the fixed-b baseline on a large stream.
-func BenchmarkAblation_AdaptiveBuffers(b *testing.B) {
-	for _, adaptive := range []bool{false, true} {
-		name := "Fixed"
-		if adaptive {
-			name = "Adaptive"
-		}
-		b.Run(name, func(b *testing.B) {
-			comp := theta.NewComposable(12, DefaultSeed)
-			fw := core.New[uint64](comp, core.Config{
-				Workers: 1, BufferSize: 4, MaxError: 1, AdaptiveBuffers: adaptive, K: 4096,
-			})
-			fw.Start()
-			for i := 0; i < b.N; i++ {
-				fw.Update(0, theta.HashKey(uint64(i), DefaultSeed))
-			}
-			b.StopTimer()
-			fw.Close()
 		})
 	}
 }

@@ -116,8 +116,9 @@ func (r *Registry) Checkpoint(w io.Writer) error {
 // window ring rebuilt from the recorded slots, and its snapshot folded into
 // the sketch's legacy state (exact, no staleness contribution). A record's
 // Spec passes the same validation as any other, before its sketch is
-// created, so a rejected record leaves nothing registered. Version-1
-// containers restore too, with the settings they recorded. Restoring into a
+// created, so a rejected record leaves nothing registered. A container in
+// any format version but snapshot.Version is rejected whole with
+// snapshot.ErrVersion before any record is read. Restoring into a
 // non-empty registry merges: existing state is kept and the snapshot folds
 // in on top — which is also what makes Restore idempotent-unsafe (restoring
 // the same additive-family snapshot twice doubles Count-Min weights);
@@ -138,13 +139,13 @@ func (r *Registry) Restore(rd io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("fastsketches: checkpoint read: %w", err)
 	}
-	count, version, rest, err := snapshot.ParseHeader(data)
+	count, rest, err := snapshot.ParseHeader(data)
 	if err != nil {
 		return err
 	}
 	for i := 0; i < count; i++ {
 		var rec snapshot.Record
-		rec, rest, err = snapshot.ParseRecord(rest, version)
+		rec, rest, err = snapshot.ParseRecord(rest)
 		if err != nil {
 			return fmt.Errorf("record %d: %w", i, err)
 		}

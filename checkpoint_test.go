@@ -2,6 +2,7 @@ package fastsketches_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io/fs"
 	"math"
@@ -491,6 +492,43 @@ func TestCheckpointerManualClock(t *testing.T) {
 	}
 }
 
+// withVersion returns a copy of a checkpoint container with its format
+// version field overwritten.
+func withVersion(ckpt []byte, v uint16) []byte {
+	out := append([]byte(nil), ckpt...)
+	binary.LittleEndian.PutUint16(out[4:], v)
+	return out
+}
+
+// TestRestoreRejectsV1Checkpoint: format version 1 is no longer read. A
+// version-1 container fails whole with snapshot.ErrVersion before any of
+// its records is imported, so the registry stays empty.
+func TestRestoreRejectsV1Checkpoint(t *testing.T) {
+	src := populated(t, 500)
+	ckpt := src.AppendCheckpoint(nil)
+	src.Close()
+
+	reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{Shards: 3, Writers: 2, MaxError: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	if err := reg.Restore(bytes.NewReader(withVersion(ckpt, 1))); !errors.Is(err, snapshot.ErrVersion) {
+		t.Fatalf("v1 restore error = %v, want snapshot.ErrVersion", err)
+	}
+	if names := reg.Names(); len(names) != 0 {
+		t.Errorf("rejected v1 container registered %v", names)
+	}
+	// The same container at the current version restores: the rejection is
+	// the version field's alone.
+	if err := reg.Restore(bytes.NewReader(ckpt)); err != nil {
+		t.Fatal(err)
+	}
+	if names := reg.Names(); len(names) != 4 {
+		t.Errorf("current-version restore registered %v, want 4 sketches", names)
+	}
+}
+
 // FuzzCheckpointRestore throws arbitrary bytes at Registry.Restore: the
 // contract is a typed error or a clean import, never a panic, whatever the
 // container claims.
@@ -506,21 +544,35 @@ func FuzzCheckpointRestore(f *testing.F) {
 		cm.Update(0, uint64(i%17))
 	}
 	f.Add(seedReg.AppendCheckpoint(nil))
+	// The same sketches with every plane in their Specs: a view, a
+	// decaying window with closed slots and an autoscale policy on the
+	// Count-Min, a window with a closed slot on the Θ.
+	if err := errors.Join(
+		seedReg.Apply("countmin", "fz.cm", fastsketches.Spec{
+			View:      &fastsketches.ViewConfig{RefreshEvery: time.Hour, MaxAge: -1},
+			Window:    &fastsketches.WindowConfig{Interval: time.Hour, Slots: 3, Decay: 0.5},
+			Autoscale: &autoscale.Policy{MinShards: 1, MaxShards: 8, HighWater: 1e6, LowWater: 1e4},
+		}),
+		seedReg.Apply("theta", "fz.t", fastsketches.Spec{
+			Window: &fastsketches.WindowConfig{Interval: time.Hour, Slots: 2},
+		}),
+	); err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		th.RotateNow()
+		cm.RotateNow()
+		th.Update(0, uint64(1000+i))
+		cm.Update(0, uint64(i))
+	}
+	full := seedReg.AppendCheckpoint(nil)
+	f.Add(full)
 	seedReg.Close()
 	f.Add([]byte{})
 	f.Add(snapshot.AppendHeader(nil, 3))
-	// The version-1 fixture, and the same sketches re-checkpointed as
-	// version 2 with every plane in their Specs.
-	f.Add(v1Checkpoint)
-	v2Reg, err := fastsketches.NewRegistry(v1Config)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := v2Reg.Restore(bytes.NewReader(v1Checkpoint)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2Reg.AppendCheckpoint(nil))
-	v2Reg.Close()
+	// A container stamped with the retired version 1 keeps the rejection
+	// path fuzzed.
+	f.Add(withVersion(full, 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{Shards: 1, Writers: 1})

@@ -101,7 +101,7 @@ func TestServedQueryZeroAlloc(t *testing.T) {
 //
 // The pinned family is CountMin because its global sketch is genuinely
 // steady-state: Θ and Quantiles keep growing internal structure on a
-// changing stream (adaptive buffers, compaction levels), which is amortised
+// changing stream (hash-table growth, compaction levels), which is amortised
 // data-structure growth, not per-batch serving overhead. CountMin shares
 // the entire transport, lane-claim, and core UpdateBatch path with the
 // other families, so a regression anywhere on that path shows up here.

@@ -13,8 +13,9 @@ import (
 // windowed queries on a window-less sketch fail with a typed server error on
 // a healthy connection, EnableWindow spans every family registered under the
 // name (stripping decay from the families that cannot honour it), Info
-// echoes the declared geometry and rotation liveness, windowed and decayed
-// queries serve exact answers across rotations and an expulsion, and
+// echoes the declared geometry and rotation liveness, every family's
+// windowed queries serve the in-process handle's answers, windowed and
+// decayed queries serve exact answers across rotations and an expulsion, and
 // Spec.WindowOff restores the window-less behaviour without touching the
 // cumulative plane.
 //
@@ -113,6 +114,59 @@ func TestE2EWindows(t *testing.T) {
 	}
 	if est, err := cl.ThetaWindowEstimate(name); err != nil || est != 1000 {
 		t.Fatalf("ThetaWindowEstimate = (%v, %v), want exactly 1000 in the eager regime", est, err)
+	}
+
+	// HLL and Quantiles ride along too, each quiesced by the same exact
+	// drain. Every served windowed answer must equal the in-process
+	// handle's windowed answer on the same sketch, and the windowed
+	// Quantiles count is exactly what was ingested.
+	const nq = 1000
+	bh, bq := cl.NewBatch(client.HLL, name), cl.NewBatch(client.Quantiles, name)
+	for i := 0; i < nq; i++ {
+		if err := errors.Join(bh.Add(uint64(i)), bq.AddFloat(float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := errors.Join(bh.Flush(), bq.Flush(),
+		cl.Resize(client.HLL, name, 3), cl.Resize(client.Quantiles, name, 3)); err != nil {
+		t.Fatal(err)
+	}
+	th, err := reg.OpenTheta(name, fastsketches.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hl, err := reg.OpenHLL(name, fastsketches.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := reg.OpenQuantiles(name, fastsketches.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, ok := th.Sketch().WindowEstimate(); !ok {
+		t.Fatal("in-process Θ window missing")
+	} else if got, err := cl.ThetaWindowEstimate(name); err != nil || got != want {
+		t.Fatalf("ThetaWindowEstimate = (%v, %v), in-process %v", got, err, want)
+	}
+	if want, ok := hl.Sketch().WindowEstimate(); !ok {
+		t.Fatal("in-process HLL window missing")
+	} else if got, err := cl.HLLWindowEstimate(name); err != nil || got != want {
+		t.Fatalf("HLLWindowEstimate = (%v, %v), in-process %v", got, err, want)
+	}
+	if got, err := cl.WindowQuantilesN(name); err != nil || got != nq {
+		t.Fatalf("WindowQuantilesN = (%d, %v), want exactly %d", got, err, nq)
+	}
+	if want, ok := q.Sketch().WindowN(); !ok || want != nq {
+		t.Fatalf("in-process WindowN = (%d, %v), want %d", want, ok, nq)
+	}
+	for _, phi := range []float64{0, 0.25, 0.5, 0.99, 1} {
+		want, ok := q.Sketch().WindowQuantile(phi)
+		if !ok {
+			t.Fatal("in-process Quantiles window missing")
+		}
+		if got, err := cl.WindowQuantile(name, phi); err != nil || got != want {
+			t.Fatalf("WindowQuantile(%v) = (%v, %v), in-process %v", phi, got, err, want)
+		}
 	}
 
 	// Three closed intervals of 100, 40 and 10 through a 2-slot ring with

@@ -65,29 +65,6 @@ type Global[T any] interface {
 	ShouldAdd(hint uint64, item T) bool
 }
 
-// BufferAdvisor is an optional extension of Global implementing the
-// adaptation the paper's conclusion proposes as future work: "investigate
-// additional uses of the hint, for example, in order to dynamically adapt
-// the size of the local buffers and respective relaxation error."
-//
-// When the framework is configured with AdaptiveBuffers and the global
-// sketch implements this interface, each writer re-derives its local buffer
-// size from every fresh hint. The Θ composable, for instance, grows buffers
-// as Θ shrinks: with pre-filtering only a θ fraction of the raw stream is
-// retained, so a b-slot buffer represents ≈ b/θ raw updates — growing b as
-// 1/θ keeps the propagation frequency (and its fences) roughly constant per
-// raw update while the *relative* staleness r/n keeps falling.
-type BufferAdvisor interface {
-	// AdviseBuffer returns the recommended buffer size for the given hint
-	// and configured base size. Implementations must return a value ≥ 1;
-	// the framework additionally clamps to [base, base*MaxBufferGrowth].
-	AdviseBuffer(hint uint64, base int) int
-}
-
-// MaxBufferGrowth caps adaptive buffers at this multiple of the base size,
-// bounding the worst-case relaxation at Relaxation() = 2·N·b·MaxBufferGrowth.
-const MaxBufferGrowth = 16
-
 // Mode selects between the paper's two algorithm variants.
 type Mode int
 
@@ -132,9 +109,6 @@ type Config struct {
 	// EagerLimit overrides the stream length at which the framework stops
 	// eager propagation. 0 derives the paper's 2/e².
 	EagerLimit int
-	// AdaptiveBuffers enables hint-driven buffer resizing when the global
-	// sketch implements BufferAdvisor (the paper's future-work extension).
-	AdaptiveBuffers bool
 }
 
 // DeriveBufferSize computes the local buffer size b from the sketch accuracy
@@ -184,9 +158,6 @@ type writer[T any] struct {
 	buf  [2][]T
 	cur  int
 	hint uint64
-	// bEff is the effective buffer size; equals the configured b unless
-	// adaptive buffering grows it in response to hints.
-	bEff int
 	// hintParked/hintWake are the writer-side park/wake handshake of
 	// awaitHint, mirroring the propagator's: a writer blocked on a pending
 	// propagation publishes hintParked and parks; the propagator posts a
@@ -269,8 +240,6 @@ type Framework[T any] struct {
 	eagerCount int
 	eagerLimit int
 
-	advisor BufferAdvisor // non-nil when adaptive buffering is active
-
 	// propParked/propWake are the propagator's park/wake handshake: instead
 	// of polling writer lanes with yields and naps while idle (whose wake
 	// latency a publishing writer then eats in awaitHint), the propagator
@@ -318,14 +287,9 @@ func New[T any](global Global[T], cfg Config) *Framework[T] {
 	if !eager {
 		f.lazy.Store(true)
 	}
-	if cfg.AdaptiveBuffers {
-		if adv, ok := global.(BufferAdvisor); ok {
-			f.advisor = adv
-		}
-	}
 	f.writers = make([]*writer[T], cfg.Workers)
 	for i := range f.writers {
-		w := &writer[T]{hint: hint, bEff: b, seenLazy: !eager, hintWake: make(chan struct{}, 1)}
+		w := &writer[T]{hint: hint, seenLazy: !eager, hintWake: make(chan struct{}, 1)}
 		w.buf[0] = make([]T, 0, b)
 		if cfg.Mode == ModeOptimised {
 			w.buf[1] = make([]T, 0, b)
@@ -342,31 +306,15 @@ func (f *Framework[T]) BufferSize() int { return f.b }
 
 // Relaxation returns r, the maximum number of preceding updates a query may
 // miss: 2·N·b for OptParSketch, N·b for ParSketch (Theorem 1 / Lemma 1).
-// With adaptive buffering the worst-case buffer is b·MaxBufferGrowth.
 func (f *Framework[T]) Relaxation() int {
-	b := f.b
-	if f.advisor != nil {
-		b *= MaxBufferGrowth
-	}
 	if f.cfg.Mode == ModeOptimised {
-		return 2 * f.cfg.Workers * b
+		return 2 * f.cfg.Workers * f.b
 	}
-	return f.cfg.Workers * b
+	return f.cfg.Workers * f.b
 }
 
 // Workers returns N.
 func (f *Framework[T]) Workers() int { return f.cfg.Workers }
-
-// EffectiveBuffers returns each writer's current buffer size (equal to
-// BufferSize unless adaptive buffering grew them). Call only while writers
-// are quiescent.
-func (f *Framework[T]) EffectiveBuffers() []int {
-	out := make([]int, len(f.writers))
-	for i, w := range f.writers {
-		out[i] = w.bEff
-	}
-	return out
-}
 
 // Start launches the background propagator goroutine.
 func (f *Framework[T]) Start() {
@@ -395,7 +343,7 @@ func (f *Framework[T]) Update(wid int, item T) {
 	}
 	w.updates++
 	w.buf[w.cur] = append(w.buf[w.cur], item)
-	if len(w.buf[w.cur]) < w.bEff {
+	if len(w.buf[w.cur]) < f.b {
 		return
 	}
 	f.flushLocal(w)
@@ -426,7 +374,7 @@ func (f *Framework[T]) UpdateBatch(wid int, items []T) {
 		buf := w.buf[w.cur]
 		// Take at most the buffer's remaining room this pass; filtered
 		// items do not consume room, so the pass may underfill and loop.
-		n := w.bEff - len(buf)
+		n := f.b - len(buf)
 		if n > len(items) {
 			n = len(items)
 		}
@@ -441,7 +389,7 @@ func (f *Framework[T]) UpdateBatch(wid int, items []T) {
 		w.filtered += int64(n - accepted)
 		w.buf[w.cur] = buf
 		items = items[n:]
-		if len(buf) >= w.bEff {
+		if len(buf) >= f.b {
 			f.flushLocal(w)
 		}
 	}
@@ -456,7 +404,6 @@ func (f *Framework[T]) flushLocal(w *writer[T]) {
 		f.ingested.Add(int64(len(w.buf[w.cur])))
 		f.publish(w)
 		w.hint = f.awaitHint(w)
-		f.adapt(w)
 		return
 	}
 	// OptParSketch, lines 125-129: wait for the previous propagation (if
@@ -466,7 +413,6 @@ func (f *Framework[T]) flushLocal(w *writer[T]) {
 	w.cur = 1 - w.cur
 	f.ingested.Add(int64(len(w.buf[1-w.cur])))
 	f.publish(w)
-	f.adapt(w)
 }
 
 // publish stores the "propagation pending" sentinel on the writer's prop
@@ -479,22 +425,6 @@ func (f *Framework[T]) publish(w *writer[T]) {
 		default:
 		}
 	}
-}
-
-// adapt re-derives the writer's effective buffer size from its fresh hint
-// (the future-work extension; no-op unless configured).
-func (f *Framework[T]) adapt(w *writer[T]) {
-	if f.advisor == nil {
-		return
-	}
-	b := f.advisor.AdviseBuffer(w.hint, f.b)
-	if b < f.b {
-		b = f.b
-	}
-	if max := f.b * MaxBufferGrowth; b > max {
-		b = max
-	}
-	w.bEff = b
 }
 
 // hintSpins is how many times awaitHint polls the prop word (yielding

@@ -469,78 +469,3 @@ func TestModeString(t *testing.T) {
 		t.Error("unknown mode formatting wrong")
 	}
 }
-
-func TestAdaptiveBuffersGrow(t *testing.T) {
-	// With adaptive buffering the writer's effective buffer must grow as Θ
-	// shrinks (k small → Θ drops fast), and correctness must be unaffected.
-	comp := theta.NewComposable(6, seed) // k=64
-	fw := core.New[uint64](comp, core.Config{
-		Workers: 1, BufferSize: 4, MaxError: 1, AdaptiveBuffers: true, K: 64,
-	})
-	fw.Start()
-	const n = 1 << 17
-	for i := 0; i < n; i++ {
-		fw.Update(0, theta.HashKey(uint64(i), seed))
-	}
-	fw.Close()
-	bs := fw.EffectiveBuffers()
-	if bs[0] <= 4 {
-		t.Errorf("effective buffer %d did not grow beyond base 4", bs[0])
-	}
-	if bs[0] > 4*core.MaxBufferGrowth {
-		t.Errorf("effective buffer %d exceeds clamp %d", bs[0], 4*core.MaxBufferGrowth)
-	}
-	re := comp.Estimate()/n - 1
-	if math.Abs(re) > 5*theta.RSEBound(64) {
-		t.Errorf("adaptive-buffer accuracy %.4f out of tolerance", re)
-	}
-	if fw.Relaxation() != 2*1*4*core.MaxBufferGrowth {
-		t.Errorf("relaxation %d should report worst-case adaptive bound", fw.Relaxation())
-	}
-}
-
-func TestAdaptiveBuffersInertWithoutAdvisor(t *testing.T) {
-	// Quantiles' composable does not implement BufferAdvisor: the flag must
-	// be a no-op, not a failure.
-	comp := quantiles.NewComposable(64, quantiles.NewRandomBits(1))
-	fw := core.New[float64](comp, core.Config{
-		Workers: 1, BufferSize: 8, MaxError: 1, AdaptiveBuffers: true,
-	})
-	fw.Start()
-	for i := 0; i < 10000; i++ {
-		fw.Update(0, float64(i))
-	}
-	fw.Close()
-	if bs := fw.EffectiveBuffers(); bs[0] != 8 {
-		t.Errorf("buffer changed without an advisor: %d", bs[0])
-	}
-	if fw.Relaxation() != 2*8 {
-		t.Errorf("relaxation %d should stay 2·N·b without an advisor", fw.Relaxation())
-	}
-}
-
-func TestAdaptiveBuffersExactDrain(t *testing.T) {
-	// Growth must never lose updates: everything drains at Close.
-	comp := theta.NewComposable(14, seed) // 2k = 32768 > n → exact mode
-	fw := core.New[uint64](comp, core.Config{
-		Workers: 2, BufferSize: 2, MaxError: 1, AdaptiveBuffers: true, K: 1 << 14,
-	})
-	fw.Start()
-	var wg sync.WaitGroup
-	const n = 20000
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			base := uint64(w) << 40
-			for i := 0; i < n/2; i++ {
-				fw.Update(w, theta.HashKey(base+uint64(i), seed))
-			}
-		}(w)
-	}
-	wg.Wait()
-	fw.Close()
-	if est := comp.Estimate(); est != n {
-		t.Errorf("adaptive drain lost updates: %v != %d", est, n)
-	}
-}

@@ -9,8 +9,18 @@ import (
 	"testing/quick"
 
 	"fastsketches/internal/core"
-	"fastsketches/internal/stream"
 )
+
+// zipf draws n keys from a Zipf distribution with exponent s over
+// [0, domain): a heavy-hitter stream with many duplicates.
+func zipf(n int, domain uint64, s float64, seed int64) []uint64 {
+	z := rand.NewZipf(rand.New(rand.NewSource(seed)), s, 1, domain-1)
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = z.Uint64()
+	}
+	return out
+}
 
 func TestNeverUnderestimates(t *testing.T) {
 	s := New(256, 4, 9001)
@@ -32,7 +42,7 @@ func TestErrorBoundHolds(t *testing.T) {
 	// With w=⌈e/ε⌉ the additive error is ≤ ε·N w.p. ≥ 1−e^−d per key;
 	// check the overwhelming majority of keys on a Zipf stream.
 	s := NewWithError(0.005, 0.01, 9001)
-	keys := stream.Zipf(200000, 10000, 1.3, 2)
+	keys := zipf(200000, 10000, 1.3, 2)
 	truth := map[uint64]uint64{}
 	for _, k := range keys {
 		s.Update(k)
@@ -184,7 +194,7 @@ func TestComposableUnderFramework(t *testing.T) {
 	fw := core.New[uint64](comp, core.Config{Workers: 2, BufferSize: 32, MaxError: 1})
 	fw.Start()
 	const n = 1 << 17
-	keys := stream.Zipf(n, 1000, 1.4, 7)
+	keys := zipf(n, 1000, 1.4, 7)
 	truth := map[uint64]uint64{}
 	for _, k := range keys {
 		truth[k]++

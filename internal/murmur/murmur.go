@@ -8,10 +8,7 @@
 // slices, strings, and uint64 keys.
 package murmur
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "encoding/binary"
 
 // DefaultSeed is the seed used by Apache DataSketches for its update
 // sketches. Using the library default keeps hash-dependent tests and
@@ -152,30 +149,3 @@ func HashUint64(key uint64, seed uint64) uint64 {
 func HashString(s string, seed uint64) uint64 {
 	return Hash64([]byte(s), seed)
 }
-
-// ToUnit maps a 64-bit hash onto the half-open unit interval [0,1). The top
-// 53 bits are used so that the result is an exactly-representable float64
-// with uniform distribution, matching the "hash output uniform in [0,1]"
-// model of the KMV analysis.
-func ToUnit(h uint64) float64 {
-	return float64(h>>11) / float64(1<<53)
-}
-
-// UnitHashUint64 is the composition ToUnit(HashUint64(key, seed)): the
-// coordinate in [0,1) that the Θ sketch compares against its threshold.
-func UnitHashUint64(key uint64, seed uint64) float64 {
-	return ToUnit(HashUint64(key, seed))
-}
-
-// UnitHashString is ToUnit(HashString(s, seed)).
-func UnitHashString(s string, seed uint64) float64 {
-	return ToUnit(HashString(s, seed))
-}
-
-// Float64Bits packs a float64 into its IEEE-754 bit pattern. It exists so
-// that callers passing hints through atomic integers do not need to import
-// math directly; Θ∈(0,1] never encodes to zero, which lets 0 mean "pending".
-func Float64Bits(f float64) uint64 { return math.Float64bits(f) }
-
-// Float64FromBits is the inverse of Float64Bits.
-func Float64FromBits(b uint64) float64 { return math.Float64frombits(b) }

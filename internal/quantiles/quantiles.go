@@ -342,21 +342,6 @@ func (s *Sketch) CDF(splits []float64) []float64 {
 	return out
 }
 
-// PMF returns the estimated probability mass of the len(splits)+1 intervals
-// (−∞, splits[0]), [splits[0], splits[1]), …, [splits[last], +∞). The split
-// points must be sorted ascending.
-func (s *Sketch) PMF(splits []float64) []float64 {
-	cdf := s.CDF(splits)
-	out := make([]float64, len(splits)+1)
-	prev := 0.0
-	for i, c := range cdf {
-		out[i] = c - prev
-		prev = c
-	}
-	out[len(splits)] = 1 - prev
-	return out
-}
-
 // Retained returns the number of items currently stored.
 func (s *Sketch) Retained() int {
 	r := len(s.base)

@@ -399,30 +399,3 @@ func BenchmarkMerge(b *testing.B) {
 		dst.Merge(src)
 	}
 }
-
-func TestPMF(t *testing.T) {
-	s := New(128, NewRandomBits(61))
-	const n = 1 << 16
-	feedSequential(s, n)
-	splits := []float64{float64(n) * 0.25, float64(n) * 0.75}
-	pmf := s.PMF(splits)
-	if len(pmf) != 3 {
-		t.Fatalf("PMF length %d, want 3", len(pmf))
-	}
-	var mass float64
-	for _, p := range pmf {
-		if p < -1e-12 {
-			t.Fatalf("negative PMF mass %v", p)
-		}
-		mass += p
-	}
-	if math.Abs(mass-1) > 1e-12 {
-		t.Fatalf("PMF mass %v, want 1", mass)
-	}
-	eps := EpsilonBound(128, n)
-	for i, want := range []float64{0.25, 0.5, 0.25} {
-		if math.Abs(pmf[i]-want) > 2*eps {
-			t.Errorf("PMF[%d] = %v, want ≈%v", i, pmf[i], want)
-		}
-	}
-}

@@ -141,5 +141,13 @@ func Unmarshal(data []byte, bits BitSource) (*Sketch, error) {
 	if n > 0 && (math.IsNaN(minV) || math.IsNaN(maxV) || minV > maxV) {
 		return nil, fmt.Errorf("%w: bad min/max", ErrCorrupt)
 	}
+	// Queries answer with retained items, so each must lie in [min, max].
+	for _, run := range append([][]float64{s.base}, s.lvls...) {
+		for _, v := range run {
+			if !(minV <= v && v <= maxV) {
+				return nil, fmt.Errorf("%w: retained item %v outside [min, max]", ErrCorrupt, v)
+			}
+		}
+	}
 	return s, nil
 }

@@ -97,9 +97,6 @@ type Config struct {
 	// each shard stays exact until its own substream exceeds 2/e². Use 1.0
 	// to disable the eager phase. Default 0.04.
 	MaxError float64
-	// Unoptimised selects ParSketch (r = N·b per shard) instead of
-	// OptParSketch (r = 2·N·b).
-	Unoptimised bool
 	// Seed is the sketch hash seed; 0 means murmur.DefaultSeed.
 	Seed uint64
 	// RouteSeed decorrelates routing from sketch hashing; 0 derives it from
@@ -139,13 +136,6 @@ func (c *Config) normalise() error {
 	return nil
 }
 
-func (c *Config) mode() core.Mode {
-	if c.Unoptimised {
-		return core.ModeUnoptimised
-	}
-	return core.ModeOptimised
-}
-
 // group owns the S core framework instances of one sharded sketch and the
 // routing state shared by every family.
 type group[T any] struct {
@@ -163,7 +153,6 @@ func newGroup[T any](cfg *Config, k int, globals []core.Global[T]) group[T] {
 		fw := core.New[T](gl, core.Config{
 			Workers:    cfg.Writers,
 			BufferSize: cfg.BufferSize,
-			Mode:       cfg.mode(),
 			MaxError:   cfg.MaxError,
 			K:          k,
 		})
@@ -208,9 +197,9 @@ func (g *group[T]) pressure() core.PressureSample {
 	return p
 }
 
-// shardRelaxation returns the per-shard relaxation r = 2·N·b (N·b for
-// ParSketch). Every framework in the group shares one configuration, so the
-// first one speaks for all.
+// shardRelaxation returns the per-shard relaxation r = 2·N·b. Every
+// framework in the group shares one configuration, so the first one speaks
+// for all.
 func (g *group[T]) shardRelaxation() int {
 	if len(g.fws) == 0 {
 		return 0

@@ -111,16 +111,6 @@ func TestThetaRelaxationAccounting(t *testing.T) {
 	if got, want := sk.Relaxation(), 4*2*3*8; got != want {
 		t.Errorf("combined relaxation %d, want S·2·N·b = %d", got, want)
 	}
-	par, err := shard.NewTheta(12, shard.Config{
-		Shards: 4, Writers: 3, BufferSize: 8, MaxError: 1, Unoptimised: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer par.Close()
-	if got, want := par.Relaxation(), 4*3*8; got != want {
-		t.Errorf("ParSketch combined relaxation %d, want S·N·b = %d", got, want)
-	}
 }
 
 func TestThetaMergedSketch(t *testing.T) {

@@ -7,7 +7,7 @@
 // A checkpoint file is one header followed by count records:
 //
 //	magic    uint32 LE = "FSNP"
-//	version  uint16 LE = 2 (1 is still read)
+//	version  uint16 LE = 2
 //	reserved uint16 LE = 0
 //	count    uint32 LE
 //	records  count × record
@@ -33,10 +33,8 @@
 //	decayed   uint8        (0 or 1)
 //	dblob     [len uint32 LE, blob]                       if decayed = 1
 //
-// Version 1 records, read but never written, held a subset of the Spec
-// instead: shards uint32, flags uint8, then optional view [refresh, maxAge],
-// policy [min u32, max u32, high, low] and window [interval, slots u32,
-// decay] blocks.
+// Any other version, including the earlier version 1, is rejected with
+// ErrVersion.
 //
 // # Portable records
 //
@@ -60,19 +58,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-	"time"
 
-	"fastsketches/internal/autoscale"
-	"fastsketches/internal/shard"
+	"fastsketches/internal/window"
 	"fastsketches/internal/wire"
 )
 
 const (
 	// Magic opens every checkpoint container ("FSNP" little-endian).
 	Magic uint32 = 0x504e5346
-	// Version is the container format version this build writes; it reads
-	// version 1 too.
+	// Version is the container format version this build writes and the
+	// only one it reads.
 	Version uint16 = 2
 	// MaxName bounds a record's sketch name, matching the wire protocol.
 	MaxName = wire.MaxName
@@ -86,20 +81,8 @@ const (
 
 	headerLen = 4 + 2 + 2 + 4
 	// maxSettingsLen bounds a record net of name and blob: family, name and
-	// blob lengths, and a Spec (longer than any v1 settings).
+	// blob lengths, and a Spec.
 	maxSettingsLen = 1 + 1 + 4 + wire.MaxSpecLen
-
-	// The v1 settings flags and block sizes.
-	v1FlagView   = 1 << 0
-	v1FlagPolicy = 1 << 1
-	v1FlagWindow = 1 << 2
-	v1ViewLen    = 8 + 8
-	v1PolicyLen  = 4 + 4 + 8 + 8
-	v1WindowLen  = 8 + 4 + 8
-
-	// MaxWindowSlots caps a record's window slot count, mirroring the
-	// window layer's own ring bound.
-	MaxWindowSlots = 1 << 16
 )
 
 // The codec's typed errors. Parse functions return one of these (possibly
@@ -216,39 +199,37 @@ func AppendRecord(dst []byte, rec *Record) []byte {
 	return EndRecord(dst, m)
 }
 
-// ParseHeader validates the container header and returns the record count,
-// the format version its records are in (the one ParseRecord needs), and
-// the remaining bytes (the record stream).
-func ParseHeader(data []byte) (count int, version uint16, rest []byte, err error) {
+// ParseHeader validates the container header and returns the record count
+// and the remaining bytes (the record stream).
+func ParseHeader(data []byte) (count int, rest []byte, err error) {
 	if len(data) < headerLen {
-		return 0, 0, nil, fmt.Errorf("%w: short header (%d bytes)", ErrTruncated, len(data))
+		return 0, nil, fmt.Errorf("%w: short header (%d bytes)", ErrTruncated, len(data))
 	}
 	if binary.LittleEndian.Uint32(data[0:]) != Magic {
-		return 0, 0, nil, ErrMagic
+		return 0, nil, ErrMagic
 	}
-	if version, err = parseVersion(data[4:]); err != nil {
-		return 0, 0, nil, err
+	if err = parseVersion(data[4:]); err != nil {
+		return 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(data[8:])
 	if n > MaxRecords {
-		return 0, 0, nil, fmt.Errorf("%w: record count %d exceeds %d", ErrBadRecord, n, MaxRecords)
+		return 0, nil, fmt.Errorf("%w: record count %d exceeds %d", ErrBadRecord, n, MaxRecords)
 	}
-	return int(n), version, data[headerLen:], nil
+	return int(n), data[headerLen:], nil
 }
 
-// parseVersion reads a uint16 format version, accepting 1 and Version.
-func parseVersion(b []byte) (uint16, error) {
-	v := binary.LittleEndian.Uint16(b)
-	if v != 1 && v != Version {
-		return 0, fmt.Errorf("%w: %d, this build reads 1 and %d", ErrVersion, v, Version)
+// parseVersion reads a uint16 format version, accepting only Version.
+func parseVersion(b []byte) error {
+	if v := binary.LittleEndian.Uint16(b); v != Version {
+		return fmt.Errorf("%w: %d, this build reads %d", ErrVersion, v, Version)
 	}
-	return v, nil
+	return nil
 }
 
-// ParseRecord decodes one record of the given format version from the
-// front of data, returning the record (Name and Blob aliasing data) and the
-// bytes after it. The record must consume exactly its announced recLen.
-func ParseRecord(data []byte, version uint16) (Record, []byte, error) {
+// ParseRecord decodes one record from the front of data, returning the
+// record (Name and Blob aliasing data) and the bytes after it. The record
+// must consume exactly its announced recLen.
+func ParseRecord(data []byte) (Record, []byte, error) {
 	var rec Record
 	in := reader{b: data}
 	// A windowed record's tail carries the closed slots and decay plane;
@@ -270,9 +251,7 @@ func ParseRecord(data []byte, version uint16) (Record, []byte, error) {
 		r.fail(ErrBadRecord, "empty name")
 	}
 	rec.Name = r.next(nameLen)
-	if r.err == nil && version == 1 {
-		rec.Spec = r.v1Settings()
-	} else if r.err == nil {
+	if r.err == nil {
 		var err error
 		if rec.Spec, r.b, err = wire.ParseSpec(r.b); errors.Is(err, wire.ErrTruncated) {
 			r.fail(ErrTruncated, "spec")
@@ -285,7 +264,7 @@ func ParseRecord(data []byte, version uint16) (Record, []byte, error) {
 		// The window tail: closed slots oldest first, then the optional
 		// decay plane.
 		slotCount := r.u32()
-		if r.err == nil && (slotCount > MaxWindowSlots || int64(slotCount) > int64(w.Slots)) {
+		if r.err == nil && (slotCount > window.MaxSlots || int64(slotCount) > int64(w.Slots)) {
 			r.fail(ErrBadRecord, "window slot count %d exceeds capacity %d", slotCount, w.Slots)
 		}
 		if r.err == nil && slotCount > 0 {
@@ -350,13 +329,6 @@ func (r *reader) u32() uint32 {
 	return 0
 }
 
-func (r *reader) u64() uint64 {
-	if b := r.next(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
 // blob reads one uint32-length-prefixed blob.
 func (r *reader) blob() []byte {
 	n := r.u32()
@@ -364,30 +336,6 @@ func (r *reader) blob() []byte {
 		r.fail(ErrBadRecord, "blob length %d overruns the record's %d bytes", n, len(r.b))
 	}
 	return r.next(int(n))
-}
-
-// v1Settings decodes a version-1 record's settings — shards, flags and the
-// optional view, policy and window blocks — into the equivalent Spec. The
-// policy kept only four knobs; the rest take the autoscale defaults, as
-// they did when the record was written.
-func (r *reader) v1Settings() (s wire.Spec) {
-	s.Shards = int(r.u32())
-	flags := r.u8()
-	if r.err == nil && flags&^(v1FlagView|v1FlagPolicy|v1FlagWindow) != 0 {
-		r.fail(ErrBadRecord, "unknown flags %#x", flags)
-	}
-	duration := func() time.Duration { return time.Duration(r.u64()) }
-	float := func() float64 { return math.Float64frombits(r.u64()) }
-	if flags&v1FlagView != 0 {
-		s.View = &shard.ViewConfig{RefreshEvery: duration(), MaxAge: duration()}
-	}
-	if flags&v1FlagPolicy != 0 {
-		s.Autoscale = &autoscale.Policy{MinShards: int(r.u32()), MaxShards: int(r.u32()), HighWater: float(), LowWater: float()}
-	}
-	if flags&v1FlagWindow != 0 {
-		s.Window = &shard.WindowConfig{Interval: duration(), Slots: int(r.u32()), Decay: float()}
-	}
-	return s
 }
 
 // BeginPortable opens the self-contained single-record form that travels
@@ -399,17 +347,16 @@ func BeginPortable(dst []byte, rec *Record) ([]byte, Marks) {
 	return BeginRecord(dst, rec)
 }
 
-// ParsePortable decodes a portable single-record body of either format
-// version, rejecting trailing bytes.
+// ParsePortable decodes a portable single-record body, rejecting other
+// format versions and trailing bytes.
 func ParsePortable(data []byte) (Record, error) {
 	if len(data) < 2 {
 		return Record{}, fmt.Errorf("%w: short portable record", ErrTruncated)
 	}
-	v, err := parseVersion(data)
-	if err != nil {
+	if err := parseVersion(data); err != nil {
 		return Record{}, err
 	}
-	rec, rest, err := ParseRecord(data[2:], v)
+	rec, rest, err := ParseRecord(data[2:])
 	if err != nil {
 		return Record{}, err
 	}

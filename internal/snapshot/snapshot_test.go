@@ -42,47 +42,8 @@ func windowedRecord() Record {
 	return rec
 }
 
-// appendV1Record appends rec in the version-1 record layout — the settings
-// a v1 writer recorded (shards, view, four policy knobs, window) in place
-// of the Spec — so the read path for old checkpoints stays covered.
-func appendV1Record(dst []byte, rec *Record) []byte {
-	mark := len(dst)
-	dst = binary.LittleEndian.AppendUint32(dst, 0)
-	dst = append(dst, byte(rec.Family), byte(len(rec.Name)))
-	dst = append(dst, rec.Name...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(rec.Spec.Shards))
-	var flags byte
-	for i, on := range []bool{rec.Spec.View != nil, rec.Spec.Autoscale != nil, rec.Spec.Window != nil} {
-		if on {
-			flags |= 1 << i
-		}
-	}
-	dst = append(dst, flags)
-	if v := rec.Spec.View; v != nil {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.RefreshEvery))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.MaxAge))
-	}
-	if p := rec.Spec.Autoscale; p != nil {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(p.MinShards))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(p.MaxShards))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.HighWater))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.LowWater))
-	}
-	if w := rec.Spec.Window; w != nil {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(w.Interval))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(w.Slots))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(w.Decay))
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rec.Blob)))
-	dst = append(dst, rec.Blob...)
-	if rec.Spec.Window != nil {
-		dst = AppendWindowTail(dst, rec.WindowSlotBlobs, rec.WindowDecayedBlob)
-	}
-	binary.LittleEndian.PutUint32(dst[mark:], uint32(len(dst)-mark-4))
-	return dst
-}
-
-// v1Header is AppendHeader as a version-1 writer emitted it.
+// v1Header is AppendHeader with the retired format version 1, which no
+// build reads any more.
 func v1Header(count int) []byte {
 	b := AppendHeader(nil, count)
 	binary.LittleEndian.PutUint16(b[4:], 1)
@@ -115,12 +76,12 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if len(b) != headerLen {
 		t.Fatalf("header is %d bytes, want %d", len(b), headerLen)
 	}
-	count, version, rest, err := ParseHeader(append(b, 0xAA))
-	if err != nil || count != 7 || version != Version || len(rest) != 1 {
-		t.Fatalf("ParseHeader = (%d, v%d, %d bytes, %v), want (7, v%d, 1, nil)", count, version, len(rest), err, Version)
+	count, rest, err := ParseHeader(append(b, 0xAA))
+	if err != nil || count != 7 || len(rest) != 1 {
+		t.Fatalf("ParseHeader = (%d, %d bytes, %v), want (7, 1, nil)", count, len(rest), err)
 	}
-	if _, version, _, err := ParseHeader(v1Header(0)); err != nil || version != 1 {
-		t.Fatalf("v1 header: version %d, err %v; want 1, nil", version, err)
+	if _, _, err := ParseHeader(v1Header(0)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v1 header: err = %v, want %v", err, ErrVersion)
 	}
 
 	for _, tc := range []struct {
@@ -137,7 +98,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 		}, ErrBadRecord},
 	} {
 		in := tc.mut(AppendHeader(nil, 0))
-		if _, _, _, err := ParseHeader(in); !errors.Is(err, tc.want) {
+		if _, _, err := ParseHeader(in); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
@@ -146,7 +107,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 func TestRecordRoundTrip(t *testing.T) {
 	want := fullRecord()
 	b := AppendRecord(nil, &want)
-	got, rest, err := ParseRecord(append(b, 0xEE, 0xFF), Version)
+	got, rest, err := ParseRecord(append(b, 0xEE, 0xFF))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +118,7 @@ func TestRecordRoundTrip(t *testing.T) {
 
 	// Planes absent: they stay nil.
 	bare := Record{Family: wire.FamilyTheta, Name: []byte("x"), Spec: wire.Spec{Shards: 1}, Blob: nil}
-	got, _, err = ParseRecord(AppendRecord(nil, &bare), Version)
+	got, _, err = ParseRecord(AppendRecord(nil, &bare))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,23 +133,12 @@ func TestRecordRoundTrip(t *testing.T) {
 	if !bytes.Equal(streamed, b) {
 		t.Fatal("BeginRecord/EndRecord differs from AppendRecord")
 	}
-
-	// A v1 record decodes into the Spec it recorded: the view, the four
-	// policy knobs it kept, the shard count — no lifecycle, which v1 lost.
-	v1 := want
-	v1.Spec.Autoscale = &autoscale.Policy{MinShards: 2, MaxShards: 64, HighWater: 1.5e6, LowWater: 2.5e5}
-	v1.Spec.IdleTTL, v1.Spec.Pinned = 0, false
-	got, rest, err = ParseRecord(appendV1Record(nil, &v1), 1)
-	if err != nil || len(rest) != 0 {
-		t.Fatalf("v1 record: rest %d bytes, err %v", len(rest), err)
-	}
-	sameRecord(t, got, v1)
 }
 
 func TestWindowedRecordRoundTrip(t *testing.T) {
 	want := windowedRecord()
 	b := AppendRecord(nil, &want)
-	got, rest, err := ParseRecord(append(b, 0xEE), Version)
+	got, rest, err := ParseRecord(append(b, 0xEE))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +149,7 @@ func TestWindowedRecordRoundTrip(t *testing.T) {
 
 	// No decay plane: the marker byte is 0 and the parsed blob stays nil.
 	want.WindowDecayedBlob = nil
-	got, _, err = ParseRecord(AppendRecord(nil, &want), Version)
+	got, _, err = ParseRecord(AppendRecord(nil, &want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,15 +169,6 @@ func TestWindowedRecordRoundTrip(t *testing.T) {
 	if !bytes.Equal(streamed, b) {
 		t.Fatal("BeginRecord/EndBlob/AppendWindowTail/EndRecord differs from AppendRecord")
 	}
-
-	// A windowed v1 record rebuilds the same window and tail.
-	v1 := windowedRecord()
-	v1.Spec = wire.Spec{Shards: 3, Window: v1.Spec.Window}
-	got, _, err = ParseRecord(appendV1Record(nil, &v1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRecord(t, got, v1)
 }
 
 func TestWindowedRecordErrors(t *testing.T) {
@@ -243,14 +184,14 @@ func TestWindowedRecordErrors(t *testing.T) {
 	// Cut inside the decay length field → truncated; cut inside the decay
 	// body or a slot body → the announced length no longer matches, a
 	// corruption error.
-	if _, _, err := ParseRecord(reframe(len(valid)-6), Version); !errors.Is(err, ErrTruncated) {
+	if _, _, err := ParseRecord(reframe(len(valid) - 6)); !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncated decay length: err = %v, want %v", err, ErrTruncated)
 	}
-	if _, _, err := ParseRecord(reframe(len(valid)-2), Version); !errors.Is(err, ErrBadRecord) {
+	if _, _, err := ParseRecord(reframe(len(valid) - 2)); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("truncated decay plane: err = %v, want %v", err, ErrBadRecord)
 	}
 	cutSlotBody := len(valid) - len(rec.WindowDecayedBlob) - 4 - 1 - 1
-	if _, _, err := ParseRecord(reframe(cutSlotBody), Version); !errors.Is(err, ErrBadRecord) {
+	if _, _, err := ParseRecord(reframe(cutSlotBody)); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("truncated slot body: err = %v, want %v", err, ErrBadRecord)
 	}
 
@@ -270,13 +211,13 @@ func TestWindowedRecordErrors(t *testing.T) {
 	over := mut(func(b []byte) {
 		binary.LittleEndian.PutUint32(b[slotCountOff:], uint32(rec.Spec.Window.Slots+1))
 	})
-	if _, _, err := ParseRecord(over, Version); !errors.Is(err, ErrBadRecord) {
+	if _, _, err := ParseRecord(over); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("slot count beyond capacity: err = %v, want %v", err, ErrBadRecord)
 	}
 	marker := mut(func(b []byte) {
 		b[len(b)-len(rec.WindowDecayedBlob)-4-1] = 7
 	})
-	if _, _, err := ParseRecord(marker, Version); !errors.Is(err, ErrBadRecord) {
+	if _, _, err := ParseRecord(marker); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("bad decay marker: err = %v, want %v", err, ErrBadRecord)
 	}
 	// Bytes after a complete window tail (no decay plane, so the tail's end
@@ -286,7 +227,7 @@ func TestWindowedRecordErrors(t *testing.T) {
 	trailing := AppendRecord(nil, &noDecay)
 	trailing = append(trailing, 0xAB)
 	binary.LittleEndian.PutUint32(trailing, uint32(len(trailing)-4))
-	if _, _, err := ParseRecord(trailing, Version); !errors.Is(err, ErrBadRecord) {
+	if _, _, err := ParseRecord(trailing); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("bytes after window tail: err = %v, want %v", err, ErrBadRecord)
 	}
 }
@@ -320,19 +261,18 @@ func TestRecordErrors(t *testing.T) {
 		{"blob length mismatch", mut(func(b []byte) { b[blobLenOff]++ }), ErrBadRecord},
 	}
 	for _, tc := range cases {
-		if _, _, err := ParseRecord(tc.in, Version); !errors.Is(err, tc.want) {
+		if _, _, err := ParseRecord(tc.in); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 
-	// A truncated Spec, in either layout.
+	// A truncated Spec.
 	viewRec := Record{Family: wire.FamilyTheta, Name: []byte("v"), Spec: wire.Spec{Shards: 1, View: &shard.ViewConfig{}}}
-	for version, b := range map[uint16][]byte{Version: AppendRecord(nil, &viewRec), 1: appendV1Record(nil, &viewRec)} {
-		cut := b[:len(b)-6] // into the view words
-		binary.LittleEndian.PutUint32(cut, uint32(len(cut)-4))
-		if _, _, err := ParseRecord(cut, version); !errors.Is(err, ErrTruncated) {
-			t.Errorf("v%d truncated view: err = %v, want %v", version, err, ErrTruncated)
-		}
+	cut := AppendRecord(nil, &viewRec)
+	cut = cut[:len(cut)-6] // into the view words
+	binary.LittleEndian.PutUint32(cut, uint32(len(cut)-4))
+	if _, _, err := ParseRecord(cut); !errors.Is(err, ErrTruncated) {
+		t.Errorf("truncated view: err = %v, want %v", err, ErrTruncated)
 	}
 }
 
@@ -344,12 +284,12 @@ func TestPortableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRecord(t, got, want)
-	// A portable record from a version-1 daemon still restores.
-	v1 := Record{Family: wire.FamilyTheta, Name: []byte("old"), Spec: wire.Spec{Shards: 3}, Blob: []byte{7}}
-	if got, err := ParsePortable(append([]byte{1, 0}, appendV1Record(nil, &v1)...)); err != nil {
-		t.Fatal(err)
-	} else {
-		sameRecord(t, got, v1)
+	// A portable record stamped with the retired version 1 is rejected
+	// before its record is read.
+	v1 := append([]byte(nil), b...)
+	binary.LittleEndian.PutUint16(v1, 1)
+	if _, err := ParsePortable(v1); !errors.Is(err, ErrVersion) {
+		t.Errorf("v1 portable record: err = %v, want %v", err, ErrVersion)
 	}
 
 	if _, err := ParsePortable(append(b, 0)); !errors.Is(err, ErrTrailing) {
@@ -378,8 +318,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(portable(&rec))
 	win := windowedRecord()
 	f.Add(AppendRecord(AppendHeader(nil, 1), &win))
-	f.Add(appendV1Record(v1Header(1), &rec))
-	f.Add(appendV1Record(v1Header(1), &win))
+	// Retired version-1 containers keep the rejection path fuzzed.
+	f.Add(AppendRecord(v1Header(1), &rec))
+	f.Add(AppendRecord(v1Header(1), &win))
 
 	// Valid family bodies so the fuzzer explores deep into each decoder.
 	u := theta.NewUnion(6, murmur.DefaultSeed)
@@ -404,14 +345,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(cm.ExportTo(nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if count, version, rest, err := ParseHeader(data); err == nil {
+		if count, rest, err := ParseHeader(data); err == nil {
 			for i := 0; i < count && len(rest) > 0; i++ {
-				rec, next, err := ParseRecord(rest, version)
+				rec, next, err := ParseRecord(rest)
 				if err != nil {
 					break
 				}
-				// Either version re-encodes as the current one, losslessly.
-				re, _, rerr := ParseRecord(AppendRecord(nil, &rec), Version)
+				// A parsed record re-encodes losslessly.
+				re, _, rerr := ParseRecord(AppendRecord(nil, &rec))
 				if rerr != nil {
 					t.Fatalf("re-encoded record does not parse: %v", rerr)
 				}

@@ -147,11 +147,3 @@ func WeakAdversaryRSEBound(k, r int) float64 {
 func MeanOfMinK(k int, n int) float64 {
 	return float64(k) / float64(n+1)
 }
-
-// KMVExpectationHiding returns E[(k−1)/M(k+j)] for n uniform samples — the
-// expected KMV estimate when the adversary hides j elements below Θ:
-// (k−1)/M(k+j) has expectation n·(k−1)/(k+j−1) because 1/M(i) for the i-th
-// uniform order statistic has expectation n/(i−1) (for i ≥ 2).
-func KMVExpectationHiding(n float64, k, j int) float64 {
-	return n * float64(k-1) / float64(k+j-1)
-}

@@ -126,25 +126,6 @@ func (c *Composable) ShouldAdd(hint uint64, h uint64) bool {
 	return h < hint
 }
 
-// AdviseBuffer implements the framework's adaptive-buffer extension (the
-// paper's future-work item): grow the local buffer proportionally to 1/θ,
-// because with pre-filtering a b-slot buffer absorbs ≈ b/θ raw updates, so
-// the propagation rate per raw update stays constant while relative
-// staleness keeps falling. The framework clamps the result.
-func (c *Composable) AdviseBuffer(hint uint64, base int) int {
-	if hint == 0 {
-		return base
-	}
-	scale := MaxTheta / hint // ≈ 1/θ
-	if scale < 1 {
-		scale = 1
-	}
-	if scale > 64 {
-		scale = 64 // advice beyond the framework clamp is pointless
-	}
-	return base * int(scale)
-}
-
 // Estimate returns the latest published estimate — the snapshot query. It is
 // wait-free (one atomic load) and safe concurrently with merges.
 func (c *Composable) Estimate() float64 {

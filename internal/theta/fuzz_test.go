@@ -9,35 +9,6 @@ import (
 // `go test -fuzz=FuzzUnmarshal` for continuous fuzzing; the seed corpus
 // runs as part of the normal test suite.
 
-func FuzzUnmarshalKMV(f *testing.F) {
-	good := NewKMV(64, 9001)
-	for i := 0; i < 1000; i++ {
-		good.Update(uint64(i))
-	}
-	data, _ := good.MarshalBinary()
-	f.Add(data)
-	f.Add([]byte{})
-	f.Add(data[:10])
-	f.Fuzz(func(t *testing.T, b []byte) {
-		s, err := UnmarshalKMV(b)
-		if err != nil {
-			return
-		}
-		// Whatever decodes must re-encode and decode to the same state.
-		d2, err := s.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := UnmarshalKMV(d2)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if s2.Estimate() != s.Estimate() || s2.Retained() != s.Retained() {
-			t.Fatal("round-trip not stable")
-		}
-	})
-}
-
 func FuzzUnmarshalQuickSelect(f *testing.F) {
 	good := NewQuickSelect(6, 9001)
 	for i := 0; i < 5000; i++ {

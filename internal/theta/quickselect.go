@@ -9,9 +9,8 @@ import "fmt"
 // the (k+1)-th smallest retained hash as the new Θ and discards everything
 // at or above it, leaving exactly k entries. The estimate is retained/θ.
 //
-// Compared to KMV, updates are O(1) amortised (no heap maintenance) at the
-// cost of a slightly larger memory footprint — which is exactly why the
-// production library prefers it.
+// Updates are O(1) amortised: no heap is maintained, at the cost of up to
+// 2k retained hashes instead of k.
 type QuickSelect struct {
 	lgK       int
 	k         int
@@ -119,7 +118,7 @@ func (s *QuickSelect) rebuild() {
 
 // Estimate returns retained/θ (exact count while Θ is still 2⁶⁴−1).
 func (s *QuickSelect) Estimate() float64 {
-	return estimate(s.count, s.thetaLong, false)
+	return estimate(s.count, s.thetaLong)
 }
 
 // ThetaLong returns the integer threshold.

@@ -14,8 +14,8 @@ import (
 //
 //	magic    uint32  = 0x7E7A5KE7 stand-in (see serialMagic)
 //	version  uint8   = 1
-//	variant  uint8   (1 = KMV, 2 = QuickSelect, 3 = Compact)
-//	lgKOrK   uint16  (lgK for QuickSelect, k for KMV, 0 for Compact)
+//	variant  uint8   (2 = QuickSelect, 3 = Compact; 1 is reserved)
+//	lgK      uint16  (lgK for QuickSelect, 0 for Compact)
 //	seed     uint64
 //	theta    uint64
 //	count    uint32
@@ -24,7 +24,8 @@ const (
 	serialMagic   uint32 = 0x7E7A17E7
 	serialVersion byte   = 1
 
-	variantKMV         byte = 1
+	// Variant 1 was a K-Minimum-Values sketch; it is reserved and rejected
+	// like any unknown variant.
 	variantQuickSelect byte = 2
 	variantCompact     byte = 3
 )
@@ -34,12 +35,12 @@ var ErrCorrupt = errors.New("theta: corrupt serialized sketch")
 
 const headerSize = 4 + 1 + 1 + 2 + 8 + 8 + 4
 
-func marshal(variant byte, lgKOrK int, seed, theta uint64, hashes []uint64) []byte {
+func marshal(variant byte, lgK int, seed, theta uint64, hashes []uint64) []byte {
 	buf := make([]byte, headerSize+8*len(hashes))
 	binary.LittleEndian.PutUint32(buf[0:], serialMagic)
 	buf[4] = serialVersion
 	buf[5] = variant
-	binary.LittleEndian.PutUint16(buf[6:], uint16(lgKOrK))
+	binary.LittleEndian.PutUint16(buf[6:], uint16(lgK))
 	binary.LittleEndian.PutUint64(buf[8:], seed)
 	binary.LittleEndian.PutUint64(buf[16:], theta)
 	binary.LittleEndian.PutUint32(buf[24:], uint32(len(hashes)))
@@ -51,7 +52,7 @@ func marshal(variant byte, lgKOrK int, seed, theta uint64, hashes []uint64) []by
 
 type header struct {
 	variant byte
-	lgKOrK  int
+	lgK     int
 	seed    uint64
 	theta   uint64
 	hashes  []uint64
@@ -73,52 +74,20 @@ func unmarshal(data []byte) (*header, error) {
 	}
 	h := &header{
 		variant: data[5],
-		lgKOrK:  int(binary.LittleEndian.Uint16(data[6:])),
+		lgK:     int(binary.LittleEndian.Uint16(data[6:])),
 		seed:    binary.LittleEndian.Uint64(data[8:]),
 		theta:   binary.LittleEndian.Uint64(data[16:]),
 	}
 	h.hashes = make([]uint64, count)
 	for i := range h.hashes {
 		h.hashes[i] = binary.LittleEndian.Uint64(data[headerSize+8*i:])
-		// Retained hashes must be non-zero and at most Θ (Θ itself is
-		// permitted: KMV retains its Θ sample).
-		if h.hashes[i] == 0 || h.hashes[i] > h.theta {
+		// Retained hashes must be non-zero and below Θ: no sketch keeps a
+		// hash at or above its threshold.
+		if h.hashes[i] == 0 || h.hashes[i] >= h.theta {
 			return nil, fmt.Errorf("%w: retained hash out of range", ErrCorrupt)
 		}
 	}
 	return h, nil
-}
-
-// MarshalBinary serialises a KMV sketch.
-func (s *KMV) MarshalBinary() ([]byte, error) {
-	return marshal(variantKMV, s.k, s.seed, s.thetaLong, s.heap), nil
-}
-
-// UnmarshalKMV reconstructs a KMV sketch from its serialised form.
-func UnmarshalKMV(data []byte) (*KMV, error) {
-	h, err := unmarshal(data)
-	if err != nil {
-		return nil, err
-	}
-	if h.variant != variantKMV {
-		return nil, fmt.Errorf("%w: not a KMV sketch (variant %d)", ErrCorrupt, h.variant)
-	}
-	if h.lgKOrK < 2 {
-		return nil, fmt.Errorf("%w: invalid k %d", ErrCorrupt, h.lgKOrK)
-	}
-	if len(h.hashes) > h.lgKOrK {
-		return nil, fmt.Errorf("%w: retained %d exceeds k %d", ErrCorrupt, len(h.hashes), h.lgKOrK)
-	}
-	s := NewKMV(h.lgKOrK, h.seed)
-	for _, v := range h.hashes {
-		s.UpdateHash(v)
-	}
-	// Θ is derived from the samples: it is the heap max for a full KMV and
-	// MaxTheta otherwise. A mismatch with the stored value is corruption.
-	if s.thetaLong != h.theta {
-		return nil, fmt.Errorf("%w: theta does not match samples", ErrCorrupt)
-	}
-	return s, nil
 }
 
 // MarshalBinary serialises a QuickSelect sketch.
@@ -135,15 +104,13 @@ func UnmarshalQuickSelect(data []byte) (*QuickSelect, error) {
 	if h.variant != variantQuickSelect {
 		return nil, fmt.Errorf("%w: not a QuickSelect sketch (variant %d)", ErrCorrupt, h.variant)
 	}
-	if h.lgKOrK < 2 || h.lgKOrK > 26 {
-		return nil, fmt.Errorf("%w: invalid lgK %d", ErrCorrupt, h.lgKOrK)
+	if h.lgK < 2 || h.lgK > 26 {
+		return nil, fmt.Errorf("%w: invalid lgK %d", ErrCorrupt, h.lgK)
 	}
-	s := NewQuickSelect(h.lgKOrK, h.seed)
+	s := NewQuickSelect(h.lgK, h.seed)
 	s.thetaLong = h.theta
 	for _, v := range h.hashes {
-		if v < h.theta || h.theta == MaxTheta {
-			s.insert(v)
-		}
+		s.insert(v)
 	}
 	return s, nil
 }

@@ -124,7 +124,7 @@ func (u *Union) entries() []uint64 {
 // Estimate returns the estimated cardinality of the union.
 func (u *Union) Estimate() float64 {
 	if u.flat {
-		return estimate(len(u.gadget.scratch), u.gadget.thetaLong, false)
+		return estimate(len(u.gadget.scratch), u.gadget.thetaLong)
 	}
 	return u.gadget.Estimate()
 }
@@ -199,7 +199,7 @@ type CompactSketch struct {
 
 // Estimate returns retained/θ.
 func (c *CompactSketch) Estimate() float64 {
-	return estimate(len(c.hashes), c.thetaLong, false)
+	return estimate(len(c.hashes), c.thetaLong)
 }
 
 // Retained returns the number of retained hashes.
@@ -271,20 +271,6 @@ func AnotB(a, b Sketch) *CompactSketch {
 		}
 	}
 	return &CompactSketch{thetaLong: theta, hashes: diff, seed: a.Seed()}
-}
-
-// JaccardEstimate estimates the Jaccard similarity |A∩B| / |A∪B| of the two
-// streams summarised by a and b.
-func JaccardEstimate(a, b Sketch, lgK int) float64 {
-	u := NewUnion(lgK, a.Seed())
-	u.Add(a)
-	u.Add(b)
-	union := u.Estimate()
-	if union == 0 {
-		return 0
-	}
-	inter := Intersect(a, b).Estimate()
-	return inter / union
 }
 
 // String renders a short diagnostic description of a sketch.

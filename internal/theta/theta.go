@@ -1,16 +1,12 @@
 // Package theta implements Θ (theta) sketches for estimating the number of
 // distinct elements in a stream.
 //
-// Two sequential variants are provided, mirroring the paper "Fast Concurrent
-// Data Sketches" (PPoPP 2020):
-//
-//   - KMV: the K-Minimum-Values sketch of Algorithm 1 in the paper. It keeps
-//     the k smallest hash values seen so far; Θ is the k-th smallest and the
-//     estimate is (k−1)/Θ, which is unbiased (Bar-Yossef et al.).
-//   - QuickSelect: the HeapQuickSelectSketch family used by the paper's
-//     evaluation (Section 7.1) and by Apache DataSketches. It retains between
-//     k and 2k hashes below Θ; when full it quick-selects a new Θ and
-//     discards the larger half. The estimate is retained/Θ.
+// The sequential sketch is QuickSelect, the HeapQuickSelectSketch family used
+// by the evaluation of the paper "Fast Concurrent Data Sketches" (PPoPP 2020,
+// Section 7.1) and by Apache DataSketches. It retains between k and 2k
+// hashes below Θ; when full it quick-selects a new Θ and discards the larger
+// half. The estimate is retained/Θ. The paper's Section 6 analysis of the
+// K-Minimum-Values estimator lives in internal/stats as closed forms.
 //
 // All sketches operate in raw 64-bit hash space: a stream element is hashed
 // with MurmurHash3 into a uint64, and Θ is itself a uint64 threshold
@@ -49,15 +45,6 @@ func HashKey(key uint64, seed uint64) uint64 {
 	return h
 }
 
-// HashBytes is HashKey for byte-slice elements.
-func HashBytes(b []byte, seed uint64) uint64 {
-	h := murmur.Hash64(b, seed)
-	if h == 0 {
-		return 1
-	}
-	return h
-}
-
 // HashString is HashKey for string elements.
 func HashString(s string, seed uint64) uint64 {
 	h := murmur.HashString(s, seed)
@@ -67,11 +54,10 @@ func HashString(s string, seed uint64) uint64 {
 	return h
 }
 
-// Sketch is the common interface of the sequential Θ sketch variants. It
-// matches the paper's sequential API (Section 3): init/update/query/merge,
-// with update split into the by-key and by-hash forms so callers that have
-// already hashed (e.g. the concurrent framework's pre-filter) don't pay for
-// a second hash.
+// Sketch is the interface of a sequential Θ sketch. It matches the paper's
+// sequential API (Section 3): init/update/query/merge, with update split
+// into the by-key and by-hash forms so callers that have already hashed
+// (e.g. the concurrent framework's pre-filter) don't pay for a second hash.
 type Sketch interface {
 	// Update processes a stream element identified by a uint64 key.
 	Update(key uint64)
@@ -94,24 +80,15 @@ type Sketch interface {
 	Seed() uint64
 }
 
-// estimate computes the distinct-count estimate for a sketch retaining
-// `retained` hashes under threshold thetaLong, using the KMV-style unbiased
-// estimator when requested.
-//
-// In exact mode (thetaLong == MaxTheta) every distinct element is retained,
-// so the estimate is simply the retained count. In estimation mode, the
-// QuickSelect estimator is retained/θ; the KMV estimator is (retained−1)/θ
-// because Θ is itself the k-th retained sample (the paper's est, line 13 of
-// Algorithm 1).
-func estimate(retained int, thetaLong uint64, kmvStyle bool) float64 {
+// estimate computes the distinct-count estimate retained/θ for a sketch
+// retaining `retained` hashes under threshold thetaLong. In exact mode
+// (thetaLong == MaxTheta) every distinct element is retained, so the
+// estimate is simply the retained count.
+func estimate(retained int, thetaLong uint64) float64 {
 	if thetaLong == MaxTheta {
 		return float64(retained)
 	}
-	theta := ThetaToFraction(thetaLong)
-	if kmvStyle {
-		return float64(retained-1) / theta
-	}
-	return float64(retained) / theta
+	return float64(retained) / ThetaToFraction(thetaLong)
 }
 
 // RSEBound returns the a-priori relative standard error bound 1/√(k−2) of a

@@ -3,6 +3,7 @@ package theta
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -21,7 +22,6 @@ func feedUnique(s Sketch, n int) {
 func variants(t *testing.T) map[string]func() Sketch {
 	t.Helper()
 	return map[string]func() Sketch{
-		"KMV":         func() Sketch { return NewKMV(1024, testSeed) },
 		"QuickSelect": func() Sketch { return NewQuickSelect(10, testSeed) },
 	}
 }
@@ -83,27 +83,6 @@ func TestEstimationAccuracy(t *testing.T) {
 	}
 }
 
-func TestKMVUnbiasedOverTrials(t *testing.T) {
-	// Average the KMV estimator over many independent streams (different
-	// disjoint key ranges → independent hash samples). The mean relative
-	// error should be within a few standard errors of zero.
-	const k, n, trials = 256, 20000, 60
-	var sum float64
-	for tr := 0; tr < trials; tr++ {
-		s := NewKMV(k, testSeed)
-		base := uint64(tr) * (1 << 40)
-		for i := 0; i < n; i++ {
-			s.Update(base + uint64(i))
-		}
-		sum += s.Estimate()/n - 1
-	}
-	meanRE := sum / trials
-	seOfMean := RSEBound(k) / math.Sqrt(trials)
-	if math.Abs(meanRE) > 4*seOfMean {
-		t.Errorf("KMV mean relative error %.5f exceeds 4·SE=%.5f — estimator looks biased", meanRE, 4*seOfMean)
-	}
-}
-
 func TestThetaMonotonicallyNonIncreasing(t *testing.T) {
 	for name, mk := range variants(t) {
 		s := mk()
@@ -116,32 +95,6 @@ func TestThetaMonotonicallyNonIncreasing(t *testing.T) {
 			}
 			prev = cur
 		}
-	}
-}
-
-func TestKMVRetainsExactlyKSmallest(t *testing.T) {
-	const k = 64
-	s := NewKMV(k, testSeed)
-	var all []uint64
-	for i := 0; i < 10000; i++ {
-		h := HashKey(uint64(i), testSeed)
-		all = append(all, h)
-		s.UpdateHash(h)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	want := all[:k]
-	got := s.Retention(nil)
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	if len(got) != k {
-		t.Fatalf("retained %d, want %d", len(got), k)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("retained[%d] = %d, want %d (k smallest)", i, got[i], want[i])
-		}
-	}
-	if s.ThetaLong() != want[k-1] {
-		t.Fatalf("theta = %d, want k-th smallest %d", s.ThetaLong(), want[k-1])
 	}
 }
 
@@ -175,25 +128,10 @@ func TestQuickSelectInvariants(t *testing.T) {
 
 func TestOrderInsensitive(t *testing.T) {
 	// The paper: "the state of a Θ sketch after a set of updates is
-	// independent of their processing order." This holds exactly for KMV
-	// (canonical retention: precisely the k smallest hashes). QuickSelect's
-	// retained superset depends on rebuild timing, so only the estimate's
-	// accuracy — not its bits — is order-independent there.
+	// independent of their processing order." QuickSelect's retained
+	// superset depends on rebuild timing, so only the estimate's accuracy —
+	// not its bits — is order-independent.
 	keys := rand.New(rand.NewSource(7)).Perm(30000)
-
-	a, b := NewKMV(1024, testSeed), NewKMV(1024, testSeed)
-	for _, x := range keys {
-		a.Update(uint64(x))
-	}
-	for i := len(keys) - 1; i >= 0; i-- {
-		b.Update(uint64(keys[i]))
-	}
-	if a.Estimate() != b.Estimate() {
-		t.Errorf("KMV: order-dependent estimates %v vs %v", a.Estimate(), b.Estimate())
-	}
-	if a.ThetaLong() != b.ThetaLong() {
-		t.Errorf("KMV: order-dependent theta")
-	}
 
 	qa, qb := NewQuickSelect(10, testSeed), NewQuickSelect(10, testSeed)
 	for _, x := range keys {
@@ -230,11 +168,6 @@ func TestMergeEquivalentToConcatenation(t *testing.T) {
 		if math.Abs(re) > 0.05 {
 			t.Errorf("%s: merged estimate %v vs whole-stream %v (re=%.4f)", name, partA.Estimate(), whole.Estimate(), re)
 		}
-		if name == "KMV" && partA.Estimate() != whole.Estimate() {
-			// KMV retention is canonical (exactly the k smallest), so merge
-			// must be bit-identical to the whole-stream sketch.
-			t.Errorf("KMV merge not canonical: %v vs %v", partA.Estimate(), whole.Estimate())
-		}
 	}
 }
 
@@ -261,8 +194,8 @@ func TestMergeSeedMismatchPanics(t *testing.T) {
 			t.Fatal("merging different seeds did not panic")
 		}
 	}()
-	a := NewKMV(64, 1)
-	b := NewKMV(64, 2)
+	a := NewQuickSelect(6, 1)
+	b := NewQuickSelect(6, 2)
 	a.Merge(b)
 }
 
@@ -302,25 +235,47 @@ func TestPropertyEstimateWithinBounds(t *testing.T) {
 }
 
 func TestPropertyMergeCommutative(t *testing.T) {
+	// QuickSelect's Θ after a merge depends on rebuild timing, so A ∪ B and
+	// B ∪ A may settle on different thresholds. What both orders must
+	// produce is an exact sample: precisely the hashes of A ∪ B below their
+	// own Θ, neither losing a hash nor keeping one at or above Θ.
 	cfg := &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(43))}
 	f := func(na, nb uint16) bool {
-		a1, b1 := NewKMV(128, testSeed), NewKMV(128, testSeed)
-		a2, b2 := NewKMV(128, testSeed), NewKMV(128, testSeed)
+		a1, b1 := NewQuickSelect(7, testSeed), NewQuickSelect(7, testSeed)
+		a2, b2 := NewQuickSelect(7, testSeed), NewQuickSelect(7, testSeed)
+		var all []uint64
 		for i := 0; i < int(na); i++ {
 			a1.Update(uint64(i))
 			a2.Update(uint64(i))
+			all = append(all, HashKey(uint64(i), testSeed))
 		}
 		for i := 0; i < int(nb); i++ {
 			b1.Update(uint64(i) + 1<<40)
 			b2.Update(uint64(i) + 1<<40)
+			all = append(all, HashKey(uint64(i)+1<<40, testSeed))
 		}
 		a1.Merge(b1) // A ∪ B
 		b2.Merge(a2) // B ∪ A
-		return a1.Estimate() == b2.Estimate() && a1.ThetaLong() == b2.ThetaLong()
+		return isExactSample(a1, all) && isExactSample(b2, all)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// isExactSample reports whether s retains exactly the hashes in all that lie
+// below its Θ.
+func isExactSample(s Sketch, all []uint64) bool {
+	var want []uint64
+	for _, h := range all {
+		if h < s.ThetaLong() {
+			want = append(want, h)
+		}
+	}
+	got := s.Retention(nil)
+	slices.Sort(want)
+	slices.Sort(got)
+	return slices.Equal(got, want)
 }
 
 func TestQuickSelectHelper(t *testing.T) {
@@ -336,27 +291,6 @@ func TestQuickSelectHelper(t *testing.T) {
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 		if got := quickSelect(a, rank); got != sorted[rank] {
 			t.Fatalf("quickSelect(rank=%d) = %d, want %d", rank, got, sorted[rank])
-		}
-	}
-}
-
-func TestHashSetAddRemove(t *testing.T) {
-	hs := newHashSet(16)
-	rng := rand.New(rand.NewSource(5))
-	ref := make(map[uint64]bool)
-	for op := 0; op < 20000; op++ {
-		v := rng.Uint64()%500 + 1
-		if rng.Intn(2) == 0 {
-			hs.add(v)
-			ref[v] = true
-		} else {
-			hs.remove(v)
-			delete(ref, v)
-		}
-	}
-	for v := uint64(1); v <= 500; v++ {
-		if hs.contains(v) != ref[v] {
-			t.Fatalf("hashSet.contains(%d) = %v, want %v", v, hs.contains(v), ref[v])
 		}
 	}
 }
@@ -405,37 +339,6 @@ func TestAnotBEstimate(t *testing.T) {
 	}
 }
 
-func TestJaccard(t *testing.T) {
-	a := NewQuickSelect(12, testSeed)
-	b := NewQuickSelect(12, testSeed)
-	for i := 0; i < 60000; i++ {
-		a.Update(uint64(i))
-		b.Update(uint64(i + 30000)) // |A∩B|=30000, |A∪B|=90000 → J=1/3
-	}
-	j := JaccardEstimate(a, b, 12)
-	if math.Abs(j-1.0/3.0) > 0.05 {
-		t.Errorf("Jaccard estimate %v, want ≈0.333", j)
-	}
-}
-
-func TestSerializeRoundTripKMV(t *testing.T) {
-	for _, n := range []int{0, 1, 100, 5000} {
-		s := NewKMV(256, testSeed)
-		feedUnique(s, n)
-		data, err := s.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := UnmarshalKMV(data)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if got.Estimate() != s.Estimate() || got.ThetaLong() != s.ThetaLong() || got.Retained() != s.Retained() {
-			t.Fatalf("n=%d: round-trip mismatch", n)
-		}
-	}
-}
-
 func TestSerializeRoundTripQuickSelect(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 50000} {
 		s := NewQuickSelect(8, testSeed)
@@ -455,7 +358,7 @@ func TestSerializeRoundTripQuickSelect(t *testing.T) {
 }
 
 func TestSerializeCorruptionDetected(t *testing.T) {
-	s := NewKMV(64, testSeed)
+	s := NewQuickSelect(6, testSeed)
 	feedUnique(s, 1000)
 	data, _ := s.MarshalBinary()
 
@@ -469,11 +372,17 @@ func TestSerializeCorruptionDetected(t *testing.T) {
 			}
 			return d
 		},
-		"wrong kind": func(d []byte) []byte { d[5] = variantQuickSelect; return d },
+		"hash at theta": func(d []byte) []byte {
+			copy(d[headerSize:], d[16:24]) // first retained hash := Θ
+			return d
+		},
+		"wrong kind": func(d []byte) []byte { d[5] = variantCompact; return d },
+		// Variant 1 (K-Minimum-Values) is reserved: no decoder accepts it.
+		"reserved kind": func(d []byte) []byte { d[5] = 1; return d },
 	}
 	for name, corrupt := range cases {
 		c := corrupt(append([]byte(nil), data...))
-		if _, err := UnmarshalKMV(c); err == nil {
+		if _, err := UnmarshalQuickSelect(c); err == nil {
 			t.Errorf("%s: corruption not detected", name)
 		}
 	}
@@ -528,14 +437,6 @@ func TestRSEBounds(t *testing.T) {
 	r := 32 // = √1024
 	if RelaxedRSEBound(k, r) > 2*RSEBound(k)+1e-12 {
 		t.Errorf("relaxed bound %v exceeds twice sequential %v", RelaxedRSEBound(k, r), 2*RSEBound(k))
-	}
-}
-
-func BenchmarkKMVUpdate(b *testing.B) {
-	s := NewKMV(4096, testSeed)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Update(uint64(i))
 	}
 }
 

@@ -96,8 +96,8 @@ func checkUnion(t *testing.T, u *Union, inputs []unionInput) {
 	if len(got) >= 2*u.gadget.k {
 		t.Fatalf("retained %d ≥ 2k = %d", len(got), 2*u.gadget.k)
 	}
-	if est := u.Estimate(); est != estimate(len(got), theta, false) {
-		t.Fatalf("estimate %v, want retained/θ = %v", est, estimate(len(got), theta, false))
+	if est := u.Estimate(); est != estimate(len(got), theta) {
+		t.Fatalf("estimate %v, want retained/θ = %v", est, estimate(len(got), theta))
 	}
 }
 

@@ -122,8 +122,7 @@ type Scalable interface {
 // read the immutable suffix-merge published on the epoch pointer and never
 // touch the ring itself.
 type Ring[A Acc[A]] struct {
-	slots []A // oldest → newest
-	cap   int
+	slots []A // oldest → newest; cap(slots) is the ring's capacity
 }
 
 // NewRing returns an empty ring retaining at most capacity closed slots.
@@ -131,21 +130,18 @@ func NewRing[A Acc[A]](capacity int) *Ring[A] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring[A]{slots: make([]A, 0, capacity), cap: capacity}
+	return &Ring[A]{slots: make([]A, 0, capacity)}
 }
 
 // Len returns the number of closed slots currently retained.
 func (r *Ring[A]) Len() int { return len(r.slots) }
-
-// Cap returns the ring's slot capacity.
-func (r *Ring[A]) Cap() int { return r.cap }
 
 // PopIfFull removes and returns the oldest slot when the ring is at
 // capacity, making room for the next Push — the expel step of a rotation.
 // The caller folds the expelled slot into its cumulative plane and may Reset
 // and recycle it as the next slot's accumulator.
 func (r *Ring[A]) PopIfFull() (oldest A, ok bool) {
-	if len(r.slots) < r.cap {
+	if len(r.slots) < cap(r.slots) {
 		var zero A
 		return zero, false
 	}
@@ -159,7 +155,7 @@ func (r *Ring[A]) PopIfFull() (oldest A, ok bool) {
 // PopIfFull; pushing into a full ring panics (a rotation protocol bug, not
 // an input condition).
 func (r *Ring[A]) Push(slot A) {
-	if len(r.slots) >= r.cap {
+	if len(r.slots) >= cap(r.slots) {
 		panic("window: Push into a full ring")
 	}
 	r.slots = append(r.slots, slot)

@@ -39,8 +39,6 @@ type RegistryConfig struct {
 	// BufferSize overrides the derived per-writer buffer b. The combined
 	// relaxation of a merged query is S·2·Writers·b. 0 = derive per family.
 	BufferSize int
-	// Unoptimised selects the ParSketch variant (r = N·b per shard).
-	Unoptimised bool
 	// Seed is the hash seed shared by all sketches; 0 means DefaultSeed.
 	Seed uint64
 
@@ -143,12 +141,11 @@ func (c *RegistryConfig) normalise() error {
 
 func (c *RegistryConfig) shardConfig() shard.Config {
 	return shard.Config{
-		Shards:      c.Shards,
-		Writers:     c.Writers,
-		BufferSize:  c.BufferSize,
-		MaxError:    c.MaxError,
-		Unoptimised: c.Unoptimised,
-		Seed:        c.Seed,
+		Shards:     c.Shards,
+		Writers:    c.Writers,
+		BufferSize: c.BufferSize,
+		MaxError:   c.MaxError,
+		Seed:       c.Seed,
 	}
 }
 

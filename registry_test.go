@@ -41,24 +41,6 @@ func TestRegistryConfigValidation(t *testing.T) {
 	}
 }
 
-// TestRegistryUnoptimisedRelaxation: the ParSketch variant blocks writers
-// during propagation, so each shard is N·b-relaxed instead of 2·N·b, and a
-// drained stream is still counted exactly.
-func TestRegistryUnoptimisedRelaxation(t *testing.T) {
-	reg := openRegistry(t, fastsketches.RegistryConfig{
-		Shards: 2, Writers: 2, MaxError: 1, BufferSize: 4, Unoptimised: true, ThetaLgK: 10,
-	})
-	h := openTheta(t, reg, "par")
-	if r, s := h.ShardRelaxation(), h.Relaxation(); r != 2*4 || s != 2*r {
-		t.Errorf("ParSketch relaxation = %d per shard, %d merged; want N·b = 8 and S·8 = 16", r, s)
-	}
-	ingest(2, 1000, func(w, i int) { h.Update(w, uint64(i)) })
-	reg.Close()
-	if est := h.Sketch().Estimate(); est != 1000 {
-		t.Errorf("estimate %v, want exactly 1000", est)
-	}
-}
-
 func TestRegistryGetOrCreateStable(t *testing.T) {
 	reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{Shards: 2})
 	if err != nil {

@@ -8,8 +8,8 @@
 // Four sketch families are provided, each as a sequential sketch and as a
 // concurrent one opened by name from a Registry:
 //
-//   - Θ (theta) sketches for distinct counting (KMV and QuickSelect
-//     variants, unions, intersections, differences, Jaccard similarity);
+//   - Θ (theta) sketches for distinct counting (QuickSelect, with unions,
+//     intersections and differences);
 //   - Quantiles sketches (mergeable summaries) for rank/quantile queries;
 //   - HLL sketches for memory-lean distinct counting;
 //   - Count-Min sketches for per-key frequency estimates.
@@ -122,14 +122,6 @@ func NewThetaSketch(lgK int, seed uint64) *theta.QuickSelect {
 		seed = DefaultSeed
 	}
 	return theta.NewQuickSelect(lgK, seed)
-}
-
-// NewKMVSketch returns a sequential KMV Θ sketch (Algorithm 1 of the paper).
-func NewKMVSketch(k int, seed uint64) *theta.KMV {
-	if seed == 0 {
-		seed = DefaultSeed
-	}
-	return theta.NewKMV(k, seed)
 }
 
 // NewQuantilesSketch returns a sequential mergeable quantiles sketch.

@@ -2,11 +2,11 @@ package fastsketches_test
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"fastsketches"
-	"fastsketches/internal/stream"
 	"fastsketches/internal/theta"
 )
 
@@ -89,7 +89,11 @@ func TestSingleShard(t *testing.T) {
 		reg := single(t, 2, 1)
 		cm := openCountMin(t, reg, "c").Sketch()
 		const n = 1 << 16
-		keys := stream.Zipf(n, 500, 1.5, 11)
+		z := rand.NewZipf(rand.New(rand.NewSource(11)), 1.5, 1, 499)
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = z.Uint64()
+		}
 		truth := map[uint64]uint64{}
 		for _, k := range keys {
 			truth[k]++
@@ -147,15 +151,11 @@ func TestResultSetOperations(t *testing.T) {
 
 func TestSequentialReExports(t *testing.T) {
 	qs := fastsketches.NewThetaSketch(10, 0)
-	kmv := fastsketches.NewKMVSketch(1024, 0)
 	for i := 0; i < 50000; i++ {
 		qs.Update(uint64(i))
-		kmv.Update(uint64(i))
 	}
-	for name, est := range map[string]float64{"QuickSelect": qs.Estimate(), "KMV": kmv.Estimate()} {
-		if math.Abs(est/50000-1) > 0.15 {
-			t.Errorf("%s estimate %v, want ≈50000", name, est)
-		}
+	if est := qs.Estimate(); math.Abs(est/50000-1) > 0.15 {
+		t.Errorf("QuickSelect estimate %v, want ≈50000", est)
 	}
 	q := fastsketches.NewQuantilesSketch(64)
 	for i := 0; i < 10000; i++ {
