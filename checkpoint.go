@@ -54,7 +54,7 @@ func (r *Registry) appendCheckpointLocked(dst []byte) []byte {
 	entries := r.ckptEntries[:0]
 	r.mu.RLock()
 	for _, e := range r.sketches {
-		entries = append(entries, infoEntry{e, e.lc, e.ctl})
+		entries = append(entries, infoEntry{e, e.lc})
 	}
 	r.mu.RUnlock()
 	r.ckptEntries = entries

@@ -47,13 +47,12 @@ func TestCheckpointZeroAllocSteadyState(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	// Every record carries its whole Spec: give one a view, an autoscale
-	// policy and a lifecycle, so the Spec encode is on the measured path.
-	// The hour-long timers keep the refresher and controller idle.
+	// Every record carries its whole Spec: give one a view and a
+	// lifecycle, so the Spec encode is on the measured path. The hour-long
+	// timer keeps the refresher idle.
 	if err := cm.Apply(fastsketches.Spec{
-		View:      &fastsketches.ViewConfig{RefreshEvery: time.Hour, MaxAge: -1},
-		Autoscale: &fastsketches.AutoscalePolicy{HighWater: 1e12, SampleEvery: time.Hour},
-		IdleTTL:   time.Hour, Pinned: true,
+		View:    &fastsketches.ViewConfig{RefreshEvery: time.Hour, MaxAge: -1},
+		IdleTTL: time.Hour, Pinned: true,
 	}); err != nil {
 		t.Fatal(err)
 	}

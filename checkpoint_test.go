@@ -8,14 +8,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"fastsketches"
-	"fastsketches/internal/autoscale"
 	"fastsketches/internal/clock"
 	"fastsketches/internal/snapshot"
 	"fastsketches/internal/theta"
@@ -94,19 +92,14 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	src := populated(t, n)
 	defer src.Close()
 
-	// Serving configuration rides the checkpoint: a view on the HLL and an
-	// autoscale policy — every knob, not just the bounds and water marks —
-	// on the Count-Min.
+	// Serving configuration rides the checkpoint: a view on the HLL and a
+	// lifecycle (idle TTL and pinning) on the Count-Min.
 	if err := src.Apply("hll", "ck.hll", fastsketches.Spec{View: &fastsketches.ViewConfig{
 		RefreshEvery: 40 * time.Millisecond, MaxAge: -1,
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	policy := autoscale.Policy{
-		MinShards: 1, MaxShards: 16, HighWater: 5e5, LowWater: 1e4,
-		SampleEvery: time.Hour, SustainedUp: 5, Cooldown: 2 * time.Hour, StepFactor: 4,
-	}
-	if err := src.Apply("countmin", "ck.cm", fastsketches.Spec{Autoscale: &policy}); err != nil {
+	if err := src.Apply("countmin", "ck.cm", fastsketches.Spec{IdleTTL: 2 * time.Hour, Pinned: true}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -180,13 +173,12 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		}
 	}
 
-	// View settings and the whole autoscale policy re-attached.
+	// View settings and the lifecycle re-attached.
 	if inf, _ := dst.Info("hll", "ck.hll"); inf.Spec.View == nil {
 		t.Error("restored hll sketch lost its materialized view")
 	}
-	want, _ := policy.Normalise()
-	if inf, _ := dst.Info("countmin", "ck.cm"); inf.Spec.Autoscale == nil || *inf.Spec.Autoscale != want {
-		t.Errorf("restored policy %+v, want %+v", inf.Spec.Autoscale, want)
+	if inf, _ := dst.Info("countmin", "ck.cm"); inf.Spec.IdleTTL != 2*time.Hour || !inf.Spec.Pinned {
+		t.Errorf("restored lifecycle IdleTTL %v Pinned %v, want 2h and pinned", inf.Spec.IdleTTL, inf.Spec.Pinned)
 	}
 }
 
@@ -379,45 +371,6 @@ func TestCheckpointUnderFire(t *testing.T) {
 	}
 }
 
-// TestRestoreReplacesControllers pins the no-leak contract: repeated
-// restores with a recorded autoscale policy swap the controller rather than
-// stacking one per restore — a stacked one would outlive Close — and
-// closing the registry returns the process to its goroutine baseline.
-func TestRestoreReplacesControllers(t *testing.T) {
-	src := populated(t, 500)
-	if err := src.Apply("countmin", "ck.cm", fastsketches.Spec{Autoscale: &autoscale.Policy{
-		MinShards: 1, MaxShards: 8, HighWater: 1e6,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	ckpt := src.AppendCheckpoint(nil)
-	src.Close()
-
-	baseline := runtime.NumGoroutine()
-	dst, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{Shards: 2, MaxError: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := dst.Restore(bytes.NewReader(ckpt)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := dst.AutoscaleStats("countmin", "ck.cm"); !ok {
-		t.Error("restores attached no controller")
-	}
-	dst.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked by restore: %d > baseline %d",
-				runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // TestCheckpointerManualClock drives the periodic loop deterministically:
 // each interval elapsing on the injected clock produces a fresh checkpoint
 // file, Stop halts the loop, and a post-Close CheckpointNow still writes
@@ -500,6 +453,16 @@ func withVersion(ckpt []byte, v uint16) []byte {
 	return out
 }
 
+// withSpecFlag returns a copy of ckpt with flag bit set in the Spec of its
+// first record, which opens after the 12-byte header, the record length,
+// the family and the length-prefixed name.
+func withSpecFlag(ckpt []byte, bit uint) []byte {
+	out := append([]byte(nil), ckpt...)
+	const rec = 12
+	out[rec+4+2+int(out[rec+5])] |= 1 << bit
+	return out
+}
+
 // TestRestoreRejectsV1Checkpoint: format version 1 is no longer read. A
 // version-1 container fails whole with snapshot.ErrVersion before any of
 // its records is imported, so the registry stays empty.
@@ -543,15 +506,31 @@ func FuzzCheckpointRestore(f *testing.F) {
 		th.Update(0, uint64(i))
 		cm.Update(0, uint64(i%17))
 	}
-	f.Add(seedReg.AppendCheckpoint(nil))
+	plain := seedReg.AppendCheckpoint(nil)
+	f.Add(plain)
+	// A record whose Spec carries flag bit 2, the removed autoscale plane's:
+	// the whole restore fails with the typed error before anything registers.
+	autoscaled := withSpecFlag(plain, 2)
+	probe, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{Shards: 1, Writers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := probe.Restore(bytes.NewReader(autoscaled)); !errors.Is(err, wire.ErrRemovedAutoscale) || !errors.Is(err, wire.ErrBadSpec) {
+		f.Fatalf("restoring a record with spec bit 2: %v, want wire.ErrRemovedAutoscale", err)
+	}
+	if names := probe.Names(); len(names) != 0 {
+		f.Fatalf("rejected record registered %v", names)
+	}
+	probe.Close()
+	f.Add(autoscaled)
 	// The same sketches with every plane in their Specs: a view, a
-	// decaying window with closed slots and an autoscale policy on the
-	// Count-Min, a window with a closed slot on the Θ.
+	// decaying window with closed slots and a lifecycle on the Count-Min, a
+	// window with a closed slot on the Θ.
 	if err := errors.Join(
 		seedReg.Apply("countmin", "fz.cm", fastsketches.Spec{
-			View:      &fastsketches.ViewConfig{RefreshEvery: time.Hour, MaxAge: -1},
-			Window:    &fastsketches.WindowConfig{Interval: time.Hour, Slots: 3, Decay: 0.5},
-			Autoscale: &autoscale.Policy{MinShards: 1, MaxShards: 8, HighWater: 1e6, LowWater: 1e4},
+			View:    &fastsketches.ViewConfig{RefreshEvery: time.Hour, MaxAge: -1},
+			Window:  &fastsketches.WindowConfig{Interval: time.Hour, Slots: 3, Decay: 0.5},
+			IdleTTL: time.Hour, Pinned: true,
 		}),
 		seedReg.Apply("theta", "fz.t", fastsketches.Spec{
 			Window: &fastsketches.WindowConfig{Interval: time.Hour, Slots: 2},

@@ -52,7 +52,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fastsketches/internal/autoscale"
 	"fastsketches/internal/shard"
 	"fastsketches/internal/wire"
 )
@@ -74,10 +73,9 @@ const (
 // one form a sketch's configuration takes everywhere (see wire.Spec) — with
 // the configs its planes point to.
 type (
-	Spec            = wire.Spec
-	ViewConfig      = shard.ViewConfig
-	WindowConfig    = shard.WindowConfig
-	AutoscalePolicy = autoscale.Policy
+	Spec         = wire.Spec
+	ViewConfig   = shard.ViewConfig
+	WindowConfig = shard.WindowConfig
 )
 
 // Info is the served sketch metadata returned by Client.Info: the Spec in
@@ -261,7 +259,7 @@ func (c *Client) Ping() error {
 // the families that cannot decay. The server validates spec; a rejected
 // one is a *Error carrying the library's ErrConfig message and changes
 // nothing. Nil planes are left as they are, so Apply is the remote form of
-// every admin change: resize, view, window, autoscale, pinning.
+// every admin change: resize, view, window, pinning.
 func (c *Client) Apply(fam Family, name string, spec Spec) error {
 	return c.doEmpty(&reqSpec{op: wire.OpApply, fam: fam, name: name, spec: &spec})
 }
@@ -436,18 +434,6 @@ func (c *Client) Restore(fam Family, name string, snap []byte) error {
 	return c.doEmpty(&reqSpec{op: wire.OpRestore, fam: fam, name: name, blob: snap})
 }
 
-// MergeRemote makes the connected daemon dial the sketchd peer at addr,
-// pull the peer's snapshot of (fam, name), and fold it into its own sketch
-// of the same name (created if absent) — one round trip from the client's
-// side, with the snapshot travelling daemon-to-daemon. The peer must
-// already have the sketch.
-func (c *Client) MergeRemote(fam Family, name, addr string) error {
-	if addr == "" || len(addr) > wire.MaxAddr {
-		return fmt.Errorf("client: peer address length %d outside [1,%d]", len(addr), wire.MaxAddr)
-	}
-	return c.doEmpty(&reqSpec{op: wire.OpMergeRemote, fam: fam, name: name, addr: addr})
-}
-
 // Checkpoint asks the daemon to write its checkpoint file now (every sketch,
 // durably, atomic rename into place) and returns once it is on disk. Errors
 // with a server-side *Error if the daemon was started without a checkpoint
@@ -486,7 +472,6 @@ type reqSpec struct {
 	spec  *Spec
 	items []uint64
 	blob  []byte
-	addr  string
 }
 
 // conn is one pooled connection: writes serialised under wmu into a
@@ -653,8 +638,6 @@ func (cn *conn) roundTrip(sp *reqSpec) (*call, error) {
 		b = wire.AppendSnapshotReq(b, id, sp.fam, sp.name)
 	case wire.OpRestore:
 		b = wire.AppendRestore(b, id, sp.fam, sp.name, sp.blob)
-	case wire.OpMergeRemote:
-		b = wire.AppendMergeRemote(b, id, sp.fam, sp.name, sp.addr)
 	case wire.OpCheckpoint:
 		b = wire.AppendCheckpointReq(b, id)
 	case wire.OpOpsStats:

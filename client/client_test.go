@@ -125,10 +125,11 @@ func TestClientBasics(t *testing.T) {
 	if inf, err := cl.Info(client.Theta, "users"); err != nil || inf.Spec.Shards != 4 {
 		t.Fatalf("Info after resize = %+v (err %v)", inf, err)
 	}
-	if err := cl.Apply(client.AllFamilies, "users", client.Spec{Autoscale: &client.AutoscalePolicy{
-		MinShards: 2, MaxShards: 8, HighWater: 1e9, LowWater: 1e3,
-	}}); err != nil {
+	if err := cl.Apply(client.AllFamilies, "users", client.Spec{Pinned: true}); err != nil {
 		t.Fatal(err)
+	}
+	if inf, err := cl.Info(client.Theta, "users"); err != nil || !inf.Spec.Pinned {
+		t.Fatalf("Info after pinning = %+v (err %v)", inf, err)
 	}
 	if err := cl.Drop(client.CountMin, "api"); err != nil {
 		t.Fatal(err)
@@ -325,9 +326,6 @@ func TestClientResizeBounds(t *testing.T) {
 	}
 	rejected("negative resize", cl.Resize(client.Theta, "x", -1))
 	rejected("absurd shard count", cl.Resize(client.Theta, "x", 1<<20))
-	rejected("absurd autoscale bound", cl.Apply(client.Theta, "x", client.Spec{
-		Autoscale: &client.AutoscalePolicy{MinShards: 1, MaxShards: 1 << 20, HighWater: 1e6},
-	}))
 	if names, err := cl.Names(); err != nil || len(names) != 0 {
 		t.Fatalf("rejected Specs created %v (err %v)", names, err)
 	}

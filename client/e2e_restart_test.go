@@ -131,17 +131,13 @@ func TestE2ERestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The Spec rides the checkpoint too: pin the HLL tenant over the wire,
-	// and give a third tenant an idle-TTL override and a full autoscale
-	// policy that never fires (an hour between samples).
+	// and give a third tenant an idle-TTL override and a view that never
+	// refreshes on its own (an hour between refreshes).
 	if err := cl.Apply(client.HLL, "r.hll", client.Spec{Pinned: true}); err != nil {
 		t.Fatal(err)
 	}
-	policy := client.AutoscalePolicy{
-		MinShards: 2, MaxShards: 64, HighWater: 1e9, LowWater: 1e6, BacklogHighWater: 1 << 20,
-		SampleEvery: time.Hour, SustainedUp: 4, SustainedDown: 9, Cooldown: 2 * time.Hour,
-		StepFactor: 4, MaxTransitionalRelaxation: 1 << 24, ViewLagHighWater: time.Minute,
-	}
-	cfgSpec := client.Spec{IdleTTL: 42 * time.Minute, Autoscale: &policy}
+	view := client.ViewConfig{RefreshEvery: time.Hour, MaxAge: -1}
+	cfgSpec := client.Spec{IdleTTL: 42 * time.Minute, View: &view}
 	if err := cl.Apply(client.Theta, "r.cfg", cfgSpec); err != nil {
 		t.Fatal(err)
 	}
@@ -224,9 +220,9 @@ func TestE2ERestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := inf.Spec; got.IdleTTL != cfgSpec.IdleTTL || got.Autoscale == nil || *got.Autoscale != policy {
-		t.Errorf("restored r.cfg Spec %+v (policy %+v), want IdleTTL %v and policy %+v",
-			got, got.Autoscale, cfgSpec.IdleTTL, policy)
+	if got := inf.Spec; got.IdleTTL != cfgSpec.IdleTTL || got.View == nil || *got.View != view {
+		t.Errorf("restored r.cfg Spec %+v (view %+v), want IdleTTL %v and view %+v",
+			got, got.View, cfgSpec.IdleTTL, view)
 	}
 
 	// Restored state must keep absorbing writes.

@@ -402,8 +402,8 @@ func TestE2E(t *testing.T) {
 
 	// ---- Phase 4: remote merge. A second daemon (always in-process; the
 	// main server may be the CI binary) ingests a disjoint key range, then
-	// the main daemon pulls the peer's snapshot over the wire and folds it
-	// in. Count-Min total weight is exact after quiesces on both sides, so
+	// the client snapshots the peer's sketch and restores it into the main
+	// daemon, which folds it in. Count-Min total weight is exact after quiesces on both sides, so
 	// the fold must account for every key from both daemons exactly once.
 	t.Run("merge-remote", func(t *testing.T) {
 		peerAddr, _ := startServer(t, fastsketches.RegistryConfig{Shards: 2, Writers: 2})
@@ -432,7 +432,11 @@ func TestE2E(t *testing.T) {
 			}
 		}
 
-		if err := cl.MergeRemote(client.CountMin, "e2e.mr", peerAddr); err != nil {
+		snap, err := peer.Snapshot(client.CountMin, "e2e.mr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Restore(client.CountMin, "e2e.mr", snap); err != nil {
 			t.Fatal(err)
 		}
 		n, err := cl.CountMinN("e2e.mr")
@@ -443,7 +447,7 @@ func TestE2E(t *testing.T) {
 			t.Fatalf("merged N = %d, want exactly %d (remote fold lost or duplicated weight)", n, 2*half)
 		}
 		// The in-process union of the same two streams is the reference: a
-		// single sketch fed both ranges must agree with the daemon-to-daemon
+		// single sketch fed both ranges must agree with the cross-daemon
 		// fold per key (Count-Min counters are deterministic in the multiset).
 		refH, _ := mirror.OpenCountMin("e2e.mr", fastsketches.Spec{})
 		ref := refH.Sketch()

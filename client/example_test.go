@@ -75,3 +75,47 @@ func Example() {
 	// distinct users: 1500, latency samples: 2000
 	// after resize: S=4, merged staleness ≤ 256, distinct users: 1500
 }
+
+// Merging a sketch across daemons takes two client calls: Snapshot exports
+// the peer's merged state as a portable blob, and Restore folds it into the
+// local sketch of the same family and name. The daemons never connect to
+// each other. Θ deduplicates the keys both saw; both streams stay inside
+// the eager phase, so the merged count is exact.
+func Example_mergeAcrossDaemons() {
+	check := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	daemon := func() (*client.Client, func()) {
+		reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{Shards: 2, Writers: 1})
+		check(err)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		check(err)
+		srv := server.New(reg)
+		go srv.Serve(ln)
+		cl, err := client.Dial(ln.Addr().String(), client.Options{Conns: 1})
+		check(err)
+		return cl, func() { cl.Close(); srv.Shutdown(); reg.Close() }
+	}
+	local, stopLocal := daemon()
+	defer stopLocal()
+	peer, stopPeer := daemon()
+	defer stopPeer()
+
+	for i, cl := range []*client.Client{local, peer} { // keys [500i, 500i+1000)
+		users := cl.NewBatch(client.Theta, "users")
+		for k := uint64(500 * i); k < uint64(500*i+1000); k++ {
+			check(users.Add(k))
+		}
+		check(users.Flush())
+	}
+
+	snap, err := peer.Snapshot(client.Theta, "users")
+	check(err)
+	check(local.Restore(client.Theta, "users", snap))
+	est, err := local.ThetaEstimate("users")
+	check(err)
+	fmt.Printf("distinct users on both daemons: %.0f\n", est)
+	// Output: distinct users on both daemons: 1500
+}

@@ -160,9 +160,11 @@ func TestClientSnapshotErrors(t *testing.T) {
 		t.Fatalf("unconfigured Checkpoint: %v, want *client.Error", err)
 	}
 
-	// MergeRemote against an unreachable peer reports the dial failure.
-	if err := cl.MergeRemote(client.Theta, "fam", "127.0.0.1:1"); !errors.As(err, &srvErr) {
-		t.Fatalf("MergeRemote unreachable peer: %v, want *client.Error", err)
+	// A merge from an unreachable peer fails at the client's dial of the
+	// peer, before this daemon sees any request.
+	if peer, err := client.Dial("127.0.0.1:1", client.Options{Conns: 1}); err == nil {
+		peer.Close()
+		t.Fatal("dialing an unreachable peer succeeded")
 	}
 
 	// The connection survives every error above.
@@ -207,8 +209,9 @@ func TestClientCheckpointConfigured(t *testing.T) {
 	}
 }
 
-// TestClientMergeRemote has daemon B pull A's sketch and fold it into its
-// own: the union of two disjoint key ranges must count every key once.
+// TestClientMergeRemote merges daemon A's sketch into B's with two client
+// calls, Snapshot on A then Restore on B: the union of two disjoint key
+// ranges must count every key once.
 func TestClientMergeRemote(t *testing.T) {
 	addrA, _, _ := startServerFull(t, fastsketches.RegistryConfig{Shards: 2, Writers: 1})
 	addrB, _, _ := startServerFull(t, fastsketches.RegistryConfig{Shards: 2, Writers: 1})
@@ -220,7 +223,11 @@ func TestClientMergeRemote(t *testing.T) {
 	quiesce(t, a, client.CountMin, "m")
 	quiesce(t, b, client.CountMin, "m")
 
-	if err := b.MergeRemote(client.CountMin, "m", addrA); err != nil {
+	snap, err := a.Snapshot(client.CountMin, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Restore(client.CountMin, "m", snap); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := b.CountMinN("m"); err != nil || got != 2*half {

@@ -70,12 +70,6 @@ func TestSpecRejectedOnEveryPath(t *testing.T) {
 		{"too many window slots", client.CountMin, client.Spec{Window: &client.WindowConfig{Slots: 1 << 20}}},
 		{"decay above 1", client.CountMin, client.Spec{Window: &client.WindowConfig{Decay: 1.5}}},
 		{"decay on theta", client.Theta, client.Spec{Window: &client.WindowConfig{Decay: 0.5}}},
-		{"policy without high water", client.Quantiles, client.Spec{Autoscale: &client.AutoscalePolicy{}}},
-		{"policy bound too high", client.HLL, client.Spec{Autoscale: &client.AutoscalePolicy{
-			HighWater: 1, MaxShards: wire.MaxShards + 1}}},
-		{"policy water marks too close", client.CountMin, client.Spec{Autoscale: &client.AutoscalePolicy{
-			HighWater: 1, LowWater: 1}}},
-		{"autoscale on and off", client.Theta, client.Spec{Autoscale: &client.AutoscalePolicy{HighWater: 1}, AutoscaleOff: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			openErr := openSpec(reg, tc.fam, "bad", tc.spec)
@@ -101,10 +95,10 @@ func TestSpecRejectedOnEveryPath(t *testing.T) {
 	}
 }
 
-// randomSpec draws a valid Spec declaring every plane at random: every
-// autoscale knob but the Clock, IdleTTL, Pinned, a view, a window, and a
-// decay plane where the family has one. Timers are hours long, so no
-// refresher, rotator or controller acts while the test runs.
+// randomSpec draws a valid Spec declaring every plane at random: IdleTTL,
+// Pinned, a view, a window, and a decay plane where the family has one.
+// Timers are hours long, so no refresher or rotator acts while the test
+// runs.
 func randomSpec(rng *rand.Rand, fam client.Family) client.Spec {
 	hours := func() time.Duration { return time.Duration(1+rng.Intn(100)) * time.Hour }
 	s := client.Spec{Shards: 1 + rng.Intn(6), Pinned: rng.Intn(2) == 0}
@@ -121,19 +115,6 @@ func randomSpec(rng *rand.Rand, fam client.Family) client.Spec {
 		s.Window = &client.WindowConfig{Interval: hours(), Slots: 1 + rng.Intn(8)}
 		if fam.Decayable() && rng.Intn(2) == 0 {
 			s.Window.Decay = rng.Float64() * 0.99
-		}
-	}
-	if rng.Intn(3) > 0 {
-		step := 2 + rng.Intn(3)
-		high := 1e3 + rng.Float64()*1e9
-		minS := 1 + rng.Intn(4)
-		s.Autoscale = &client.AutoscalePolicy{
-			MinShards: minS, MaxShards: minS + rng.Intn(60),
-			HighWater: high, LowWater: high / float64(step) * rng.Float64(),
-			BacklogHighWater: rng.Float64() * 1e6, SampleEvery: hours(),
-			SustainedUp: 1 + rng.Intn(9), SustainedDown: 1 + rng.Intn(9),
-			Cooldown: hours(), StepFactor: step,
-			MaxTransitionalRelaxation: rng.Intn(1 << 20), ViewLagHighWater: time.Duration(rng.Int63n(int64(time.Hour))),
 		}
 	}
 	return s
@@ -154,10 +135,6 @@ func normalised(s client.Spec) client.Spec {
 		w, _ := s.Window.Normalise()
 		s.Window = &w
 	}
-	if s.Autoscale != nil {
-		p, _ := s.Autoscale.Normalise()
-		s.Autoscale = &p
-	}
 	return s
 }
 
@@ -171,10 +148,6 @@ func withoutClocks(s client.Spec) client.Spec {
 		w := *s.Window
 		w.Clock, s.Window = nil, &w
 	}
-	if s.Autoscale != nil {
-		p := *s.Autoscale
-		p.Clock, s.Autoscale = nil, &p
-	}
 	return s
 }
 
@@ -182,13 +155,12 @@ func withoutClocks(s client.Spec) client.Spec {
 func sameSpec(t *testing.T, what string, got, want client.Spec) {
 	t.Helper()
 	eq := got.Shards == want.Shards && got.IdleTTL == want.IdleTTL && got.Pinned == want.Pinned &&
-		got.ViewOff == want.ViewOff && got.WindowOff == want.WindowOff && got.AutoscaleOff == want.AutoscaleOff &&
+		got.ViewOff == want.ViewOff && got.WindowOff == want.WindowOff &&
 		(got.View == nil) == (want.View == nil) && (got.View == nil || *got.View == *want.View) &&
-		(got.Window == nil) == (want.Window == nil) && (got.Window == nil || *got.Window == *want.Window) &&
-		(got.Autoscale == nil) == (want.Autoscale == nil) && (got.Autoscale == nil || *got.Autoscale == *want.Autoscale)
+		(got.Window == nil) == (want.Window == nil) && (got.Window == nil || *got.Window == *want.Window)
 	if !eq {
-		t.Fatalf("%s Spec:\n got %+v (view %+v, window %+v, policy %+v)\nwant %+v (view %+v, window %+v, policy %+v)",
-			what, got, got.View, got.Window, got.Autoscale, want, want.View, want.Window, want.Autoscale)
+		t.Fatalf("%s Spec:\n got %+v (view %+v, window %+v)\nwant %+v (view %+v, window %+v)",
+			what, got, got.View, got.Window, want, want.View, want.Window)
 	}
 }
 

@@ -2,7 +2,7 @@
 // over TCP with the internal/wire protocol — batched ingest fanned into
 // writer lanes, pipelined merged queries through per-connection reusable
 // accumulators, one control op applying a Spec (shards, window, view,
-// autoscale, idle TTL, pinning), and drop / names / info. Checkpoints keep
+// idle TTL, pinning), and drop / names / info. Checkpoints keep
 // each sketch's whole Spec, so a restarted daemon serves every tenant as it
 // was configured. Use the fastsketches/client library to talk to it:
 //

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"fastsketches"
-	"fastsketches/internal/clock"
 )
 
 // The paper's object is one concurrent sketch: writer goroutines each own a
@@ -130,10 +129,11 @@ func ExampleThetaIntersect() {
 	// Output: |A∩B| = 2000
 }
 
-// Striping a sketch over S shards buys ingest throughput (one propagator per
-// shard) at a merged-query staleness of S·r. Resize moves S live under write
-// fire with an exact drain, and an autoscale policy walks S from the
-// sketch's ingest pressure; a manual clock paces its samples here.
+// Striping a sketch over S shards runs S independent concurrent sketches,
+// each r-relaxed with r = 2·Writers·b, so a merged query may miss up to S·r
+// completed updates: S is a staleness dial. Resize moves S live under write
+// fire, answering within S_old·r + S_new·r while the old shards drain, and
+// a resize to S=1 after the writers stop drains the stream exactly.
 func Example_sharding() {
 	reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{Shards: 2, Writers: 2})
 	if err != nil {
@@ -166,60 +166,14 @@ func Example_sharding() {
 	if err := visitors.Resize(1); err != nil { // drains the stream exactly
 		panic(err)
 	}
+	report("drained", visitors.Shards(), visitors.Relaxation())
 	fmt.Printf("visitors: %.0f\n", visitors.Sketch().Estimate())
-
-	mc := clock.NewManual(time.Unix(0, 0))
-	requests, err := reg.OpenCountMin("requests", fastsketches.Spec{
-		Autoscale: &fastsketches.AutoscalePolicy{
-			MinShards: 1, MaxShards: 8, HighWater: 1000,
-			SustainedUp: 1, SustainedDown: 1,
-			SampleEvery: time.Second, Cooldown: time.Nanosecond, Clock: mc,
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
-	// tick lets one sampling period pass: the controller samples, resizes if
-	// the policy says so, and re-arms its timer.
-	tick := func() {
-		for mc.Waiters() == 0 {
-			time.Sleep(100 * time.Microsecond)
-		}
-		mc.Advance(time.Second)
-		for mc.Waiters() == 0 {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	tick() // the first sample is the baseline
-	// A burst of 10,000 requests a second, then a lull with nothing left to
-	// merge.
-	for i := 0; i < 3; i++ {
-		for k := 0; k < 10_000; k++ {
-			requests.Update(0, uint64(k%64))
-		}
-		tick()
-		report("burst", requests.Shards(), requests.Relaxation())
-	}
-	for i := 0; i < 3; i++ {
-		for requests.Pressure().Backlog() != 0 {
-			time.Sleep(100 * time.Microsecond)
-		}
-		tick()
-		report("lull", requests.Shards(), requests.Relaxation())
-	}
-	fmt.Printf("requests: %d\n", requests.Sketch().N())
 	// Output:
 	// visitors   S=2, merged staleness ≤ 128
 	// resized    S=8, merged staleness ≤ 512
 	// resized    S=2, merged staleness ≤ 128
+	// drained    S=1, merged staleness ≤ 64
 	// visitors: 3000
-	// burst      S=4, merged staleness ≤ 512
-	// burst      S=8, merged staleness ≤ 1024
-	// burst      S=8, merged staleness ≤ 1024
-	// lull       S=4, merged staleness ≤ 512
-	// lull       S=2, merged staleness ≤ 256
-	// lull       S=1, merged staleness ≤ 128
-	// requests: 30000
 }
 
 // A view moves the O(S) merge off the query path: queries read one

@@ -3,7 +3,6 @@ package fastsketches
 import (
 	"time"
 
-	"fastsketches/internal/autoscale"
 	"fastsketches/internal/countmin"
 	"fastsketches/internal/hll"
 	"fastsketches/internal/quantiles"
@@ -12,15 +11,9 @@ import (
 	"fastsketches/internal/wire"
 )
 
-// AutoscalePolicy parameterises an autoscaling controller — see
-// autoscale.Policy for every knob. Aliased here so Spec literals can name
-// it without importing the internal package.
-type AutoscalePolicy = autoscale.Policy
-
 // Spec declares a sketch's configuration in one place — shard count,
-// window, view, autoscale policy and lifecycle — and is the one form it
-// takes in the library, on the wire and in a checkpoint; see wire.Spec for
-// every field. Open* and Handle.Apply apply it (creating the sketch on first
+// window, view and lifecycle — and is the one form it takes in the
+// library, on the wire and in a checkpoint; see wire.Spec for every field. Open* and Handle.Apply apply it (creating the sketch on first
 // use with Open*), Registry.Apply applies it to sketches that already exist,
 // and SketchInfo.Spec reports the Spec in force. The zero Spec declares
 // nothing.
@@ -241,12 +234,6 @@ func (h *Handle[T, A, S]) RotateNow() bool { return h.sk.RotateNow() }
 // bounds, pressure counters, resident size), or ok=false after Drop.
 func (h *Handle[T, A, S]) Info() (SketchInfo, bool) {
 	return h.r.Info(h.Family(), h.Name())
-}
-
-// AutoscaleStats returns the live counters of the controller driving this
-// sketch, or ok=false when none is attached.
-func (h *Handle[T, A, S]) AutoscaleStats() (autoscale.Stats, bool) {
-	return h.r.AutoscaleStats(h.Family(), h.Name())
 }
 
 // Drop closes and removes the sketch from the registry, reporting whether

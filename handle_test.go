@@ -1,7 +1,7 @@
 package fastsketches_test
 
 // Typed-handle API tests: Open* idempotence, the declarative Spec semantics
-// (Shards resize, View re-arm, Autoscale replace, lifecycle recording) and
+// (Shards resize, View re-arm, lifecycle recording) and
 // validation.
 
 import (
@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"fastsketches"
-	"fastsketches/internal/clock"
 )
 
 func openRegistry(t *testing.T, cfg fastsketches.RegistryConfig) *fastsketches.Registry {
@@ -124,35 +123,6 @@ func TestSpecViewRearm(t *testing.T) {
 	}
 	if !h.ViewEnabled() {
 		t.Error("reopen with Spec.View did not re-arm the view")
-	}
-}
-
-// TestSpecAutoscaleReplace: Spec.Autoscale attaches with replace semantics —
-// one controller per sketch, swapped not stacked.
-func TestSpecAutoscaleReplace(t *testing.T) {
-	reg := openRegistry(t, fastsketches.RegistryConfig{Shards: 1, Writers: 1})
-	mc := clock.NewManual(time.Unix(0, 0))
-	pol := func(max int) *fastsketches.AutoscalePolicy {
-		return &fastsketches.AutoscalePolicy{HighWater: 1e9, MaxShards: max, SampleEvery: time.Hour, Clock: mc}
-	}
-	h, err := reg.OpenTheta("scaled", fastsketches.Spec{Autoscale: pol(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := h.AutoscaleStats(); !ok {
-		t.Fatal("no controller after Open{Autoscale}")
-	}
-	if h, err = reg.OpenTheta("scaled", fastsketches.Spec{Autoscale: pol(8)}); err != nil {
-		t.Fatal(err)
-	}
-	if inf, _ := h.Info(); inf.Spec.Autoscale == nil || inf.Spec.Autoscale.MaxShards != 8 {
-		t.Errorf("Spec in force %+v, want the replacing policy (MaxShards 8)", inf.Spec.Autoscale)
-	}
-	if err := h.Apply(fastsketches.Spec{AutoscaleOff: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := h.AutoscaleStats(); ok {
-		t.Error("controller still attached after Spec.AutoscaleOff")
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fastsketches/internal/autoscale"
 	"fastsketches/internal/clock"
 	"fastsketches/internal/core"
 	"fastsketches/internal/countmin"
@@ -63,9 +62,6 @@ type StressConfig struct {
 	// Window, when Slots > 0, declares a sliding window whose ring the
 	// conductor rotates explicitly; queriers then read the windowed plane.
 	Window StressWindow
-	// Autoscale, when MaxShards > 0, hands resizing to a live
-	// autoscale.Controller instead of Schedule.
-	Autoscale StressAutoscale
 }
 
 // StressWindow is the sliding window a stress run declares: Slots is the
@@ -77,10 +73,6 @@ type StressWindow struct {
 	Decay float64
 }
 
-// StressAutoscale is the shard range of an autoscale run's controller; the
-// run must settle at MinShards (default 1) once the writers quiesce.
-type StressAutoscale struct{ MinShards, MaxShards int }
-
 func (c *StressConfig) normalise() {
 	c.Shards = cmp.Or(c.Shards, 4)
 	c.Writers = cmp.Or(c.Writers, 4)
@@ -89,10 +81,6 @@ func (c *StressConfig) normalise() {
 	c.Queriers = cmp.Or(c.Queriers, 2)
 	c.MaxError = cmp.Or(c.MaxError, 1.0)
 	c.Family = cmp.Or(c.Family, wire.FamilyCountMin)
-	if c.Autoscale.MaxShards > 0 {
-		c.Schedule = nil
-		c.Autoscale.MinShards = max(c.Autoscale.MinShards, 1)
-	}
 }
 
 // bounds returns, for the per-shard relaxation r = 2·N·b, the bound
@@ -103,13 +91,8 @@ func (c *StressConfig) normalise() {
 //   - a resize folds both epochs' live snapshots: (S_old+S_new)·r for the
 //     schedule's widest consecutive pair;
 //   - a window rotation is an epoch swap at constant S: 2·S·r at the
-//     schedule's largest S, which dominates every resize pair;
-//   - an autoscale transition keeps both epochs within MaxShards (the
-//     policy cap is exactly 2·MaxShards·r) and settles at MinShards.
+//     schedule's largest S, which dominates every resize pair.
 func (c *StressConfig) bounds(r int64) (transitional, final int64) {
-	if a := c.Autoscale; a.MaxShards > 0 {
-		return 2 * int64(a.MaxShards) * r, int64(a.MinShards) * r
-	}
 	prev, widest := int64(c.Shards), int64(c.Shards)
 	transitional = prev * r
 	for _, s := range c.Schedule {
@@ -147,13 +130,6 @@ type StressReport struct {
 	// PostResizeQueries counts queries checked against S_final·r once the
 	// run had settled: resizes drained, a view refreshed, the rotator idle.
 	PostResizeQueries int64
-	// ScaleUps / ScaleDowns split an autoscale run's Resizes by direction;
-	// FinalShards is S once the run quiesced.
-	ScaleUps, ScaleDowns int64
-	FinalShards          int
-	// CapViolations counts controller transitions whose (S_old+S_new)·r
-	// exceeded the policy's MaxTransitionalRelaxation, a cap never breached.
-	CapViolations int64
 	// Refreshes counts view publications the conductor completed.
 	Refreshes int64
 	// Rotations counts window rotations, Expulsions those that expelled a
@@ -172,7 +148,8 @@ const (
 
 // sketch is the surface of the sharded families the engine drives.
 type sketch interface {
-	autoscale.Target
+	Resize(shards int) error
+	ShardRelaxation() int
 	Update(lane int, key uint64)
 	Eager() bool
 	EnableView(shard.ViewConfig) error
@@ -304,9 +281,9 @@ type run struct {
 	// viewFloor is the completed count read just before the latest
 	// published refresh began its fold; expelled bounds from above the
 	// update weight the ring has expelled into the cumulative legacy plane.
-	viewFloor, expelled              atomic.Int64
-	lost, capViolations, postQueries atomic.Int64 // lost: reads that found no window
-	writersDone, stop                chan struct{}
+	viewFloor, expelled atomic.Int64
+	lost, postQueries   atomic.Int64 // lost: reads that found no window
+	writersDone, stop   chan struct{}
 }
 
 // Stress plays one scenario against a live sharded sketch and reports what
@@ -316,9 +293,9 @@ type run struct {
 // a view by the floor its refresh published and lowered for a window by the
 // weight the ring has expelled. The lag a plane has on purpose thus moves
 // c1, never the bound, so MaxStaleness ÷ Bound is the run's margin. A
-// conductor runs whichever of the resize schedule, the autoscale
-// controller, view refreshes and window rotations the config turns on; one
-// bounded settle phase then holds answers to the steady-state bound. A
+// conductor runs whichever of the resize schedule, view refreshes and
+// window rotations the config turns on; one bounded settle phase then holds
+// answers to the steady-state bound. A
 // lower breach means lost state (the draining epoch's legacy, a resize's
 // carry), an upper breach double-counted state (a slot in both the
 // suffix-merge and the live epoch).
@@ -382,12 +359,6 @@ func Stress(cfg StressConfig) (StressReport, error) {
 	}
 	r.transitional, r.final = cfg.bounds(int64(sk.ShardRelaxation()))
 	r.rep.Bound = int(r.transitional)
-	var walk func()
-	if cfg.Autoscale.MaxShards > 0 {
-		if walk, err = r.controller(); err != nil {
-			return StressReport{}, err
-		}
-	}
 
 	var duties, queriers, writers sync.WaitGroup
 	r.pending.Store(1) // the resizes
@@ -420,7 +391,7 @@ func Stress(cfg StressConfig) (StressReport, error) {
 		}(w)
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- r.resize(walk) }()
+	go func() { errc <- r.resize() }()
 	writers.Wait()
 	close(r.writersDone)
 	err = <-errc
@@ -441,8 +412,6 @@ func Stress(cfg StressConfig) (StressReport, error) {
 	r.rep.LowerViolations = t.Lower - eager.Lower + r.lost.Load()
 	r.rep.UpperViolations = t.Upper - eager.Upper
 	r.rep.PostResizeQueries = r.postQueries.Load()
-	r.rep.FinalShards = sk.Shards()
-	r.rep.CapViolations = r.capViolations.Load()
 	return r.rep, err
 }
 
@@ -491,13 +460,10 @@ func (r *run) query(read reader) {
 	}
 }
 
-// resize makes the run's resizes — the controller's walk, or the
-// schedule's, each once the stream crosses the next evenly spaced threshold
-// (or the writers finish) — and then settles them.
-func (r *run) resize(walk func()) error {
-	if walk != nil {
-		walk()
-	}
+// resize makes the schedule's resizes, each once the stream crosses the
+// next evenly spaced threshold (or the writers finish), and then settles
+// them.
+func (r *run) resize() error {
 	total := int64(r.cfg.Writers * r.cfg.UpdatesPerWriter)
 	for i, s := range r.cfg.Schedule {
 		threshold := total * int64(i+1) / int64(len(r.cfg.Schedule)+1)
@@ -512,73 +478,6 @@ func (r *run) resize(walk func()) error {
 	r.resized.Store(true)
 	r.pending.Add(-1)
 	return nil
-}
-
-// controller builds an autoscale run's controller over a manual clock and
-// takes its baseline sample before any writer starts. The policy: one
-// sample per decision (ticks are paced), near-zero cooldown, the staleness
-// cap at exactly the queriers' envelope, and a HighWater so low that any
-// ingest is up-pressure (LowWater keeps the hysteresis gap). The returned
-// walk is the burst — tick until S reaches MaxShards, or two ticks after
-// the writers finished saw no new ingest — then the lull: tick with zero
-// load until S is back at MinShards, bounded so a broken loop surfaces as
-// FinalShards ≠ MinShards.
-func (r *run) controller() (walk func(), err error) {
-	a := r.cfg.Autoscale
-	mc := clock.NewManual(time.Unix(1<<20, 0))
-	ctl, err := autoscale.New(
-		capCheckTarget{sketch: r.sk, budget: int(r.transitional), violations: &r.capViolations},
-		autoscale.Policy{
-			MinShards: a.MinShards, MaxShards: a.MaxShards,
-			HighWater: 500, LowWater: 100,
-			SustainedUp: 1, SustainedDown: 2,
-			SampleEvery: time.Millisecond, Cooldown: time.Nanosecond,
-			MaxTransitionalRelaxation: int(r.transitional),
-			Clock:                     mc,
-		})
-	if err != nil {
-		return nil, err
-	}
-	ctl.Tick()
-	tick := func() {
-		mc.Advance(time.Millisecond)
-		ctl.Tick()
-		runtime.Gosched() // single-core friendliness: let writers run
-	}
-	return func() {
-		for zero := 0; r.sk.Shards() < a.MaxShards && zero < 2; {
-			before := r.sk.Pressure().Ingested
-			tick()
-			if closed(r.writersDone) && r.sk.Pressure().Ingested == before {
-				zero++
-			} else {
-				zero = 0
-			}
-		}
-		<-r.writersDone
-		for i := 0; i < 100_000 && r.sk.Shards() > a.MinShards; i++ {
-			tick()
-		}
-		st := ctl.Stats()
-		r.rep.ScaleUps, r.rep.ScaleDowns = st.ScaleUps, st.ScaleDowns
-		r.rep.Resizes = st.ScaleUps + st.ScaleDowns
-	}, nil
-}
-
-// capCheckTarget wraps the sketch the controller drives, recording any
-// transition whose combined window (S_old+S_new)·r would exceed the
-// policy's staleness cap — which a correct controller never requests.
-type capCheckTarget struct {
-	sketch
-	budget     int
-	violations *atomic.Int64
-}
-
-func (t capCheckTarget) Resize(s int) error {
-	if from := t.Shards(); t.budget > 0 && (from+s)*t.ShardRelaxation() > t.budget {
-		t.violations.Add(1)
-	}
-	return t.sketch.Resize(s)
 }
 
 // refresh is the view conductor: refresh, then publish the pre-fold ground

@@ -1,9 +1,9 @@
-// Package clock is the one injectable time source of the module: autoscale
-// controllers, view refreshers, window rotators, the checkpointer and the
-// ops sweeper all read the current instant and wait for their next tick
-// through a Clock, so every time-dependent decision can be driven by a
-// Manual clock in tests and stress runs, with no sleeps and no wall-clock
-// flakiness. Production code defaults to System.
+// Package clock is the one injectable time source of the module: view
+// refreshers, window rotators, the checkpointer and the ops sweeper all
+// read the current instant and wait for their next tick through a Clock, so
+// every time-dependent decision can be driven by a Manual clock in tests
+// and stress runs, with no sleeps and no wall-clock flakiness. Production
+// code defaults to System.
 package clock
 
 import (

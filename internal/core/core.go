@@ -178,7 +178,7 @@ type writer[T any] struct {
 }
 
 // PressureSample is a wait-free snapshot of a framework's ingest-pressure
-// counters, the signal plane autoscaling policies sample. Both counters are
+// counters, the signal plane the ops layer samples. Both counters are
 // cumulative and monotonically non-decreasing over the framework's lifetime:
 //
 //   - Ingested counts items handed to the propagation plane — buffered items
@@ -642,7 +642,7 @@ func (f *Framework[T]) Close() {
 
 // Pressure returns the framework's cumulative ingest-pressure counters.
 // Wait-free and safe to call concurrently with updates, propagation, and
-// queries — the sampling hook autoscaling controllers poll. After Close the
+// queries — the sampling hook the ops layer polls. After Close the
 // sample is exact: Ingested == Merged == the post-filter stream length.
 func (f *Framework[T]) Pressure() PressureSample {
 	// Merged first: each item's Merged add happens after its Ingested add,

@@ -1,7 +1,7 @@
 package core_test
 
 // Tests for the ingest-pressure instrumentation (PressureSample): the cheap
-// atomic counters the autoscale controller samples. The contract under test:
+// atomic counters the ops layer samples. The contract under test:
 // Ingested/Merged are monotonic, Backlog never goes negative, eager updates
 // count immediately, filtered items count in neither counter, and after
 // Close both counters equal the post-filter stream length exactly.
@@ -113,7 +113,7 @@ func TestPressureBacklogBeforePropagation(t *testing.T) {
 func TestPressureMonotonicUnderConcurrency(t *testing.T) {
 	// A sampler races writers and the propagator: successive samples must be
 	// monotonic in both counters with a non-negative backlog — the invariant
-	// the autoscale controller's rate computation relies on.
+	// the ops sweeper's idle detection and a scrape's rates rely on.
 	g := &countGlobal{}
 	const writers = 4
 	fw := core.New[uint64](g, core.Config{Workers: writers, BufferSize: 4, MaxError: 1})

@@ -95,7 +95,6 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 	buf = strconv.AppendInt(buf, int64(len(infos)), 10)
 	buf = append(buf, '\n')
 
-	buf = c.appendAutoscale(buf, infos)
 	if c.Manager != nil {
 		buf = appendManager(buf, c.Manager.Stats())
 	}
@@ -108,84 +107,6 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 
 	_, err := w.Write(buf)
 	return err
-}
-
-// appendAutoscale emits the controller series for every sketch that has an
-// autoscale controller attached.
-func (c *Collector) appendAutoscale(buf []byte, infos []fastsketches.SketchInfo) []byte {
-	type ctlRow struct {
-		inf *fastsketches.SketchInfo
-		st  autoscaleStats
-	}
-	var rows []ctlRow
-	for i := range infos {
-		if st, ok := c.Reg.AutoscaleStats(infos[i].Family, infos[i].Name); ok {
-			rows = append(rows, ctlRow{&infos[i], autoscaleStats{
-				samples: st.Samples, ups: st.ScaleUps, downs: st.ScaleDowns,
-				heldCooldown: st.HeldCooldown, heldAtBound: st.HeldAtBound,
-				heldViewLag: st.HeldViewLag, heldMemory: st.HeldMemory,
-				capped: st.CappedByStaleness,
-				rate:   st.LastPerShardRate, backlog: st.LastBacklogPerShard,
-			}})
-		}
-	}
-	if len(rows) == 0 {
-		return buf
-	}
-	emit := func(name, help, typ string, v func(*ctlRow) float64) {
-		buf = appendHeader(buf, name, help, typ)
-		for i := range rows {
-			buf = appendSample2(buf, name, rows[i].inf, v(&rows[i]))
-		}
-	}
-	emit("fastsketches_autoscale_samples_total", "Controller ticks taken.", "counter",
-		func(r *ctlRow) float64 { return float64(r.st.samples) })
-	emit("fastsketches_autoscale_scale_ups_total", "Completed scale-up resizes.", "counter",
-		func(r *ctlRow) float64 { return float64(r.st.ups) })
-	emit("fastsketches_autoscale_scale_downs_total", "Completed scale-down resizes.", "counter",
-		func(r *ctlRow) float64 { return float64(r.st.downs) })
-	emit("fastsketches_autoscale_capped_total", "Steps clamped or skipped by the transitional staleness cap.", "counter",
-		func(r *ctlRow) float64 { return float64(r.st.capped) })
-	emit("fastsketches_autoscale_per_shard_rate", "Most recent per-shard ingest rate (items/sec).", "gauge",
-		func(r *ctlRow) float64 { return r.st.rate })
-	emit("fastsketches_autoscale_backlog_per_shard", "Most recent per-shard propagator backlog (items).", "gauge",
-		func(r *ctlRow) float64 { return r.st.backlog })
-
-	// Held streaks carry a reason label on top of the identity labels.
-	buf = appendHeader(buf, "fastsketches_autoscale_held_total",
-		"Sustained streaks suppressed, by reason.", "counter")
-	for i := range rows {
-		r := &rows[i]
-		for _, h := range [...]struct {
-			reason string
-			n      int64
-		}{
-			{"cooldown", r.st.heldCooldown},
-			{"at_bound", r.st.heldAtBound},
-			{"view_lag", r.st.heldViewLag},
-			{"memory", r.st.heldMemory},
-		} {
-			buf = append(buf, "fastsketches_autoscale_held_total{family=\""...)
-			buf = appendEscaped(buf, r.inf.Family)
-			buf = append(buf, "\",name=\""...)
-			buf = appendEscaped(buf, r.inf.Name)
-			buf = append(buf, "\",reason=\""...)
-			buf = append(buf, h.reason...)
-			buf = append(buf, "\"} "...)
-			buf = strconv.AppendInt(buf, h.n, 10)
-			buf = append(buf, '\n')
-		}
-	}
-	return buf
-}
-
-// autoscaleStats is the flattened slice of autoscale.Stats the exposition
-// uses (LastErr and decision enums are not exportable as samples).
-type autoscaleStats struct {
-	samples, ups, downs                            int64
-	heldCooldown, heldAtBound, heldViewLag, capped int64
-	heldMemory                                     int64
-	rate, backlog                                  float64
 }
 
 // appendManager emits the lifecycle sweeper's counters.

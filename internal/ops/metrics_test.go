@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"fastsketches"
-	"fastsketches/internal/autoscale"
 	"fastsketches/internal/clock"
 	"fastsketches/internal/ops"
 )
@@ -164,9 +163,8 @@ func checkHistogram(t *testing.T, e *exposition, metric string) {
 	}
 }
 
-// TestMetricsExposition scrapes a registry with live sketches, a view, an
-// attached (inert) autoscale controller, a Manager, and ingest histograms,
-// and validates the whole exposition.
+// TestMetricsExposition scrapes a registry with live sketches, a view, a
+// Manager, and ingest histograms, and validates the whole exposition.
 func TestMetricsExposition(t *testing.T) {
 	reg := newRegistry(t, fastsketches.RegistryConfig{Shards: 2, Writers: 1, BufferSize: 1})
 	mc := clock.NewManual(time.Unix(0, 0))
@@ -186,10 +184,6 @@ func TestMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := weird.Apply(fastsketches.Spec{Autoscale: &autoscale.Policy{HighWater: 1e9, Clock: mc, SampleEvery: time.Hour}}); err != nil {
-		t.Fatal(err)
-	}
-	defer weird.Apply(fastsketches.Spec{AutoscaleOff: true})
 
 	for i := uint64(0); i < 500; i++ {
 		th.Update(0, i)
@@ -203,7 +197,8 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	c := &ops.Collector{Reg: reg, Manager: m, Ingest: obs}
-	e := parseExposition(t, c.String())
+	out := c.String()
+	e := parseExposition(t, out)
 
 	thetaLabels := `family="theta",name="metrics/theta"`
 	weirdLabels := `family="countmin",name="we\"ird\\name\nnl"`
@@ -240,17 +235,9 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("pressure counters ingested=%v merged=%v; want 0 < merged ≤ ingested", ing, mrg)
 	}
 
-	// Controller series appear only for the sketch with a controller.
-	if _, ok := e.get("fastsketches_autoscale_samples_total", weirdLabels); !ok {
-		t.Error("missing autoscale samples series for controlled sketch")
-	}
-	if _, ok := e.get("fastsketches_autoscale_samples_total", thetaLabels); ok {
-		t.Error("autoscale series emitted for a sketch with no controller")
-	}
-	for _, reason := range []string{"cooldown", "at_bound", "view_lag", "memory"} {
-		if _, ok := e.get("fastsketches_autoscale_held_total", weirdLabels+`,reason="`+reason+`"`); !ok {
-			t.Errorf("missing held_total reason=%s", reason)
-		}
+	// The removed autoscale plane left no series behind.
+	if strings.Contains(out, "fastsketches_autoscale_") {
+		t.Error("exposition still carries fastsketches_autoscale_* series")
 	}
 
 	// Manager series.

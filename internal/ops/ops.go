@@ -2,8 +2,8 @@
 // fastsketches.Registry: the lifecycle sweeper (idle-TTL eviction and
 // memory-budget accounting) plus the Prometheus-text /metrics exposition
 // that makes the library's internal wait-free counters — shard counts, live
-// relaxation bounds, ingest pressure, view-refresh lag, autoscale
-// controller decisions — visible to an external scrape.
+// relaxation bounds, ingest pressure, view-refresh lag — visible to an
+// external scrape.
 //
 // # Idle eviction
 //
@@ -30,10 +30,7 @@
 // down (the retiring shards' snapshots fold into one compact legacy
 // accumulator — compaction, not loss), otherwise it is shed via Drop. An
 // active tenant is touched only after shedding every idler tenant still
-// left the registry over budget. The budget also acts preventively: the
-// Manager installs itself as the registry's autoscale memory-pressure
-// signal, so controllers veto scale-ups and prefer scale-downs while over
-// budget.
+// left the registry over budget.
 //
 // # Why the export plane is wait-free toward writers
 //
@@ -64,8 +61,8 @@ type Config struct {
 	// per-sketch Spec.IdleTTL overrides still apply. Negative is rejected.
 	IdleTTL time.Duration
 	// MemBudget caps the summed estimated resident bytes of all sketches;
-	// while over, sweeps shrink or shed unpinned tenants most-idle-first
-	// and autoscale scale-ups are vetoed. 0 disables budgeting.
+	// while over, sweeps shrink or shed unpinned tenants most-idle-first.
+	// 0 disables budgeting.
 	MemBudget int64
 	// SweepEvery is the sweep period of the background loop. Default 5s.
 	SweepEvery time.Duration
@@ -121,7 +118,6 @@ type Manager struct {
 
 	sweeps, evictions, sheds, shrinks atomic.Int64
 	resident, sketches                atomic.Int64
-	overBudget                        atomic.Bool
 
 	startMu sync.Mutex
 	started bool
@@ -129,10 +125,7 @@ type Manager struct {
 	done    chan struct{}
 }
 
-// NewManager validates cfg and returns an inert Manager over reg. When a
-// memory budget is set, the Manager installs itself as the registry's
-// autoscale memory-pressure signal (see
-// Registry.SetAutoscaleMemoryPressure).
+// NewManager validates cfg and returns an inert Manager over reg.
 func NewManager(reg *fastsketches.Registry, cfg Config) (*Manager, error) {
 	if cfg.IdleTTL < 0 {
 		return nil, fmt.Errorf("ops: negative IdleTTL")
@@ -155,21 +148,13 @@ func NewManager(reg *fastsketches.Registry, cfg Config) (*Manager, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.System{}
 	}
-	m := &Manager{
+	return &Manager{
 		reg:   reg,
 		cfg:   cfg,
 		clock: cfg.Clock,
 		seen:  make(map[string]*tenantState),
-	}
-	if cfg.MemBudget > 0 {
-		reg.SetAutoscaleMemoryPressure(m.OverBudget)
-	}
-	return m, nil
+	}, nil
 }
-
-// OverBudget reports whether the last sweep left the registry over its
-// memory budget — the autoscale veto signal. One atomic load.
-func (m *Manager) OverBudget() bool { return m.overBudget.Load() }
 
 // ResidentBytes returns the summed estimated resident size at the last
 // sweep.
@@ -242,8 +227,8 @@ func (m *Manager) Sweep() SweepResult {
 	}
 	m.mu.Unlock()
 
-	// Evictions run outside m.mu: Drop stops controllers, waits out
-	// claimed lanes and drains propagators.
+	// Evictions run outside m.mu: Drop waits out claimed lanes and drains
+	// propagators.
 	for _, c := range evict {
 		if m.reg.Drop(c.Family, c.Name) {
 			m.evictions.Add(1)
@@ -293,7 +278,6 @@ func (m *Manager) Sweep() SweepResult {
 	res.ResidentBytes = resident
 	m.resident.Store(resident)
 	m.sketches.Store(int64(res.Sketches - res.Evicted - res.Shed))
-	m.overBudget.Store(m.cfg.MemBudget > 0 && resident > m.cfg.MemBudget)
 	m.sweeps.Add(1)
 	return res
 }
@@ -312,7 +296,7 @@ func (m *Manager) Run(stop <-chan struct{}) {
 }
 
 // Start launches the background sweep loop. It panics if the Manager was
-// already started (mirroring autoscale.Controller.Start).
+// already started.
 func (m *Manager) Start() {
 	m.startMu.Lock()
 	defer m.startMu.Unlock()

@@ -24,13 +24,13 @@
 //     serving path inherits the library's zero-alloc merged-query contract.
 //
 //   - One control plane. An OpApply frame carries a fastsketches.Spec —
-//     shard count, window, view, autoscale policy, lifecycle — and the
-//     server hands it to the registry's Open* (one family, get-or-create)
-//     or Registry.Apply (family 0, every sketch under the name), the same
-//     validation and the same apply order in-process code gets. OpInfo
-//     reports the Spec in force; Drop and Names complete the admin surface,
-//     so a remote operator can walk the throughput/staleness trade-off of a
-//     live sketch exactly as in-process code can.
+//     shard count, window, view, lifecycle — and the server hands it to
+//     the registry's Open* (one family, get-or-create) or Registry.Apply
+//     (family 0, every sketch under the name), the same validation and the
+//     same apply order in-process code gets. OpInfo reports the Spec in
+//     force; Drop and Names complete the admin surface, so a remote
+//     operator can walk the staleness trade-off of a live sketch exactly
+//     as in-process code can.
 //
 // A sketch dropped under a connection — by OpDrop on any connection, or by
 // a bare Registry.Drop such as the ops sweeper's — is noticed by a closed
@@ -268,7 +268,7 @@ type connState struct {
 	scratch  scratch
 
 	// snapBuf is the connection's reusable snapshot-encode scratch
-	// (OpSnapshot responses and OpMergeRemote pulls).
+	// (OpSnapshot responses).
 	snapBuf []byte
 }
 
@@ -384,9 +384,6 @@ func (cs *connState) serve(req *wire.Request, out []byte) []byte {
 
 	case wire.OpRestore:
 		return cs.restore(req, out)
-
-	case wire.OpMergeRemote:
-		return cs.mergeRemote(req, out)
 
 	case wire.OpCheckpoint:
 		fn := cs.s.checkpointFn()

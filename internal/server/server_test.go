@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"fastsketches"
-	"fastsketches/internal/autoscale"
 	"fastsketches/internal/shard"
 	"fastsketches/internal/wire"
 )
@@ -152,13 +151,24 @@ func TestServeBasicOps(t *testing.T) {
 		t.Fatalf("info after resize = %+v (err %v), want S=4", inf, err)
 	}
 
-	// Autoscale attaches to the named sketches, pinning with it.
-	policy := autoscale.Policy{MinShards: 2, MaxShards: 8, HighWater: 1e6, LowWater: 1e3, SampleEvery: time.Hour}
-	c.mustOK(wire.AppendApply(nil, c.nextID(), 0, "users", &wire.Spec{Autoscale: &policy, Pinned: true}))
+	// Pinning applies to every sketch under the name.
+	c.mustOK(wire.AppendApply(nil, c.nextID(), 0, "users", &wire.Spec{Pinned: true}))
 	inf, err = wire.ParseInfo(c.mustOK(wire.AppendInfo(nil, c.nextID(), wire.FamilyTheta, "users")))
-	if want, _ := policy.Normalise(); err != nil || !inf.Spec.Pinned || inf.Spec.Autoscale == nil ||
-		inf.Spec.Autoscale.Cooldown != want.Cooldown || inf.Spec.Autoscale.MaxShards != 8 {
-		t.Fatalf("info after autoscale = %+v (err %v), want pinned with the normalised policy", inf.Spec, err)
+	if err != nil || !inf.Spec.Pinned || inf.Spec.Shards != 4 {
+		t.Fatalf("info after pinning = %+v (err %v), want pinned at S=4", inf.Spec, err)
+	}
+
+	// The removed planes answer typed errors: an OpApply whose Spec sets
+	// flag bit 2 (the autoscale plane), and the OpMergeRemote opcode 10.
+	apply := wire.AppendApply(nil, c.nextID(), 0, "users", &wire.Spec{})
+	apply[len(apply)-len(wire.AppendSpec(nil, &wire.Spec{}))] |= 1 << 2
+	if status, body := c.roundTrip(apply); status != wire.StatusError || string(body) != wire.ErrRemovedAutoscale.Error() {
+		t.Fatalf("OpApply with spec bit 2: status %d %q, want %q", status, body, wire.ErrRemovedAutoscale)
+	}
+	mergeRemote := wire.AppendSnapshotReq(nil, c.nextID(), wire.FamilyTheta, "users")
+	mergeRemote[4] = 10
+	if status, body := c.roundTrip(mergeRemote); status != wire.StatusError || string(body) != wire.ErrRemovedOp.Error() {
+		t.Fatalf("opcode 10: status %d %q, want %q", status, body, wire.ErrRemovedOp)
 	}
 
 	// Errors: unsupported query kind, unknown sketch metadata, drop of an

@@ -3,7 +3,7 @@ package shard_test
 // Tests for the sharded pressure plane: Sharded.Pressure sums per-shard
 // framework counters plus the carried base of retired epochs, so the
 // sketch-level counters stay monotonic and exact across live resizes —
-// the property the autoscale controller's rate sampling depends on.
+// the property the ops sweeper's idle detection depends on.
 
 import (
 	"runtime"

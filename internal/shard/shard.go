@@ -188,7 +188,7 @@ func (g *group[T]) relaxation() int {
 }
 
 // pressure sums the per-framework ingest-pressure counters across the group
-// — the sampling hook the autoscale controller polls. Wait-free.
+// — the sample Sharded.Pressure sums. Wait-free.
 func (g *group[T]) pressure() core.PressureSample {
 	var p core.PressureSample
 	for _, fw := range g.fws {

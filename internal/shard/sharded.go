@@ -545,9 +545,9 @@ func (s *Sharded[T, A, C]) Shards() int { return len(s.st.Load().comps) }
 // Pressure returns the sketch's cumulative ingest-pressure sample, summed
 // over every shard of the current epoch, the draining epoch while a Resize
 // transition is in flight, and the final counters of all retired epochs —
-// so both counters are monotonic across resizes, which is what lets an
-// autoscaling controller turn successive samples into rates. Wait-free: one
-// epoch load plus two atomic loads per live shard.
+// so both counters are monotonic across resizes, which is what lets the ops
+// sweeper and a metrics scrape turn successive samples into rates.
+// Wait-free: one epoch load plus two atomic loads per live shard.
 func (s *Sharded[T, A, C]) Pressure() core.PressureSample {
 	st := s.st.Load()
 	p := st.basePressure
@@ -597,9 +597,8 @@ func (s *Sharded[T, A, C]) SizeBytes() int64 {
 // relaxation r = 2·N·b in steady state, transiently r_old + r_new while a
 // Resize transition is draining (single-shard reads touch one owning shard
 // per live epoch; legacy state is exact and adds no staleness). It is the
-// bound governing per-key queries such as CountMin.Estimate, and the r an
-// autoscaling policy multiplies by S_old + S_new to cap a transition's
-// combined staleness window.
+// bound governing per-key queries such as CountMin.Estimate; a transition's
+// combined merged-query window is (S_old + S_new) times this r.
 func (s *Sharded[T, A, C]) ShardRelaxation() int {
 	st := s.st.Load()
 	r := st.g.shardRelaxation()

@@ -130,43 +130,6 @@ func TestStressManyShardsManyWriters(t *testing.T) {
 	})
 }
 
-func TestStressAutoscaleUnderFire(t *testing.T) {
-	// Closed-loop resize-under-fire: the resizes are not scheduled but
-	// decided live by an autoscale.Controller sampling the sketch's real
-	// pressure counters (ticks paced deterministically by a manual clock).
-	// Queriers race merged reads on both query planes throughout; every
-	// answer must stay inside the per-epoch staleness envelope
-	// c1 − 2·Max·r ≤ got ≤ c2 while the controller may be resizing, and
-	// inside the tight Min·r envelope once the loop has settled. The
-	// control loop itself must also behave: the burst must produce at
-	// least one scale-up, the lull at least one scale-down to MinShards,
-	// and no transition may breach the policy's transitional staleness cap.
-	cfg := adversary.StressConfig{
-		Shards: 2, Writers: 4, BufferSize: 4,
-		UpdatesPerWriter: 20000, Queriers: 4,
-		Autoscale: adversary.StressAutoscale{MinShards: 1, MaxShards: 8},
-	}
-	if testing.Short() {
-		cfg.UpdatesPerWriter = 4000
-		cfg.Queriers = 2
-	}
-	rep := stress(t, cfg)
-	t.Logf("autoscale: %d ups / %d downs, final S=%d", rep.ScaleUps, rep.ScaleDowns, rep.FinalShards)
-	if rep.ScaleUps == 0 {
-		t.Error("the write burst never scaled up: the controller is not reacting to measured pressure")
-	}
-	if rep.ScaleDowns == 0 || rep.FinalShards != cfg.Autoscale.MinShards {
-		t.Errorf("the lull did not settle at MinShards: %d downs, final S=%d, want S=%d",
-			rep.ScaleDowns, rep.FinalShards, cfg.Autoscale.MinShards)
-	}
-	if rep.CapViolations != 0 {
-		t.Errorf("%d controller transitions breached the transitional staleness cap", rep.CapViolations)
-	}
-	if rep.PostResizeQueries == 0 {
-		t.Error("no queries ran against the settled MinShards·r bound")
-	}
-}
-
 func TestStressResizeUnderFire(t *testing.T) {
 	// Resize-under-fire: the resizer cycles the shard group through
 	// grow → collapse → grow while writers hammer and queriers race merged

@@ -161,9 +161,8 @@ func (s *Sharded[T, A, C]) stopView(vr *viewRuntime[A]) {
 func (s *Sharded[T, A, C]) ViewEnabled() bool { return s.vr.Load() != nil }
 
 // ViewLag returns the age of the latest published view on the view's own
-// clock — the refresh component of the query-staleness bound, which an
-// autoscaling policy can treat as query-side pressure. 0 when no view is
-// enabled (queries fold live snapshots; no refresh lag exists).
+// clock — the refresh component of the query-staleness bound. 0 when no
+// view is enabled (queries fold live snapshots; no refresh lag exists).
 func (s *Sharded[T, A, C]) ViewLag() time.Duration {
 	vr := s.vr.Load()
 	if vr == nil {

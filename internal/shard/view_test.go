@@ -3,8 +3,7 @@ package shard_test
 // Materialized-view unit tests: double-buffer publication, staleness
 // fallback, resize interaction, lifecycle errors, refresher shutdown, and
 // the zero-allocation contract of the view query path. Refreshes are paced
-// deterministically with a ManualClock (the view's Clock interface is
-// structurally identical to autoscale's).
+// deterministically with a ManualClock.
 
 import (
 	"runtime"

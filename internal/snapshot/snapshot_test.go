@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"fastsketches/internal/autoscale"
 	"fastsketches/internal/countmin"
 	"fastsketches/internal/hll"
 	"fastsketches/internal/murmur"
@@ -24,11 +23,10 @@ func fullRecord() Record {
 		Family: wire.FamilyCountMin,
 		Name:   []byte("metrics/api.requests"),
 		Spec: wire.Spec{
-			Shards:    12,
-			View:      &shard.ViewConfig{RefreshEvery: 50 * time.Millisecond, MaxAge: -1},
-			Autoscale: &autoscale.Policy{MinShards: 2, MaxShards: 64, HighWater: 1.5e6, LowWater: 2.5e5, Cooldown: time.Minute},
-			IdleTTL:   time.Hour,
-			Pinned:    true,
+			Shards:  12,
+			View:    &shard.ViewConfig{RefreshEvery: 50 * time.Millisecond, MaxAge: -1},
+			IdleTTL: time.Hour,
+			Pinned:  true,
 		},
 		Blob: []byte{1, 2, 3, 4, 5, 6, 7, 8, 9},
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"fastsketches/internal/autoscale"
 	"fastsketches/internal/shard"
 	"fastsketches/internal/window"
 )
@@ -37,9 +36,11 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendError(nil, 15, "boom"))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{3, 0, 0, 0, 1, 2, 3})
-	f.Add(AppendApply(nil, 16, 0, "users", &Spec{ViewOff: true, WindowOff: true, AutoscaleOff: true}))
+	f.Add(AppendApply(nil, 16, 0, "users", &Spec{ViewOff: true, WindowOff: true}))
 	f.Add(AppendApply(nil, 17, FamilyCountMin, "w", &Spec{Shards: -1, IdleTTL: -1,
 		Window: &window.Config{Interval: time.Hour, Slots: 1 << 20, Decay: 1.5}}))
+	// The removed OpMergeRemote's reserved opcode.
+	f.Add(mergeRemoteFrame(18))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var buf []byte
@@ -85,11 +86,16 @@ func FuzzFrameDecode(f *testing.F) {
 // came from, and Validate, for every family, either accepts it or wraps
 // ErrConfig.
 func FuzzSpecDecode(f *testing.F) {
-	for _, s := range []Spec{{}, fullSpec(), {ViewOff: true, WindowOff: true, AutoscaleOff: true},
+	for _, s := range []Spec{{}, fullSpec(), {ViewOff: true, WindowOff: true},
 		{Shards: MaxShards + 1, IdleTTL: -time.Second},
-		{View: &shard.ViewConfig{RefreshEvery: -1}, ViewOff: true},
-		{Autoscale: &autoscale.Policy{HighWater: 1, LowWater: 1}}} {
+		{View: &shard.ViewConfig{RefreshEvery: -1}, ViewOff: true}} {
 		f.Add(AppendSpec(nil, &s))
+	}
+	// The removed autoscale plane's reserved bits, each alone.
+	for _, bit := range []uint{2, 5} {
+		b := AppendSpec(nil, &Spec{})
+		b[0] = 1 << bit
+		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, rest, err := ParseSpec(data)

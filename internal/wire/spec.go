@@ -6,16 +6,15 @@ import (
 	"math"
 	"time"
 
-	"fastsketches/internal/autoscale"
 	"fastsketches/internal/shard"
 	"fastsketches/internal/window"
 )
 
 // Spec declares a sketch's configuration in one place — shard count,
-// window, view, autoscale policy and lifecycle — and is the one form it
-// takes everywhere: fastsketches.Spec is this type, Open* and OpApply apply
-// it, Info and OpInfo report the Spec in force, and a checkpoint record
-// stores it beside the sketch's blobs. AppendSpec and ParseSpec are its only
+// window, view and lifecycle — and is the one form it takes everywhere:
+// fastsketches.Spec is this type, Open* and OpApply apply it, Info and
+// OpInfo report the Spec in force, and a checkpoint record stores it beside
+// the sketch's blobs. AppendSpec and ParseSpec are its only
 // codec, Validate its only check. A Spec is declarative: applying one
 // changes only what it declares, so the zero Spec declares nothing and a
 // nil plane is left untouched.
@@ -31,14 +30,11 @@ type Spec struct {
 	// View (re-)materializes the merged view: merged queries then fold one
 	// published accumulator at staleness S·r plus one refresh interval.
 	View *shard.ViewConfig
-	// Autoscale attaches an autoscaling controller, swapping out (never
-	// stacking on) one already driving the sketch.
-	Autoscale *autoscale.Policy
-	// ViewOff, WindowOff and AutoscaleOff switch a plane off: the refresher
-	// stops, the window collapses into the cumulative plane, the controller
-	// stops. Off is a no-op on a plane that is off; declaring a plane and
-	// switching it off in one Spec is an error.
-	ViewOff, WindowOff, AutoscaleOff bool
+	// ViewOff and WindowOff switch a plane off: the refresher stops, the
+	// window collapses into the cumulative plane. Off is a no-op on a plane
+	// that is off; declaring a plane and switching it off in one Spec is an
+	// error.
+	ViewOff, WindowOff bool
 	// IdleTTL, when positive, overrides the ops sweeper's default idle TTL;
 	// Pinned exempts the sketch from idle eviction and budget shedding. The
 	// two are declared together: a Spec setting either replaces both, one
@@ -64,7 +60,7 @@ func (s *Spec) Validate(fam Family) error {
 		return fmt.Errorf("%w: Spec.Shards %d outside [0,%d]", ErrConfig, s.Shards, MaxShards)
 	case s.IdleTTL < 0:
 		return fmt.Errorf("%w: negative Spec.IdleTTL %v", ErrConfig, s.IdleTTL)
-	case s.View != nil && s.ViewOff, s.Window != nil && s.WindowOff, s.Autoscale != nil && s.AutoscaleOff:
+	case s.View != nil && s.ViewOff, s.Window != nil && s.WindowOff:
 		return fmt.Errorf("%w: a Spec plane is both declared and switched off", ErrConfig)
 	case s.View != nil && s.View.RefreshEvery < 0:
 		return fmt.Errorf("%w: negative view refresh interval %v", ErrConfig, s.View.RefreshEvery)
@@ -80,50 +76,41 @@ func (s *Spec) Validate(fam Family) error {
 			return fmt.Errorf("%w: window decay needs linearly scalable counters, which %s lacks", ErrConfig, fam)
 		}
 	}
-	if s.Autoscale != nil {
-		p, err := s.Autoscale.Normalise()
-		if err != nil {
-			return fmt.Errorf("%w: %w", ErrConfig, err)
-		}
-		if p.MaxShards > MaxShards {
-			return fmt.Errorf("%w: autoscale MaxShards %d above %d", ErrConfig, p.MaxShards, MaxShards)
-		}
-	}
 	return nil
 }
 
-// The flag bits opening an encoded Spec.
+// The flag bits opening an encoded Spec. Bits 2 and 5 were the autoscale
+// plane and its off switch; they stay reserved, so pinned keeps bit 6.
 const (
 	specWindow = 1 << iota
 	specView
-	specAutoscale
+	specAutoscale // reserved: rejected with ErrRemovedAutoscale
 	specWindowOff
 	specViewOff
-	specAutoscaleOff
+	specAutoscaleOff // reserved: rejected with ErrRemovedAutoscale
 	specPinned
 	specFlags = 1<<iota - 1
 )
 
 // MaxSpecLen bounds an encoded Spec: flags, fixed words, every plane's words.
-const MaxSpecLen = 1 + 8*(2+3+2+12)
+const MaxSpecLen = 1 + 8*(2+3+2)
 
 // AppendSpec appends s's encoding to dst. Every field travels except the
 // planes' Clocks, which are process-local pacing machinery:
 //
-//	flags    uint8     bit 0 window, 1 view, 2 autoscale, 3–5 the same
-//	                   planes switched off, 6 pinned
+//	flags    uint8     bit 0 window, 1 view, 3 window off, 4 view off,
+//	                   6 pinned; 2 and 5 reserved
 //	shards, idleTTL    int64 LE each (nanoseconds for durations)
 //	window   interval, slots, decay                      if bit 0
 //	view     refreshEvery, maxAge                        if bit 1
-//	policy   its twelve knobs in declaration order       if bit 2
 //
 // Every number is one 8-byte little-endian word: integers and durations as
 // int64, floats as IEEE-754 bits. Out-of-range values encode faithfully, so
 // the receiver's Validate rejects exactly what the sender's would.
 func AppendSpec(dst []byte, s *Spec) []byte {
 	var flags byte
-	for i, on := range [...]bool{s.Window != nil, s.View != nil, s.Autoscale != nil,
-		s.WindowOff, s.ViewOff, s.AutoscaleOff, s.Pinned} {
+	for i, on := range [...]bool{s.Window != nil, s.View != nil, false,
+		s.WindowOff, s.ViewOff, false, s.Pinned} {
 		if on {
 			flags |= 1 << i
 		}
@@ -134,13 +121,6 @@ func AppendSpec(dst []byte, s *Spec) []byte {
 	}
 	if v := s.View; v != nil {
 		dst = appendWords(dst, int64(v.RefreshEvery), int64(v.MaxAge))
-	}
-	if p := s.Autoscale; p != nil {
-		dst = appendWords(dst, int64(p.MinShards), int64(p.MaxShards),
-			floatWord(p.HighWater), floatWord(p.LowWater), floatWord(p.BacklogHighWater),
-			int64(p.SampleEvery), int64(p.SustainedUp), int64(p.SustainedDown),
-			int64(p.Cooldown), int64(p.StepFactor), int64(p.MaxTransitionalRelaxation),
-			int64(p.ViewLagHighWater))
 	}
 	return dst
 }
@@ -155,36 +135,30 @@ func appendWords(dst []byte, words ...int64) []byte {
 func floatWord(f float64) int64 { return int64(math.Float64bits(f)) }
 
 // ParseSpec decodes one Spec from the front of b (see AppendSpec) and
-// returns the bytes after it. It checks structure only — truncation and
-// unknown flags; Validate judges the values. Decoded planes carry no Clock
-// (the system clock).
+// returns the bytes after it. It checks structure only — truncation, unknown
+// flags and the reserved autoscale bits (ErrRemovedAutoscale); Validate
+// judges the values. Decoded planes carry no Clock (the system clock).
 func ParseSpec(b []byte) (Spec, []byte, error) {
 	c := cursor{b: b}
 	flags := c.u8()
 	if c.err == nil && flags&^specFlags != 0 {
 		return Spec{}, nil, ErrBadSpec
 	}
+	if flags&(specAutoscale|specAutoscaleOff) != 0 {
+		return Spec{}, nil, ErrRemovedAutoscale
+	}
 	word := func() int64 { return int64(c.u64()) }
 	float := func() float64 { return math.Float64frombits(c.u64()) }
 	s := Spec{
 		Shards: int(word()), IdleTTL: time.Duration(word()),
 		WindowOff: flags&specWindowOff != 0, ViewOff: flags&specViewOff != 0,
-		AutoscaleOff: flags&specAutoscaleOff != 0, Pinned: flags&specPinned != 0,
+		Pinned: flags&specPinned != 0,
 	}
 	if flags&specWindow != 0 {
 		s.Window = &window.Config{Interval: time.Duration(word()), Slots: int(word()), Decay: float()}
 	}
 	if flags&specView != 0 {
 		s.View = &shard.ViewConfig{RefreshEvery: time.Duration(word()), MaxAge: time.Duration(word())}
-	}
-	if flags&specAutoscale != 0 {
-		s.Autoscale = &autoscale.Policy{
-			MinShards: int(word()), MaxShards: int(word()),
-			HighWater: float(), LowWater: float(), BacklogHighWater: float(),
-			SampleEvery: time.Duration(word()), SustainedUp: int(word()), SustainedDown: int(word()),
-			Cooldown: time.Duration(word()), StepFactor: int(word()),
-			MaxTransitionalRelaxation: int(word()), ViewLagHighWater: time.Duration(word()),
-		}
 	}
 	if c.err != nil {
 		return Spec{}, nil, c.err

@@ -34,7 +34,6 @@
 //	OpInfo         the named sketch's Spec in force and live stats → Info
 //	OpSnapshot     export the named sketch's merged state          → portable snapshot record
 //	OpRestore      fold a portable snapshot into the named sketch  → empty
-//	OpMergeRemote  pull a sketch from another daemon and fold it   → empty
 //	OpCheckpoint   write the server's checkpoint file now          → empty
 //	OpOpsStats     lifecycle sweeper / memory-budget counters      → OpsStats
 //
@@ -42,6 +41,10 @@
 // AppendSpec). A family byte 0 applies the Spec to every sketch registered
 // under the name and creates none; any other family gets or creates its
 // sketch, as the registry's Open* does.
+//
+// Opcode 10 is reserved. It was OpMergeRemote, which made the daemon dial a
+// peer; a client merges a peer's sketch with OpSnapshot on the peer and
+// OpRestore here. ParseRequest rejects it with ErrRemovedOp.
 //
 // Batch items are fixed 8-byte words: uint64 keys for Θ/HLL/Count-Min,
 // IEEE-754 bits (math.Float64bits) for quantiles values. Fixed-size items
@@ -85,14 +88,11 @@ const (
 	// MaxBatchItems is the largest item count one OpBatch frame can carry
 	// within MaxFrame (header, family, name, count prefix accounted).
 	MaxBatchItems = (MaxFrame - headerLen - 2 - MaxName - 4) / ItemSize
-	// MaxShards bounds any shard count a Spec declares (Spec.Shards and the
-	// autoscale bounds). Far above any sane deployment, low enough that one
-	// malicious frame or checkpoint cannot make a process build billions of
-	// shard frameworks; Spec.Validate rejects values above it.
+	// MaxShards bounds the shard count a Spec declares. Far above any sane
+	// deployment, low enough that one malicious frame or checkpoint cannot
+	// make a process build billions of shard frameworks; Spec.Validate
+	// rejects values above it.
 	MaxShards = 4096
-	// MaxAddr is the longest peer address an OpMergeRemote request may name
-	// (uint16 length prefix; host:port and bracketed IPv6 fit comfortably).
-	MaxAddr = 512
 	// MaxBlob is the largest snapshot blob an OpRestore frame can carry
 	// within MaxFrame (header, family, name, count prefix accounted). An
 	// OpSnapshot response is bounded the same way: a sketch whose portable
@@ -115,7 +115,7 @@ const (
 	OpInfo
 	OpSnapshot
 	OpRestore
-	OpMergeRemote
+	opMergeRemote // reserved: rejected with ErrRemovedOp
 	OpCheckpoint
 	OpOpsStats
 	opMax
@@ -222,9 +222,13 @@ var (
 	ErrBadCount      = errors.New("wire: item count does not match payload")
 	ErrBadStatus     = errors.New("wire: unknown response status")
 	ErrBadBlob       = errors.New("wire: blob length does not match payload")
-	ErrBadAddr       = errors.New("wire: bad remote address")
 	ErrBlobTooLarge  = errors.New("wire: snapshot blob exceeds frame budget")
 	ErrBadSpec       = errors.New("wire: bad spec flags")
+	// ErrRemovedOp rejects the reserved opcode of the removed OpMergeRemote.
+	ErrRemovedOp = fmt.Errorf("%w: OpMergeRemote was removed; snapshot the peer and restore the blob", ErrBadOp)
+	// ErrRemovedAutoscale rejects a Spec carrying flag bit 2 or 5, the
+	// reserved bits of the removed autoscale plane.
+	ErrRemovedAutoscale = fmt.Errorf("%w: the autoscale plane was removed; set Spec.Shards or resize", ErrBadSpec)
 	// ErrConfig reports an invalid configuration: every Spec that fails
 	// Validate wraps it, whichever path the Spec arrived on.
 	ErrConfig = errors.New("fastsketches: invalid configuration")
@@ -345,16 +349,6 @@ func AppendRestore(dst []byte, id uint32, fam Family, name string, blob []byte) 
 	dst, m := appendFamName(dst, OpRestore, id, fam, name)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(blob)))
 	dst = append(dst, blob...)
-	return endFrame(dst, m)
-}
-
-// AppendMergeRemote appends an OpMergeRemote request frame: the server dials
-// addr (another sketchd), pulls the named sketch's snapshot over OpSnapshot,
-// and folds it into its local sketch of the same family and name.
-func AppendMergeRemote(dst []byte, id uint32, fam Family, name, addr string) []byte {
-	dst, m := appendFamName(dst, OpMergeRemote, id, fam, name)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(addr)))
-	dst = append(dst, addr...)
 	return endFrame(dst, m)
 }
 
@@ -557,8 +551,6 @@ type Request struct {
 	// Blob is the OpRestore snapshot payload (a view into the parse buffer,
 	// like Name and Items).
 	Blob []byte
-	// Addr is the OpMergeRemote peer address (a view into the parse buffer).
-	Addr []byte
 }
 
 // NumItems returns the batch item count.
@@ -593,13 +585,6 @@ func (c *cursor) next(n int) []byte {
 func (c *cursor) u8() byte {
 	if b := c.next(1); b != nil {
 		return b[0]
-	}
-	return 0
-}
-
-func (c *cursor) u16() uint16 {
-	if b := c.next(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
 	}
 	return 0
 }
@@ -657,6 +642,9 @@ func ParseRequest(p []byte) (Request, error) {
 	if req.Op < OpPing || req.Op >= opMax {
 		return req, ErrBadOp
 	}
+	if req.Op == opMergeRemote {
+		return req, ErrRemovedOp
+	}
 	c := cursor{b: p[headerLen:]}
 	switch req.Op {
 	case OpPing, OpNames, OpCheckpoint, OpOpsStats:
@@ -682,17 +670,6 @@ func ParseRequest(p []byte) (Request, error) {
 				return req, ErrBadBlob
 			}
 			req.Blob = c.b
-			c.b = nil
-		}
-	case OpMergeRemote:
-		req.Family = c.family()
-		req.Name = c.name()
-		n := c.u16()
-		if c.err == nil {
-			if n == 0 || n > MaxAddr || int(n) != len(c.b) {
-				return req, ErrBadAddr
-			}
-			req.Addr = c.b
 			c.b = nil
 		}
 	case OpBatch:

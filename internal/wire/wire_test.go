@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"fastsketches/internal/autoscale"
 	"fastsketches/internal/shard"
 	"fastsketches/internal/window"
 )
@@ -99,20 +98,14 @@ func fullSpec() Spec {
 		View:    &shard.ViewConfig{RefreshEvery: 50 * time.Millisecond, MaxAge: -1},
 		IdleTTL: 90 * time.Minute,
 		Pinned:  true,
-		Autoscale: &autoscale.Policy{
-			MinShards: 2, MaxShards: 16, HighWater: 250e3, LowWater: 50e3,
-			BacklogHighWater: 4096, SampleEvery: time.Second, SustainedUp: 5,
-			SustainedDown: 7, Cooldown: 9 * time.Second, StepFactor: 3,
-			MaxTransitionalRelaxation: 1 << 20, ViewLagHighWater: 300 * time.Millisecond,
-		},
 	}
 }
 
-// TestAutoscaleRoundTrip: an OpApply frame carries every field of a Spec —
-// all twelve policy knobs among them — and the off switches, bit-exactly;
-// a sketch family of 0 addresses every family under the name.
-func TestAutoscaleRoundTrip(t *testing.T) {
-	for _, want := range []Spec{fullSpec(), {ViewOff: true, WindowOff: true, AutoscaleOff: true}, {}} {
+// TestApplyRoundTrip: an OpApply frame carries every field of a Spec and
+// the off switches, bit-exactly; a sketch family of 0 addresses every
+// family under the name.
+func TestApplyRoundTrip(t *testing.T) {
+	for _, want := range []Spec{fullSpec(), {ViewOff: true, WindowOff: true}, {}} {
 		req, err := ParseRequest(frame(t, AppendApply(nil, 12, 0, "users", &want)))
 		if err != nil {
 			t.Fatal(err)
@@ -125,6 +118,47 @@ func TestAutoscaleRoundTrip(t *testing.T) {
 			t.Fatalf("encoded Spec %d bytes > MaxSpecLen %d", n, MaxSpecLen)
 		}
 	}
+}
+
+// TestReservedSpecBits: the removed autoscale plane's flag bits 2 and 5 stay
+// reserved, so pinned still travels at bit 6. A Spec or an OpApply frame
+// carrying either reserved bit fails with ErrRemovedAutoscale, an
+// ErrBadSpec; so does the removed OpMergeRemote opcode, with ErrRemovedOp.
+func TestReservedSpecBits(t *testing.T) {
+	enc := AppendSpec(nil, &Spec{Pinned: true})
+	if enc[0] != 1<<6 {
+		t.Fatalf("pinned encodes as flags %#x, want bit 6", enc[0])
+	}
+	if s, _, err := ParseSpec(enc); err != nil || !s.Pinned {
+		t.Fatalf("pinned round trip: %+v, %v", s, err)
+	}
+	for _, bit := range []uint{2, 5} {
+		b := append([]byte(nil), enc...)
+		b[0] |= 1 << bit
+		if _, _, err := ParseSpec(b); !errors.Is(err, ErrBadSpec) || !errors.Is(err, ErrRemovedAutoscale) {
+			t.Errorf("Spec with bit %d: %v, want ErrRemovedAutoscale wrapping ErrBadSpec", bit, err)
+		}
+		apply := AppendApply(nil, 7, FamilyTheta, "users", &Spec{Pinned: true})
+		apply[len(apply)-len(enc)] |= 1 << bit
+		if _, err := ParseRequest(frame(t, apply)); !errors.Is(err, ErrBadSpec) || !errors.Is(err, ErrRemovedAutoscale) {
+			t.Errorf("OpApply with spec bit %d: %v, want ErrRemovedAutoscale wrapping ErrBadSpec", bit, err)
+		}
+	}
+	req, err := ParseRequest(frame(t, mergeRemoteFrame(9)))
+	if !errors.Is(err, ErrRemovedOp) || !errors.Is(err, ErrBadOp) || req.ID != 9 {
+		t.Errorf("OpMergeRemote opcode: id %d, %v, want id 9 and ErrRemovedOp wrapping ErrBadOp", req.ID, err)
+	}
+}
+
+// mergeRemoteFrame is a frame as the removed AppendMergeRemote encoded it:
+// family, name and a length-prefixed peer address after the header.
+func mergeRemoteFrame(id uint32) []byte {
+	dst, m := beginFrame(nil)
+	dst = appendHeader(dst, byte(opMergeRemote), id)
+	dst = append(dst, byte(FamilyCountMin), 1, 'm')
+	dst = binary.LittleEndian.AppendUint16(dst, 14)
+	dst = append(dst, "127.0.0.1:7600"...)
+	return endFrame(dst, m)
 }
 
 func TestResponseRoundTrip(t *testing.T) {

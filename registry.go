@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"fastsketches/internal/autoscale"
 	"fastsketches/internal/clock"
 	"fastsketches/internal/core"
 	"fastsketches/internal/shard"
@@ -25,9 +24,9 @@ type PressureSample = core.PressureSample
 // paper's default accuracy parameters.
 type RegistryConfig struct {
 	// Shards is S, the number of independent concurrent sketches each named
-	// sketch is striped over. More shards buy ingest throughput (one
-	// propagator per shard) at the cost of a larger combined staleness
-	// window S·r for merged queries. Default 4.
+	// sketch is striped over. A merged query over S shards may miss up to
+	// S·r updates, so S trades staleness for per-shard independence; a
+	// Spec or Resize changes it per sketch. Default 4.
 	Shards int
 	// Writers is the number of writer lanes per named sketch. Lane l must
 	// be driven by at most one goroutine at a time. Default 1.
@@ -195,9 +194,6 @@ type Registry struct {
 	// sketches is the one sketch table: every registered sketch of every
 	// family, keyed by (family, name).
 	sketches map[sketchKey]*entry
-	// memPressure is the memory-budget signal installed by
-	// SetAutoscaleMemoryPressure, propagated to every attached controller.
-	memPressure func() bool
 
 	// ckptMu serialises checkpoint encodes and guards the reusable
 	// checkpoint scratch below, so steady-state checkpoints (a periodic
@@ -225,7 +221,10 @@ type sketchKey struct {
 // Sharded layer. Ingest and queries never go through it — a Handle keeps the
 // concrete type, so those stay statically dispatched.
 type sketch interface {
-	autoscale.Target
+	Shards() int
+	Resize(shards int) error
+	Pressure() core.PressureSample
+	ShardRelaxation() int
 	Relaxation() int
 	Eager() bool
 	SizeBytes() int64
@@ -248,18 +247,13 @@ type sketch interface {
 }
 
 // entry is one registered sketch: the sketch itself plus the per-sketch
-// state the registry owns. lc and ctl are guarded by Registry.mu.
+// state the registry owns. lc is guarded by Registry.mu.
 type entry struct {
 	key sketchKey
 	sk  sketch
 	// lc is the lifecycle declared through Open*/Spec (idle TTL, pinning),
 	// read by the ops layer's eviction and budget sweeps via Infos.
 	lc lifecycleSpec
-	// ctl is the sketch's autoscale controller, nil when none is attached.
-	// apply replaces it, so a sketch never has two; Drop and Close stop it
-	// before the sketch's propagators, so a controller can never resize a
-	// closing sketch.
-	ctl *autoscale.Controller
 }
 
 // family is one row of the registry's family table: everything the
@@ -380,7 +374,7 @@ type WindowConfig = shard.WindowConfig
 type WindowInfo = shard.WindowInfo
 
 // Clock is the injectable time source shared by view refreshers, window
-// rotators, autoscale controllers, the Checkpointer and the ops sweeper.
+// rotators, the Checkpointer and the ops sweeper.
 type Clock = clock.Clock
 
 // Apply applies spec to the named sketch of the given family (one of
@@ -429,7 +423,7 @@ func (r *Registry) Apply(family, name string, spec Spec) error {
 // apply is the only code that changes a sketch's configuration. It applies
 // a validated spec to e, plane by plane, in one fixed order:
 //
-//	shards → window → view → autoscale → lifecycle
+//	shards → window → view → lifecycle
 //
 // The window precedes the view because EnableView publishes its first view
 // synchronously, and that fold must already see the window's ring. rec is
@@ -437,8 +431,7 @@ func (r *Registry) Apply(family, name string, spec Spec) error {
 // from the record's slot blobs instead of re-armed empty, and any window
 // already running collapses into the cumulative plane first, so no count is
 // lost. The sketch planes run outside r.mu — they serialise on the sketch's
-// own resize lock, which an autoscale drain may hold — and only the
-// controller swap and the lifecycle record take it, briefly.
+// own resize lock — and only the lifecycle record takes it, briefly.
 func (r *Registry) apply(e *entry, spec Spec, rec *snapshot.Record) error {
 	sk := e.sk
 	if spec.Shards > 0 {
@@ -473,82 +466,18 @@ func (r *Registry) apply(e *entry, spec Spec, rec *snapshot.Record) error {
 			return err
 		}
 	}
-	var ctl *autoscale.Controller
-	if spec.Autoscale != nil {
-		var err error
-		if ctl, err = autoscale.New(sk, *spec.Autoscale); err != nil {
-			return err
-		}
-	}
-	lifecycle := spec.IdleTTL != 0 || spec.Pinned
-	if ctl == nil && !spec.AutoscaleOff && !lifecycle {
+	if spec.IdleTTL == 0 && !spec.Pinned {
 		return nil
 	}
-	// The controller and the lifecycle are registry state, recorded only
-	// while e is still the registered sketch: after a Drop nothing would ever
-	// stop a controller attached to it, and its lifecycle dies with it
-	// instead of leaking onto whatever is opened under the name next.
+	// The lifecycle is registry state, recorded only while e is still the
+	// registered sketch: after a Drop it dies with the sketch instead of
+	// leaking onto whatever is opened under the name next.
 	r.mu.Lock()
-	live := !r.closed && r.sketches[e.key] == e
-	if live && lifecycle {
+	if !r.closed && r.sketches[e.key] == e {
 		e.lc = lifecycleSpec{spec.IdleTTL, spec.Pinned}
 	}
-	var replaced *autoscale.Controller
-	if live && (ctl != nil || spec.AutoscaleOff) {
-		replaced, e.ctl = e.ctl, ctl
-		if ctl != nil {
-			if r.memPressure != nil {
-				ctl.SetMemoryPressure(r.memPressure)
-			}
-			ctl.Start()
-		}
-	}
 	r.mu.Unlock()
-	if replaced != nil {
-		replaced.Stop()
-	}
-	if !live && ctl != nil {
-		return fmt.Errorf("%w: autoscale on a dropped or closed sketch %s/%s", ErrConfig, e.key.fam, e.key.name)
-	}
 	return nil
-}
-
-// SetAutoscaleMemoryPressure installs f as the memory-budget signal on
-// every attached autoscale controller, current and future: while f reports
-// true, controllers veto scale-ups and treat quiet samples as
-// down-pressure (see autoscale.Controller.SetMemoryPressure). The ops
-// layer's budget accountant installs it so the budget acts through the
-// control loop before the accountant has to shed. Pass nil to remove the
-// signal.
-func (r *Registry) SetAutoscaleMemoryPressure(f func() bool) {
-	r.mu.Lock()
-	r.memPressure = f
-	var ctls []*autoscale.Controller
-	for _, e := range r.sketches {
-		if e.ctl != nil {
-			ctls = append(ctls, e.ctl)
-		}
-	}
-	r.mu.Unlock()
-	for _, ctl := range ctls {
-		ctl.SetMemoryPressure(f)
-	}
-}
-
-// AutoscaleStats returns a live counter snapshot of the autoscale
-// controller attached to the named sketch of the given family, reporting
-// ok=false when the sketch has no controller (or does not exist).
-func (r *Registry) AutoscaleStats(family, name string) (autoscale.Stats, bool) {
-	r.mu.RLock()
-	var ctl *autoscale.Controller
-	if e := r.lookup(family, name); e != nil {
-		ctl = e.ctl
-	}
-	r.mu.RUnlock()
-	if ctl == nil {
-		return autoscale.Stats{}, false
-	}
-	return ctl.Stats(), true
 }
 
 // Config returns a copy of the registry's normalised configuration — the
@@ -566,7 +495,7 @@ type SketchInfo struct {
 	Family string
 	Name   string
 	// Spec is the configuration in force: the live shard count, the view,
-	// window and autoscale planes that are on (normalised, defaults filled)
+	// and window planes that are on (normalised, defaults filled)
 	// and the declared lifecycle. A checkpoint record stores exactly this
 	// Spec beside the sketch's blobs.
 	Spec            Spec
@@ -603,26 +532,24 @@ type lifecycleSpec struct {
 }
 
 // infoEntry is the under-lock snapshot Info, Infos and the checkpoint
-// encoder take: the entry and copies of its registry-owned state, the
-// lifecycle record and the controller. Everything else — every per-sketch
+// encoder take: the entry and a copy of its registry-owned lifecycle
+// record. Everything else — every per-sketch
 // introspection call and the final sort — happens outside the registry
 // lock, so a slow enumeration (a /metrics scrape walking thousands of
 // sketches) can never stall Open/Drop.
 type infoEntry struct {
-	e   *entry
-	lc  lifecycleSpec
-	ctl *autoscale.Controller
+	e  *entry
+	lc lifecycleSpec
 }
 
 // planes is the storage a Spec in force points its planes into.
 type planes struct {
 	window WindowConfig
 	view   ViewConfig
-	policy AutoscalePolicy
 }
 
 // spec assembles the Spec in force: the live shard count, view and window
-// settings, the controller's policy and the lifecycle record. Its planes
+// settings and the lifecycle record. Its planes
 // point into pl, so a caller keeping pl on its stack assembles it without
 // allocating. Every read is wait-free — an epoch or config pointer load —
 // so a scrape never stalls a rotation or a resize.
@@ -635,10 +562,6 @@ func (ie *infoEntry) spec(pl *planes) Spec {
 	}
 	if pl.view, ok = sk.ViewSettings(); ok {
 		s.View = &pl.view
-	}
-	if ie.ctl != nil {
-		pl.policy = ie.ctl.Policy()
-		s.Autoscale = &pl.policy
 	}
 	return s
 }
@@ -676,7 +599,7 @@ func (r *Registry) Info(family, name string) (SketchInfo, bool) {
 		r.mu.RUnlock()
 		return SketchInfo{}, false
 	}
-	ie := infoEntry{e, e.lc, e.ctl}
+	ie := infoEntry{e, e.lc}
 	r.mu.RUnlock()
 	return r.info(ie), true
 }
@@ -693,7 +616,7 @@ func (r *Registry) Infos() []SketchInfo {
 	r.mu.RLock()
 	entries := make([]infoEntry, 0, len(r.sketches))
 	for _, e := range r.sketches {
-		entries = append(entries, infoEntry{e, e.lc, e.ctl})
+		entries = append(entries, infoEntry{e, e.lc})
 	}
 	r.mu.RUnlock()
 	out := make([]SketchInfo, len(entries))
@@ -711,8 +634,7 @@ func (r *Registry) Infos() []SketchInfo {
 
 // Drop closes and removes the named sketch of the given family, reporting
 // whether it existed: its propagators stop (after an exact drain of every
-// buffer), an autoscaling controller attached to it is stopped first, and
-// the name becomes free — the next accessor call under it creates a fresh,
+// buffer), and the name becomes free — the next accessor call under it creates a fresh,
 // empty sketch. Handles retained by callers stay queryable (merged queries
 // are wait-free and summarise the final drained state). Drop waits for
 // every lane claimed through AcquireLane to be released, and later claims
@@ -727,14 +649,7 @@ func (r *Registry) Drop(family, name string) bool {
 		return false
 	}
 	delete(r.sketches, e.key)
-	ctl := e.ctl
-	e.ctl = nil
 	r.mu.Unlock()
-	// Stop the sketch's controller before its propagators: a live
-	// controller mid-Tick could otherwise ask a closing sketch to resize.
-	if ctl != nil {
-		ctl.Stop()
-	}
 	e.sk.Close()
 	return true
 }
@@ -767,13 +682,6 @@ func (r *Registry) Close() {
 		return
 	}
 	r.closed = true
-	// Controllers first: a stopped controller issues no further resizes, so
-	// no propagator can be asked to drain mid-shutdown.
-	for _, e := range r.sketches {
-		if e.ctl != nil {
-			e.ctl.Stop()
-		}
-	}
 	for _, e := range r.sketches {
 		e.sk.Close()
 	}

@@ -1,14 +1,12 @@
 package fastsketches_test
 
 import (
-	"errors"
 	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"fastsketches"
-	"fastsketches/internal/autoscale"
 )
 
 func TestRegistryConfigValidation(t *testing.T) {
@@ -394,8 +392,7 @@ func TestRegistryInfoAndInfos(t *testing.T) {
 }
 
 // TestRegistryDrop covers the per-sketch teardown hook: the sketch drains
-// and unregisters, attached controllers stop with it, and the name becomes
-// free for a fresh sketch.
+// and unregisters, and the name becomes free for a fresh sketch.
 func TestRegistryDrop(t *testing.T) {
 	reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{Shards: 2, Writers: 1})
 	if err != nil {
@@ -411,10 +408,6 @@ func TestRegistryDrop(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		sk.Update(0, uint64(i%10))
 	}
-	if err := reg.Apply("", "api", fastsketches.Spec{Autoscale: &autoscale.Policy{HighWater: 1e6, SampleEvery: time.Millisecond}}); err != nil {
-		t.Fatal(err)
-	}
-
 	if !reg.Drop("countmin", "api") {
 		t.Fatal("Drop missed a registered sketch")
 	}
@@ -430,8 +423,6 @@ func TestRegistryDrop(t *testing.T) {
 	if got := openCountMin(t, reg, "api").Sketch().N(); got != 0 {
 		t.Fatalf("recreated sketch N = %d, want 0", got)
 	}
-	// Close (deferred) must not double-stop the dropped sketch's
-	// controller; reaching the end of the test green is the assertion.
 }
 
 // TestRegistryConfigAccessor pins that Config returns the normalised
@@ -446,57 +437,5 @@ func TestRegistryConfigAccessor(t *testing.T) {
 	cfg := reg.Config()
 	if cfg.Writers != 2 || cfg.Shards == 0 || cfg.ThetaLgK == 0 {
 		t.Fatalf("Config not normalised: %+v", cfg)
-	}
-}
-
-// TestRegistryStopAutoscale pins the attach-replace primitive behind
-// Spec.Autoscale and Spec.AutoscaleOff: switching autoscale off by name
-// detaches exactly the named sketches' controllers, and a repeated
-// attach cycle (the remote admin path) never accumulates loops.
-func TestRegistryStopAutoscale(t *testing.T) {
-	reg, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{Shards: 2, Writers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-
-	openTheta(t, reg, "a")
-	openCountMin(t, reg, "a")
-	openTheta(t, reg, "b")
-	on := fastsketches.Spec{Autoscale: &autoscale.Policy{HighWater: 1e9, SampleEvery: time.Millisecond}}
-	off := fastsketches.Spec{AutoscaleOff: true}
-	controlled := func(fam, name string) bool {
-		_, ok := reg.AutoscaleStats(fam, name)
-		return ok
-	}
-	if err := errors.Join(reg.Apply("", "a", on), reg.Apply("", "b", on)); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := reg.Apply("", "a", off); err != nil {
-		t.Fatal(err)
-	}
-	if controlled("theta", "a") || controlled("countmin", "a") {
-		t.Fatal("Spec.AutoscaleOff left a controller under a")
-	}
-	if err := reg.Apply("", "a", off); err != nil {
-		t.Fatalf("switching an absent controller off: %v, want a no-op", err)
-	}
-	// b's controller is untouched; replace cycles keep exactly one, which
-	// Close then stops (a stacked one would leak past it).
-	for i := 0; i < 3; i++ {
-		if err := reg.Apply("theta", "b", on); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// An invalid policy must leave the previous controller attached.
-	if err := reg.Apply("theta", "b", fastsketches.Spec{Autoscale: &autoscale.Policy{}}); err == nil {
-		t.Fatal("Apply accepted an invalid policy")
-	}
-	if !controlled("theta", "b") {
-		t.Fatal("a rejected policy detached b's controller")
-	}
-	if err := reg.Apply("", "absent", off); !errors.Is(err, fastsketches.ErrConfig) {
-		t.Fatalf("Apply to an absent name: %v, want ErrConfig", err)
 	}
 }

@@ -1,8 +1,7 @@
 package fastsketches_test
 
 // Registry-level materialized-view tests, plus the Drop/Close-under-fire
-// leak audit: a sketch carrying a live autoscale controller AND a view
-// refresher, dropped (or closed with the registry) while writers, queriers
+// leak audit: a sketch carrying a live view refresher, dropped (or closed with the registry) while writers, queriers
 // and refreshes are in flight, must neither panic nor leak a goroutine.
 // Goroutine accounting is done goleak-style: count, churn, settle-poll back
 // to the baseline.
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"fastsketches"
-	"fastsketches/internal/autoscale"
 	"fastsketches/internal/clock"
 )
 
@@ -117,11 +115,9 @@ func settleToBaseline(t *testing.T, base int) {
 	}
 }
 
-// TestRegistryDropUnderFireNoLeak drops a sketch that carries a live
-// autoscale controller and a fast view refresher while writers and
-// queriers hammer it. Drop must stop the controller before the sketch
-// closes (no resize-into-closed panic), the sketch's Close must stop the
-// view refresher, and nothing may leak.
+// TestRegistryDropUnderFireNoLeak drops a sketch that carries a fast view
+// refresher while writers and queriers hammer it. The sketch's Close must
+// stop the view refresher, and nothing may leak.
 func TestRegistryDropUnderFireNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for round := 0; round < 6; round++ {
@@ -133,11 +129,6 @@ func TestRegistryDropUnderFireNoLeak(t *testing.T) {
 		}
 		cm := openCountMin(t, reg, "fire").Sketch()
 		if err := reg.Apply("", "fire", fastsketches.Spec{
-			Autoscale: &autoscale.Policy{
-				MinShards: 1, MaxShards: 4,
-				HighWater: 1, LowWater: 0.5, // trigger-happy: resizes constantly
-				SampleEvery: 200 * time.Microsecond,
-			},
 			View: &fastsketches.ViewConfig{RefreshEvery: 200 * time.Microsecond},
 		}); err != nil {
 			t.Fatal(err)
@@ -162,7 +153,7 @@ func TestRegistryDropUnderFireNoLeak(t *testing.T) {
 			}
 		}()
 
-		time.Sleep(5 * time.Millisecond) // let refreshes and resizes fire
+		time.Sleep(5 * time.Millisecond) // let refreshes fire
 		if round%2 == 0 {
 			// Writers must be parked BEFORE Drop: an Update on a dropped
 			// sketch blocks forever by contract.
@@ -175,7 +166,7 @@ func TestRegistryDropUnderFireNoLeak(t *testing.T) {
 		} else {
 			stop.Store(true)
 			wg.Wait()
-			reg.Close() // Close with controller + view still attached
+			reg.Close() // Close with the view still attached
 		}
 	}
 	settleToBaseline(t, base)

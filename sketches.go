@@ -54,8 +54,8 @@
 //	latency.Update(lane, ms)
 //	est := visitors.Sketch().Estimate() // merged, wait-free
 //
-// The Spec is declarative — shard count, materialized view, autoscale
-// policy, and ops lifecycle (IdleTTL, Pinned) are (re)applied on every
+// The Spec is declarative — shard count, materialized view, window and
+// ops lifecycle (IdleTTL, Pinned) are (re)applied on every
 // Open that sets them, and a zero Spec changes nothing, so reopening a
 // live name is a cheap handle fetch.
 //
@@ -63,10 +63,9 @@
 // r = 2·Writers·b (Theorem 1), and a merged query folds one wait-free
 // snapshot per shard, so it misses at most S·r completed updates in total;
 // per-key Count-Min estimates touch only the owning shard and keep the
-// tighter single-shard r. Shard count is therefore a throughput/staleness
-// dial: more shards mean more parallel propagators and smaller per-shard
-// writer contention, but a larger combined S·r window for cross-shard
-// queries. Eager small-stream semantics also hold per shard — every shard
+// tighter single-shard r. Shard count is therefore a staleness dial: more
+// shards mean more independent propagators, but a larger combined S·r
+// window for cross-shard queries. Eager small-stream semantics also hold per shard — every shard
 // answers exactly until its own substream exceeds 2/e².
 //
 // Merged queries are allocation-free steady-state: each named sketch pools
@@ -87,8 +86,8 @@
 // combined bound S_old·r + S_new·r while a drain is in flight and settle
 // at the new S·r once Resize returns:
 //
-//	visitors.Resize(16) // going viral: throughput ↑
-//	visitors.Resize(2)  // nightly lull: staleness ↓
+//	visitors.Resize(16) // more independent shards, bound 16·r
+//	visitors.Resize(2)  // staleness ↓, bound 2·r
 //
 // See docs/ARCHITECTURE.md for the layer map, the bound derivations and
 // the epoch protocol, and this package's examples for executed
