@@ -227,8 +227,12 @@ var (
 	// ErrRemovedOp rejects the reserved opcode of the removed OpMergeRemote.
 	ErrRemovedOp = fmt.Errorf("%w: OpMergeRemote was removed; snapshot the peer and restore the blob", ErrBadOp)
 	// ErrRemovedAutoscale rejects a Spec carrying flag bit 2 or 5, the
-	// reserved bits of the removed autoscale plane.
-	ErrRemovedAutoscale = fmt.Errorf("%w: the autoscale plane was removed; set Spec.Shards or resize", ErrBadSpec)
+	// reserved bits of the removed autoscale plane. A checkpoint written
+	// with a policy attached is upgraded on the build that wrote it: apply
+	// Spec{AutoscaleOff: true} to each autoscaled name, then checkpoint.
+	ErrRemovedAutoscale = fmt.Errorf("%w: the autoscale plane was removed (bits 2/5); "+
+		"rewrite such a checkpoint on the old build after applying Spec{AutoscaleOff: true}, "+
+		"and size S with Spec.Shards or Resize", ErrBadSpec)
 	// ErrConfig reports an invalid configuration: every Spec that fails
 	// Validate wraps it, whichever path the Spec arrived on.
 	ErrConfig = errors.New("fastsketches: invalid configuration")

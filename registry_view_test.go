@@ -1,8 +1,9 @@
 package fastsketches_test
 
 // Registry-level materialized-view tests, plus the Drop/Close-under-fire
-// leak audit: a sketch carrying a live view refresher, dropped (or closed with the registry) while writers, queriers
-// and refreshes are in flight, must neither panic nor leak a goroutine.
+// leak audit: a sketch carrying a live view refresher, dropped (or closed
+// with the registry) while writers, queriers, refreshes and live resizes are
+// in flight, must neither panic nor leak a goroutine.
 // Goroutine accounting is done goleak-style: count, churn, settle-poll back
 // to the baseline.
 
@@ -116,8 +117,12 @@ func settleToBaseline(t *testing.T, base int) {
 }
 
 // TestRegistryDropUnderFireNoLeak drops a sketch that carries a fast view
-// refresher while writers and queriers hammer it. The sketch's Close must
-// stop the view refresher, and nothing may leak.
+// refresher while writers and queriers hammer it and a resizer walks S
+// through 1..4. Every resize starts a new epoch's propagators and retires
+// the old ones; the resizer keeps going into Drop and Close, so a resize
+// racing the sketch's Close must fail cleanly rather than panic. The
+// sketch's Close must stop the view refresher and every epoch's
+// propagators, and nothing may leak.
 func TestRegistryDropUnderFireNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for round := 0; round < 6; round++ {
@@ -127,7 +132,8 @@ func TestRegistryDropUnderFireNoLeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cm := openCountMin(t, reg, "fire").Sketch()
+		h := openCountMin(t, reg, "fire")
+		cm := h.Sketch()
 		if err := reg.Apply("", "fire", fastsketches.Spec{
 			View: &fastsketches.ViewConfig{RefreshEvery: 200 * time.Microsecond},
 		}); err != nil {
@@ -153,21 +159,43 @@ func TestRegistryDropUnderFireNoLeak(t *testing.T) {
 			}
 		}()
 
-		time.Sleep(5 * time.Millisecond) // let refreshes fire
+		// The resizer outlives the writers: it runs on into Drop and Close.
+		// Before either starts, every Resize must succeed; after, an error
+		// (resize after Close) is the clean outcome.
+		var closing, stopResize atomic.Bool
+		var resizes atomic.Int64
+		resized := make(chan struct{})
+		go func() {
+			defer close(resized)
+			for i := 0; !stopResize.Load(); i++ {
+				late := closing.Load()
+				if err := h.Resize(1 + i%4); err != nil && !late {
+					t.Errorf("Resize(%d) before Drop/Close: %v", 1+i%4, err)
+					return
+				}
+				resizes.Add(1)
+			}
+		}()
+
+		time.Sleep(5 * time.Millisecond) // let refreshes and resizes fire
+		for resizes.Load() < 4 && !t.Failed() {
+			runtime.Gosched()
+		}
+		// Writers must be parked BEFORE Drop: an Update on a dropped
+		// sketch blocks forever by contract.
+		stop.Store(true)
+		wg.Wait()
+		closing.Store(true)
 		if round%2 == 0 {
-			// Writers must be parked BEFORE Drop: an Update on a dropped
-			// sketch blocks forever by contract.
-			stop.Store(true)
-			wg.Wait()
 			if !reg.Drop("countmin", "fire") {
 				t.Fatal("Drop found nothing")
 			}
 			reg.Close()
 		} else {
-			stop.Store(true)
-			wg.Wait()
 			reg.Close() // Close with the view still attached
 		}
+		stopResize.Store(true)
+		<-resized
 	}
 	settleToBaseline(t, base)
 }
