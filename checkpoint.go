@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"fastsketches/internal/clock"
@@ -226,7 +227,7 @@ func (r *Registry) RestoreFile(path string) error {
 }
 
 // Checkpointer periodically writes the registry's checkpoint to a file —
-// the durability loop sketchd runs. Pacing goes through an injectable Clock
+// the durability job sketchd runs. Pacing goes through an injectable Clock
 // (clock.Manual is the deterministic one) so tests drive checkpoints
 // deterministically; the zero Clock is the system clock.
 type Checkpointer struct {
@@ -236,13 +237,13 @@ type Checkpointer struct {
 	clock Clock
 	onErr func(error)
 
-	stop chan struct{}
-	done chan struct{}
+	mu   sync.Mutex
+	stop func() // the scheduled job's stop; nil until Start
 }
 
 // NewCheckpointer returns an unstarted periodic checkpointer writing to path
 // every `every` on clk (nil = system clock). onErr, if non-nil, receives
-// each failed checkpoint's error (the loop keeps running — a transient
+// each failed checkpoint's error (the job keeps running — a transient
 // full-disk must not kill durability forever).
 func NewCheckpointer(reg *Registry, path string, every time.Duration, clk Clock, onErr func(error)) (*Checkpointer, error) {
 	if every <= 0 {
@@ -256,39 +257,35 @@ func NewCheckpointer(reg *Registry, path string, every time.Duration, clk Clock,
 	}
 	return &Checkpointer{
 		reg: reg, path: path, every: every, clock: clk, onErr: onErr,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
 	}, nil
 }
 
-// Start launches the checkpoint loop. Call once.
+// Start schedules a checkpoint every interval on the Checkpointer's Clock.
+// It panics if the Checkpointer was already started.
 func (c *Checkpointer) Start() {
-	go func() {
-		defer close(c.done)
-		for {
-			select {
-			case <-c.stop:
-				return
-			case <-c.clock.After(c.every):
-				if err := c.CheckpointNow(); err != nil && c.onErr != nil {
-					c.onErr(err)
-				}
-			}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.stop != nil {
+		panic("fastsketches: Checkpointer started twice")
+	}
+	c.stop = c.clock.Every(c.every, func() {
+		if err := c.CheckpointNow(); err != nil && c.onErr != nil {
+			c.onErr(err)
 		}
-	}()
+	})
 }
 
-// Stop terminates the loop and waits for an in-flight checkpoint to finish.
-// It does not write a final checkpoint; callers that want one (sketchd's
-// shutdown does) call CheckpointNow after Stop — checkpointing works even
-// after the registry is closed, capturing the drained exact state.
+// Stop cancels the periodic checkpoint and waits for an in-flight one to
+// finish. Idempotent; a no-op if Start was never called. It does not write
+// a final checkpoint; callers that want one (sketchd's shutdown does) call
+// CheckpointNow after Stop — checkpointing works even after the registry is
+// closed, capturing the drained exact state.
 func (c *Checkpointer) Stop() {
-	select {
-	case <-c.stop:
-	default:
-		close(c.stop)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.stop != nil {
+		c.stop()
 	}
-	<-c.done
 }
 
 // CheckpointNow writes one checkpoint synchronously, independent of the

@@ -371,10 +371,10 @@ func TestCheckpointUnderFire(t *testing.T) {
 	}
 }
 
-// TestCheckpointerManualClock drives the periodic loop deterministically:
-// each interval elapsing on the injected clock produces a fresh checkpoint
-// file, Stop halts the loop, and a post-Close CheckpointNow still writes
-// (the shutdown path).
+// TestCheckpointerManualClock drives the periodic checkpoint
+// deterministically: the manual clock runs it inside the Advance that
+// reaches the interval, Stop cancels it, and a post-Close CheckpointNow
+// still writes (the shutdown path).
 func TestCheckpointerManualClock(t *testing.T) {
 	reg := populated(t, 300)
 	path := filepath.Join(t.TempDir(), "tick.ckpt")
@@ -386,21 +386,13 @@ func TestCheckpointerManualClock(t *testing.T) {
 	}
 	ck.Start()
 
+	mc.Advance(time.Minute - 1)
 	if _, err := os.Stat(path); err == nil {
 		t.Fatal("checkpoint written before the first interval elapsed")
 	}
-	// The loop registers its timer asynchronously after Start, so advance
-	// repeatedly until the tick lands.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mc.Advance(time.Minute)
-		if _, err := os.Stat(path); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("checkpoint never appeared after the interval elapsed")
-		}
-		time.Sleep(2 * time.Millisecond)
+	mc.Advance(1)
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("no checkpoint after the interval elapsed: %v", err)
 	}
 
 	ck.Stop()
@@ -411,7 +403,6 @@ func TestCheckpointerManualClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	mc.Advance(10 * time.Minute)
-	time.Sleep(20 * time.Millisecond)
 	if _, err := os.Stat(path); err == nil {
 		t.Fatal("checkpoint written after Stop")
 	}
@@ -442,6 +433,30 @@ func TestCheckpointerManualClock(t *testing.T) {
 	}
 	if _, err := fastsketches.NewCheckpointer(dst, "", time.Second, nil, nil); err == nil {
 		t.Error("empty path accepted")
+	}
+}
+
+// TestCheckpointerStopBeforeStart: Stop on a never-started Checkpointer
+// returns at once, and so does a second one. A hang fails through the
+// timer instead of stalling the suite.
+func TestCheckpointerStopBeforeStart(t *testing.T) {
+	reg := populated(t, 1)
+	defer reg.Close()
+	ck, err := fastsketches.NewCheckpointer(reg, filepath.Join(t.TempDir(), "never.ckpt"),
+		time.Minute, clock.NewManual(time.Unix(0, 0)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		ck.Stop()
+		ck.Stop()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop before Start did not return")
 	}
 }
 

@@ -181,7 +181,7 @@ func main() {
 // drainAndCheckpoint closes the registry (exact drain of every sketch
 // buffer) and then writes the final checkpoint, so the file on disk holds
 // every acked update — checkpointing a closed registry reads its fully
-// drained state. The periodic loop is stopped first so the two writers
+// drained state. The periodic checkpoint is stopped first so the two writers
 // never interleave on the file.
 func drainAndCheckpoint(reg *fastsketches.Registry, ck *fastsketches.Checkpointer) {
 	if ck != nil {

@@ -64,7 +64,7 @@ type Config struct {
 	// while over, sweeps shrink or shed unpinned tenants most-idle-first.
 	// 0 disables budgeting.
 	MemBudget int64
-	// SweepEvery is the sweep period of the background loop. Default 5s.
+	// SweepEvery is the period of the scheduled sweep. Default 5s.
 	SweepEvery time.Duration
 	// ShrinkToShards is the shard count a budget shrink resizes down to
 	// before resorting to shedding. Default 1.
@@ -105,9 +105,9 @@ type tenantState struct {
 	lastActive   time.Time
 }
 
-// Manager runs the lifecycle loop: Start launches a background sweeper (or
-// call Sweep directly to pace it externally — tests do), Stop halts it.
-// One Manager per registry.
+// Manager runs the lifecycle sweep: Start schedules it on the Manager's
+// Clock (or call Sweep directly to pace it externally — tests do), Stop
+// cancels it. One Manager per registry.
 type Manager struct {
 	reg   *fastsketches.Registry
 	cfg   Config
@@ -120,9 +120,7 @@ type Manager struct {
 	resident, sketches                atomic.Int64
 
 	startMu sync.Mutex
-	started bool
-	stop    chan struct{}
-	done    chan struct{}
+	stop    func() // the scheduled sweep's stop; nil until Start
 }
 
 // NewManager validates cfg and returns an inert Manager over reg.
@@ -282,45 +280,23 @@ func (m *Manager) Sweep() SweepResult {
 	return res
 }
 
-// Run sweeps every SweepEvery on the Manager's Clock until stop closes.
-// Exported for callers that own the goroutine; most use Start/Stop.
-func (m *Manager) Run(stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		case <-m.clock.After(m.cfg.SweepEvery):
-			m.Sweep()
-		}
-	}
-}
-
-// Start launches the background sweep loop. It panics if the Manager was
-// already started.
+// Start schedules a sweep every SweepEvery on the Manager's Clock. It
+// panics if the Manager was already started.
 func (m *Manager) Start() {
 	m.startMu.Lock()
 	defer m.startMu.Unlock()
-	if m.started {
+	if m.stop != nil {
 		panic("ops: Manager started twice")
 	}
-	m.started = true
-	m.stop = make(chan struct{})
-	m.done = make(chan struct{})
-	go func() {
-		defer close(m.done)
-		m.Run(m.stop)
-	}()
+	m.stop = m.clock.Every(m.cfg.SweepEvery, func() { m.Sweep() })
 }
 
-// Stop halts the background loop and waits for any in-flight sweep to
+// Stop cancels the periodic sweep and waits for any in-flight sweep to
 // finish. Idempotent; a no-op if Start was never called.
 func (m *Manager) Stop() {
 	m.startMu.Lock()
 	defer m.startMu.Unlock()
-	if !m.started || m.stop == nil {
-		return
+	if m.stop != nil {
+		m.stop()
 	}
-	close(m.stop)
-	<-m.done
-	m.stop = nil
 }

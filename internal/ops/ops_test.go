@@ -28,17 +28,6 @@ func newRegistry(t testing.TB, cfg fastsketches.RegistryConfig) *fastsketches.Re
 	return reg
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 // TestIdleEviction: a sketch whose Ingested counter stops moving is dropped
 // once its TTL elapses on the manager's clock; a sketch that keeps ingesting
 // is not; a per-sketch Spec.IdleTTL overrides the default; a pinned sketch
@@ -345,8 +334,9 @@ func TestManagerConfigValidation(t *testing.T) {
 	}
 }
 
-// TestManagerStartStop: the background loop paces on the injected clock and
-// Stop is idempotent.
+// TestManagerStartStop: the sweep runs once per interval elapsing on the
+// injected clock — inside the Advance that reaches it — never after Stop,
+// and Stop is idempotent, including before Start.
 func TestManagerStartStop(t *testing.T) {
 	reg := newRegistry(t, fastsketches.RegistryConfig{Shards: 1, Writers: 1})
 	mc := clock.NewManual(time.Unix(0, 0))
@@ -354,12 +344,18 @@ func TestManagerStartStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Stop() // before Start: a no-op
 	m.Start()
-	for i := 0; i < 3; i++ {
-		waitFor(t, "sweep loop waiting on clock", func() bool { return mc.Waiters() == 1 })
+	for i := 1; i <= 3; i++ {
 		mc.Advance(time.Second)
+		if got := m.Stats().Sweeps; got != int64(i) {
+			t.Fatalf("after %d intervals: %d sweeps, want %d", i, got, i)
+		}
 	}
-	waitFor(t, "3 sweeps", func() bool { return m.Stats().Sweeps >= 3 })
 	m.Stop()
 	m.Stop() // idempotent
+	mc.Advance(time.Hour)
+	if got := m.Stats().Sweeps; got != 3 {
+		t.Fatalf("sweeps after Stop: %d, want 3", got)
+	}
 }

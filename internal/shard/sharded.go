@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"fastsketches/internal/clock"
 	"fastsketches/internal/core"
 )
 
@@ -154,18 +156,14 @@ type Sharded[T any, A Accumulator[A], C Mergeable[T, A]] struct {
 	// view is the published materialized merged view, nil unless EnableView
 	// has built one (see view.go). Queries load it once per fold; a non-nil,
 	// unexpired view replaces the whole S-shard fold with one accumulator
-	// fold.
-	view atomic.Pointer[viewBuf[A]]
-	// vr is the refresher runtime while a view is enabled; nil otherwise.
-	// Mutated only under resizeMu (EnableView/DisableView/Close).
-	vr atomic.Pointer[viewRuntime[A]]
-	// wr is the rotator runtime while a sliding window is enabled; nil
-	// otherwise. Mutated only under resizeMu (EnableWindow/DisableWindow/
-	// Close). The ring it rotates lives on the epoch's window plane.
-	wr atomic.Pointer[windowRuntime]
+	// fold. Stored only under resizeMu.
+	view atomic.Pointer[viewPlane[A]]
+	// refresher and rotator are the periodic jobs of an enabled view and
+	// window; nil otherwise. Guarded by resizeMu (see schedule).
+	refresher, rotator *job
 
-	// resizeMu serialises Resize, Close, rotation and view/window
-	// enable/disable; none is on a hot path.
+	// resizeMu serialises Resize, Close, rotation, view refresh and
+	// view/window enable/disable; none is on a hot path.
 	resizeMu sync.Mutex
 	closed   bool
 }
@@ -436,9 +434,8 @@ func (s *Sharded[T, A, C]) Resize(shards int) error {
 // (ViewLag). An expired or disabled view transparently falls back to the
 // live per-shard fold above.
 func (s *Sharded[T, A, C]) MergeInto(acc A) {
-	if v := s.acquireView(); v != nil {
+	if v := s.view.Load(); v != nil && v.fresh() {
 		v.acc.FoldInto(acc)
-		v.refs.Add(-1)
 		return
 	}
 	mergeEpoch(s.st.Load(), acc)
@@ -560,12 +557,12 @@ func (s *Sharded[T, A, C]) Pressure() core.PressureSample {
 // SizeBytes estimates the sketch's resident heap footprint in bytes, for
 // memory-budget accounting: one family-dimensioned accumulator's footprint
 // per live shard (current epoch plus a draining epoch's shards while a
-// Resize is in flight, plus two double-buffered view accumulators when a
-// materialized view is enabled), plus the retained legacy accumulator's own
-// footprint. It is an estimate, not an exact byte count — per-shard
-// composables are approximated by the family's accumulator because both
-// hold the same family-parameter-dimensioned state (a Θ slot table, an HLL
-// register array, a Count-Min grid, a quantiles summary) — but it tracks
+// Resize is in flight, plus the view's accumulator when a materialized view
+// is enabled), plus the retained legacy accumulator's own footprint. It is
+// an estimate, not an exact byte count — per-shard composables are
+// approximated by the family's accumulator because both hold the same
+// family-parameter-dimensioned state (a Θ slot table, an HLL register
+// array, a Count-Min grid, a quantiles summary) — but it tracks
 // the real footprint within a small constant factor, scales linearly with S
 // (what a budget-driven Resize-down reclaims), and is wait-free toward
 // writers: one epoch load plus a pooled-accumulator round trip.
@@ -575,8 +572,8 @@ func (s *Sharded[T, A, C]) SizeBytes() int64 {
 	if st.old != nil {
 		units += int64(len(st.old.comps))
 	}
-	if s.vr.Load() != nil {
-		units += 2 // double-buffered view accumulators
+	if s.view.Load() != nil {
+		units++
 	}
 	if w := st.win; w != nil {
 		// Closed ring slots plus the published suffix-merge, carry and decay
@@ -624,10 +621,11 @@ func (s *Sharded[T, A, C]) Eager() bool {
 // Close stops all shard propagators and drains every buffer; afterwards
 // merged queries summarise the entire ingested stream with no relaxation
 // residue. A materialized view and a sliding-window rotator, if enabled,
-// are stopped first (Close never leaks their goroutines), so post-Close
-// queries fold the drained shards live and are exact. Call after every
-// pinned writer goroutine stops; lanes claimed through AcquireLane are
-// waited for instead. Close is serialised with Resize and idempotent.
+// are stopped first (Close never leaks their jobs), so post-Close queries
+// fold the drained shards live and are exact; the window plane stays for a
+// final checkpoint. Call after every pinned writer goroutine stops; lanes
+// claimed through AcquireLane are waited for instead. Close is serialised
+// with Resize and idempotent.
 func (s *Sharded[T, A, C]) Close() {
 	s.closeOnce.Do(func() {
 		close(s.closing)
@@ -641,24 +639,47 @@ func (s *Sharded[T, A, C]) Close() {
 		return
 	}
 	s.closed = true
-	vr := s.vr.Load()
-	if vr != nil {
-		s.vr.Store(nil)
-	}
-	wr := s.wr.Load()
-	if wr != nil {
-		s.wr.Store(nil)
-	}
+	stopRefresher := s.unschedule(&s.refresher)
+	stopRotator := s.unschedule(&s.rotator)
+	s.view.Store(nil)
 	s.st.Load().g.close()
-	// The runtimes are detached; stop them outside resizeMu — the rotator
-	// loop acquires resizeMu per tick (RotateNow), so waiting for it while
-	// holding the lock would deadlock. A tick that slips in between sees
-	// wr == nil (or closed) and is a no-op.
 	s.resizeMu.Unlock()
-	if vr != nil {
-		s.stopView(vr)
+	if stopRefresher != nil {
+		stopRefresher()
 	}
-	if wr != nil {
-		s.stopWindow(wr)
+	if stopRotator != nil {
+		stopRotator()
 	}
+}
+
+// job is one periodic job of a sketch — a view refresher or a window
+// rotator — scheduled on a clock.Clock by schedule.
+type job struct{ stop func() }
+
+// schedule starts fn every d on clk as the job in *slot. Each tick runs fn
+// under resizeMu, and only while *slot still holds the job that scheduled
+// it: a tick that loses the race for resizeMu to a disable — or to a
+// disable and a fresh enable — acts for nobody. Call with resizeMu held.
+func (s *Sharded[T, A, C]) schedule(slot **job, clk clock.Clock, d time.Duration, fn func()) {
+	j := &job{}
+	*slot = j
+	j.stop = clk.Every(d, func() {
+		s.resizeMu.Lock()
+		defer s.resizeMu.Unlock()
+		if *slot == j {
+			fn()
+		}
+	})
+}
+
+// unschedule detaches the job in *slot and returns its stop, or nil when
+// the slot is empty. Call with resizeMu held and call stop after releasing
+// it: stop waits for an in-flight tick, which may be waiting for resizeMu.
+func (s *Sharded[T, A, C]) unschedule(slot **job) func() {
+	j := *slot
+	if j == nil {
+		return nil
+	}
+	*slot = nil
+	return j.stop
 }

@@ -19,11 +19,11 @@ import "fmt"
 // with, and whether one is enabled — the introspection hook checkpointing
 // needs to record view settings for restore.
 func (s *Sharded[T, A, C]) ViewSettings() (ViewConfig, bool) {
-	vr := s.vr.Load()
-	if vr == nil {
+	v := s.view.Load()
+	if v == nil {
 		return ViewConfig{}, false
 	}
-	return vr.cfg, true
+	return v.cfg, true
 }
 
 // AppendSnapshot appends the sketch's merged snapshot body (the family
@@ -69,6 +69,6 @@ func (s *Sharded[T, A, C]) ImportSnapshot(blob []byte) error {
 	// A materialized view, if enabled, picks the import up on its next
 	// refresh; fold it in eagerly so view-served queries don't lag the
 	// import by a refresh interval.
-	s.RefreshViewNow()
+	s.refreshViewLocked()
 	return nil
 }

@@ -1,9 +1,9 @@
 package shard_test
 
-// Materialized-view unit tests: double-buffer publication, staleness
-// fallback, resize interaction, lifecycle errors, refresher shutdown, and
-// the zero-allocation contract of the view query path. Refreshes are paced
-// deterministically with a ManualClock.
+// Materialized-view unit tests: publication, staleness fallback, resize
+// interaction, lifecycle errors, refresher shutdown, and the zero-allocation
+// contract of the view query path. Refreshes are paced deterministically
+// with a clock.Manual.
 
 import (
 	"runtime"
@@ -241,8 +241,9 @@ func TestViewQueryPathZeroAlloc(t *testing.T) {
 
 func TestViewConcurrentSmoke(t *testing.T) {
 	// Writers, a fast refresher, queriers and a resize all racing — run
-	// under -race this exercises the double-buffer handshake; the full bound
-	// assertion lives in the adversary StressViewUnderFire suite.
+	// under -race this checks that queriers fold each published plane while
+	// refreshes replace it; the full bound assertion lives in the adversary
+	// StressViewUnderFire suite.
 	sk, err := shard.NewCountMin(0.001, 0.01, shard.Config{
 		Shards: 4, Writers: 2, MaxError: 1, BufferSize: 4,
 	})

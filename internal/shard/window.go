@@ -50,26 +50,18 @@ type epochWindow[A window.Acc[A]] struct {
 
 	// ring holds the closed slots. Unlike the planes above it is mutable:
 	// touched only under resizeMu (rotation, checkpoint export), never by
-	// queries — they read the suffix-merge instead. It lives here, not on
-	// the rotator runtime, so it survives Close for a final checkpoint.
+	// queries — they read the suffix-merge instead. It lives on the epoch,
+	// not with the rotator job, so it survives Close for a final checkpoint.
 	ring *window.Ring[A]
 }
 
-// windowRuntime is the rotator goroutine's handle while a window is enabled.
-type windowRuntime struct {
-	cfg window.Config
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// EnableWindow declares a sliding window on this sketch and starts the
-// rotator: every cfg.Interval the live interval is closed into a ring slot
-// holding the last cfg.Slots closed intervals (see the package comment for
-// the full protocol). Cumulative queries are unchanged — closed-slot state
-// reaches them through the window's suffix-merge, expelled state through
-// legacy — while WindowQueryInto and the family Window* queries cover
-// exactly the window.
+// EnableWindow declares a sliding window on this sketch and schedules the
+// rotator on cfg.Clock: every cfg.Interval the live interval is closed into
+// a ring slot holding the last cfg.Slots closed intervals (see the package
+// comment for the full protocol). Cumulative queries are unchanged —
+// closed-slot state reaches them through the window's suffix-merge, expelled
+// state through legacy — while WindowQueryInto and the family Window*
+// queries cover exactly the window.
 //
 // cfg.Decay requires a family whose accumulator has linearly scalable
 // counters (Count-Min); declaring it elsewhere is an error. The rotator is
@@ -90,7 +82,7 @@ func (s *Sharded[T, A, C]) EnableWindow(cfg WindowConfig) error {
 	if s.closed {
 		return fmt.Errorf("shard: EnableWindow after Close")
 	}
-	if s.wr.Load() != nil {
+	if s.rotator != nil {
 		return fmt.Errorf("shard: window already enabled")
 	}
 	st := s.st.Load()
@@ -105,27 +97,8 @@ func (s *Sharded[T, A, C]) EnableWindow(cfg WindowConfig) error {
 		},
 	}
 	s.st.Store(next)
-	wr := &windowRuntime{
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	s.wr.Store(wr)
-	go s.rotateLoop(wr)
+	s.schedule(&s.rotator, cfg.Clock, cfg.Interval, s.rotateLocked)
 	return nil
-}
-
-// rotateLoop paces rotations on the window clock until stopped.
-func (s *Sharded[T, A, C]) rotateLoop(wr *windowRuntime) {
-	defer close(wr.done)
-	for {
-		select {
-		case <-wr.stop:
-			return
-		case <-wr.cfg.Clock.After(wr.cfg.Interval):
-			s.RotateNow()
-		}
-	}
 }
 
 // DisableWindow stops the rotator and collapses the window's planes —
@@ -136,12 +109,11 @@ func (s *Sharded[T, A, C]) rotateLoop(wr *windowRuntime) {
 // with queries.
 func (s *Sharded[T, A, C]) DisableWindow() bool {
 	s.resizeMu.Lock()
-	wr := s.wr.Load()
-	if wr == nil {
+	stop := s.unschedule(&s.rotator)
+	if stop == nil {
 		s.resizeMu.Unlock()
 		return false
 	}
-	s.wr.Store(nil)
 	st := s.st.Load()
 	if w := st.win; w != nil {
 		legacy := s.mkAcc()
@@ -162,26 +134,18 @@ func (s *Sharded[T, A, C]) DisableWindow() bool {
 		s.st.Store(next)
 	}
 	s.resizeMu.Unlock()
-	s.stopWindow(wr)
+	stop()
 	return true
 }
 
-// stopWindow tears down a detached rotator runtime. Must be called without
-// resizeMu held: the loop's in-flight tick acquires resizeMu in RotateNow
-// (and no-ops once the runtime is detached).
-func (s *Sharded[T, A, C]) stopWindow(wr *windowRuntime) {
-	close(wr.stop)
-	<-wr.done
-}
-
 // RotateNow closes the live interval into the ring synchronously,
-// independent of the background tick — the deterministic pacing hook for
-// tests and stress drivers (the background loop calls it too). Returns
-// false if no window is enabled or the sketch is closed.
+// independent of the periodic tick — the deterministic pacing hook for
+// tests and stress drivers. Returns false if no window is enabled or the
+// sketch is closed.
 func (s *Sharded[T, A, C]) RotateNow() bool {
 	s.resizeMu.Lock()
 	defer s.resizeMu.Unlock()
-	if s.wr.Load() == nil || s.closed {
+	if s.rotator == nil {
 		return false
 	}
 	s.rotateLocked()
@@ -509,7 +473,7 @@ func (s *Sharded[T, A, C]) AppendWindowedSnapshot(dst []byte) (out []byte, slots
 // RestoreWindow rebuilds a window from checkpointed state: the closed slots
 // (oldest first) are imported into fresh ring accumulators, the
 // suffix-merge is refreshed, the decay plane imported if present, and the
-// rotator started with a fresh live interval. The base blob must already
+// rotator scheduled with a fresh live interval. The base blob must already
 // have been imported (ImportSnapshot → legacy): it excludes the closed
 // slots, so cumulative queries, which fold the suffix-merge beside legacy
 // (mergeEpoch), count each restored slot exactly once. Errors if a window is
@@ -527,7 +491,7 @@ func (s *Sharded[T, A, C]) RestoreWindow(cfg WindowConfig, slotBlobs [][]byte, d
 	if s.closed {
 		return fmt.Errorf("shard: RestoreWindow after Close")
 	}
-	if s.wr.Load() != nil {
+	if s.rotator != nil {
 		return fmt.Errorf("shard: window already enabled")
 	}
 	ring := window.NewRing[A](cfg.Slots)
@@ -560,12 +524,6 @@ func (s *Sharded[T, A, C]) RestoreWindow(cfg WindowConfig, slotBlobs [][]byte, d
 		ring:       ring,
 	}
 	s.st.Store(&next)
-	wr := &windowRuntime{
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	s.wr.Store(wr)
-	go s.rotateLoop(wr)
+	s.schedule(&s.rotator, cfg.Clock, cfg.Interval, s.rotateLocked)
 	return nil
 }

@@ -388,23 +388,15 @@ func TestWindowBackgroundRotation(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		sk.Update(0, uint64(i%8))
 	}
-	// Wait for the rotator loop to arm its tick, then fire it.
-	deadline := time.Now().Add(5 * time.Second)
-	for clk.Waiters() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("rotator never armed its clock tick")
-		}
-		time.Sleep(time.Millisecond)
+	// The manual clock runs the rotator inside Advance: one Advance short
+	// of the interval rotates nothing, the one reaching it rotates once.
+	clk.Advance(time.Second - 1)
+	if st, _ := sk.WindowStats(); st.Rotations != 0 {
+		t.Fatalf("rotations before the interval elapsed = %d, want 0", st.Rotations)
 	}
-	clk.Advance(time.Second)
-	for {
-		if st, ok := sk.WindowStats(); ok && st.Rotations >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background rotation never happened")
-		}
-		time.Sleep(time.Millisecond)
+	clk.Advance(1)
+	if st, _ := sk.WindowStats(); st.Rotations != 1 {
+		t.Fatalf("rotations after one interval = %d, want 1", st.Rotations)
 	}
 	if n, ok := sk.WindowN(); !ok || n != 100 {
 		t.Fatalf("WindowN after background rotation = %d,%v; want 100", n, ok)
@@ -428,6 +420,10 @@ func TestWindowStatsAges(t *testing.T) {
 	if st.LiveAge != 20*time.Second || st.RotationLag != 0 {
 		t.Fatalf("LiveAge/RotationLag = %v/%v; want 20s/0", st.LiveAge, st.RotationLag)
 	}
+	// A live rotator would rotate inside the next Advance. Close stops it
+	// but keeps the window plane, so the live interval outlives Interval
+	// and the lag shows.
+	sk.Close()
 	clk.Advance(100 * time.Second)
 	st, _ = sk.WindowStats()
 	if st.LiveAge != 2*time.Minute || st.RotationLag != time.Minute {

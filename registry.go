@@ -374,7 +374,9 @@ type WindowConfig = shard.WindowConfig
 type WindowInfo = shard.WindowInfo
 
 // Clock is the injectable time source shared by view refreshers, window
-// rotators, the Checkpointer and the ops sweeper.
+// rotators, the Checkpointer and the ops sweeper: Now, plus Every, which
+// runs each of their periodic jobs. clock.Manual runs due jobs inside its
+// Advance, so tests step time and assert right after.
 type Clock = clock.Clock
 
 // Apply applies spec to the named sketch of the given family (one of
