@@ -1,7 +1,13 @@
 // sketchtool is a command-line interface to the sketch library, in the
 // spirit of DataSketches' command-line tools: it builds sketches from
-// streams on stdin, serialises them to files, and combines saved sketches
+// streams on stdin, saves Θ sketches to files, and combines saved sketches
 // with set operations.
+//
+// A sketch file is a portable snapshot record (internal/snapshot), the same
+// bytes a daemon's OpSnapshot returns: family Θ, a zero Spec and a Θ union
+// body. So client.Restore loads a file into a served sketch, and a
+// client.Snapshot of a served Θ sketch is a valid merge, inter or anotb
+// input.
 //
 //	sketchtool count   [-lgk 12] [-writers 4]          distinct count of stdin lines
 //	sketchtool hll     [-p 12]                         distinct count via HLL
@@ -22,7 +28,9 @@ import (
 	"sync"
 
 	"fastsketches"
+	"fastsketches/internal/snapshot"
 	"fastsketches/internal/theta"
+	"fastsketches/internal/wire"
 )
 
 func main() {
@@ -61,18 +69,19 @@ commands: count, hll, quants, create, merge, inter, anotb
 `)
 }
 
-// lines streams stdin lines to the returned channel.
-func lines() <-chan string {
-	ch := make(chan string, 1024)
-	go func() {
-		defer close(ch)
-		sc := bufio.NewScanner(os.Stdin)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		for sc.Scan() {
-			ch <- sc.Text()
-		}
-	}()
-	return ch
+// readLines calls each on every stdin line. A line over 1 MiB, or a read
+// error, stops the scan and is returned: an answer over part of the input
+// would look like an answer over all of it.
+func readLines(each func(string)) error {
+	sc := bufio.NewScanner(os.Stdin)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		each(sc.Text())
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("reading stdin: %w", err)
+	}
+	return nil
 }
 
 func runCount(args []string) error {
@@ -91,7 +100,7 @@ func runCount(args []string) error {
 	}
 	h, _ := reg.OpenTheta("stdin", fastsketches.Spec{}) // a zero Spec is never rejected
 	sk := h.Sketch()
-	in := lines()
+	in := make(chan string, 1024) // lets the scanner run ahead of the writers
 	var wg sync.WaitGroup
 	for w := 0; w < *writers; w++ {
 		wg.Add(1)
@@ -102,8 +111,13 @@ func runCount(args []string) error {
 			}
 		}(w)
 	}
+	err = readLines(func(s string) { in <- s })
+	close(in)
 	wg.Wait()
 	reg.Close() // drains every buffer: the estimate covers all of stdin
+	if err != nil {
+		return err
+	}
 	lo, hi := sk.ConfidenceBounds(2)
 	fmt.Printf("estimate\t%.0f\nbounds_2sigma\t%.0f\t%.0f\n", sk.Estimate(), lo, hi)
 	return nil
@@ -120,10 +134,11 @@ func runHLL(args []string) error {
 		return err
 	}
 	h, _ := reg.OpenHLL("stdin", fastsketches.Spec{})
-	for s := range lines() {
-		h.Sketch().UpdateString(0, s)
-	}
+	err = readLines(func(s string) { h.Sketch().UpdateString(0, s) })
 	reg.Close()
+	if err != nil {
+		return err
+	}
 	fmt.Printf("estimate\t%.0f\n", h.Sketch().Estimate())
 	return nil
 }
@@ -149,15 +164,17 @@ func runQuants(args []string) error {
 	}
 	h, _ := reg.OpenQuantiles("stdin", fastsketches.Spec{})
 	var skipped int
-	for s := range lines() {
-		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
+	err = readLines(func(s string) {
+		if v, err := strconv.ParseFloat(strings.TrimSpace(s), 64); err == nil {
+			h.Update(0, v)
+		} else {
 			skipped++
-			continue
 		}
-		h.Update(0, v)
-	}
+	})
 	reg.Close()
+	if err != nil {
+		return err
+	}
 	snap := h.Sketch().Summary()
 	fmt.Printf("n\t%d\nmin\t%g\nmax\t%g\n", snap.N(), snap.Min(), snap.Max())
 	for _, phi := range phis {
@@ -179,14 +196,20 @@ func runCreate(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("create: -o FILE is required")
 	}
-	sk := fastsketches.NewThetaSketch(*lgk, 0)
-	for s := range lines() {
-		sk.UpdateHash(theta.HashString(s, fastsketches.DefaultSeed))
+	if *lgk < 2 || *lgk > 26 {
+		return fmt.Errorf("create: -lgk %d outside [2,26]", *lgk)
 	}
-	data, err := sk.MarshalBinary()
-	if err != nil {
+	sk := fastsketches.NewThetaSketch(*lgk, 0)
+	if err := readLines(func(s string) {
+		sk.UpdateHash(theta.HashString(s, fastsketches.DefaultSeed))
+	}); err != nil {
 		return err
 	}
+	u := fastsketches.ThetaUnion(*lgk, 0)
+	u.Add(sk)
+	rec := snapshot.Record{Family: wire.FamilyTheta, Name: []byte("stdin")}
+	data, m := snapshot.BeginPortable(nil, &rec)
+	data = snapshot.EndRecord(u.ExportTo(data), m)
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		return err
 	}
@@ -199,7 +222,23 @@ func loadSketch(path string) (*theta.QuickSelect, error) {
 	if err != nil {
 		return nil, err
 	}
-	return theta.UnmarshalQuickSelect(data)
+	rec, err := snapshot.ParsePortable(data)
+	if err != nil {
+		return nil, err
+	}
+	if rec.Family != wire.FamilyTheta {
+		return nil, fmt.Errorf("a %s sketch, not theta", rec.Family)
+	}
+	// The union is sized from the body's lgK byte, so check it before
+	// NewUnion can panic on it; ImportFrom validates the rest.
+	if len(rec.Blob) == 0 || rec.Blob[0] < 2 || rec.Blob[0] > 26 {
+		return nil, fmt.Errorf("%w: lgK outside [2,26]", theta.ErrCorrupt)
+	}
+	u := fastsketches.ThetaUnion(int(rec.Blob[0]), 0)
+	if err := u.ImportFrom(rec.Blob); err != nil {
+		return nil, err
+	}
+	return u.Result(), nil
 }
 
 // runMerge unions the saved sketches at the largest k among them, so no

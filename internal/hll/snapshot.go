@@ -19,6 +19,10 @@ import (
 //	regs 2^p bytes
 const hllSnapMin = 1 + 8
 
+// ErrCorrupt is returned by ImportFrom when a snapshot fails structural
+// validation.
+var ErrCorrupt = errors.New("hll: corrupt snapshot")
+
 // ErrSnapshotMismatch is returned by ImportFrom when the snapshot's
 // precision or seed differs from the receiver's: register-wise max across
 // different parameterisations is meaningless, so the import is refused.

@@ -1,36 +1,60 @@
 package quantiles
 
-import "testing"
+import (
+	"bytes"
+	"errors"
+	"testing"
+)
 
-func FuzzUnmarshal(f *testing.F) {
-	good := New(16, NewRandomBits(1))
-	for i := 0; i < 3000; i++ {
-		good.Update(float64(i))
+// FuzzImportFrom feeds untrusted bytes to Accumulator.ImportFrom, the
+// decoder of every Quantiles checkpoint record and served restore. It must
+// never panic; a rejected body fails with a typed error and leaves the
+// receiver's summary as it was; an accepted body, imported into a fresh
+// accumulator, re-exports a body that a second fresh accumulator imports to
+// the same bytes.
+func FuzzImportFrom(f *testing.F) {
+	// A small seed keeps the engine's input minimisation quick; k = 4 over
+	// 100 values still leaves weights of 1 to 16 in the summary.
+	c := NewComposable(4, NewRandomBits(1))
+	vals := make([]float64, 100)
+	for i := range vals {
+		vals[i] = float64(i)
 	}
-	data, _ := good.MarshalBinary()
-	f.Add(data)
+	c.MergeBuffer(vals)
+	src := NewAccumulator()
+	c.SnapshotMergeInto(src)
+	valid := src.ExportTo(nil)
+	f.Add(valid)
 	f.Add([]byte{})
-	f.Add(data[:20])
+	f.Add(valid[:len(valid)-3])
 	f.Fuzz(func(t *testing.T, b []byte) {
-		s, err := Unmarshal(b, nil)
-		if err != nil {
-			return
-		}
-		// Decoded sketches must be internally consistent and usable.
-		if s.N() > 0 {
-			q := s.Quantile(0.5)
-			if q < s.Min() || q > s.Max() {
-				t.Fatal("decoded sketch returns quantile outside [min,max]")
-			}
-		}
-		s.Update(1.5)
-		_ = s.Quantile(0.9)
-		d2, err := s.MarshalBinary()
-		if err != nil {
+		a := NewAccumulator()
+		if err := a.ImportFrom(valid); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Unmarshal(d2, nil); err != nil {
-			t.Fatalf("re-encode of decoded sketch failed to decode: %v", err)
+		before := a.ExportTo(nil)
+		if err := a.ImportFrom(b); err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrSnapshotMismatch) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			if !bytes.Equal(a.ExportTo(nil), before) {
+				t.Fatal("rejected import changed the receiver")
+			}
+			return
+		}
+		first := importFresh(t, b)
+		if again := importFresh(t, first); !bytes.Equal(again, first) {
+			t.Fatalf("re-import changed the state:\n%x\n%x", first, again)
 		}
 	})
+}
+
+// importFresh imports body into a fresh accumulator and returns its export.
+func importFresh(t *testing.T, body []byte) []byte {
+	t.Helper()
+	a := NewAccumulator()
+	if err := a.ImportFrom(body); err != nil {
+		t.Fatalf("fresh import: %v", err)
+	}
+	return a.ExportTo(nil)
 }

@@ -25,6 +25,10 @@ import (
 //	cum    count × uint64 (float64 bits, strictly increasing, cum[count-1] == n)
 const accSnapMin = 8 + 8 + 8 + 4
 
+// ErrCorrupt is returned by ImportFrom when a snapshot fails structural
+// validation.
+var ErrCorrupt = errors.New("quantiles: corrupt snapshot")
+
 // ErrSnapshotMismatch is the quantiles counterpart of the other families'
 // config-mismatch error. The family is parameter-free at merge time (any two
 // summaries fold), so nothing currently returns it; it exists so callers can

@@ -41,7 +41,9 @@
 // A single record prefixed with the format version — BeginPortable — is the
 // self-contained unit that travels in OpSnapshot/OpRestore wire bodies, so a
 // snapshot pulled from one daemon restores on another even across format
-// revisions (the receiver rejects versions it does not speak).
+// revisions (the receiver rejects versions it does not speak). It is also
+// cmd/sketchtool's file format, so a sketch file and a daemon's snapshot are
+// the same bytes.
 //
 // # Allocation discipline
 //

@@ -6,12 +6,13 @@ import (
 	"fmt"
 )
 
-// Snapshot export/import for Union accumulators — the persistence hooks of
-// the registry checkpoint plane. Unlike MarshalBinary (a standalone,
-// self-describing sketch), ExportTo is an append-style body encoder: the
-// container framing (family tag, length prefix, version) lives in
-// internal/snapshot, and this layer serialises only the union state, in the
-// same spirit as the FoldInto drain hook it mirrors.
+// Snapshot export/import for Union accumulators — Θ's one byte format, used
+// by registry checkpoints, the served snapshot/restore ops and sketchtool's
+// files. ExportTo is an append-style body encoder: the container framing
+// (family tag, length prefix, version) lives in internal/snapshot, and this
+// layer serialises only the union state, in the same spirit as the FoldInto
+// drain hook it mirrors. A standalone sketch travels as a union holding it:
+// NewUnion, Add, ExportTo; and back with ImportFrom and Result.
 //
 // Body layout (little-endian):
 //
@@ -21,6 +22,10 @@ import (
 //	count  uint32
 //	hashes count × uint64   (retained hashes, each in (0, theta))
 const unionSnapMin = 1 + 8 + 8 + 4
+
+// ErrCorrupt is returned by ImportFrom when a snapshot fails structural
+// validation.
+var ErrCorrupt = errors.New("theta: corrupt snapshot")
 
 // ErrSnapshotMismatch is returned by ImportFrom when the snapshot was taken
 // from a sketch whose configuration (hash seed) is incompatible with the

@@ -339,74 +339,6 @@ func TestAnotBEstimate(t *testing.T) {
 	}
 }
 
-func TestSerializeRoundTripQuickSelect(t *testing.T) {
-	for _, n := range []int{0, 1, 100, 50000} {
-		s := NewQuickSelect(8, testSeed)
-		feedUnique(s, n)
-		data, err := s.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := UnmarshalQuickSelect(data)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if got.Estimate() != s.Estimate() || got.ThetaLong() != s.ThetaLong() || got.Retained() != s.Retained() {
-			t.Fatalf("n=%d: round-trip mismatch est %v vs %v", n, got.Estimate(), s.Estimate())
-		}
-	}
-}
-
-func TestSerializeCorruptionDetected(t *testing.T) {
-	s := NewQuickSelect(6, testSeed)
-	feedUnique(s, 1000)
-	data, _ := s.MarshalBinary()
-
-	cases := map[string]func([]byte) []byte{
-		"truncated": func(d []byte) []byte { return d[:len(d)-3] },
-		"bad magic": func(d []byte) []byte { d[0] ^= 0xff; return d },
-		"bad count": func(d []byte) []byte { d[24] ^= 0x01; return d },
-		"zero hash": func(d []byte) []byte {
-			for i := 0; i < 8; i++ {
-				d[headerSize+i] = 0
-			}
-			return d
-		},
-		"hash at theta": func(d []byte) []byte {
-			copy(d[headerSize:], d[16:24]) // first retained hash := Θ
-			return d
-		},
-		"wrong kind": func(d []byte) []byte { d[5] = variantCompact; return d },
-		// Variant 1 (K-Minimum-Values) is reserved: no decoder accepts it.
-		"reserved kind": func(d []byte) []byte { d[5] = 1; return d },
-	}
-	for name, corrupt := range cases {
-		c := corrupt(append([]byte(nil), data...))
-		if _, err := UnmarshalQuickSelect(c); err == nil {
-			t.Errorf("%s: corruption not detected", name)
-		}
-	}
-}
-
-func TestCompactSerializeRoundTrip(t *testing.T) {
-	a := NewQuickSelect(8, testSeed)
-	b := NewQuickSelect(8, testSeed)
-	feedUnique(a, 20000)
-	feedUnique(b, 20000)
-	inter := Intersect(a, b)
-	data, err := inter.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalCompact(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Estimate() != inter.Estimate() {
-		t.Fatalf("round-trip estimate %v vs %v", got.Estimate(), inter.Estimate())
-	}
-}
-
 func TestConfidenceBoundsCoverTruth(t *testing.T) {
 	// 2-sigma bounds should cover the truth in the vast majority of trials.
 	const trials = 100
