@@ -182,6 +182,59 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointRoundTripIsByteIdentical pins that a checkpoint is a
+// function of sketch state, not of how the state is laid out in memory: a
+// drained registry holding all four families, a window with closed slots
+// and a decay plane, and a view, checkpointed, restored into a fresh
+// registry and checkpointed again, writes the same bytes. The restored Θ
+// unions hold their hashes in a different table order than the source's
+// shard folds, so an export that lists them in slot order fails here.
+func TestCheckpointRoundTripIsByteIdentical(t *testing.T) {
+	const n = 3000
+	src := populated(t, n)
+	defer src.Close()
+	clk := clock.NewManual(time.Unix(1<<20, 0))
+	th, cm := openTheta(t, src, "ck.theta"), openCountMin(t, src, "ck.cm")
+	if err := errors.Join(
+		th.Apply(fastsketches.Spec{Window: &fastsketches.WindowConfig{Interval: time.Hour, Slots: 2, Clock: clk}}),
+		cm.Apply(fastsketches.Spec{Window: &fastsketches.WindowConfig{Interval: time.Hour, Slots: 2, Decay: 0.5, Clock: clk}}),
+		src.Apply("hll", "ck.hll", fastsketches.Spec{View: &fastsketches.ViewConfig{MaxAge: -1, Clock: clk}}),
+	); err != nil {
+		t.Fatal(err)
+	}
+	// Three windowed intervals, each closed by a rotation — an exact drain —
+	// so the ring holds two slots and the expelled one sits in legacy.
+	for interval := uint64(1); interval <= 3; interval++ {
+		for i := uint64(0); i < n; i++ {
+			th.Update(0, interval*n+i)
+			cm.Update(0, i%61)
+		}
+		if !th.RotateNow() || !cm.RotateNow() {
+			t.Fatal("RotateNow on a declared window returned false")
+		}
+	}
+
+	first := src.AppendCheckpoint(nil)
+	dst, err := fastsketches.NewRegistry(fastsketches.RegistryConfig{Shards: 3, Writers: 2, MaxError: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	if err := dst.Restore(bytes.NewReader(first)); err != nil {
+		t.Fatal(err)
+	}
+	if inf, _ := dst.Info("hll", "ck.hll"); inf.Spec.View == nil {
+		t.Fatal("restored hll sketch lost its view")
+	}
+	if second := dst.AppendCheckpoint(nil); !bytes.Equal(second, first) {
+		at := 0
+		for at < min(len(first), len(second)) && first[at] == second[at] {
+			at++
+		}
+		t.Fatalf("re-checkpoint of the restored registry differs from the source's: %d vs %d bytes, first difference at byte %d", len(first), len(second), at)
+	}
+}
+
 func TestCheckpointAfterCloseCapturesDrainedState(t *testing.T) {
 	const n = 1500
 	src := populated(t, n)

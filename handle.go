@@ -28,6 +28,8 @@ type Spec = wire.Spec
 // stay on the concrete type, reachable via Handle.Sketch.
 type Sketch[T any, A any] interface {
 	Update(lane int, item T)
+	// UpdateBatch may overwrite items: Θ and HLL replace each key with its
+	// hash while routing.
 	UpdateBatch(lane int, items []T)
 	AcquireLane() (lane int, ok bool)
 	ReleaseLane(lane int)
@@ -144,7 +146,10 @@ func (h *Handle[T, A, S]) Sketch() S { return h.sk }
 func (h *Handle[T, A, S]) Update(lane int, item T) { h.sk.Update(lane, item) }
 
 // UpdateBatch processes a batch of items on writer lane lane, partitioned
-// to the owning shards in one pass; steady-state it allocates nothing.
+// to the owning shards in one pass; steady-state it allocates nothing. Θ and
+// HLL consume items as scratch, overwriting each key with its hash while
+// routing: a caller that needs the keys afterwards, or feeds one block to
+// several sketches, passes each call its own copy.
 func (h *Handle[T, A, S]) UpdateBatch(lane int, items []T) { h.sk.UpdateBatch(lane, items) }
 
 // QueryInto resets the caller-owned accumulator and folds every shard

@@ -91,18 +91,18 @@ func (c *CountMin) EstimateString(key string) uint64 {
 // immutable published accumulator, so the read stays wait-free.
 func (c *CountMin) estimateHashed(routeHash, key uint64) uint64 {
 	st := c.st.Load()
-	est := st.comps[st.g.route(routeHash)].Estimate(key)
+	est := st.comps[st.route(routeHash)].Estimate(key)
 	if st.old != nil {
-		est += st.old.comps[st.old.g.route(routeHash)].Estimate(key)
+		est += st.old.comps[st.old.route(routeHash)].Estimate(key)
 	}
-	if st.hasLegacy {
+	if st.legacy != nil {
 		est += st.legacy.Estimate(key)
 	}
 	if w := st.win; w != nil {
-		if w.hasMerged {
+		if w.merged != nil {
 			est += w.merged.Estimate(key)
 		}
-		if w.hasCarry {
+		if w.carry != nil {
 			est += w.carry.Estimate(key)
 		}
 	}
@@ -116,14 +116,14 @@ func (c *CountMin) estimateHashed(routeHash, key uint64) uint64 {
 func (c *CountMin) N() uint64 {
 	st := c.st.Load()
 	var total uint64
-	if st.hasLegacy {
+	if st.legacy != nil {
 		total += st.legacy.N()
 	}
 	if w := st.win; w != nil {
-		if w.hasMerged {
+		if w.merged != nil {
 			total += w.merged.N()
 		}
-		if w.hasCarry {
+		if w.carry != nil {
 			total += w.carry.N()
 		}
 	}

@@ -55,7 +55,7 @@ func (q *Quantiles) Update(lane int, v float64) {
 // Relaxation() of the updates completed before the call. Scalar queries
 // (Quantile, Rank, N) skip the copy and allocate nothing steady-state.
 func (q *Quantiles) Summary() *quantiles.Summary {
-	if st := q.st.Load(); len(st.comps) == 1 && st.old == nil && !st.hasLegacy && st.win == nil {
+	if st := q.st.Load(); len(st.comps) == 1 && st.old == nil && st.legacy == nil && st.win == nil {
 		// Single shard and no resize history: the published snapshot is
 		// already an immutable merged view — share it, zero copies.
 		return st.comps[0].Snapshot()

@@ -49,22 +49,25 @@
 // As in the core framework, each lane must be driven by at most one
 // goroutine at a time.
 //
-// # Live resharding
+// # Live resharding and the one epoch swap
 //
-// S is not frozen at construction: Resize grows or shrinks the shard group
+// S is not frozen at construction: Resize grows or shrinks the shard count
 // while writers and queriers stay active. Routing goes through an
-// atomically-swapped immutable epoch — current shards, optionally the old
-// epoch still draining, and a legacy accumulator holding all state retired
-// by earlier resizes. A resize builds and publishes the new epoch, waits
-// out in-flight writers behind per-lane seqlocks, closes the old epoch's
-// frameworks (an exact drain), folds the old shards' final snapshots into
-// the legacy accumulator through the same group fold queries use, and
-// retires the old epoch in one atomic store. Because every query
-// reads one epoch pointer, it sees a retired epoch either live or as
-// legacy — never both, never neither — so no completed update is lost or
-// double-counted across a resize. The merged-query staleness bound is
+// atomically-swapped immutable epoch — the current shards and their
+// frameworks, optionally the old epoch still draining, a legacy accumulator
+// holding all state retired by earlier resizes, and an optional window
+// plane. One swap routine (Sharded.swap) changes epochs for both Resize and
+// window rotation: it builds and publishes the new epoch with the old one
+// attached, waits out in-flight writers behind per-lane seqlocks, and
+// closes the old epoch's frameworks (an exact drain). The caller then folds
+// the old shards' final snapshots where they belong — legacy for a resize,
+// a window's carry for a resize under a window, a ring slot for a rotation
+// — and retires the old epoch in one atomic store. Because every query
+// reads one epoch pointer, it sees a retired epoch either live or folded,
+// never both and never neither, so no completed update is lost or
+// double-counted across a swap. The merged-query staleness bound is
 // transiently S_old·r + S_new·r while a drain is in flight and returns to
-// the new S·r when Resize completes; Relaxation() always reports the
+// the new S·r when the swap completes; Relaxation() always reports the
 // current value. See Sharded.Resize and docs/ARCHITECTURE.md for the full
 // protocol.
 package shard
@@ -136,81 +139,84 @@ func (c *Config) normalise() error {
 	return nil
 }
 
-// group owns the S core framework instances of one sharded sketch and the
-// routing state shared by every family.
-type group[T any] struct {
+// epochState is one immutable routing/query epoch of a Sharded sketch: the
+// current shards (comps, each driven by the framework at the same index in
+// fws) receive all new updates; while a swap drains, old points at the
+// epoch being drained (still part of every merged query); legacy holds the
+// accumulated state of all epochs retired by earlier resizes, folded into
+// every merged query via Accumulator.FoldInto. A zero A marks an absent
+// plane: legacy is zero until the first epoch retires into it.
+//
+// An epochState is never mutated after it is published through Sharded.st —
+// queries load the pointer once and get a consistent view of exactly which
+// state (legacy ∪ old comps ∪ current comps) their fold covers, which is
+// what makes resharding transitions atomic from the reader's perspective:
+// a query sees a retired epoch either as live shard snapshots or as part of
+// the legacy accumulator, never both and never neither.
+type epochState[T any, A Accumulator[A], C Mergeable[T, A]] struct {
+	comps     []C
 	fws       []*core.Framework[T]
 	routeSeed uint64
-}
-
-// newGroup builds and starts one framework per shard over the given globals.
-func newGroup[T any](cfg *Config, k int, globals []core.Global[T]) group[T] {
-	g := group[T]{
-		fws:       make([]*core.Framework[T], len(globals)),
-		routeSeed: cfg.RouteSeed,
-	}
-	for i, gl := range globals {
-		fw := core.New[T](gl, core.Config{
-			Workers:    cfg.Writers,
-			BufferSize: cfg.BufferSize,
-			MaxError:   cfg.MaxError,
-			K:          k,
-		})
-		fw.Start()
-		g.fws[i] = fw
-	}
-	return g
+	// old is the epoch being drained by an in-flight swap; nil otherwise.
+	old *epochState[T, A, C]
+	// legacy is the immutable accumulated state of all retired epochs.
+	legacy A
+	// basePressure is the final pressure sample of every retired epoch,
+	// summed — the counterpart of legacy for the pressure counters. Folding
+	// it into each Pressure() sample keeps the sketch-level counters
+	// monotonic across swaps: a reader sees a retired epoch's counts either
+	// live (walking old's frameworks) or in basePressure, never both,
+	// because both travel on the same immutable epoch pointer.
+	basePressure core.PressureSample
+	// win is the published sliding-window query plane; nil unless a window
+	// is enabled (see window.go). Like legacy, it is immutable once
+	// published and travels on the epoch pointer, so a rotation — which
+	// moves the closing interval's state from live shard snapshots into the
+	// window's suffix-merge — is atomic from the reader's perspective.
+	win *epochWindow[A]
 }
 
 // route maps an element hash to its shard. The hash is remixed with the
 // routing seed (xor-multiply-xorshift) so the shard index is statistically
 // independent of the bits the sketch consumes.
-func (g *group[T]) route(h uint64) int {
-	x := h ^ g.routeSeed
+func (e *epochState[T, A, C]) route(h uint64) int {
+	x := h ^ e.routeSeed
 	x *= 0x9e3779b97f4a7c15
 	x ^= x >> 32
-	return int(x % uint64(len(g.fws)))
-}
-
-// update ingests item on writer lane of the shard selected by routeHash.
-func (g *group[T]) update(lane int, routeHash uint64, item T) {
-	g.fws[g.route(routeHash)].Update(lane, item)
+	return int(x % uint64(len(e.fws)))
 }
 
 // relaxation returns the combined bound S·r: the maximum number of completed
 // updates a cross-shard merged query may miss.
-func (g *group[T]) relaxation() int {
+func (e *epochState[T, A, C]) relaxation() int {
 	total := 0
-	for _, fw := range g.fws {
+	for _, fw := range e.fws {
 		total += fw.Relaxation()
 	}
 	return total
 }
 
-// pressure sums the per-framework ingest-pressure counters across the group
-// — the sample Sharded.Pressure sums. Wait-free.
-func (g *group[T]) pressure() core.PressureSample {
+// shardRelaxation returns the per-shard relaxation r = 2·N·b. Every
+// framework of an epoch shares one configuration, so the first one speaks
+// for all.
+func (e *epochState[T, A, C]) shardRelaxation() int {
+	return e.fws[0].Relaxation()
+}
+
+// pressure sums the per-framework ingest-pressure counters of the epoch's
+// shards — the live part of Sharded.Pressure. Wait-free.
+func (e *epochState[T, A, C]) pressure() core.PressureSample {
 	var p core.PressureSample
-	for _, fw := range g.fws {
+	for _, fw := range e.fws {
 		p = p.Add(fw.Pressure())
 	}
 	return p
 }
 
-// shardRelaxation returns the per-shard relaxation r = 2·N·b. Every
-// framework in the group shares one configuration, so the first one speaks
-// for all.
-func (g *group[T]) shardRelaxation() int {
-	if len(g.fws) == 0 {
-		return 0
-	}
-	return g.fws[0].Relaxation()
-}
-
 // eager reports whether every shard is still in its exact eager phase; while
 // true, merged queries reflect every completed update.
-func (g *group[T]) eager() bool {
-	for _, fw := range g.fws {
+func (e *epochState[T, A, C]) eager() bool {
+	for _, fw := range e.fws {
 		if fw.Lazy() {
 			return false
 		}
@@ -218,22 +224,11 @@ func (g *group[T]) eager() bool {
 	return true
 }
 
-// stats sums per-shard framework counters.
-func (g *group[T]) stats() core.Stats {
-	var s core.Stats
-	for _, fw := range g.fws {
-		st := fw.Stats()
-		s.Accepted += st.Accepted
-		s.Filtered += st.Filtered
-	}
-	return s
-}
-
 // close stops every shard's propagator and drains all buffers; afterwards
-// merged queries summarise the entire ingested stream exactly (no
-// relaxation residue). Call once, after all writer goroutines stop.
-func (g *group[T]) close() {
-	for _, fw := range g.fws {
+// the epoch's composables summarise everything routed to them exactly (no
+// relaxation residue). Call once, after no writer can still touch the epoch.
+func (e *epochState[T, A, C]) close() {
+	for _, fw := range e.fws {
 		fw.Close()
 	}
 }

@@ -33,7 +33,11 @@ import (
 // ExportTo appends the accumulated state's snapshot body to dst, and
 // ImportFrom folds such a body into the receiver, leaving it unchanged on a
 // (typed) error — the codec of the checkpoint plane (see snapshot.go).
+//
+// Accumulators are comparable (every family's is a pointer), so the zero A
+// marks an absent plane on an epoch.
 type Accumulator[A any] interface {
+	comparable
 	Reset()
 	FoldInto(dst A)
 	SizeBytes() int
@@ -52,43 +56,6 @@ type Mergeable[T any, A any] interface {
 	// retain acc: repeatedly reusing one Reset accumulator must be
 	// equivalent to folding into a fresh accumulator per query.
 	SnapshotMergeInto(acc A)
-}
-
-// epochState is one immutable routing/query epoch of a Sharded sketch. The
-// current epoch's comps receive all new updates; during a resize transition
-// old points at the epoch being drained (still part of every merged query);
-// legacy holds the accumulated state of all epochs retired by earlier
-// resizes, folded into every merged query via Accumulator.FoldInto.
-//
-// An epochState is never mutated after it is published through Sharded.st —
-// queries load the pointer once and get a consistent view of exactly which
-// state (legacy ∪ old comps ∪ current comps) their fold covers, which is
-// what makes resharding transitions atomic from the reader's perspective:
-// a query sees a retired epoch either as live shard snapshots or as part of
-// the legacy accumulator, never both and never neither.
-type epochState[T any, A Accumulator[A], C Mergeable[T, A]] struct {
-	comps []C
-	g     group[T]
-	// old is the epoch being drained by an in-flight Resize; nil otherwise.
-	old *epochState[T, A, C]
-	// legacy is the immutable accumulated state of all retired epochs;
-	// meaningful only when hasLegacy is true (type parameters cannot be
-	// compared against nil).
-	legacy    A
-	hasLegacy bool
-	// basePressure is the final pressure sample of every retired epoch,
-	// summed — the counterpart of legacy for the pressure counters. Folding
-	// it into each Pressure() sample keeps the sketch-level counters
-	// monotonic across resizes: a reader sees a retired epoch's counts
-	// either live (walking old's frameworks) or in basePressure, never both,
-	// because both travel on the same immutable epoch pointer.
-	basePressure core.PressureSample
-	// win is the published sliding-window query plane; nil unless a window
-	// is enabled (see window.go). Like legacy, it is immutable once
-	// published and travels on the epoch pointer, so a rotation — which
-	// moves the closing interval's state from live shard snapshots into the
-	// window's suffix-merge — is atomic from the reader's perspective.
-	win *epochWindow[A]
 }
 
 // lanePad keeps each lane's seqlock word on its own cache line so writer
@@ -119,16 +86,17 @@ type laneSeq struct {
 }
 
 // Sharded is the generic sharded sketch underlying all four families: S
-// independent concurrent composables striped by key hash (the group layer),
+// independent concurrent composables striped by key hash (the epoch),
 // plus the allocation-free merge-on-query plane — a sync.Pool of reusable
 // accumulators, so steady-state merged queries allocate nothing. The family
 // wrappers (Theta, HLL, Quantiles, CountMin) embed a *Sharded and add only
 // their hash routing and family-specific query signatures.
 //
-// The shard group is resizable while writers and queriers stay active: see
-// Resize for the epoch-swap protocol and its transient staleness bound.
+// The shard count is resizable while writers and queriers stay active: see
+// swap for the epoch-swap protocol Resize and window rotation share, and
+// Resize for its transient staleness bound.
 type Sharded[T any, A Accumulator[A], C Mergeable[T, A]] struct {
-	// st is the current epoch; swapped atomically by Resize. Writers load it
+	// st is the current epoch; stored only under resizeMu. Writers load it
 	// once per update (under their lane seqlock), queriers once per fold.
 	st atomic.Pointer[epochState[T, A, C]]
 
@@ -197,17 +165,75 @@ func newSharded[T any, A Accumulator[A], C Mergeable[T, A]](
 // transition links. The per-shard frameworks inherit the construction-time
 // configuration (writer lanes, buffer size, eager budget); only S varies.
 func (s *Sharded[T, A, C]) newEpoch(shards int) *epochState[T, A, C] {
-	e := &epochState[T, A, C]{comps: make([]C, shards)}
-	globals := make([]core.Global[T], shards)
-	for i := range e.comps {
-		c := s.mkComp(i)
-		e.comps[i] = c
-		globals[i] = c
+	e := &epochState[T, A, C]{
+		comps:     make([]C, shards),
+		fws:       make([]*core.Framework[T], shards),
+		routeSeed: s.cfg.RouteSeed,
 	}
-	cfg := s.cfg
-	cfg.Shards = shards
-	e.g = newGroup[T](&cfg, s.k, globals)
+	for i := range e.comps {
+		e.comps[i] = s.mkComp(i)
+		e.fws[i] = core.New[T](e.comps[i], core.Config{
+			Workers:    s.cfg.Writers,
+			BufferSize: s.cfg.BufferSize,
+			MaxError:   s.cfg.MaxError,
+			K:          s.k,
+		})
+		e.fws[i].Start()
+	}
 	return e
+}
+
+// swap is the one epoch swap behind Resize and window rotation — the exact
+// drain of Algorithm 2 applied to a whole epoch:
+//
+//  1. Build and start a fresh epoch of `shards` framework instances.
+//  2. Publish it atomically as the routing epoch, with the current epoch
+//     attached as old: from this instant new updates route to the new
+//     shards, while merged queries fold legacy ∪ old ∪ new.
+//  3. Wait out writer lanes still mid-update on the old epoch (per-lane
+//     seqlock grace period), then close the old epoch's frameworks, which
+//     drains every buffered update exactly into the old composables.
+//
+// It returns the drained epoch and next, a copy of the published epoch with
+// old detached and old's final pressure counters moved into basePressure.
+// The caller folds old.comps wherever they now belong — legacy, a window's
+// carry, a ring slot — onto next and publishes &next; it never mutates the
+// published epoch, which queries already share. Call with resizeMu held.
+func (s *Sharded[T, A, C]) swap(shards int) (old *epochState[T, A, C], next epochState[T, A, C]) {
+	old = s.st.Load()
+	e := s.newEpoch(shards)
+	e.old, e.legacy, e.basePressure, e.win = old, old.legacy, old.basePressure, old.win
+	s.st.Store(e)    // writers route to the new shards from here on
+	s.awaitWriters() // grace period: no lane can still touch the old epoch
+	old.close()      // drain old buffers exactly into the old composables
+	next = *e
+	next.old = nil
+	// The old epoch is fully drained (Ingested == Merged), so its final
+	// counters move into the base exactly once, on the same atomic store
+	// that retires its live frameworks.
+	next.basePressure = old.basePressure.Add(old.pressure())
+	return old, next
+}
+
+// fresh returns a new accumulator holding the fold of every present (non-
+// zero) part. Every accumulator the sketch publishes is built here: once
+// published it is shared read-only by every query, so it must never come
+// from the pool or be released into it.
+func (s *Sharded[T, A, C]) fresh(parts ...A) A {
+	acc := s.mkAcc()
+	for _, p := range parts {
+		foldPlane(p, acc)
+	}
+	return acc
+}
+
+// foldPlane folds a published plane into acc; the zero A is an absent plane
+// and folds nothing.
+func foldPlane[A Accumulator[A]](p, acc A) {
+	var absent A
+	if p != absent {
+		p.FoldInto(acc)
+	}
 }
 
 // update ingests item on writer lane lane of the shard selected by routeHash
@@ -218,7 +244,7 @@ func (s *Sharded[T, A, C]) update(lane int, routeHash uint64, item T) {
 	ls := &s.lanes[lane]
 	ls.seq.Add(1) // odd: epoch load + update in flight
 	st := s.st.Load()
-	st.g.update(lane, routeHash, item)
+	st.fws[st.route(routeHash)].Update(lane, item)
 	ls.seq.Add(1) // even: lane idle
 }
 
@@ -239,9 +265,8 @@ func (s *Sharded[T, A, C]) updateBatch(lane int, items []T, route func(T) uint64
 	ls := &s.lanes[lane]
 	ls.seq.Add(1) // odd: epoch load + updates in flight
 	st := s.st.Load()
-	g := &st.g
-	if nsh := len(g.fws); nsh == 1 {
-		g.fws[0].UpdateBatch(lane, items)
+	if nsh := len(st.fws); nsh == 1 {
+		st.fws[0].UpdateBatch(lane, items)
 	} else {
 		sc := &s.scratch[lane]
 		if len(sc.buckets) < nsh {
@@ -251,12 +276,12 @@ func (s *Sharded[T, A, C]) updateBatch(lane int, items []T, route func(T) uint64
 		}
 		buckets := sc.buckets[:nsh]
 		for _, item := range items {
-			i := g.route(route(item))
+			i := st.route(route(item))
 			buckets[i] = append(buckets[i], item)
 		}
 		for i, b := range buckets {
 			if len(b) > 0 {
-				g.fws[i].UpdateBatch(lane, b)
+				st.fws[i].UpdateBatch(lane, b)
 				buckets[i] = b[:0]
 			}
 		}
@@ -323,35 +348,26 @@ func (s *Sharded[T, A, C]) awaitWriters() {
 	}
 }
 
-// Resize grows or shrinks the shard group to the given count while writers
-// and queriers stay active — the live-resharding entry point. It returns
-// once the transition is fully drained; concurrent Resize/Close calls are
-// serialised.
+// Resize grows or shrinks the shard count while writers and queriers stay
+// active — the live-resharding entry point. It returns once the transition
+// is fully drained; concurrent Resize/Close calls are serialised.
 //
-// Protocol (the epoch swap):
+// Protocol: swap to a fresh epoch of `shards` shards (publish, writer grace
+// period, exact drain of the old epoch), then fold the old shards' final
+// snapshots — through the same group fold (foldGroup) merged queries use —
+// into one fresh accumulator beside the previous legacy state, and publish
+// it as the new epoch's legacy, atomically detaching the old epoch. With a
+// window enabled the drained state belongs to the still-open live interval,
+// so it goes into the window's carry plane instead.
 //
-//  1. Build and start a fresh epoch of `shards` framework instances.
-//  2. Publish it atomically as the routing epoch, with the previous epoch
-//     attached as `old`: from this instant new updates route to the new
-//     shards, while merged queries fold legacy ∪ old ∪ new.
-//  3. Wait out writer lanes still mid-update on the old epoch (per-lane
-//     seqlock grace period), then Close the old epoch's frameworks, which
-//     drains every buffered update exactly into the old composables.
-//  4. Fold the previous legacy state and every old shard's final snapshot —
-//     through the same group fold (foldGroup) merged queries use — into
-//     one fresh accumulator, and publish it as the new epoch's legacy,
-//     atomically detaching the old epoch. The old shards are now retired
-//     and unreachable from new queries.
-//
-// Staleness: while the transition is in flight (between steps 2 and 4) a
-// merged query folds both epochs' live snapshots and may miss up to
-// S_old·r + S_new·r completed updates — the sum of both epochs' combined
-// relaxation bounds, which is what Relaxation() reports during the
-// transition. Once Resize returns, the bound is the new epoch's S_new·r:
-// the legacy accumulator is an exact fold of everything the retired epochs
-// ingested. Queries never double-count across the retirement instant,
-// because a query reads one epoch pointer: it sees the old shards either
-// live or as legacy, never both.
+// Staleness: while the transition is in flight a merged query folds both
+// epochs' live snapshots and may miss up to S_old·r + S_new·r completed
+// updates — the sum of both epochs' combined relaxation bounds, which is
+// what Relaxation() reports during the transition. Once Resize returns, the
+// bound is the new epoch's S_new·r: the legacy accumulator is an exact fold
+// of everything the retired epochs ingested. Queries never double-count
+// across the retirement instant, because a query reads one epoch pointer:
+// it sees the old shards either live or as legacy, never both.
 //
 // The accumulator pool, writer-lane count, per-shard accuracy parameters
 // and seeds are unchanged by a resize; only S — and with it the
@@ -365,56 +381,24 @@ func (s *Sharded[T, A, C]) Resize(shards int) error {
 	if s.closed {
 		return fmt.Errorf("shard: Resize after Close")
 	}
-	old := s.st.Load()
-	if shards == len(old.comps) {
+	if shards == len(s.st.Load().comps) {
 		return nil
 	}
-
-	next := &epochState[T, A, C]{
-		old: old, legacy: old.legacy, hasLegacy: old.hasLegacy,
-		basePressure: old.basePressure, win: old.win,
-	}
-	built := s.newEpoch(shards)
-	next.comps, next.g = built.comps, built.g
-	s.st.Store(next) // writers route to the new shards from here on
-	s.awaitWriters() // grace period: no lane can still touch the old epoch
-	old.g.close()    // drain old buffers exactly into the old composables
-
-	retired := &epochState[T, A, C]{
-		comps: next.comps, g: next.g,
-		// The old epoch is fully drained (Ingested == Merged), so its final
-		// counters move into the base exactly once, on the same atomic store
-		// that retires its live frameworks.
-		basePressure: old.basePressure.Add(old.g.pressure()),
-	}
+	old, next := s.swap(shards)
 	if w := old.win; w != nil {
-		// A window is enabled: the drained shards' state belongs to the
-		// still-open live interval, not to pre-window history, so it moves
-		// into the window's carry plane — the next rotation closes it into a
-		// ring slot along with the new shards' contributions. Legacy is
-		// untouched; windowed queries keep covering exactly the window.
-		carry := s.mkAcc()
-		if w.hasCarry {
-			w.carry.FoldInto(carry)
-		}
-		foldGroup(carry, old.comps)
+		// The drained shards belong to the still-open live interval, not to
+		// pre-window history: the next rotation closes the carry into a ring
+		// slot along with the new shards' contributions. Legacy is untouched;
+		// windowed queries keep covering exactly the window.
 		win := *w
-		win.carry, win.hasCarry = carry, true
-		retired.win = &win
-		retired.legacy, retired.hasLegacy = old.legacy, old.hasLegacy
+		win.carry = s.fresh(w.carry)
+		foldGroup(win.carry, old.comps)
+		next.win = &win
 	} else {
-		// Fold prior legacy plus every retired shard's final snapshot into
-		// one fresh accumulator. It must be a fresh (never pooled, never
-		// released) instance: once published it is shared read-only by every
-		// query.
-		legacy := s.mkAcc()
-		if old.hasLegacy {
-			old.legacy.FoldInto(legacy)
-		}
-		foldGroup(legacy, old.comps)
-		retired.legacy, retired.hasLegacy = legacy, true
+		next.legacy = s.fresh(old.legacy)
+		foldGroup(next.legacy, old.comps)
 	}
-	s.st.Store(retired) // retire the old epoch atomically
+	s.st.Store(&next) // retire the old epoch atomically
 	return nil
 }
 
@@ -447,11 +431,9 @@ func (s *Sharded[T, A, C]) MergeInto(acc A) {
 // live query path and the view refresher (which must always fold live
 // state, never its own published view).
 func mergeEpoch[T any, A Accumulator[A], C Mergeable[T, A]](st *epochState[T, A, C], acc A) {
-	if st.hasLegacy {
-		st.legacy.FoldInto(acc)
-	}
-	if w := st.win; w != nil && w.hasMerged {
-		w.merged.FoldInto(acc)
+	foldPlane(st.legacy, acc)
+	if w := st.win; w != nil {
+		foldPlane(w.merged, acc)
 	}
 	foldOpen(st, acc)
 }
@@ -462,8 +444,8 @@ func mergeEpoch[T any, A Accumulator[A], C Mergeable[T, A]](st *epochState[T, A,
 // but a key may sit in both epochs, so only within a group may an
 // accumulator skip deduplication.
 func foldOpen[T any, A Accumulator[A], C Mergeable[T, A]](st *epochState[T, A, C], acc A) {
-	if w := st.win; w != nil && w.hasCarry {
-		w.carry.FoldInto(acc)
+	if w := st.win; w != nil {
+		foldPlane(w.carry, acc)
 	}
 	if st.old != nil {
 		foldGroup(acc, st.old.comps)
@@ -528,9 +510,9 @@ func (s *Sharded[T, A, C]) release(acc A) { s.accs.Put(acc) }
 // state is folded exactly, contributing no staleness).
 func (s *Sharded[T, A, C]) Relaxation() int {
 	st := s.st.Load()
-	r := st.g.relaxation()
+	r := st.relaxation()
 	if st.old != nil {
-		r += st.old.g.relaxation()
+		r += st.old.relaxation()
 	}
 	return r
 }
@@ -549,9 +531,9 @@ func (s *Sharded[T, A, C]) Pressure() core.PressureSample {
 	st := s.st.Load()
 	p := st.basePressure
 	if st.old != nil {
-		p = p.Add(st.old.g.pressure())
+		p = p.Add(st.old.pressure())
 	}
-	return p.Add(st.g.pressure())
+	return p.Add(st.pressure())
 }
 
 // SizeBytes estimates the sketch's resident heap footprint in bytes, for
@@ -584,7 +566,7 @@ func (s *Sharded[T, A, C]) SizeBytes() int64 {
 	unit := int64(acc.SizeBytes())
 	s.release(acc)
 	total := unit * units
-	if st.hasLegacy {
+	if st.legacy != *new(A) {
 		total += int64(st.legacy.SizeBytes())
 	}
 	return total
@@ -598,9 +580,9 @@ func (s *Sharded[T, A, C]) SizeBytes() int64 {
 // combined merged-query window is (S_old + S_new) times this r.
 func (s *Sharded[T, A, C]) ShardRelaxation() int {
 	st := s.st.Load()
-	r := st.g.shardRelaxation()
+	r := st.shardRelaxation()
 	if st.old != nil {
-		r += st.old.g.shardRelaxation()
+		r += st.old.shardRelaxation()
 	}
 	return r
 }
@@ -612,10 +594,7 @@ func (s *Sharded[T, A, C]) ShardRelaxation() int {
 // Note that a Resize starts the new shards in a fresh eager phase.
 func (s *Sharded[T, A, C]) Eager() bool {
 	st := s.st.Load()
-	if !st.g.eager() {
-		return false
-	}
-	return st.old == nil || st.old.g.eager()
+	return st.eager() && (st.old == nil || st.old.eager())
 }
 
 // Close stops all shard propagators and drains every buffer; afterwards
@@ -642,7 +621,7 @@ func (s *Sharded[T, A, C]) Close() {
 	stopRefresher := s.unschedule(&s.refresher)
 	stopRotator := s.unschedule(&s.rotator)
 	s.view.Store(nil)
-	s.st.Load().g.close()
+	s.st.Load().close()
 	s.resizeMu.Unlock()
 	if stopRefresher != nil {
 		stopRefresher()

@@ -53,18 +53,11 @@ func (s *Sharded[T, A, C]) ImportSnapshot(blob []byte) error {
 	if s.closed {
 		return fmt.Errorf("shard: ImportSnapshot after Close")
 	}
-	cur := s.st.Load()
-	// The new legacy must be a fresh, never-pooled accumulator: once
-	// published it is shared read-only by every query (same rule as Resize).
-	legacy := s.mkAcc()
-	if cur.hasLegacy {
-		cur.legacy.FoldInto(legacy)
-	}
-	if err := legacy.ImportFrom(blob); err != nil {
+	next := *s.st.Load()
+	next.legacy = s.fresh(next.legacy)
+	if err := next.legacy.ImportFrom(blob); err != nil {
 		return err
 	}
-	next := *cur
-	next.legacy, next.hasLegacy = legacy, true
 	s.st.Store(&next)
 	// A materialized view, if enabled, picks the import up on its next
 	// refresh; fold it in eagerly so view-served queries don't lag the

@@ -4,43 +4,102 @@ import (
 	"fmt"
 	"time"
 
-	"fastsketches/internal/window"
+	"fastsketches/internal/clock"
 )
 
 // Sliding-window plane of the sharded layer. A window turns the sketch into
-// a ring of per-interval sub-sketches: every Interval the rotator closes the
-// live interval — an epoch swap identical to Resize's, so the drain is exact
-// — into a ring slot, refreshes a materialized suffix-merge of all closed
+// a ring of per-interval sub-sketches covering the live interval plus the
+// last Slots closed intervals. Every Interval the rotator closes the live
+// interval into a ring slot through the same epoch swap Resize uses, so the
+// drain is exact, refreshes a materialized suffix-merge of all closed
 // slots, and expels the oldest slot into the cumulative legacy plane once
-// the ring is full. Windowed queries fold the suffix-merge plus the live
-// shard snapshots: O(1) in the slot count, zero-alloc through the same
-// pooled accumulators as cumulative queries, and the staleness bound
-// composes as S·r plus at most one rotation interval of window-boundary
-// skew (see docs/ARCHITECTURE.md).
+// the ring is full, so cumulative queries never lose it. Windowed queries
+// fold the suffix-merge plus the live shard snapshots: O(1) in the slot
+// count, zero-alloc through the same pooled accumulators as cumulative
+// queries, and the staleness bound composes as S·r plus at most one
+// rotation interval of window-boundary skew (see docs/ARCHITECTURE.md).
+//
+// Decay ∈ (0,1) additionally maintains an exponentially time-decayed plane:
+// on every rotation the decayed accumulator is scaled by Decay and the
+// freshly closed slot folded in, so a count observed k rotations ago
+// contributes with weight Decay^k. Scaling requires linearly scalable
+// counters (the scalable interface), which of the four families only
+// Count-Min provides; declaring Decay on a family without it is an error.
 //
 // All window mutation — rotation, enable/disable, checkpoint export,
 // restore — is serialised by resizeMu; readers only ever touch the
 // immutable planes of the epochWindow published on the epoch pointer.
 
-// WindowConfig declares a sliding window on a sharded sketch; see
-// window.Config for field semantics.
-type WindowConfig = window.Config
+// MaxWindowSlots bounds the ring length: far above any sane window, low
+// enough that a corrupt checkpoint or a malicious wire frame cannot make a
+// process build millions of per-interval accumulators.
+const MaxWindowSlots = 1 << 16
+
+// WindowConfig declares one sliding window: rotate every Interval, retain
+// the last Slots closed intervals (the covered span is the live interval
+// plus Slots·Interval), and optionally maintain an exponential decay plane.
+type WindowConfig struct {
+	// Interval is the rotation period. Defaults to one minute.
+	Interval time.Duration
+	// Slots is the number of closed intervals retained in the ring.
+	// Defaults to 6; must be in [1, MaxWindowSlots].
+	Slots int
+	// Decay, when in (0,1), enables the exponentially time-decayed plane:
+	// each rotation scales it by Decay before folding in the freshly closed
+	// interval. 0 disables decay; values outside [0,1) are rejected.
+	Decay float64
+	// Clock drives rotation pacing and interval timestamps. Defaults to the
+	// system clock; inject a manual clock for deterministic tests.
+	Clock clock.Clock
+}
+
+// Normalise fills defaults and validates the configuration.
+func (c WindowConfig) Normalise() (WindowConfig, error) {
+	if c.Interval <= 0 {
+		c.Interval = time.Minute
+	}
+	if c.Slots == 0 {
+		c.Slots = 6
+	}
+	if c.Slots < 1 || c.Slots > MaxWindowSlots {
+		return c, fmt.Errorf("shard: window slot count %d outside [1, %d]", c.Slots, MaxWindowSlots)
+	}
+	if c.Decay < 0 || c.Decay >= 1 {
+		return c, fmt.Errorf("shard: window decay %v outside [0, 1)", c.Decay)
+	}
+	if c.Clock == nil {
+		c.Clock = clock.System{}
+	}
+	return c, nil
+}
+
+// Same reports whether two configs declare the same window shape — interval,
+// slot count and decay; the clock is pacing machinery, not shape, and is
+// ignored. This is the declarative-open comparison: a Spec whose window is
+// Same as the enabled one must not re-arm the rotator (which would discard
+// ring contents).
+func (c WindowConfig) Same(o WindowConfig) bool {
+	return c.Interval == o.Interval && c.Slots == o.Slots && c.Decay == o.Decay
+}
+
+// scalable is the hook the decay plane requires: scale every counter by
+// f ∈ (0,1), flooring. Of the four families only Count-Min counts are
+// linearly scalable.
+type scalable interface {
+	ScaleBy(f float64)
+}
 
 // epochWindow is the published, immutable window query plane travelling on
-// an epochState. merged is the suffix-merge of every closed ring slot;
-// carry accumulates live-interval state drained by resizes since the last
-// rotation (it belongs to the open interval, not to legacy); decayed is the
-// exponential-decay plane when cfg.Decay ∈ (0,1). Like legacy, each plane
-// is shared read-only by every querier once published.
-type epochWindow[A window.Acc[A]] struct {
-	cfg window.Config
+// an epochState. merged is the suffix-merge of every closed ring slot (zero
+// while the ring is empty); carry accumulates live-interval state drained
+// by resizes since the last rotation (it belongs to the open interval, not
+// to legacy); decayed is the exponential-decay plane when cfg.Decay ∈ (0,1).
+// Like legacy, each plane is shared read-only by every querier once
+// published, and a zero plane is absent.
+type epochWindow[A Accumulator[A]] struct {
+	cfg WindowConfig
 
-	merged     A
-	hasMerged  bool
-	carry      A
-	hasCarry   bool
-	decayed    A
-	hasDecayed bool
+	merged, carry, decayed A
 
 	// liveStart is the UnixNano instant the live interval opened (the last
 	// rotation, or enable/restore time).
@@ -48,57 +107,24 @@ type epochWindow[A window.Acc[A]] struct {
 	// rotations counts completed rotations since the window was enabled.
 	rotations uint64
 
-	// ring holds the closed slots. Unlike the planes above it is mutable:
-	// touched only under resizeMu (rotation, checkpoint export), never by
-	// queries — they read the suffix-merge instead. It lives on the epoch,
-	// not with the rotator job, so it survives Close for a final checkpoint.
-	ring *window.Ring[A]
+	// ring holds the closed slots, oldest first, in a backing array of
+	// capacity cfg.Slots that every copy of the plane shares. Unlike the
+	// planes above it is mutable: touched only under resizeMu (rotation,
+	// checkpoint export), never by queries — they read the suffix-merge
+	// instead. It lives on the epoch, not with the rotator job, so it
+	// survives Close for a final checkpoint.
+	ring []A
 }
 
 // EnableWindow declares a sliding window on this sketch and schedules the
 // rotator on cfg.Clock: every cfg.Interval the live interval is closed into
-// a ring slot holding the last cfg.Slots closed intervals (see the package
-// comment for the full protocol). Cumulative queries are unchanged —
-// closed-slot state reaches them through the window's suffix-merge, expelled
-// state through legacy — while WindowQueryInto and the family Window*
-// queries cover exactly the window.
-//
-// cfg.Decay requires a family whose accumulator has linearly scalable
-// counters (Count-Min); declaring it elsewhere is an error. The rotator is
-// stopped by DisableWindow or Close. Enabling a window on a sketch that
-// already has one is an error; enabling after Close is an error.
+// a ring slot holding the last cfg.Slots closed intervals. Cumulative
+// queries are unchanged — closed-slot state reaches them through the
+// window's suffix-merge, expelled state through legacy — while
+// WindowQueryInto and the family Window* queries cover exactly the window.
+// It is RestoreWindow with an empty ring, and fails like it.
 func (s *Sharded[T, A, C]) EnableWindow(cfg WindowConfig) error {
-	cfg, err := cfg.Normalise()
-	if err != nil {
-		return err
-	}
-	if cfg.Decay > 0 {
-		if _, ok := any(s.mkAcc()).(window.Scalable); !ok {
-			return fmt.Errorf("shard: window decay requires linearly scalable counters (Count-Min); this family has none")
-		}
-	}
-	s.resizeMu.Lock()
-	defer s.resizeMu.Unlock()
-	if s.closed {
-		return fmt.Errorf("shard: EnableWindow after Close")
-	}
-	if s.rotator != nil {
-		return fmt.Errorf("shard: window already enabled")
-	}
-	st := s.st.Load()
-	next := &epochState[T, A, C]{
-		comps: st.comps, g: st.g, old: st.old,
-		legacy: st.legacy, hasLegacy: st.hasLegacy,
-		basePressure: st.basePressure,
-		win: &epochWindow[A]{
-			cfg:       cfg,
-			liveStart: cfg.Clock.Now().UnixNano(),
-			ring:      window.NewRing[A](cfg.Slots),
-		},
-	}
-	s.st.Store(next)
-	s.schedule(&s.rotator, cfg.Clock, cfg.Interval, s.rotateLocked)
-	return nil
+	return s.RestoreWindow(cfg, nil, nil)
 }
 
 // DisableWindow stops the rotator and collapses the window's planes —
@@ -114,24 +140,11 @@ func (s *Sharded[T, A, C]) DisableWindow() bool {
 		s.resizeMu.Unlock()
 		return false
 	}
-	st := s.st.Load()
-	if w := st.win; w != nil {
-		legacy := s.mkAcc()
-		if st.hasLegacy {
-			st.legacy.FoldInto(legacy)
-		}
-		if w.hasMerged {
-			w.merged.FoldInto(legacy)
-		}
-		if w.hasCarry {
-			w.carry.FoldInto(legacy)
-		}
-		next := &epochState[T, A, C]{
-			comps: st.comps, g: st.g, old: st.old,
-			legacy: legacy, hasLegacy: true,
-			basePressure: st.basePressure,
-		}
-		s.st.Store(next)
+	next := *s.st.Load()
+	if w := next.win; w != nil {
+		next.legacy = s.fresh(next.legacy, w.merged, w.carry)
+		next.win = nil
+		s.st.Store(&next)
 	}
 	s.resizeMu.Unlock()
 	stop()
@@ -152,23 +165,20 @@ func (s *Sharded[T, A, C]) RotateNow() bool {
 	return true
 }
 
-// rotateLocked performs one rotation under resizeMu. The protocol reuses
-// the Resize epoch swap for an exact drain of the closing interval:
+// rotateLocked performs one rotation under resizeMu:
 //
-//  1. Build and publish a fresh epoch of the same shard count with the
-//     previous epoch attached as old — new updates belong to the next
-//     interval from this instant, while queries keep folding both.
-//  2. Writer grace period, then close the old epoch's frameworks: every
-//     update of the closing interval now sits exactly in its composables
+//  1. swap to a fresh epoch of the same shard count: new updates belong to
+//     the next interval from the publish instant, and every update of the
+//     closing interval ends up exactly in the drained composables
 //     (stragglers that loaded the new epoch land in the next interval —
 //     counted once, later, never lost).
-//  3. If the ring is full, expel the oldest slot into a fresh legacy
-//     accumulator (cumulative queries see it there from the same epoch
-//     store that removes it from the window).
-//  4. Fold carry + the drained shards into a (recycled) slot, push it,
-//     refresh the suffix-merge, and advance the decay plane
+//  2. Fold carry + the drained shards into a new slot. If the ring is full,
+//     expel the oldest slot into a fresh legacy accumulator (cumulative
+//     queries see it there from the same epoch store that removes it from
+//     the window).
+//  3. Push the slot, refresh the suffix-merge, and advance the decay plane
 //     (decayed' = Decay·decayed + slot).
-//  5. Publish the retired epoch carrying the new window plane — one atomic
+//  4. Publish the swapped epoch carrying the new window plane — one atomic
 //     store moves the interval from live snapshots into the suffix-merge,
 //     so no query ever double-counts or misses it.
 func (s *Sharded[T, A, C]) rotateLocked() {
@@ -177,70 +187,26 @@ func (s *Sharded[T, A, C]) rotateLocked() {
 	if w == nil {
 		return
 	}
-	built := s.newEpoch(len(st.comps))
-	next := &epochState[T, A, C]{
-		comps: built.comps, g: built.g, old: st,
-		legacy: st.legacy, hasLegacy: st.hasLegacy,
-		basePressure: st.basePressure, win: w,
+	old, next := s.swap(len(st.comps))
+	win := *w
+	win.carry = *new(A)
+	slot := s.fresh(w.carry)
+	foldGroup(slot, old.comps)
+	if len(w.ring) == w.cfg.Slots {
+		next.legacy = s.fresh(old.legacy, w.ring[0])
+		win.ring = append(w.ring[:0], w.ring[1:]...)
 	}
-	s.st.Store(next)
-	s.awaitWriters()
-	st.g.close()
-
-	legacy, hasLegacy := st.legacy, st.hasLegacy
-	var slot A
-	haveSlot := false
-	if oldest, ok := w.ring.PopIfFull(); ok {
-		nl := s.mkAcc()
-		if hasLegacy {
-			legacy.FoldInto(nl)
-		}
-		oldest.FoldInto(nl)
-		legacy, hasLegacy = nl, true
-		oldest.Reset()
-		slot, haveSlot = oldest, true
-	}
-	if !haveSlot {
-		slot = s.mkAcc()
-	}
-	if w.hasCarry {
-		w.carry.FoldInto(slot)
-	}
-	foldGroup(slot, st.comps)
-	w.ring.Push(slot)
-
-	merged := s.mkAcc()
-	w.ring.FoldAll(merged)
-	var decayed A
-	hasDecayed := false
+	win.ring = append(win.ring, slot)
+	win.merged = s.fresh(win.ring...)
 	if w.cfg.Decay > 0 {
-		decayed = s.mkAcc()
-		if w.hasDecayed {
-			w.decayed.FoldInto(decayed)
-		}
-		if sc, ok := any(decayed).(window.Scalable); ok {
-			sc.ScaleBy(w.cfg.Decay)
-		}
-		slot.FoldInto(decayed)
-		hasDecayed = true
+		win.decayed = s.fresh(w.decayed)
+		any(win.decayed).(scalable).ScaleBy(w.cfg.Decay)
+		slot.FoldInto(win.decayed)
 	}
-
-	retired := &epochState[T, A, C]{
-		comps: next.comps, g: next.g,
-		legacy: legacy, hasLegacy: hasLegacy,
-		basePressure: st.basePressure.Add(st.g.pressure()),
-		win: &epochWindow[A]{
-			cfg:        w.cfg,
-			merged:     merged,
-			hasMerged:  true,
-			decayed:    decayed,
-			hasDecayed: hasDecayed,
-			liveStart:  w.cfg.Clock.Now().UnixNano(),
-			rotations:  w.rotations + 1,
-			ring:       w.ring,
-		},
-	}
-	s.st.Store(retired)
+	win.liveStart = w.cfg.Clock.Now().UnixNano()
+	win.rotations++
+	next.win = &win
+	s.st.Store(&next)
 }
 
 // windowMergeEpoch folds one epoch's windowed state — closed-slot
@@ -252,9 +218,7 @@ func windowMergeEpoch[T any, A Accumulator[A], C Mergeable[T, A]](st *epochState
 	if w == nil {
 		return false
 	}
-	if w.hasMerged {
-		w.merged.FoldInto(acc)
-	}
+	foldPlane(w.merged, acc)
 	foldOpen(st, acc)
 	return true
 }
@@ -289,9 +253,7 @@ func (s *Sharded[T, A, C]) DecayedMergeInto(acc A) bool {
 	if w == nil || w.cfg.Decay <= 0 {
 		return false
 	}
-	if w.hasDecayed {
-		w.decayed.FoldInto(acc)
-	}
+	foldPlane(w.decayed, acc)
 	foldOpen(st, acc)
 	return true
 }
@@ -452,32 +414,35 @@ func (s *Sharded[T, A, C]) AppendWindowedSnapshot(dst []byte) (out []byte, slots
 	st := s.st.Load()
 	w := st.win
 	acc := s.acquire()
-	if st.hasLegacy {
-		st.legacy.FoldInto(acc)
-	}
+	foldPlane(st.legacy, acc)
 	foldOpen(st, acc)
 	out = acc.ExportTo(dst)
 	s.release(acc)
 	if w == nil {
 		return out, nil, nil
 	}
-	for _, sl := range w.ring.Slots() {
+	for _, sl := range w.ring {
 		slots = append(slots, sl.ExportTo(nil))
 	}
-	if w.hasDecayed {
+	if w.decayed != *new(A) {
 		decayed = w.decayed.ExportTo(nil)
 	}
 	return out, slots, decayed
 }
 
-// RestoreWindow rebuilds a window from checkpointed state: the closed slots
-// (oldest first) are imported into fresh ring accumulators, the
-// suffix-merge is refreshed, the decay plane imported if present, and the
-// rotator scheduled with a fresh live interval. The base blob must already
-// have been imported (ImportSnapshot → legacy): it excludes the closed
-// slots, so cumulative queries, which fold the suffix-merge beside legacy
-// (mergeEpoch), count each restored slot exactly once. Errors if a window is
-// already enabled or the slots exceed the ring.
+// RestoreWindow arms a window from checkpointed state and schedules the
+// rotator on cfg.Clock with a fresh live interval: the closed slots (oldest
+// first) are imported into fresh ring accumulators, the suffix-merge built
+// from them, and the decay plane imported if present. The base blob must
+// already have been imported (ImportSnapshot → legacy): it excludes the
+// closed slots, so cumulative queries, which fold the suffix-merge beside
+// legacy (mergeEpoch), count each restored slot exactly once. With no slots
+// and no decay plane it arms an empty window — EnableWindow.
+//
+// cfg.Decay requires a family whose accumulator has linearly scalable
+// counters (Count-Min); declaring it elsewhere is an error. Errors too if a
+// window is already enabled, the sketch is closed, or the slots exceed the
+// ring. The rotator is stopped by DisableWindow or Close.
 func (s *Sharded[T, A, C]) RestoreWindow(cfg WindowConfig, slotBlobs [][]byte, decayedBlob []byte) error {
 	cfg, err := cfg.Normalise()
 	if err != nil {
@@ -486,43 +451,40 @@ func (s *Sharded[T, A, C]) RestoreWindow(cfg WindowConfig, slotBlobs [][]byte, d
 	if len(slotBlobs) > cfg.Slots {
 		return fmt.Errorf("shard: RestoreWindow with %d slots into a %d-slot ring", len(slotBlobs), cfg.Slots)
 	}
+	if _, ok := any(*new(A)).(scalable); cfg.Decay > 0 && !ok {
+		return fmt.Errorf("shard: window decay requires linearly scalable counters (Count-Min); this family has none")
+	}
 	s.resizeMu.Lock()
 	defer s.resizeMu.Unlock()
 	if s.closed {
-		return fmt.Errorf("shard: RestoreWindow after Close")
+		return fmt.Errorf("shard: window armed after Close")
 	}
 	if s.rotator != nil {
 		return fmt.Errorf("shard: window already enabled")
 	}
-	ring := window.NewRing[A](cfg.Slots)
-	merged := s.mkAcc()
+	win := &epochWindow[A]{
+		cfg:       cfg,
+		liveStart: cfg.Clock.Now().UnixNano(),
+		ring:      make([]A, 0, cfg.Slots),
+	}
 	for _, b := range slotBlobs {
 		sl := s.mkAcc()
 		if err := sl.ImportFrom(b); err != nil {
 			return err
 		}
-		ring.Push(sl)
-		sl.FoldInto(merged)
+		win.ring = append(win.ring, sl)
 	}
-	var decayed A
-	hasDecayed := false
+	if len(win.ring) > 0 {
+		win.merged = s.fresh(win.ring...)
+	}
 	if decayedBlob != nil {
-		decayed = s.mkAcc()
-		if err := decayed.ImportFrom(decayedBlob); err != nil {
+		win.decayed = s.mkAcc()
+		if err := win.decayed.ImportFrom(decayedBlob); err != nil {
 			return err
 		}
-		hasDecayed = true
 	}
 	next := *s.st.Load()
-	next.win = &epochWindow[A]{
-		cfg:        cfg,
-		merged:     merged,
-		hasMerged:  true,
-		decayed:    decayed,
-		hasDecayed: hasDecayed,
-		liveStart:  cfg.Clock.Now().UnixNano(),
-		ring:       ring,
-	}
+	next.win = win
 	s.st.Store(&next)
 	s.schedule(&s.rotator, cfg.Clock, cfg.Interval, s.rotateLocked)
 	return nil

@@ -316,11 +316,21 @@ func TestWindowDecayRequiresScalableFamily(t *testing.T) {
 	defer sk.Close()
 	cfg := manualWindow(2)
 	cfg.Decay = 0.5
-	if err := sk.EnableWindow(cfg); err == nil {
-		t.Fatal("EnableWindow with Decay on Θ succeeded; want error (no scalable counters)")
-	}
-	if sk.WindowEnabled() {
-		t.Fatal("window enabled despite config error")
+	// Both ways to arm a window refuse the decay plane: a restore must not
+	// bring back a plane that never decays.
+	for _, arm := range []struct {
+		name string
+		arm  func() error
+	}{
+		{"EnableWindow", func() error { return sk.EnableWindow(cfg) }},
+		{"RestoreWindow", func() error { return sk.RestoreWindow(cfg, nil, nil) }},
+	} {
+		if err := arm.arm(); err == nil {
+			t.Errorf("%s with Decay on Θ succeeded; want error (no scalable counters)", arm.name)
+		}
+		if sk.WindowEnabled() {
+			t.Fatalf("%s: window enabled despite config error", arm.name)
+		}
 	}
 }
 

@@ -61,7 +61,7 @@ import (
 	"errors"
 	"fmt"
 
-	"fastsketches/internal/window"
+	"fastsketches/internal/shard"
 	"fastsketches/internal/wire"
 )
 
@@ -266,7 +266,7 @@ func ParseRecord(data []byte) (Record, []byte, error) {
 		// The window tail: closed slots oldest first, then the optional
 		// decay plane.
 		slotCount := r.u32()
-		if r.err == nil && (slotCount > window.MaxSlots || int64(slotCount) > int64(w.Slots)) {
+		if r.err == nil && (slotCount > shard.MaxWindowSlots || int64(slotCount) > int64(w.Slots)) {
 			r.fail(ErrBadRecord, "window slot count %d exceeds capacity %d", slotCount, w.Slots)
 		}
 		if r.err == nil && slotCount > 0 {

@@ -21,6 +21,10 @@ import (
 //	theta  uint64
 //	count  uint32
 //	hashes count × uint64   (retained hashes, each in (0, theta))
+//
+// ExportTo writes the hashes in ascending order; ImportFrom takes them in
+// any order, as bodies exported before the order was fixed list them in
+// table-slot order.
 const unionSnapMin = 1 + 8 + 8 + 4
 
 // ErrCorrupt is returned by ImportFrom when a snapshot fails structural
@@ -35,9 +39,10 @@ var ErrCorrupt = errors.New("theta: corrupt snapshot")
 var ErrSnapshotMismatch = errors.New("theta: snapshot config mismatch")
 
 // ExportTo appends the union's accumulated state to dst and returns the
-// extended slice. The receiver is only read, so concurrent exports (and
-// exports concurrent with FoldInto) are safe; with a pre-grown dst the
-// encode allocates nothing.
+// extended slice, hashes in ascending order, so equal states export equal
+// bytes. The receiver is only read, so concurrent exports (and exports
+// concurrent with FoldInto) are safe; with a pre-grown dst the encode
+// allocates nothing.
 func (u *Union) ExportTo(dst []byte) []byte {
 	g := u.gadget
 	dst = append(dst, byte(g.lgK))
@@ -53,8 +58,46 @@ func (u *Union) ExportTo(dst []byte) []byte {
 		}
 	}
 	binary.LittleEndian.PutUint32(dst[countAt:], n)
+	sortHashes(dst[countAt+4:])
 	return dst
 }
+
+// sortHashes sorts a run of little-endian uint64 hashes in place, ascending,
+// so that unions holding equal state export equal bytes whatever order their
+// tables hold it in. A heapsort over the bytes themselves: in place, so the
+// export stays allocation-free and leaves the receiver untouched.
+func sortHashes(run []byte) {
+	n := len(run) / 8
+	for i := n/2 - 1; i >= 0; i-- {
+		siftHash(run, i, n, hashAt(run, i))
+	}
+	for end := n - 1; end > 0; end-- {
+		top := hashAt(run, 0)
+		siftHash(run, 0, end, hashAt(run, end))
+		binary.LittleEndian.PutUint64(run[8*end:], top)
+	}
+}
+
+// siftHash moves h down the max-heap of the first end hashes of run, from
+// the hole at root to where it belongs.
+func siftHash(run []byte, root, end int, h uint64) {
+	for child := 2*root + 1; child < end; child = 2*root + 1 {
+		c := hashAt(run, child)
+		if child+1 < end {
+			if c2 := hashAt(run, child+1); c < c2 {
+				child, c = child+1, c2
+			}
+		}
+		if h >= c {
+			break
+		}
+		binary.LittleEndian.PutUint64(run[8*root:], c)
+		root = child
+	}
+	binary.LittleEndian.PutUint64(run[8*root:], h)
+}
+
+func hashAt(run []byte, i int) uint64 { return binary.LittleEndian.Uint64(run[8*i:]) }
 
 // ImportFrom folds a snapshot produced by ExportTo into the receiver,
 // exactly like FoldInto from a live union: Θ drops to the minimum of the two

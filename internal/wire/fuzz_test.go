@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"fastsketches/internal/shard"
-	"fastsketches/internal/window"
 )
 
 // FuzzFrameDecode throws arbitrary bytes at the full server-side decode
@@ -38,7 +37,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 1, 2, 3})
 	f.Add(AppendApply(nil, 16, 0, "users", &Spec{ViewOff: true, WindowOff: true}))
 	f.Add(AppendApply(nil, 17, FamilyCountMin, "w", &Spec{Shards: -1, IdleTTL: -1,
-		Window: &window.Config{Interval: time.Hour, Slots: 1 << 20, Decay: 1.5}}))
+		Window: &shard.WindowConfig{Interval: time.Hour, Slots: 1 << 20, Decay: 1.5}}))
 	// The removed OpMergeRemote's reserved opcode.
 	f.Add(mergeRemoteFrame(18))
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"fastsketches/internal/shard"
-	"fastsketches/internal/window"
 )
 
 // Spec declares a sketch's configuration in one place — shard count,
@@ -26,7 +25,7 @@ type Spec struct {
 	// decay) beside the cumulative plane. An equal declaration keeps the
 	// running ring; a different one collapses the old window into the
 	// cumulative plane (no count lost) and arms a fresh one.
-	Window *window.Config
+	Window *shard.WindowConfig
 	// View (re-)materializes the merged view: merged queries then fold one
 	// published accumulator at staleness S·r plus one refresh interval.
 	View *shard.ViewConfig
@@ -155,7 +154,7 @@ func ParseSpec(b []byte) (Spec, []byte, error) {
 		Pinned: flags&specPinned != 0,
 	}
 	if flags&specWindow != 0 {
-		s.Window = &window.Config{Interval: time.Duration(word()), Slots: int(word()), Decay: float()}
+		s.Window = &shard.WindowConfig{Interval: time.Duration(word()), Slots: int(word()), Decay: float()}
 	}
 	if flags&specView != 0 {
 		s.View = &shard.ViewConfig{RefreshEvery: time.Duration(word()), MaxAge: time.Duration(word())}

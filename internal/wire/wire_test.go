@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"fastsketches/internal/shard"
-	"fastsketches/internal/window"
 )
 
 // frame strips the length prefix after checking it matches the payload.
@@ -94,7 +93,7 @@ func TestBatchRoundTrip(t *testing.T) {
 func fullSpec() Spec {
 	return Spec{
 		Shards:  12,
-		Window:  &window.Config{Interval: 30 * time.Second, Slots: 12, Decay: 0.875},
+		Window:  &shard.WindowConfig{Interval: 30 * time.Second, Slots: 12, Decay: 0.875},
 		View:    &shard.ViewConfig{RefreshEvery: 50 * time.Millisecond, MaxAge: -1},
 		IdleTTL: 90 * time.Minute,
 		Pinned:  true,
@@ -389,7 +388,7 @@ func TestViewOpsRoundTrip(t *testing.T) {
 func TestWindowOpsRoundTrip(t *testing.T) {
 	// A window carries the rotation interval, the ring capacity and the
 	// decay factor; the float64 decay must survive its bits transit exactly.
-	win := &window.Config{Interval: 30 * time.Second, Slots: 12, Decay: 0.875}
+	win := &shard.WindowConfig{Interval: 30 * time.Second, Slots: 12, Decay: 0.875}
 	req, err := ParseRequest(frame(t, AppendApply(nil, 41, 0, "users", &Spec{Window: win})))
 	if err != nil {
 		t.Fatal(err)
@@ -461,7 +460,7 @@ func infoRoundTrip(t *testing.T, inf Info) Info {
 }
 
 func TestInfoWindowFieldsRoundTrip(t *testing.T) {
-	inf := Info{Spec: Spec{Shards: 4, Window: &window.Config{Interval: time.Minute, Slots: 6}},
+	inf := Info{Spec: Spec{Shards: 4, Window: &shard.WindowConfig{Interval: time.Minute, Slots: 6}},
 		Writers: 2, Relaxation: 128, ShardRelaxation: 32, WindowRotations: 42, WindowLiveAgeNs: 12_345_678}
 	if got := infoRoundTrip(t, inf); !reflect.DeepEqual(got, inf) {
 		t.Fatalf("info = %+v, want %+v", got, inf)
